@@ -1,8 +1,8 @@
 """Command-line surface: validation, migration, translation, harnesses.
 
 Exit codes: 0 valid/success, 1 invalid/violation, 2 unknown (search bound
-hit), 3 input error.  Output is deterministic JSON; randomness only enters
-through an explicit --seed.
+or size guard hit), 3 input error.  Output is deterministic JSON; randomness
+only enters through an explicit --seed.
 """
 
 from __future__ import annotations
@@ -13,20 +13,10 @@ import random
 import sys
 from typing import Optional
 
-from dcl.graphs import Graph, GraphError, GraphMorphism
+from dcl.graphs import Graph, GraphError, GraphMorphism, SizeGuardError, canonicalize
 from dcl.injlogic import InjTheory, bounded_entailment
 from dcl.instances import Delta, TypedInstance, canonicalize_instance
-from dcl.io import (
-    FormatError,
-    Workspace,
-    dumps,
-    formula_from_json,
-    load,
-    signature_to_json,
-    sketch_to_json,
-    to_json,
-)
-from dcl.graphs import canonicalize
+from dcl.io import FormatError, dumps, formula_from_json, load
 from dcl.randgen import harness_signature, random_satax_triple
 from dcl.satisfaction import (
     migrate_instance,
@@ -270,6 +260,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except SizeGuardError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_UNKNOWN
     except (FormatError, GraphError, FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -321,26 +321,30 @@ def pullback(
     """
     if f.cod != g.cod:
         raise GraphError("pullback requires a cospan: codomains differ")
+    nodes_over: dict[str, list[str]] = {}
+    for b in g.dom.sorted_nodes:
+        nodes_over.setdefault(g.node_map[b], []).append(b)
     nodes = []
     node_p: dict[str, str] = {}
     node_q: dict[str, str] = {}
     for a in f.dom.sorted_nodes:
-        for b in g.dom.sorted_nodes:
-            if f.node_map[a] == g.node_map[b]:
-                pid = pair_id(a, b)
-                nodes.append(pid)
-                node_p[pid] = a
-                node_q[pid] = b
+        for b in nodes_over.get(f.node_map[a], ()):
+            pid = pair_id(a, b)
+            nodes.append(pid)
+            node_p[pid] = a
+            node_q[pid] = b
+    arrows_over: dict[str, list[Arrow]] = {}
+    for y in g.dom.sorted_arrows:
+        arrows_over.setdefault(g.arrow_map[y.id], []).append(y)
     arrows = []
     arrow_p: dict[str, str] = {}
     arrow_q: dict[str, str] = {}
     for x in f.dom.sorted_arrows:
-        for y in g.dom.sorted_arrows:
-            if f.arrow_map[x.id] == g.arrow_map[y.id]:
-                pid = pair_id(x.id, y.id)
-                arrows.append((pid, pair_id(x.src, y.src), pair_id(x.tgt, y.tgt)))
-                arrow_p[pid] = x.id
-                arrow_q[pid] = y.id
+        for y in arrows_over.get(f.arrow_map[x.id], ()):
+            pid = pair_id(x.id, y.id)
+            arrows.append((pid, pair_id(x.src, y.src), pair_id(x.tgt, y.tgt)))
+            arrow_p[pid] = x.id
+            arrow_q[pid] = y.id
     p_graph = Graph.build(nodes, arrows)
     return (
         p_graph,
@@ -461,60 +465,229 @@ def serialize_graph(g: Graph) -> bytes:
     return json.dumps(g.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
 
-def _refine(
-    g: Graph, colors: dict[str, tuple], arrow_labels: Mapping[str, str]
-) -> dict[str, tuple]:
+def _refine(cols: list, outs: list, ins: list) -> list[int]:
+    """Colour refinement to the coarsest equitable partition finer than `cols`.
+
+    `outs[x]` / `ins[x]` list (arrow label, neighbour) pairs of node x.  The
+    result renumbers the cells 0, 1, ... in the order of the input colours:
+    refinement splits cells but never reorders them, so a node individualized
+    at the front of its cell keeps that place in every leaf below it.
+    """
+    n = len(cols)
+    cells = len(set(cols))
+    if cells == n:
+        rank = {c: r for r, c in enumerate(sorted(cols))}
+        return [rank[c] for c in cols]
     while True:
-        signature: dict[str, tuple] = {}
-        for n in g.nodes:
-            outs = sorted(
-                (arrow_labels[a.id], colors[a.tgt]) for a in g.arrows if a.src == n
+        sigs = [
+            (
+                c,
+                tuple(sorted([(label, cols[y]) for label, y in out])),
+                tuple(sorted([(label, cols[y]) for label, y in into])),
             )
-            ins = sorted(
-                (arrow_labels[a.id], colors[a.src]) for a in g.arrows if a.tgt == n
-            )
-            signature[n] = (colors[n], tuple(outs), tuple(ins))
-        ranking = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
-        new = {n: (ranking[signature[n]],) for n in g.nodes}
-        if len(set(new.values())) == len(set(colors.values())):
-            return new
-        colors = new
+            for c, out, into in zip(cols, outs, ins)
+        ]
+        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        cols = [rank[sig] for sig in sigs]
+        if len(rank) == cells or len(rank) == n:
+            return cols
+        cells = len(rank)
 
 
-def _encode(
-    g: Graph,
-    order: list[str],
-    arrow_labels: Mapping[str, str],
-    node_colors: Mapping[str, str],
-) -> tuple:
-    index = {n: i for i, n in enumerate(order)}
+def _target_cell(cols: list[int]) -> Optional[list[int]]:
+    """Members of the first cell with more than one node, or None if discrete."""
+    if len(set(cols)) == len(cols):
+        return None
+    members: dict[int, list[int]] = {}
+    for x, c in enumerate(cols):
+        members.setdefault(c, []).append(x)
+    return members[min(c for c, m in members.items() if len(m) > 1)]
+
+
+def _leaf_order(cols: list[int]) -> list[int]:
+    order = [0] * len(cols)
+    for x, c in enumerate(cols):
+        order[c] = x
+    return order
+
+
+def _encode(order: list[int], outs: list, names: list[str]) -> tuple:
+    pos = [0] * len(order)
+    for i, x in enumerate(order):
+        pos[x] = i
     return (
         len(order),
-        tuple(node_colors[n] for n in order),
+        tuple(names[x] for x in order),
         tuple(
-            sorted((index[a.src], index[a.tgt], arrow_labels[a.id]) for a in g.arrows)
+            sorted(
+                (pos[x], pos[y], label)
+                for x, out in enumerate(outs)
+                for label, y in out
+            )
         ),
     )
 
 
-def _interchangeable(g: Graph, members: list[str], labels: Mapping[str, str]) -> bool:
-    """True when swapping the first member with any other is an automorphism.
+def _twin_swaps(cols: list[int], outs: list, ins: list) -> list[dict[int, int]]:
+    """Automorphisms known up front: swaps of twins.
 
-    Then all members are in one automorphism orbit and the search needs
-    only one representative; this keeps symmetric graphs (edgeless cells,
-    parallel structure) from exploding the branching.
+    Two nodes of one colour with the same arrows (label and neighbour) out
+    and in are exchanged by an automorphism; so are any two of a class of
+    such twins, which the chain of adjacent swaps generates.
     """
-    base = sorted((a.src, a.tgt, labels[a.id]) for a in g.arrows)
-    v0 = members[0]
-    for w in members[1:]:
-        swap = {v0: w, w: v0}
-        swapped = sorted(
-            (swap.get(a.src, a.src), swap.get(a.tgt, a.tgt), labels[a.id])
-            for a in g.arrows
-        )
-        if swapped != base:
-            return False
-    return True
+    classes: dict[tuple, list[int]] = {}
+    for x, (c, out, into) in enumerate(zip(cols, outs, ins)):
+        classes.setdefault((c, tuple(sorted(out)), tuple(sorted(into))), []).append(x)
+    return [
+        {a: b, b: a}
+        for members in classes.values()
+        for a, b in zip(members, members[1:])
+    ]
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+class _Level:
+    """A node of the search tree: its partition and the children tried so far.
+
+    `orbits` is a union-find over the orbits of the automorphisms found so
+    far that fix the path to this node pointwise; `applied` counts the
+    automorphisms already merged into it.
+    """
+
+    __slots__ = ("cols", "cell", "next", "tried", "orbits", "applied")
+
+    def __init__(self, cols: list[int], cell: list[int]) -> None:
+        self.cols = cols
+        self.cell = cell
+        self.next = 0
+        self.tried: list[int] = []
+        self.orbits: Optional[list[int]] = None
+        self.applied = 0
+
+    def next_candidate(
+        self, path: list[int], autos: list[dict[int, int]]
+    ) -> Optional[int]:
+        """The next node of the cell to individualize, skipping explored orbits."""
+        while self.next < len(self.cell):
+            v = self.cell[self.next]
+            self.next += 1
+            if self.tried:
+                if self.orbits is None:
+                    self.orbits = list(range(len(self.cols)))
+                if self.applied < len(autos):
+                    on_path = set(path)
+                    for gamma in autos[self.applied :]:
+                        if on_path.isdisjoint(gamma):
+                            for x, y in gamma.items():
+                                rx, ry = _find(self.orbits, x), _find(self.orbits, y)
+                                if rx != ry:
+                                    self.orbits[max(rx, ry)] = min(rx, ry)
+                    self.applied = len(autos)
+                root = _find(self.orbits, v)
+                if any(_find(self.orbits, u) == root for u in self.tried):
+                    continue
+            self.tried.append(v)
+            return v
+        return None
+
+
+def _search(root: list[int], outs: list, ins: list, names: list[str]) -> tuple:
+    """Least leaf encoding of the individualization-refinement tree below `root`.
+
+    Depth-first: each node of the first non-singleton cell in turn is
+    individualized and the partition refined again, down to discrete leaves.
+    A candidate in the orbit of an explored sibling, under the automorphisms
+    found so far that fix the path pointwise, has an equivalent subtree and
+    is skipped.  Automorphisms are twin swaps known up front and the map
+    between two leaves with equal encodings; such a leaf also shows that
+    the whole subtree below the point where its path leaves the earlier
+    leaf's path is equivalent to one explored, so the search jumps back
+    there.  Returns (encoding, order) of the least leaf.
+    """
+    autos = _twin_swaps(root, outs, ins)
+    first: Optional[tuple] = None  # (encoding, order, path) of a leaf
+    best: Optional[tuple] = None
+    path: list[int] = []
+    stack = [_Level(root, _target_cell(root))]  # stack[d] is reached by path[:d]
+    while stack:
+        level = stack[-1]
+        del path[len(stack) - 1 :]
+        v = level.next_candidate(path, autos)
+        if v is None:
+            stack.pop()
+            continue
+        path.append(v)
+        cols = _refine([(c, x != v) for x, c in enumerate(level.cols)], outs, ins)
+        cell = _target_cell(cols)
+        if cell is not None:
+            stack.append(_Level(cols, cell))
+            continue
+        order = _leaf_order(cols)
+        encoding = _encode(order, outs, names)
+        if first is None:
+            first = best = (encoding, order, list(path))
+            continue
+        for other in (first, best):
+            if encoding == other[0]:
+                autos.append({a: b for a, b in zip(other[1], order) if a != b})
+                common = 0
+                while path[common] == other[2][common]:
+                    common += 1
+                del stack[common + 1 :]
+                break
+        else:
+            if encoding < best[0]:
+                best = (encoding, order, list(path))
+    return best[0], best[1]
+
+
+def _components(outs: list, ins: list) -> list[list[int]]:
+    """Weakly connected components, each listed from its least node."""
+    seen = [False] * len(outs)
+    components = []
+    for start in range(len(outs)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members = [start]
+        for x in members:
+            for _, y in outs[x] + ins[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    members.append(y)
+        components.append(members)
+    return components
+
+
+def _canonical_component(
+    members: list[int], outs: list, ins: list, names: list[str]
+) -> tuple[tuple, list[int]]:
+    """(encoding, members in canonical order) of one weakly connected component."""
+    if len(members) == 1:
+        x = members[0]
+        loops = tuple(sorted((0, 0, label) for label, _ in outs[x]))
+        return (1, (names[x],), loops), members
+    if len(members) == len(outs):
+        members = list(range(len(outs)))
+        c_outs, c_ins, c_names = outs, ins, names
+    else:
+        local = {x: i for i, x in enumerate(members)}
+        c_outs = [[(label, local[y]) for label, y in outs[x]] for x in members]
+        c_ins = [[(label, local[y]) for label, y in ins[x]] for x in members]
+        c_names = [names[x] for x in members]
+    cols = _refine(c_names, c_outs, c_ins)
+    if _target_cell(cols) is None:
+        order = _leaf_order(cols)
+        encoding = _encode(order, c_outs, c_names)
+    else:
+        encoding, order = _search(cols, c_outs, c_ins, c_names)
+    return encoding, [members[x] for x in order]
 
 
 def canonicalize(
@@ -525,11 +698,18 @@ def canonicalize(
 ) -> CanonicalForm:
     """Deterministic canonical form: canonical bytes agree iff graphs are isomorphic.
 
-    Degree-sequence color refinement followed by exhaustive backtracking over
-    orderings consistent with the refinement, choosing the lexicographically
-    minimal adjacency encoding.  Optional node colors / arrow labels restrict
-    the isomorphisms considered (used to canonicalize typed instances); labels
-    must be drawn from a shared vocabulary for cross-graph byte comparison.
+    The graph is split into weakly connected components.  Each component is
+    put in canonical order by colour refinement and, where refinement leaves
+    a cell of several nodes, an individualization-refinement search for the
+    least adjacency encoding, pruned by the automorphisms it finds (twin
+    swaps and maps between leaves with equal encodings).  Isolated nodes and
+    components that refinement already orders take no search.  Components
+    follow one another in the order of their encodings.  Optional node
+    colors / arrow labels restrict the isomorphisms considered (used to
+    canonicalize typed instances); labels must be drawn from a shared
+    vocabulary for cross-graph byte comparison.  A graph with more nodes
+    than `max_nodes` (default: DCL_SIZE_GUARD, else 64) raises
+    SizeGuardError.
     """
     guard = max_nodes if max_nodes is not None else _size_guard()
     if len(g.nodes) > guard:
@@ -537,42 +717,24 @@ def canonicalize(
             f"refusing to canonicalize a graph with {len(g.nodes)} nodes "
             f"(guard is {guard}; set DCL_SIZE_GUARD to override)"
         )
-    labels = (
-        dict(arrow_labels)
-        if arrow_labels is not None
-        else {a.id: "" for a in g.arrows}
+    labels = arrow_labels if arrow_labels is not None else {a.id: "" for a in g.arrows}
+    nodes = g.sorted_nodes
+    if node_colors is None:
+        names = [""] * len(nodes)
+    else:
+        names = [node_colors[n] for n in nodes]
+    position = {n: i for i, n in enumerate(nodes)}
+    outs: list[list[tuple[str, int]]] = [[] for _ in nodes]
+    ins: list[list[tuple[str, int]]] = [[] for _ in nodes]
+    for a in g.arrows:
+        s, t, label = position[a.src], position[a.tgt], labels[a.id]
+        outs[s].append((label, t))
+        ins[t].append((label, s))
+    parts = sorted(
+        _canonical_component(members, outs, ins, names)
+        for members in _components(outs, ins)
     )
-    best: dict = {"encoding": None, "order": None}
-    color_of = (
-        dict(node_colors) if node_colors is not None else {n: "" for n in g.nodes}
-    )
-    seed = {n: (color_of[n],) for n in g.nodes}
-    initial = _refine(g, seed, labels)
-
-    def search(colors: dict[str, tuple]) -> None:
-        cells: dict[tuple, list[str]] = {}
-        for n, c in colors.items():
-            cells.setdefault(c, []).append(n)
-        nonsingleton = sorted(c for c, members in cells.items() if len(members) > 1)
-        if not nonsingleton:
-            order = sorted(g.nodes, key=lambda n: colors[n])
-            enc = _encode(g, order, labels, color_of)
-            if best["encoding"] is None or enc < best["encoding"]:
-                best["encoding"] = enc
-                best["order"] = order
-            return
-        target = nonsingleton[0]
-        members = sorted(cells[target])
-        if _interchangeable(g, members, labels):
-            members = members[:1]
-        for v in members:
-            split = {
-                n: (c, 0 if n == v else 1) for n, c in colors.items()
-            }
-            search(_refine(g, split, labels))
-
-    search(initial)
-    order: list[str] = best["order"] if best["order"] is not None else []
+    order = [nodes[x] for _, members in parts for x in members]
     index = {n: i for i, n in enumerate(order)}
     node_map = {n: f"n{index[n]}" for n in order}
     arrow_order = sorted(

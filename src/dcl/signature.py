@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Optional, Sequence, Union
 
-from dcl.graphs import Graph, GraphError, GraphMorphism, compose, identity
+from dcl.graphs import (
+    Graph,
+    GraphError,
+    GraphMorphism,
+    SizeGuardError,
+    compose,
+    identity,
+)
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
@@ -462,13 +469,17 @@ def evaluate(symbol: ConstraintSymbol, t: TypedInstance) -> Verdict:
     """Run the symbol's decision procedure on an instance over its arity.
 
     The instance is canonicalized first, which makes the procedure
-    iso-invariant by construction.
+    iso-invariant by construction.  An instance too large to canonicalize
+    (see DCL_SIZE_GUARD) gets an Unknown verdict naming the guard.
     """
     if t.schema != symbol.arity:
         raise SignatureError(
             f"instance schema differs from the arity of {symbol.name!r}"
         )
-    canonical = canonicalize_instance(t).instance
+    try:
+        canonical = canonicalize_instance(t).instance
+    except SizeGuardError as exc:
+        return Verdict(Status.UNKNOWN, detail=str(exc))
     return symbol.semantics.decide(symbol.arity, canonical)
 
 

@@ -61,6 +61,14 @@ class TestCheck:
         main(["check", SKETCH, VALID])
         assert capsys.readouterr().out == first
 
+    def test_size_guard_hit_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("DCL_SIZE_GUARD", "2")
+        assert main(["check", SKETCH, VALID]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["overall"] == "unknown"
+        details = [d["detail"] or "" for d in out["declarations"]]
+        assert any("DCL_SIZE_GUARD" in detail for detail in details)
+
 
 class TestMigrate:
     def test_pull_instance(self, capsys, tmp_path):
@@ -153,6 +161,13 @@ class TestCanonClose:
         first = capsys.readouterr().out
         assert main(["canon", str(g2)]) == 0
         assert capsys.readouterr().out == first
+
+    def test_canon_size_guard_exit_two(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "g.json"
+        path.write_text(dumps(Graph.build(["a", "b"], [("e", "a", "b")])))
+        monkeypatch.setenv("DCL_SIZE_GUARD", "1")
+        assert main(["canon", str(path)]) == 2
+        assert "DCL_SIZE_GUARD" in capsys.readouterr().err
 
     def test_close_adds_consequences(self, capsys, tmp_path):
         from dcl.fixtures import span_single_valued_signature

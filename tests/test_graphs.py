@@ -1,7 +1,11 @@
+import gc
+import itertools
 import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcl.graphs import (
     Graph,
@@ -19,6 +23,7 @@ from dcl.graphs import (
     pullback,
     pushout,
 )
+from dcl.instances import TypedInstance, canonicalize_instance
 from dcl.randgen import random_graph, random_morphism_into
 
 
@@ -281,3 +286,205 @@ class TestCanonicalForms:
             canonicalize(triangle())
         monkeypatch.setenv("DCL_SIZE_GUARD", "200")
         canonicalize(triangle())
+
+
+# ---------------------------------------------------------------------------
+# Canonical-form search on symmetric inputs
+
+SCHEMA = Graph.build(["A", "B"], [("r", "A", "B"), ("s", "A", "A"), ("t", "B", "A")])
+
+
+@st.composite
+def typed_components(draw, max_nodes=4, max_arrows=5):
+    """(node types, arrows as (src index, tgt index, schema arrow)) over SCHEMA."""
+    types = draw(st.lists(st.sampled_from(["A", "B"]), min_size=1, max_size=max_nodes))
+    labels = draw(st.lists(st.sampled_from(SCHEMA.sorted_arrows), max_size=max_arrows))
+    arrows = []
+    for label in labels:
+        srcs = [i for i, t in enumerate(types) if t == label.src]
+        tgts = [i for i, t in enumerate(types) if t == label.tgt]
+        if srcs and tgts:
+            src, tgt = draw(st.sampled_from(srcs)), draw(st.sampled_from(tgts))
+            arrows.append((src, tgt, label.id))
+    return types, arrows
+
+
+@st.composite
+def symmetric_shapes(draw):
+    """Disjoint unions of repeated components, optionally joined by a hub node."""
+    types: list[str] = []
+    arrows: list[tuple[int, int, str]] = []
+    roots = []
+    parts = draw(st.lists(typed_components(), min_size=1, max_size=2))
+    for part_types, part_arrows in parts:
+        for _ in range(draw(st.integers(1, 6))):
+            base = len(types)
+            roots.append((base, part_types[0]))
+            types += part_types
+            arrows += [(base + i, base + j, label) for i, j, label in part_arrows]
+    if draw(st.booleans()):
+        hub = len(types)
+        types.append("A")
+        arrows += [(hub, root, "s" if t == "A" else "r") for root, t in roots]
+    return types, arrows
+
+
+def shaped_instance(types, arrows, rng: random.Random) -> TypedInstance:
+    """The shape with node and arrow ids given in an order drawn from rng."""
+    ids = [f"x{i}" for i in range(len(types))]
+    rng.shuffle(ids)
+    order = list(range(len(arrows)))
+    rng.shuffle(order)
+    carrier = Graph.build(
+        ids,
+        [(f"a{k}", ids[arrows[i][0]], ids[arrows[i][1]]) for k, i in enumerate(order)],
+    )
+    return TypedInstance.build(
+        SCHEMA,
+        carrier,
+        {ids[i]: t for i, t in enumerate(types)},
+        {f"a{k}": arrows[i][2] for k, i in enumerate(order)},
+    )
+
+
+@st.composite
+def graph_pairs(draw, max_nodes=5, max_arrows=6):
+    """Two graphs with the same numbers of nodes and of arrows."""
+    n = draw(st.integers(1, max_nodes))
+    m = draw(st.integers(0, max_arrows))
+    node = st.integers(0, n - 1)
+    ends = st.lists(st.tuples(node, node), min_size=m, max_size=m)
+    return tuple(
+        Graph.build(
+            [f"v{i}" for i in range(n)],
+            [(f"e{k}", f"v{s}", f"v{t}") for k, (s, t) in enumerate(draw(ends))],
+        )
+        for _ in range(2)
+    )
+
+
+@st.composite
+def out_regular_graphs(draw, max_nodes=6):
+    """Graphs whose nodes all have the same number of outgoing arrows.
+
+    Colour refinement splits such graphs little, so their canonical form
+    rests on the search: its automorphism pruning and its backjumps.
+    """
+    n = draw(st.integers(2, max_nodes))
+    degree = draw(st.integers(1, 2))
+    node = st.integers(0, n - 1)
+    outs = st.lists(node, min_size=degree, max_size=degree)
+    targets = draw(st.lists(outs, min_size=n, max_size=n))
+    return Graph.build(
+        [f"v{i}" for i in range(n)],
+        [
+            (f"e{i}_{k}", f"v{i}", f"v{t}")
+            for i, ts in enumerate(targets)
+            for k, t in enumerate(ts)
+        ],
+    )
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """g with its node ids permuted and its arrow ids renamed."""
+    perm = list(g.sorted_nodes)
+    rng.shuffle(perm)
+    node_map = dict(zip(g.sorted_nodes, perm))
+    return Graph.build(
+        perm, [(f"r{a.id}", node_map[a.src], node_map[a.tgt]) for a in g.arrows]
+    )
+
+
+def de_bruijn(bits: int) -> Graph:
+    """The binary de Bruijn graph: an arrow from each word w to w[1:] + b."""
+    words = ["".join(w) for w in itertools.product("01", repeat=bits)]
+    return Graph.build(words, [(f"{w}>{b}", w, w[1:] + b) for w in words for b in "01"])
+
+
+def hub(branches: int) -> Graph:
+    """A hub node with `branches` isomorphic two-arrow paths leaving it."""
+    nodes = ["h"]
+    arrows = []
+    for i in range(branches):
+        nodes += [f"a{i}", f"b{i}"]
+        arrows += [(f"ha{i}", "h", f"a{i}"), (f"ab{i}", f"a{i}", f"b{i}")]
+    return Graph.build(nodes, arrows)
+
+
+def repeated_paths(copies: int) -> Graph:
+    """`copies` disjoint two-arrow paths."""
+    nodes = []
+    arrows = []
+    for i in range(copies):
+        nodes += [f"a{i}", f"b{i}", f"c{i}"]
+        arrows += [(f"ab{i}", f"a{i}", f"b{i}"), (f"bc{i}", f"b{i}", f"c{i}")]
+    return Graph.build(nodes, arrows)
+
+
+def star(leaves: int) -> Graph:
+    """A hub node with an arrow to each of `leaves` twin nodes."""
+    return Graph.build(
+        ["h"] + [f"l{i}" for i in range(leaves)],
+        [(f"e{i}", "h", f"l{i}") for i in range(leaves)],
+    )
+
+
+class TestCanonicalSearch:
+    @given(
+        symmetric_shapes(),
+        st.randoms(use_true_random=False),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bytes_invariant_under_relabelling(self, shape, rng1, rng2):
+        t1 = shaped_instance(*shape, rng1)
+        t2 = shaped_instance(*shape, rng2)
+        assert canonical_bytes(t1.carrier) == canonical_bytes(t2.carrier)
+        assert canonicalize_instance(t1).bytes == canonicalize_instance(t2).bytes
+
+    @given(out_regular_graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_out_regular_bytes_invariant_under_relabelling(self, g, rng):
+        assert canonical_bytes(g) == canonical_bytes(relabelled(g, rng))
+
+    @pytest.mark.parametrize("bits", [2, 3])
+    def test_de_bruijn_bytes_invariant_under_relabelling(self, bits):
+        # every node has two arrows in and two out, so refinement splits
+        # nothing and every relabelling takes another path through the search
+        g = de_bruijn(bits)
+        rng = random.Random(bits)
+        expected = canonical_bytes(g)
+        for _ in range(40):
+            assert canonical_bytes(relabelled(g, rng)) == expected
+
+    @given(graph_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_iff_isomorphic(self, pair):
+        g, h = pair
+        isomorphic = find_isomorphism(g, h) is not None
+        assert (canonical_bytes(g) == canonical_bytes(h)) == isomorphic
+
+    @pytest.mark.parametrize(
+        "g",
+        [hub(30), repeated_paths(40), star(60)],
+        ids=["hub-30", "components-40", "star-60"],
+    )
+    def test_symmetric_graphs_stay_tractable(self, g):
+        # a hub of isomorphic branches and a union of isomorphic components
+        # have factorially many automorphisms; pruning must keep them cheap
+        h = relabelled(g, random.Random(11))
+        cf = canonicalize(g, max_nodes=len(g.nodes))
+        assert cf.relabeling.is_bijective
+        assert cf.bytes == canonicalize(h, max_nodes=len(g.nodes)).bytes
+
+    def test_leaves_no_reference_cycles(self):
+        # run with the collector off, as the benchmark does: a cycle would
+        # keep the call's index alive until the next collection
+        for g in (hub(4), repeated_paths(3)):
+            gc.collect()
+            gc.disable()
+            try:
+                canonicalize(g)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
