@@ -15,8 +15,8 @@ from typing import Optional
 
 from dcl.graphs import Graph, GraphError, GraphMorphism, SizeGuardError, canonicalize
 from dcl.injlogic import InjTheory, bounded_entailment
-from dcl.instances import Delta, TypedInstance, canonicalize_instance
-from dcl.io import FormatError, dumps, formula_from_json, load
+from dcl.instances import Delta, SliceMorphism, TypedInstance, canonicalize_instance
+from dcl.io import FormatError, dumps, load
 from dcl.randgen import harness_signature, random_satax_triple
 from dcl.satisfaction import (
     migrate_instance,
@@ -71,7 +71,6 @@ def cmd_check(args) -> int:
         instance,
         instance_name=args.instance,
         allow_unclosed=args.allow_unclosed,
-        jobs=args.jobs,
     )
     _print(report.to_json())
     return _STATUS_EXIT[report.overall]
@@ -164,8 +163,7 @@ def cmd_satax(args) -> int:
 
 def cmd_infer(args) -> int:
     theory = _expect(load(args.theory), InjTheory, args.theory)
-    goal_data = json.loads(open(args.goal).read())
-    goal = formula_from_json(goal_data)
+    goal = _expect(load(args.goal), SliceMorphism, args.goal)
     result = bounded_entailment(
         theory, goal, max_depth=args.depth, size_bound=args.size
     )
@@ -211,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--close", action="store_true", help="close the sketch first")
     p.add_argument("--allow-unclosed", action="store_true")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("migrate", help="pull an instance/delta or push a sketch")

@@ -82,13 +82,6 @@ class Graph:
     def sorted_arrows(self) -> tuple[Arrow, ...]:
         return tuple(sorted(self.arrows))
 
-    @cached_property
-    def arrows_between(self) -> dict[tuple[str, str], tuple[Arrow, ...]]:
-        out: dict[tuple[str, str], list[Arrow]] = {}
-        for a in self.sorted_arrows:
-            out.setdefault((a.src, a.tgt), []).append(a)
-        return {k: tuple(v) for k, v in out.items()}
-
     def src(self, arrow_id: str) -> str:
         return self.arrow_by_id[arrow_id].src
 
@@ -206,7 +199,7 @@ def compose(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism:
         raise GraphError(
             f"cannot compose: codomain {f.cod!r} differs from domain {g.dom!r}"
         )
-    return GraphMorphism(
+    return _trusted_morphism(
         f.dom,
         g.cod,
         {n: g.node_map[v] for n, v in f.node_map.items()},
@@ -215,47 +208,139 @@ def compose(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism:
 
 
 # ---------------------------------------------------------------------------
-# Homomorphism search
+# Morphism search
+
+
+def _trusted_morphism(
+    dom: Graph, cod: Graph, node_map: dict[str, str], arrow_map: dict[str, str]
+) -> GraphMorphism:
+    """A morphism built without validation, for maps the library made valid.
+
+    The maps must be total, incidence-preserving and listed in sorted key
+    order, as `GraphMorphism.__post_init__` would leave them.
+    """
+    m = object.__new__(GraphMorphism)
+    object.__setattr__(m, "dom", dom)
+    object.__setattr__(m, "cod", cod)
+    object.__setattr__(m, "node_map", node_map)
+    object.__setattr__(m, "arrow_map", arrow_map)
+    return m
+
+
+def search_morphisms(
+    g: Graph,
+    h: Graph,
+    typings: Optional[tuple[GraphMorphism, GraphMorphism]] = None,
+    pins: Optional[tuple[Mapping[str, str], Mapping[str, str]]] = None,
+    injective: bool = False,
+) -> Iterator[GraphMorphism]:
+    """Incidence-preserving morphisms g -> h, by backtracking over indices.
+
+    Order: node ids of g are assigned in sorted order, each trying its
+    candidates in sorted order (node assignments vary slowest), then arrow
+    images follow in sorted arrow order, each over its candidates sorted
+    by id.  The search indexes h once per call: nodes by colour and arrow
+    ids by (label, src, tgt).  Assigning a node checks only the arrows of
+    g whose later endpoint it is (forward checking).
+
+    `typings`, a pair (g -> S, h -> S) over one schema S, limits the search
+    to morphisms that commute with them: node colours and arrow labels are
+    the typings' images.  `pins` (node map, arrow map), each partial on g,
+    fixes those images; the result is the unpinned search filtered by the
+    pins, in the same order.  `injective` keeps only injective morphisms,
+    which between graphs of equal size are the isomorphisms.
+    """
+    if typings is None:
+        blank = dict.fromkeys([*g.nodes, *g.arrow_by_id, *h.nodes, *h.arrow_by_id])
+        node_colour = arrow_label = cod_colour = cod_label = blank
+    else:
+        node_colour, arrow_label = typings[0].node_map, typings[0].arrow_map
+        cod_colour, cod_label = typings[1].node_map, typings[1].arrow_map
+    node_pins, arrow_pins = pins if pins is not None else ({}, {})
+    by_colour: dict = {}
+    for n in h.sorted_nodes:
+        by_colour.setdefault(cod_colour[n], []).append(n)
+    index: dict[tuple, list[str]] = {}
+    for a in h.sorted_arrows:
+        index.setdefault((cod_label[a.id], a.src, a.tgt), []).append(a.id)
+
+    nodes = g.sorted_nodes
+    candidates = []
+    for n in nodes:
+        options = by_colour.get(node_colour[n], [])
+        pinned = node_pins.get(n)
+        candidates.append(options if pinned is None else [c for c in options if c == pinned])
+    if not all(candidates):
+        return
+    position = {n: i for i, n in enumerate(nodes)}
+    checks: list[list[tuple]] = [[] for _ in nodes]
+    ends = []
+    for a in g.sorted_arrows:
+        s, t = position[a.src], position[a.tgt]
+        checks[max(s, t)].append((arrow_label[a.id], s, t))
+        ends.append((arrow_label[a.id], s, t, arrow_pins.get(a.id)))
+    arrow_ids = [a.id for a in g.sorted_arrows]
+
+    def complete(image: list[str]) -> Iterator[GraphMorphism]:
+        options = []
+        for label, s, t, pinned in ends:
+            found = index[(label, image[s], image[t])]
+            options.append(found if pinned is None else [x for x in found if x == pinned])
+        for images in itertools.product(*options):
+            if injective and len(set(images)) < len(images):
+                continue
+            yield _trusted_morphism(
+                g, h, dict(zip(nodes, image)), dict(zip(arrow_ids, images))
+            )
+
+    if not nodes:
+        yield from complete([])
+        return
+    image: list = [None] * len(nodes)
+    pending = [iter(candidates[0])]
+    while pending:
+        depth = len(pending) - 1
+        for c in pending[depth]:
+            if injective and c in image[:depth]:
+                continue
+            image[depth] = c
+            for label, s, t in checks[depth]:
+                if (label, image[s], image[t]) not in index:
+                    break
+            else:
+                break
+        else:
+            pending.pop()
+            continue
+        if depth + 1 < len(nodes):
+            pending.append(iter(candidates[depth + 1]))
+        else:
+            yield from complete(image)
 
 
 def iter_homomorphisms(g: Graph, h: Graph) -> Iterator[GraphMorphism]:
-    """All incidence-preserving morphisms g -> h.
+    """All incidence-preserving morphisms g -> h, in `search_morphisms` order."""
+    yield from search_morphisms(g, h)
 
-    Deterministic lexicographic order over sorted node / arrow ids: node
-    assignments vary slowest, then arrow assignments in sorted arrow order.
-    Plain backtracking with forward-checking on incidence.
+
+def factorization_pins(
+    f: GraphMorphism, x: GraphMorphism
+) -> Optional[tuple[dict[str, str], dict[str, str]]]:
+    """The partial map y on the image of f forced by f;y == x.
+
+    None when no y exists: x sends two elements with one f-image apart.
     """
-    nodes = g.sorted_nodes
-    cod_nodes = h.sorted_nodes
-    if g.nodes and not h.nodes:
-        return
-
-    def assign(i: int, node_map: dict[str, str]) -> Iterator[dict[str, str]]:
-        if i == len(nodes):
-            yield dict(node_map)
-            return
-        n = nodes[i]
-        for candidate in cod_nodes:
-            node_map[n] = candidate
-            ok = True
-            for a in g.sorted_arrows:
-                s = node_map.get(a.src)
-                t = node_map.get(a.tgt)
-                if s is not None and t is not None and (s, t) not in h.arrows_between:
-                    ok = False
-                    break
-            if ok:
-                yield from assign(i + 1, node_map)
-            del node_map[n]
-
-    arrow_ids = [a.id for a in g.sorted_arrows]
-    for node_map in assign(0, {}):
-        candidates = []
-        for a in g.sorted_arrows:
-            key = (node_map[a.src], node_map[a.tgt])
-            candidates.append([x.id for x in h.arrows_between.get(key, ())])
-        for images in itertools.product(*candidates):
-            yield GraphMorphism(g, h, node_map, dict(zip(arrow_ids, images)))
+    if f.dom != x.dom:
+        raise GraphError("factorization pins need maps from one domain")
+    pins: tuple[dict[str, str], dict[str, str]] = ({}, {})
+    for pinned, f_map, x_map in (
+        (pins[0], f.node_map, x.node_map),
+        (pins[1], f.arrow_map, x.arrow_map),
+    ):
+        for element, image in f_map.items():
+            if pinned.setdefault(image, x_map[element]) != x_map[element]:
+                return None
+    return pins
 
 
 @dataclass(frozen=True)
@@ -289,10 +374,7 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[GraphMorphism]:
         return None
     if sorted(_degree_profile(g).values()) != sorted(_degree_profile(h).values()):
         return None
-    for m in iter_homomorphisms(g, h):
-        if m.is_bijective:
-            return m
-    return None
+    return next(search_morphisms(g, h, injective=True), None)
 
 
 def _degree_profile(g: Graph) -> dict[str, tuple[int, int]]:
@@ -307,7 +389,20 @@ def _degree_profile(g: Graph) -> dict[str, tuple[int, int]]:
 # Pullback / pushout
 
 
+def _escape_pair_part(raw: str) -> str:
+    escaped = raw.replace("\\", "\\\\").replace("|", "\\|")
+    return escaped.replace("(", "\\(").replace(")", "\\)")
+
+
 def pair_id(left: str, right: str) -> str:
+    """The id "(left|right)", with `\\ | ( )` escaped inside the components.
+
+    Escaping makes the pairing injective; ids free of those characters keep
+    their plain names.
+    """
+    both = left + right
+    if "|" in both or "(" in both or ")" in both or "\\" in both:
+        left, right = _escape_pair_part(left), _escape_pair_part(right)
     return f"({left}|{right})"
 
 
@@ -346,10 +441,16 @@ def pullback(
             arrow_p[pid] = x.id
             arrow_q[pid] = y.id
     p_graph = Graph.build(nodes, arrows)
+
+    def projection(cod: Graph, node_map: dict, arrow_map: dict) -> GraphMorphism:
+        return _trusted_morphism(
+            p_graph, cod, dict(sorted(node_map.items())), dict(sorted(arrow_map.items()))
+        )
+
     return (
         p_graph,
-        GraphMorphism(p_graph, f.dom, node_p, arrow_p),
-        GraphMorphism(p_graph, g.dom, node_q, arrow_q),
+        projection(f.dom, node_p, arrow_p),
+        projection(g.dom, node_q, arrow_q),
     )
 
 
@@ -378,6 +479,13 @@ class _UnionFind:
         return out
 
 
+def _side_tag(side: str, raw: str) -> str:
+    """"L:raw" or "R:raw", with `\\ ~` escaped in raw so class ids cannot collide."""
+    if "~" in raw or "\\" in raw:
+        raw = raw.replace("\\", "\\\\").replace("~", "\\~")
+    return f"{side}:{raw}"
+
+
 def pushout(
     f: GraphMorphism, g: GraphMorphism
 ) -> tuple[Graph, GraphMorphism, GraphMorphism]:
@@ -385,34 +493,31 @@ def pushout(
 
     Returns (P, into_left: cod(f) -> P, into_right: cod(g) -> P): the
     quotient of the disjoint union of cod(f) and cod(g) by the equivalence
-    generated by f(c) ~ g(c), on nodes and arrows separately.
+    generated by f(c) ~ g(c), on nodes and arrows separately.  A class is
+    named by its members, tagged "L:" or "R:" by side, sorted and joined
+    by "~".
     """
     if f.dom != g.dom:
         raise GraphError("pushout requires a span: domains differ")
-    ltag = lambda x: f"L:{x}"
-    rtag = lambda x: f"R:{x}"
     uf_nodes = _UnionFind()
     uf_arrows = _UnionFind()
-    for n in f.cod.nodes:
-        uf_nodes.add(ltag(n))
-    for n in g.cod.nodes:
-        uf_nodes.add(rtag(n))
-    for a in f.cod.arrows:
-        uf_arrows.add(ltag(a.id))
-    for a in g.cod.arrows:
-        uf_arrows.add(rtag(a.id))
+    ends: dict[str, tuple[str, str]] = {}
+    for side, graph in (("L", f.cod), ("R", g.cod)):
+        for n in graph.nodes:
+            uf_nodes.add(_side_tag(side, n))
+        for a in graph.arrows:
+            tagged = _side_tag(side, a.id)
+            uf_arrows.add(tagged)
+            ends[tagged] = (_side_tag(side, a.src), _side_tag(side, a.tgt))
     for c in f.dom.nodes:
-        uf_nodes.union(ltag(f.node_map[c]), rtag(g.node_map[c]))
+        uf_nodes.union(_side_tag("L", f.node_map[c]), _side_tag("R", g.node_map[c]))
     for c in f.dom.arrow_by_id:
-        uf_arrows.union(ltag(f.arrow_map[c]), rtag(g.arrow_map[c]))
-
-    def class_id(members: list[str]) -> str:
-        return "~".join(sorted(members))
+        uf_arrows.union(_side_tag("L", f.arrow_map[c]), _side_tag("R", g.arrow_map[c]))
 
     node_classes = uf_nodes.classes()
     arrow_classes = uf_arrows.classes()
-    node_id = {rep: class_id(members) for rep, members in node_classes.items()}
-    arrow_id = {rep: class_id(members) for rep, members in arrow_classes.items()}
+    node_id = {rep: "~".join(sorted(ms)) for rep, ms in node_classes.items()}
+    arrow_id = {rep: "~".join(sorted(ms)) for rep, ms in arrow_classes.items()}
 
     def node_class(tagged: str) -> str:
         return node_id[uf_nodes.find(tagged)]
@@ -420,31 +525,21 @@ def pushout(
     def arrow_class(tagged: str) -> str:
         return arrow_id[uf_arrows.find(tagged)]
 
-    def endpoints(rep: str) -> tuple[str, str]:
-        member = sorted(arrow_classes[rep])[0]
-        side, raw = member.split(":", 1)
-        graph = f.cod if side == "L" else g.cod
-        tag = ltag if side == "L" else rtag
-        arrow = graph.arrow_by_id[raw]
-        return node_class(tag(arrow.src)), node_class(tag(arrow.tgt))
-
-    arrows = [
-        (arrow_id[rep], *endpoints(rep)) for rep in sorted(arrow_classes)
-    ]
+    arrows = []
+    for rep in sorted(arrow_classes):
+        src, tgt = ends[min(arrow_classes[rep])]
+        arrows.append((arrow_id[rep], node_class(src), node_class(tgt)))
     p_graph = Graph.build(node_id.values(), arrows)
-    into_left = GraphMorphism(
-        f.cod,
-        p_graph,
-        {n: node_class(ltag(n)) for n in f.cod.nodes},
-        {a: arrow_class(ltag(a)) for a in f.cod.arrow_by_id},
-    )
-    into_right = GraphMorphism(
-        g.cod,
-        p_graph,
-        {n: node_class(rtag(n)) for n in g.cod.nodes},
-        {a: arrow_class(rtag(a)) for a in g.cod.arrow_by_id},
-    )
-    return p_graph, into_left, into_right
+
+    def into(side: str, graph: Graph) -> GraphMorphism:
+        return GraphMorphism(
+            graph,
+            p_graph,
+            {n: node_class(_side_tag(side, n)) for n in graph.nodes},
+            {a: arrow_class(_side_tag(side, a)) for a in graph.arrow_by_id},
+        )
+
+    return p_graph, into("L", f.cod), into("R", g.cod)
 
 
 # ---------------------------------------------------------------------------

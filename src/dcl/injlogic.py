@@ -19,6 +19,7 @@ from dcl.graphs import (
     GraphError,
     GraphMorphism,
     compose,
+    factorization_pins,
     identity,
     pushout,
 )
@@ -26,7 +27,7 @@ from dcl.instances import (
     SliceMorphism,
     TypedInstance,
     canonicalize_instance,
-    find_instance_isomorphism,
+    iter_instance_isomorphisms,
     iter_slice_morphisms,
     iter_typed_instances,
 )
@@ -296,31 +297,41 @@ class EntailmentResult:
         return self.status == "derivable"
 
 
-def _formula_key(f: SliceMorphism) -> tuple:
-    ci_dom = canonicalize_instance(f.from_)
-    ci_cod = canonicalize_instance(f.to)
-    canon_map = compose(ci_dom.relabeling.inverse(), compose(f.map, ci_cod.relabeling))
-    return (
-        ci_dom.bytes,
-        ci_cod.bytes,
-        tuple(sorted(canon_map.node_map.items())),
-        tuple(sorted(canon_map.arrow_map.items())),
-    )
-
-
 def formulas_isomorphic(f: SliceMorphism, g: SliceMorphism) -> bool:
-    """Same arrow up to isomorphisms of both endpoints commuting with the maps."""
+    """Same arrow up to isomorphisms of both endpoints commuting with the maps.
+
+    For each isomorphism a of the domains, the isomorphism b of the
+    codomains is searched pinned on the image of f to what a;g forces.
+    """
     if f.from_.schema != g.from_.schema:
         return False
-    for a in iter_slice_morphisms(f.from_, g.from_):
-        if not a.map.is_bijective:
+    for a in iter_instance_isomorphisms(f.from_, g.from_):
+        pins = factorization_pins(f.map, compose(a.map, g.map))
+        if pins is None:
             continue
-        for b in iter_slice_morphisms(f.to, g.to):
-            if not b.map.is_bijective:
-                continue
-            if compose(a.map, g.map) == compose(f.map, b.map):
-                return True
+        if next(iter_instance_isomorphisms(f.to, g.to, pins), None) is not None:
+            return True
     return False
+
+
+class FormulaSet:
+    """Formulas up to isomorphism.
+
+    Formulas are bucketed by the canonical bytes of both endpoints, which
+    isomorphic formulas share; within a bucket `formulas_isomorphic` decides.
+    """
+
+    def __init__(self) -> None:
+        self._buckets: dict[tuple[bytes, bytes], list[SliceMorphism]] = {}
+
+    def add(self, f: SliceMorphism) -> bool:
+        """Add f unless an isomorphic formula is in already; True if added."""
+        key = canonicalize_instance(f.from_).bytes, canonicalize_instance(f.to).bytes
+        bucket = self._buckets.setdefault(key, [])
+        if any(formulas_isomorphic(f, g) for g in bucket):
+            return False
+        bucket.append(f)
+        return True
 
 
 def bounded_entailment(
@@ -342,7 +353,8 @@ def bounded_entailment(
         + [len(goal.to.carrier.nodes)]
     ) * 2
 
-    derived: dict[tuple, Derivation] = {}
+    derived: list[Derivation] = []
+    conclusions = FormulaSet()
     frontier: list[Derivation] = []
     spent = [0]
 
@@ -353,10 +365,9 @@ def bounded_entailment(
         spent[0] += 1
         if len(d.conclusion.to.carrier.nodes) > max_carrier:
             return None
-        key = _formula_key(d.conclusion)
-        if key in derived:
+        if not conclusions.add(d.conclusion):
             return None
-        derived[key] = d
+        derived.append(d)
         frontier.append(d)
         return d
 
@@ -398,7 +409,7 @@ def bounded_entailment(
         current = list(frontier)
         frontier.clear()
         candidates: list[Derivation] = []
-        known = list(derived.values())
+        known = list(derived)
         for d1 in current:
             for d2 in known:
                 if spent[0] > budget:

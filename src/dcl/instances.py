@@ -20,7 +20,7 @@ from dcl.graphs import (
     compose,
     identity,
     pullback,
-    serialize_graph,
+    search_morphisms,
 )
 
 
@@ -151,74 +151,53 @@ class SliceMorphism:
         return cls(t, t, identity(t.carrier))
 
 
-def iter_slice_morphisms(
-    s: TypedInstance, t: TypedInstance
-) -> Iterator[SliceMorphism]:
-    """All typing-commuting carrier morphisms s -> t, in deterministic order.
+def _trusted_slice(
+    s: TypedInstance, t: TypedInstance, m: GraphMorphism
+) -> SliceMorphism:
+    """A slice morphism built without validation, for a map that commutes
+    with the typings by construction."""
+    out = object.__new__(SliceMorphism)
+    object.__setattr__(out, "from_", s)
+    object.__setattr__(out, "to", t)
+    object.__setattr__(out, "map", m)
+    return out
 
-    Candidates are restricted to same-type elements, which keeps the search
-    far smaller than raw hom enumeration.
+
+def iter_slice_morphisms(
+    s: TypedInstance,
+    t: TypedInstance,
+    pins: Optional[tuple[Mapping[str, str], Mapping[str, str]]] = None,
+    injective: bool = False,
+) -> Iterator[SliceMorphism]:
+    """All typing-commuting carrier morphisms s -> t, in `search_morphisms` order.
+
+    A slice search is a hom search whose candidates are limited to elements
+    of the same type.  `pins` and `injective` are passed to the search.
     """
     if s.schema != t.schema:
         return
-    nodes = s.carrier.sorted_nodes
-    node_candidates = {n: t.node_fiber(s.typing.node_map[n]) for n in nodes}
+    typings = (s.typing, t.typing)
+    for m in search_morphisms(s.carrier, t.carrier, typings, pins, injective):
+        yield _trusted_slice(s, t, m)
 
-    def assign(i: int, node_map: dict[str, str]) -> Iterator[dict[str, str]]:
-        if i == len(nodes):
-            yield dict(node_map)
-            return
-        n = nodes[i]
-        for candidate in node_candidates[n]:
-            node_map[n] = candidate
-            ok = True
-            for a in s.carrier.sorted_arrows:
-                ms, mt = node_map.get(a.src), node_map.get(a.tgt)
-                if ms is None or mt is None:
-                    continue
-                want = s.typing.arrow_map[a.id]
-                if not any(
-                    x.src == ms and x.tgt == mt
-                    for xid in t.arrow_fiber(want)
-                    for x in [t.carrier.arrow_by_id[xid]]
-                ):
-                    ok = False
-                    break
-            if ok:
-                yield from assign(i + 1, node_map)
-            del node_map[n]
 
-    arrow_ids = [a.id for a in s.carrier.sorted_arrows]
-    for node_map in assign(0, {}):
-        candidates = []
-        for a in s.carrier.sorted_arrows:
-            want = s.typing.arrow_map[a.id]
-            opts = [
-                xid
-                for xid in t.arrow_fiber(want)
-                if t.carrier.arrow_by_id[xid].src == node_map[a.src]
-                and t.carrier.arrow_by_id[xid].tgt == node_map[a.tgt]
-            ]
-            candidates.append(opts)
-        for images in itertools.product(*candidates):
-            yield SliceMorphism(
-                s,
-                t,
-                GraphMorphism(s.carrier, t.carrier, node_map, dict(zip(arrow_ids, images))),
-            )
+def iter_instance_isomorphisms(
+    s: TypedInstance,
+    t: TypedInstance,
+    pins: Optional[tuple[Mapping[str, str], Mapping[str, str]]] = None,
+) -> Iterator[SliceMorphism]:
+    """The typing-preserving isomorphisms s -> t that respect `pins`."""
+    if len(s.carrier.nodes) != len(t.carrier.nodes) or len(s.carrier.arrows) != len(
+        t.carrier.arrows
+    ):
+        return
+    yield from iter_slice_morphisms(s, t, pins, injective=True)
 
 
 def find_instance_isomorphism(
     s: TypedInstance, t: TypedInstance
 ) -> Optional[SliceMorphism]:
-    if len(s.carrier.nodes) != len(t.carrier.nodes) or len(s.carrier.arrows) != len(
-        t.carrier.arrows
-    ):
-        return None
-    for m in iter_slice_morphisms(s, t):
-        if m.map.is_bijective:
-            return m
-    return None
+    return next(iter_instance_isomorphisms(s, t), None)
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +382,7 @@ def deltas_equivalent(d1: Delta, d2: Delta) -> bool:
     """Equality up to apex isomorphism commuting with both legs."""
     if d1.source != d2.source or d1.target != d2.target:
         return False
-    if len(d1.apex.carrier.nodes) != len(d2.apex.carrier.nodes) or len(
-        d1.apex.carrier.arrows
-    ) != len(d2.apex.carrier.arrows):
-        return False
-    for iso in iter_slice_morphisms(d1.apex, d2.apex):
-        if not iso.map.is_bijective:
-            continue
+    for iso in iter_instance_isomorphisms(d1.apex, d2.apex):
         if (
             compose(iso.map, d2.left.map) == d1.left.map
             and compose(iso.map, d2.right.map) == d1.right.map

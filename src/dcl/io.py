@@ -1,18 +1,17 @@
-"""Self-describing JSON container format and the named workspace.
+"""Self-describing JSON container format.
 
 Every object serializes to a dict with a "kind" tag; files hold exactly
-one object.  A workspace maps names (file stems) to loaded objects and
-resolves by-name references (a sketch may name its signature).
+one object, with everything it refers to inline.  `load` is the boundary
+where outside data is validated: any malformed file raises FormatError.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Union
 
-from dcl.graphs import Graph, GraphError, GraphMorphism
+from dcl.graphs import Graph, GraphError, GraphMorphism, SizeGuardError
 from dcl.injlogic import Derivation, InjTheory, as_slice_morphism, terminal_graph
 from dcl.instances import Delta, SliceMorphism, TypedInstance
 from dcl.signature import (
@@ -184,14 +183,12 @@ def signature_from_json(data: Mapping) -> Signature:
     return Signature(symbols, tuple(dependencies))
 
 
-def sketch_to_json(sketch: Sketch, signature_ref: Optional[str] = None) -> dict:
+def sketch_to_json(sketch: Sketch) -> dict:
     return {
         "kind": "sketch",
         "name": sketch.name,
         "carrier": sketch.carrier.to_json(),
-        "signature": signature_ref
-        if signature_ref is not None
-        else signature_to_json(sketch.signature),
+        "signature": signature_to_json(sketch.signature),
         "declarations": [
             {"id": d.id, "label": d.label, "binding": d.binding.to_json(inline=False)}
             for d in sketch.declarations
@@ -200,15 +197,9 @@ def sketch_to_json(sketch: Sketch, signature_ref: Optional[str] = None) -> dict:
     }
 
 
-def sketch_from_json(data: Mapping, workspace: Optional["Workspace"] = None) -> Sketch:
+def sketch_from_json(data: Mapping) -> Sketch:
     carrier = Graph.from_json(data["carrier"])
-    sig_data = data["signature"]
-    if isinstance(sig_data, str):
-        if workspace is None:
-            raise FormatError(f"signature reference {sig_data!r} with no workspace")
-        sig = workspace.get(sig_data, Signature)
-    else:
-        sig = signature_from_json(sig_data)
+    sig = signature_from_json(data["signature"])
     declarations = []
     for d in data["declarations"]:
         symbol = sig.symbols.get(d["label"])
@@ -234,11 +225,9 @@ def sketch_morphism_to_json(f: SketchMorphism) -> dict:
     }
 
 
-def sketch_morphism_from_json(
-    data: Mapping, workspace: Optional["Workspace"] = None
-) -> SketchMorphism:
-    from_ = sketch_from_json(data["from"], workspace)
-    to = sketch_from_json(data["to"], workspace)
+def sketch_morphism_from_json(data: Mapping) -> SketchMorphism:
+    from_ = sketch_from_json(data["from"])
+    to = sketch_from_json(data["to"])
     graph_map = GraphMorphism.from_json(
         data["graph_map"], dom=from_.carrier, cod=to.carrier
     )
@@ -316,7 +305,7 @@ def to_json(obj: Any) -> dict:
     raise FormatError(f"cannot serialize {type(obj).__name__}")
 
 
-def from_json(data: Mapping, workspace: Optional["Workspace"] = None) -> Any:
+def from_json(data: Mapping) -> Any:
     if not isinstance(data, Mapping):
         raise FormatError("top-level JSON value must be an object")
     kind = data.get("kind")
@@ -331,9 +320,9 @@ def from_json(data: Mapping, workspace: Optional["Workspace"] = None) -> Any:
     if kind == "signature":
         return signature_from_json(data)
     if kind == "sketch":
-        return sketch_from_json(data, workspace)
+        return sketch_from_json(data)
     if kind == "sketch_morphism":
-        return sketch_morphism_from_json(data, workspace)
+        return sketch_morphism_from_json(data)
     if kind == "theory":
         return theory_from_json(data)
     if kind == "formula":
@@ -349,7 +338,8 @@ def save(obj: Any, path: Union[str, pathlib.Path]) -> None:
     pathlib.Path(path).write_text(dumps(obj))
 
 
-def load(path: Union[str, pathlib.Path], workspace: Optional["Workspace"] = None) -> Any:
+def load(path: Union[str, pathlib.Path]) -> Any:
+    """Read and build the object in a JSON file; FormatError if it is malformed."""
     p = pathlib.Path(path)
     try:
         data = json.loads(p.read_text())
@@ -358,39 +348,12 @@ def load(path: Union[str, pathlib.Path], workspace: Optional["Workspace"] = None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}")
     try:
-        return from_json(data, workspace)
+        return from_json(data)
+    except SizeGuardError:
+        raise  # a bound was hit: Unknown, not malformed input
     except GraphError as exc:
         raise FormatError(f"{p}: {exc}")
-
-
-@dataclass
-class Workspace:
-    objects: dict[str, Any] = field(default_factory=dict)
-
-    def get(self, name: str, expected: Optional[type] = None) -> Any:
-        if name not in self.objects:
-            raise FormatError(f"unresolved reference {name!r}")
-        obj = self.objects[name]
-        if expected is not None and not isinstance(obj, expected):
-            raise FormatError(
-                f"reference {name!r} is a {type(obj).__name__}, expected {expected.__name__}"
-            )
-        return obj
-
-    def add(self, name: str, obj: Any) -> None:
-        self.objects[name] = obj
-
-    @classmethod
-    def load_dir(cls, directory: Union[str, pathlib.Path]) -> "Workspace":
-        ws = cls()
-        paths = sorted(pathlib.Path(directory).glob("*.json"))
-        # signatures first so by-name references resolve in one pass
-        for pass_kinds in (("signature",), None):
-            for p in paths:
-                data = json.loads(p.read_text())
-                if pass_kinds is not None and data.get("kind") not in pass_kinds:
-                    continue
-                if pass_kinds is None and p.stem in ws.objects:
-                    continue
-                ws.add(p.stem, from_json(data, ws))
-        return ws
+    except KeyError as exc:
+        raise FormatError(f"{p}: missing key {exc}")
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"{p}: malformed {data.get('kind')!r} object: {exc}")

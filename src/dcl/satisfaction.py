@@ -8,7 +8,6 @@ equal evidence.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -53,7 +52,6 @@ def validate_instance(
     t: TypedInstance,
     instance_name: str = "instance",
     allow_unclosed: bool = False,
-    jobs: Optional[int] = None,
 ) -> ValidationReport:
     """Evaluate every declaration; overall is the Unknown-poisoning conjunction."""
     if t.schema != sketch.carrier:
@@ -66,15 +64,7 @@ def validate_instance(
         raise SketchError(
             f"sketch {sketch.name!r} is not dependency-closed; missing: {missing}"
         )
-
-    def run(d: ConstraintDeclaration) -> Verdict:
-        return satisfies(t, d, sketch.signature)
-
-    if jobs is not None and jobs > 1 and len(sketch.declarations) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = tuple(pool.map(run, sketch.declarations))
-    else:
-        verdicts = tuple(run(d) for d in sketch.declarations)
+    verdicts = tuple(satisfies(t, d, sketch.signature) for d in sketch.declarations)
     return ValidationReport(sketch.name, instance_name, verdicts)
 
 

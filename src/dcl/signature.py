@@ -17,6 +17,7 @@ from dcl.graphs import (
     GraphMorphism,
     SizeGuardError,
     compose,
+    factorization_pins,
     identity,
 )
 from dcl.instances import (
@@ -294,9 +295,11 @@ class Lifting:
             raise SignatureError("lifting pair does not compose")
 
     def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
-        if self.n.cod != arity:
+        """Decided as the regular formula `lifting_to_regular` gives."""
+        schema, regular = lifting_to_regular(self)
+        if schema != arity:
             raise SignatureError("lifting pair does not target the arity")
-        return check_lifting(t, self.m, self.n, self.search_limit)
+        return regular.decide(arity, t)
 
 
 @dataclass(frozen=True)
@@ -349,13 +352,22 @@ def _single_arrow(arity: Graph):
 
 
 # ---------------------------------------------------------------------------
-# Injectivity and lifting checks
+# Injectivity check
 
 
 def check_injectivity(
     t: TypedInstance, formula: SliceMorphism, limit: int = DEFAULT_SEARCH_LIMIT
 ) -> Verdict:
-    """Does every testing map from the formula's domain factor through it?"""
+    """Does every testing map from the formula's domain factor through it?
+
+    For each testing map x: S -> t, the factorization y: Q -> t is searched
+    with y pinned on the image of the formula to what x forces, so the first
+    y found is the least one with f;y == x.  `limit` bounds the morphisms
+    the searches enumerate, testing maps and factorizations together; past
+    it the verdict is Unknown.  Pinning enumerates fewer morphisms than
+    filtering every y would, so a bound can turn Unknown into a definite
+    verdict, never Valid into Invalid or back.
+    """
     budget = [limit]
 
     def bounded(it: Iterator[SliceMorphism]) -> Iterator[SliceMorphism]:
@@ -368,7 +380,10 @@ def check_injectivity(
     table = []
     try:
         for x in bounded(iter_slice_morphisms(formula.from_, t)):
-            y = _find_factorization(t, formula, x, bounded)
+            pins = factorization_pins(formula.map, x.map)
+            y = None
+            if pins is not None:
+                y = next(bounded(iter_slice_morphisms(formula.to, t, pins)), None)
             if y is None:
                 return Verdict(
                     Status.INVALID,
@@ -382,54 +397,6 @@ def check_injectivity(
 
 class _BudgetExhausted(Exception):
     pass
-
-
-def _find_factorization(t, formula, x, bounded) -> Optional[SliceMorphism]:
-    for y in bounded(iter_slice_morphisms(formula.to, t)):
-        if compose(formula.map, y.map) == x.map:
-            return y
-    return None
-
-
-def check_lifting(
-    t: TypedInstance,
-    m: GraphMorphism,
-    n: GraphMorphism,
-    limit: int = DEFAULT_SEARCH_LIMIT,
-) -> Verdict:
-    """Diagonal-lift semantics: every commuting square through (m, n) lifts."""
-    if m.cod != n.dom:
-        raise SignatureError("lifting pair does not compose")
-    if n.cod != t.schema:
-        raise SignatureError("lifting pair does not target the instance schema")
-    w_instance = TypedInstance(compose(m, n))
-    r_instance = TypedInstance(n)
-    budget = [limit]
-
-    def bounded(it: Iterator[SliceMorphism]) -> Iterator[SliceMorphism]:
-        for x in it:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise _BudgetExhausted
-            yield x
-
-    table = []
-    try:
-        for x in bounded(iter_slice_morphisms(w_instance, t)):
-            lift = None
-            for candidate in bounded(iter_slice_morphisms(r_instance, t)):
-                if compose(m, candidate.map) == x.map:
-                    lift = candidate
-                    break
-            if lift is None:
-                return Verdict(
-                    Status.INVALID,
-                    counterexample=Counterexample(t, (_maps_json(x.map),)),
-                )
-            table.append({"x": _maps_json(x.map), "lift": _maps_json(lift.map)})
-    except _BudgetExhausted:
-        return Verdict(Status.UNKNOWN, detail="hom-search limit exceeded")
-    return Verdict(Status.VALID, Evidence(t, {"lifts": table}))
 
 
 def _maps_json(m: GraphMorphism) -> dict:

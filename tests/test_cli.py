@@ -215,6 +215,43 @@ class TestDepsCheck:
         assert not out["ok"] and out["violations"]
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            (["deps-check"], {"kind": "signature"}),
+            (["infer", OUT_THEORY], {}),
+            (["infer", OUT_THEORY], {"kind": "formula"}),
+            (["check", SKETCH], {"kind": "instance", "schema": []}),
+        ],
+    )
+    def test_exit_three_with_message(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert main(command + [str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_size_guard_while_loading_exit_two(self, capsys, tmp_path, monkeypatch):
+        # a table entry is canonicalized when the signature is built
+        from dcl.signature import ConstraintSymbol, Signature, Table, single_arrow_arity
+
+        arity = single_arrow_arity()
+        entry = {
+            "schema": arity.to_json(),
+            "carrier": {"nodes": ["a1", "a2", "a3"], "arrows": []},
+            "typing": {"nodes": {"a1": "A", "a2": "A", "a3": "A"}, "arrows": {}},
+        }
+        sig = Signature({"[t]": ConstraintSymbol("[t]", arity, Table())})
+        data = json.loads(dumps(sig))
+        data["symbols"][0]["semantics"]["entries"] = [{"id": "row", "instance": entry}]
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.setenv("DCL_SIZE_GUARD", "2")
+        assert main(["deps-check", str(path)]) == 2
+        assert "DCL_SIZE_GUARD" in capsys.readouterr().err
+
+
 class TestRoundtrips:
     @pytest.mark.parametrize(
         "name",

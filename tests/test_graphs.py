@@ -138,6 +138,81 @@ class TestHomSearch:
         assert find_isomorphism(g, Graph.build(["p", "q", "r"])) is None
 
 
+# ids built from the characters that pair and class ids are made of
+ADVERSARIAL_IDS = st.text("xy|()~:#\\", min_size=1, max_size=4)
+
+
+@st.composite
+def adversarial_graph_over(draw, base: Graph):
+    """A graph with adversarial ids and a morphism from it into `base`."""
+    ids = draw(st.lists(ADVERSARIAL_IDS, unique=True, max_size=9))
+    cut = draw(st.integers(0, len(ids)))
+    nodes, arrow_ids = ids[:cut], ids[cut:]
+    node_map = {n: draw(st.sampled_from(base.sorted_nodes)) for n in nodes}
+    arrows, arrow_map = [], {}
+    for a in arrow_ids:
+        e = draw(st.sampled_from(base.sorted_arrows))
+        srcs = [n for n in nodes if node_map[n] == e.src]
+        tgts = [n for n in nodes if node_map[n] == e.tgt]
+        if srcs and tgts:
+            arrows.append((a, draw(st.sampled_from(srcs)), draw(st.sampled_from(tgts))))
+            arrow_map[a] = e.id
+    return GraphMorphism(Graph.build(nodes, arrows), base, node_map, arrow_map)
+
+
+@st.composite
+def cospans(draw):
+    base = Graph.build(["c", "d"], [("cc", "c", "c"), ("cd", "c", "d"), ("dc", "d", "c")])
+    return draw(adversarial_graph_over(base)), draw(adversarial_graph_over(base))
+
+
+@st.composite
+def spans(draw):
+    """Two maps out of one graph C into graphs with adversarial ids.
+
+    Each C node and C arrow picks its images, so the pushout glues both
+    nodes and arrows.
+    """
+    left = draw(adversarial_graph_over(Graph.build(["c"], [("l", "c", "c")]))).dom
+    right = draw(adversarial_graph_over(Graph.build(["c"], [("l", "c", "c")]))).dom
+    if not left.nodes or not right.nodes:
+        return (
+            GraphMorphism(Graph.empty(), left, {}, {}),
+            GraphMorphism(Graph.empty(), right, {}, {}),
+        )
+    nodes, arrows, maps = [], [], ({}, {}, {}, {})
+    for i in range(draw(st.integers(0, 3))):
+        nodes.append(f"n{i}")
+        maps[0][f"n{i}"] = draw(st.sampled_from(left.sorted_nodes))
+        maps[1][f"n{i}"] = draw(st.sampled_from(right.sorted_nodes))
+    if left.arrows and right.arrows:
+        for i in range(draw(st.integers(0, 2))):
+            x = draw(st.sampled_from(left.sorted_arrows))
+            y = draw(st.sampled_from(right.sorted_arrows))
+            src, tgt = f"s{i}", f"t{i}"
+            nodes += [src, tgt]
+            arrows.append((f"a{i}", src, tgt))
+            maps[0].update({src: x.src, tgt: x.tgt})
+            maps[1].update({src: y.src, tgt: y.tgt})
+            maps[2][f"a{i}"], maps[3][f"a{i}"] = x.id, y.id
+    c = Graph.build(nodes, arrows)
+    return GraphMorphism(c, left, maps[0], maps[2]), GraphMorphism(c, right, maps[1], maps[3])
+
+
+def count_classes(elements: list, glue: list) -> int:
+    """Number of classes of the equivalence on `elements` generated by `glue`."""
+    parent = {x: x for x in elements}
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y in glue:
+        parent[root(x)] = root(y)
+    return len({root(x) for x in elements})
+
+
 class TestPullback:
     def test_projections_commute(self):
         rng = random.Random(2)
@@ -179,6 +254,30 @@ class TestPullback:
     def test_pair_ids(self):
         assert pair_id("x", "y") == "(x|y)"
 
+    def test_pair_ids_do_not_collide(self):
+        one = Graph.build(["c"])
+        a = Graph.build(["x|y", "x"])
+        b = Graph.build(["z", "y|z"])
+        p_graph, _, _ = pullback(
+            GraphMorphism(a, one, {"x|y": "c", "x": "c"}, {}),
+            GraphMorphism(b, one, {"z": "c", "y|z": "c"}, {}),
+        )
+        assert len(p_graph.nodes) == 4
+
+    @given(cospans())
+    @settings(max_examples=150, deadline=None)
+    def test_sizes_over_adversarial_ids(self, cospan):
+        f, g = cospan
+        p_graph, p, q = pullback(f, g)
+        fiber = lambda m, x: sum(1 for v in m.values() if v == x)
+        assert len(p_graph.nodes) == sum(
+            fiber(f.node_map, c) * fiber(g.node_map, c) for c in f.cod.nodes
+        )
+        assert len(p_graph.arrows) == sum(
+            fiber(f.arrow_map, e) * fiber(g.arrow_map, e) for e in f.cod.arrow_by_id
+        )
+        assert compose(p, f) == compose(q, g)
+
 
 class TestPushout:
     def test_injections_commute(self):
@@ -217,6 +316,28 @@ class TestPushout:
             if compose(il, u) == zl and compose(ir, u) == zr
         ]
         assert len(mediators) == 1
+
+    def test_class_ids_do_not_collide(self):
+        c = Graph.build(["c"])
+        left = Graph.build(["a", "a~R:b"])
+        right = Graph.build(["b"])
+        p_graph, _, _ = pushout(
+            GraphMorphism(c, left, {"c": "a"}, {}), GraphMorphism(c, right, {"c": "b"}, {})
+        )
+        assert len(p_graph.nodes) == 2
+
+    @given(spans())
+    @settings(max_examples=150, deadline=None)
+    def test_class_counts_over_adversarial_ids(self, span):
+        f, g = span
+        p_graph, into_left, into_right = pushout(f, g)
+        assert compose(f, into_left) == compose(g, into_right)
+        nodes = [("L", n) for n in f.cod.nodes] + [("R", n) for n in g.cod.nodes]
+        glue = [(("L", f.node_map[c]), ("R", g.node_map[c])) for c in f.dom.nodes]
+        assert len(p_graph.nodes) == count_classes(nodes, glue)
+        arrows = [("L", a) for a in f.cod.arrow_by_id] + [("R", a) for a in g.cod.arrow_by_id]
+        glue = [(("L", f.arrow_map[c]), ("R", g.arrow_map[c])) for c in f.dom.arrow_by_id]
+        assert len(p_graph.arrows) == count_classes(arrows, glue)
 
     def test_pushout_over_empty_is_disjoint_union(self):
         empty = Graph.empty()

@@ -5,6 +5,7 @@ from dcl.graphs import Graph, GraphError, GraphMorphism, compose, identity
 from dcl.injlogic import (
     Derivation,
     DerivationError,
+    FormulaSet,
     InjTheory,
     as_slice,
     as_slice_morphism,
@@ -181,6 +182,42 @@ class TestBoundedEntailment:
         th = outgoing_edge_theory()
         res = bounded_entailment(th, th.formulas["out-edge"], max_depth=0)
         assert res.derivable and res.derivation.rule == "Axiom"
+
+    def test_formula_set_keeps_one_per_isomorphism_class(self):
+        # a -> b1 and a -> b2 differ by the automorphism swapping b1 and b2;
+        # a key built from the canonical relabelings told them apart
+        base = Graph.build(["X"])
+        dom = TypedInstance.build(base, Graph.build(["a"]), {"a": "X"}, {})
+        cod = TypedInstance.build(
+            base, Graph.build(["b1", "b2"]), {"b1": "X", "b2": "X"}, {}
+        )
+        to_b1 = SliceMorphism(dom, cod, GraphMorphism(dom.carrier, cod.carrier, {"a": "b1"}, {}))
+        to_b2 = SliceMorphism(dom, cod, GraphMorphism(dom.carrier, cod.carrier, {"a": "b2"}, {}))
+        assert formulas_isomorphic(to_b1, to_b2)
+        seen = FormulaSet()
+        assert seen.add(to_b1) and not seen.add(to_b2)
+
+    def test_formula_set_tells_apart_equal_endpoints(self):
+        # same endpoints, but a lands on the source of the edge in one
+        # formula and on its target in the other
+        s = Graph.build(["a"])
+        q = Graph.build(["b1", "b2"], [("e", "b1", "b2")])
+        to_src = as_slice_morphism(GraphMorphism(s, q, {"a": "b1"}, {}))
+        to_tgt = as_slice_morphism(GraphMorphism(s, q, {"a": "b2"}, {}))
+        assert not formulas_isomorphic(to_src, to_tgt)
+        seen = FormulaSet()
+        assert seen.add(to_src) and seen.add(to_tgt) and not seen.add(to_src)
+
+    def test_isomorphic_endpoints_maps_differ(self):
+        # both endpoints are two bare nodes, but only one map is injective:
+        # every isomorphism of the domains forces a conflicting pin
+        s = Graph.build(["a1", "a2"])
+        q = Graph.build(["b", "c"])
+        collapse = as_slice_morphism(GraphMorphism(s, q, {"a1": "b", "a2": "b"}, {}))
+        spread = as_slice_morphism(GraphMorphism(s, q, {"a1": "b", "a2": "c"}, {}))
+        assert not formulas_isomorphic(collapse, spread)
+        assert not formulas_isomorphic(spread, collapse)
+        assert formulas_isomorphic(collapse, collapse)
 
     def test_goal_iso_matching(self):
         # same formula with relabeled carriers still matches

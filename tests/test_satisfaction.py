@@ -98,13 +98,6 @@ class TestValidateInstance:
         assert "jm/d1" in str(err.value)
         validate_instance(s, TypedInstance.empty(carrier), allow_unclosed=True)
 
-    def test_jobs_fanout_same_report(self):
-        sketch = vehicle_registry_sketch()
-        t = vehicle_registry_instance()
-        serial = validate_instance(sketch, t)
-        parallel = validate_instance(sketch, t, jobs=4)
-        assert serial.to_json() == parallel.to_json()
-
     def test_monotone_under_declaration_removal(self):
         sketch = vehicle_registry_sketch()
         t = mutation_five_wheels()

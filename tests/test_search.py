@@ -1,0 +1,271 @@
+"""The indexed morphism search against the plain backtracking search it replaced.
+
+`reference_homomorphisms` is a copy of the hom search as it was before the
+indexed search: it fixes the order of the results, on which seeded
+generation (`randgen` picks homomorphisms by index) depends.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dcl.fixtures import existence_symbol, uniqueness_symbol
+from dcl.graphs import Graph, GraphMorphism, compose, iter_homomorphisms, search_morphisms
+from dcl.instances import (
+    SliceMorphism,
+    TypedInstance,
+    iter_slice_morphisms,
+    iter_typed_instances,
+)
+from dcl.signature import (
+    ConstraintSymbol,
+    check_injectivity,
+    evaluate,
+    regular_to_lifting,
+    single_arrow_arity,
+)
+from dcl.verdicts import Status
+
+
+def reference_homomorphisms(g: Graph, h: Graph):
+    """(node map, arrow map) of every hom g -> h, by plain backtracking."""
+    nodes = g.sorted_nodes
+    cod_nodes = h.sorted_nodes
+    if g.nodes and not h.nodes:
+        return
+    arrows_between: dict = {}  # (src, tgt) -> arrows, sorted
+    for a in h.sorted_arrows:
+        arrows_between.setdefault((a.src, a.tgt), []).append(a)
+
+    def assign(i, node_map):
+        if i == len(nodes):
+            yield dict(node_map)
+            return
+        n = nodes[i]
+        for candidate in cod_nodes:
+            node_map[n] = candidate
+            ok = True
+            for a in g.sorted_arrows:
+                s = node_map.get(a.src)
+                t = node_map.get(a.tgt)
+                if s is not None and t is not None and (s, t) not in arrows_between:
+                    ok = False
+                    break
+            if ok:
+                yield from assign(i + 1, node_map)
+            del node_map[n]
+
+    arrow_ids = [a.id for a in g.sorted_arrows]
+    for node_map in assign(0, {}):
+        candidates = []
+        for a in g.sorted_arrows:
+            key = (node_map[a.src], node_map[a.tgt])
+            candidates.append([x.id for x in arrows_between.get(key, ())])
+        for images in itertools.product(*candidates):
+            yield node_map, dict(zip(arrow_ids, images))
+
+
+def maps(morphisms):
+    return [(m.node_map, m.arrow_map) for m in morphisms]
+
+
+def small_graphs():
+    """Every graph on at most two nodes with at most one arrow per ordered
+    pair, and the one-node graphs with up to two parallel loops."""
+    out = []
+    for n in range(3):
+        nodes = [f"n{i}" for i in range(n)]
+        slots = [(s, t) for s in nodes for t in nodes]
+        for counts in itertools.product(range(3 if n == 1 else 2), repeat=len(slots)):
+            arrows = [
+                (f"e{k}{j}", s, t)
+                for k, ((s, t), c) in enumerate(zip(slots, counts))
+                for j in range(c)
+            ]
+            out.append(Graph.build(nodes, arrows))
+    return out
+
+
+@st.composite
+def graphs(draw, max_nodes=4, max_arrows=5):
+    """Graphs with ids whose sorted order differs from their drawing order."""
+    nodes = draw(st.lists(st.text("abc", min_size=1, max_size=2), unique=True, max_size=max_nodes))
+    if not nodes:
+        return Graph.empty()
+    ends = draw(
+        st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=max_arrows)
+    )
+    arrow_ids = draw(
+        st.lists(st.text("xyz", min_size=1, max_size=2), unique=True, min_size=len(ends), max_size=len(ends))
+    )
+    return Graph.build(nodes, [(a, s, t) for a, (s, t) in zip(arrow_ids, ends)])
+
+
+SCHEMA = Graph.build(["A", "B"], [("r", "A", "B"), ("s", "A", "A"), ("t", "B", "A")])
+
+
+@st.composite
+def typed_instances(draw, max_nodes=4, max_arrows=5):
+    """Instances over SCHEMA, with ids drawn as in `graphs`."""
+    nodes = draw(st.lists(st.text("abc", min_size=1, max_size=2), unique=True, max_size=max_nodes))
+    types = {n: draw(st.sampled_from(["A", "B"])) for n in nodes}
+    arrows, arrow_types = [], {}
+    for k, label in enumerate(draw(st.lists(st.sampled_from(SCHEMA.sorted_arrows), max_size=max_arrows))):
+        srcs = [n for n in nodes if types[n] == label.src]
+        tgts = [n for n in nodes if types[n] == label.tgt]
+        if srcs and tgts:
+            arrows.append((f"x{k}", draw(st.sampled_from(srcs)), draw(st.sampled_from(tgts))))
+            arrow_types[f"x{k}"] = label.id
+    return TypedInstance.build(SCHEMA, Graph.build(nodes, arrows), types, arrow_types)
+
+
+@st.composite
+def pins_for(draw, g: Graph, h: Graph):
+    """A partial node map and a partial arrow map g -> h, not necessarily valid."""
+    node_pins = {
+        n: draw(st.sampled_from(h.sorted_nodes))
+        for n in g.sorted_nodes
+        if h.nodes and draw(st.booleans())
+    }
+    arrow_pins = {
+        a.id: draw(st.sampled_from([x.id for x in h.sorted_arrows]))
+        for a in g.sorted_arrows
+        if h.arrows and draw(st.booleans())
+    }
+    return node_pins, arrow_pins
+
+
+def respects(m: GraphMorphism, pins) -> bool:
+    node_pins, arrow_pins = pins
+    return all(m.node_map[n] == v for n, v in node_pins.items()) and all(
+        m.arrow_map[a] == v for a, v in arrow_pins.items()
+    )
+
+
+def is_monic(m: GraphMorphism) -> bool:
+    return len(set(m.node_map.values())) == len(m.node_map) and len(
+        set(m.arrow_map.values())
+    ) == len(m.arrow_map)
+
+
+def assert_valid(m: GraphMorphism) -> None:
+    """m is what the validating constructor makes of its maps, keys sorted."""
+    assert GraphMorphism(m.dom, m.cod, m.node_map, m.arrow_map) == m
+    assert list(m.node_map) == sorted(m.node_map)
+    assert list(m.arrow_map) == sorted(m.arrow_map)
+
+
+class TestHomSearch:
+    def test_small_graphs_match_reference(self):
+        pool = small_graphs()
+        for g, h in itertools.product(pool, pool):
+            assert maps(iter_homomorphisms(g, h)) == list(reference_homomorphisms(g, h))
+
+    @given(graphs(), graphs(max_arrows=7))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, g, h):
+        found = list(iter_homomorphisms(g, h))
+        assert maps(found) == list(reference_homomorphisms(g, h))
+        for m in found:
+            assert_valid(m)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pinned_is_filtered(self, data):
+        g, h = data.draw(graphs()), data.draw(graphs(max_arrows=7))
+        pins = data.draw(pins_for(g, h))
+        everything = list(search_morphisms(g, h))
+        assert maps(search_morphisms(g, h, pins=pins)) == maps(
+            m for m in everything if respects(m, pins)
+        )
+
+    @given(graphs(), graphs(max_arrows=7))
+    @settings(max_examples=300, deadline=None)
+    def test_injective_is_filtered(self, g, h):
+        everything = list(search_morphisms(g, h))
+        injective = list(search_morphisms(g, h, injective=True))
+        assert maps(injective) == maps(m for m in everything if is_monic(m))
+        if len(g.nodes) == len(h.nodes) and len(g.arrows) == len(h.arrows):
+            assert maps(injective) == maps(m for m in everything if m.is_bijective)
+
+    def test_small_graphs_injective_is_bijective_filter(self):
+        pool = small_graphs()
+        for g, h in itertools.product(pool, pool):
+            if len(g.nodes) != len(h.nodes) or len(g.arrows) != len(h.arrows):
+                continue
+            everything = list(search_morphisms(g, h))
+            assert maps(search_morphisms(g, h, injective=True)) == maps(
+                m for m in everything if m.is_bijective
+            )
+
+
+class TestSliceSearch:
+    @given(typed_instances(), typed_instances(max_arrows=7))
+    @settings(max_examples=300, deadline=None)
+    def test_is_hom_search_filtered_by_typing(self, s, t):
+        found = list(iter_slice_morphisms(s, t))
+        assert maps(x.map for x in found) == maps(
+            m for m in iter_homomorphisms(s.carrier, t.carrier) if compose(m, t.typing) == s.typing
+        )
+        for x in found:
+            assert_valid(x.map)
+            assert SliceMorphism(x.from_, x.to, x.map) == x
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pinned_and_injective_are_filtered(self, data):
+        s, t = data.draw(typed_instances()), data.draw(typed_instances(max_arrows=7))
+        pins = data.draw(pins_for(s.carrier, t.carrier))
+        everything = [x.map for x in iter_slice_morphisms(s, t)]
+        assert maps(x.map for x in iter_slice_morphisms(s, t, pins)) == maps(
+            m for m in everything if respects(m, pins)
+        )
+        assert maps(x.map for x in iter_slice_morphisms(s, t, pins, injective=True)) == maps(
+            m for m in everything if respects(m, pins) and is_monic(m)
+        )
+
+
+def factorization_table(formula, t):
+    """The evidence table of the filtering search the pinned one replaced:
+    for each testing map x, the least y with f;y == x (None if one has none)."""
+    table = []
+    for x in iter_slice_morphisms(formula.from_, t):
+        ys = [
+            y for y in iter_slice_morphisms(formula.to, t) if compose(formula.map, y.map) == x.map
+        ]
+        if not ys:
+            return None
+        table.append({"x": as_json(x.map), "y": as_json(ys[0].map)})
+    return table
+
+
+def as_json(m: GraphMorphism) -> dict:
+    return {"nodes": dict(m.node_map), "arrows": dict(m.arrow_map)}
+
+
+class TestRegularLiftingAgreement:
+    def test_statuses_and_factorizations_equal(self):
+        for symbol in (existence_symbol(), uniqueness_symbol()):
+            lifting = ConstraintSymbol(
+                symbol.name, symbol.arity, regular_to_lifting(symbol.arity, symbol.semantics)
+            )
+            for t in iter_typed_instances(single_arrow_arity(), 2, 2):
+                regular, lifted = evaluate(symbol, t), evaluate(lifting, t)
+                assert regular.status is lifted.status
+                assert regular.status is not Status.UNKNOWN
+                if regular.is_valid:
+                    assert regular.evidence.witness == lifted.evidence.witness
+                    assert "factorizations" in regular.evidence.witness
+                else:
+                    assert regular.counterexample == lifted.counterexample
+
+    def test_factorizations_match_filtering_search(self):
+        for symbol in (existence_symbol(), uniqueness_symbol()):
+            formula = symbol.semantics.formula
+            for t in iter_typed_instances(single_arrow_arity(), 2, 2):
+                verdict = check_injectivity(t, formula)
+                expected = factorization_table(formula, t)
+                assert verdict.is_valid == (expected is not None)
+                if expected is not None:
+                    assert verdict.evidence.witness == {"factorizations": expected}

@@ -22,7 +22,6 @@ from dcl.signature import (
     SignatureError,
     Table,
     check_injectivity,
-    check_lifting,
     commutativity_symbol,
     composite_subset_symbol,
     evaluate,
@@ -41,6 +40,11 @@ from dcl.signature import (
 )
 from dcl.fixtures import existence_formula, existence_symbol, uniqueness_formula, uniqueness_symbol
 from dcl.verdicts import Status
+
+
+def check_lifting(t, m, n):
+    """The verdict of the lifting pair (m, n) on t, as `Lifting.decide` gives it."""
+    return Lifting(m, n).decide(t.schema, t)
 
 
 def arity_instance(nodes, arrows, node_typing, arrow_typing, arity=None):
