@@ -103,6 +103,9 @@ class Graph:
             arrows = [(a["id"], a["src"], a["tgt"]) for a in data["arrows"]]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph JSON: {exc}")
+        for x in itertools.chain(nodes, itertools.chain.from_iterable(arrows)):
+            if not isinstance(x, str):
+                raise GraphError(f"malformed graph JSON: id {x!r} is not a string")
         if len(set(nodes)) != len(nodes):
             raise GraphError("duplicate node ids")
         return cls.build(nodes, arrows)
@@ -831,16 +834,16 @@ def canonicalize(
     )
     order = [nodes[x] for _, members in parts for x in members]
     index = {n: i for i, n in enumerate(order)}
-    node_map = {n: f"n{index[n]}" for n in order}
+    node_map = {n: f"n{index[n]}" for n in nodes}
     arrow_order = sorted(
         g.arrows, key=lambda a: (index[a.src], index[a.tgt], labels[a.id], a.id)
     )
-    arrow_map = {a.id: f"e{i}" for i, a in enumerate(arrow_order)}
+    arrow_map = dict(sorted((a.id, f"e{i}") for i, a in enumerate(arrow_order)))
     canonical = Graph.build(
         node_map.values(),
         [(arrow_map[a.id], node_map[a.src], node_map[a.tgt]) for a in g.arrows],
     )
-    return CanonicalForm(canonical, GraphMorphism(g, canonical, node_map, arrow_map))
+    return CanonicalForm(canonical, _trusted_morphism(g, canonical, node_map, arrow_map))
 
 
 def canonical_bytes(g: Graph, max_nodes: Optional[int] = None) -> bytes:

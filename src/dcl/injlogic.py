@@ -27,9 +27,9 @@ from dcl.instances import (
     SliceMorphism,
     TypedInstance,
     canonicalize_instance,
+    iter_instance_classes,
     iter_instance_isomorphisms,
     iter_slice_morphisms,
-    iter_typed_instances,
 )
 from dcl.signature import check_injectivity
 from dcl.verdicts import Status, Verdict
@@ -97,16 +97,13 @@ def semantic_entails(
     """Every small model of the theory must be injective w.r.t. the goal.
 
     Exhaustive over instances with at most size_bound elements per base
-    node and max_parallel parallel links, deduplicated canonically.
+    node and max_parallel parallel links, one per isomorphism class
+    (`iter_instance_classes`), each checked in canonical form.
     """
-    seen: set[bytes] = set()
     checked = 0
     unknown = False
-    for a in iter_typed_instances(theory.base, size_bound, max_parallel):
+    for a in iter_instance_classes(theory.base, size_bound, max_parallel):
         ci = canonicalize_instance(a)
-        if ci.bytes in seen:
-            continue
-        seen.add(ci.bytes)
         model = True
         for f in theory.formulas.values():
             v = is_injective(ci.instance, f, limit)

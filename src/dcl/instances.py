@@ -8,14 +8,16 @@ immutable and pure.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from dcl.graphs import (
     Graph,
     GraphError,
     GraphMorphism,
+    _trusted_morphism,
     canonicalize,
     compose,
     identity,
@@ -115,7 +117,10 @@ def canonicalize_instance(t: TypedInstance) -> CanonicalInstance:
         node_colors=t.typing.node_map,
         arrow_labels=t.typing.arrow_map,
     )
-    typing = compose(cf.relabeling.inverse(), t.typing)
+    nodes, arrows = cf.relabeling.node_map, cf.relabeling.arrow_map
+    node_typing = dict(sorted((nodes[n], c) for n, c in t.typing.node_map.items()))
+    arrow_typing = dict(sorted((arrows[a], c) for a, c in t.typing.arrow_map.items()))
+    typing = _trusted_morphism(cf.graph, t.schema, node_typing, arrow_typing)
     return CanonicalInstance(TypedInstance(typing), cf.relabeling)
 
 
@@ -422,37 +427,69 @@ def dom_lift(t: TypedInstance, p: GraphMorphism) -> SliceMorphism:
 # Instance enumeration (used by oracles and soundness reports)
 
 
+def _families(schema: Graph, max_per_node: int) -> Iterator[tuple[dict, list]]:
+    """(fibres, link slots) per size vector, in enumeration order.  A slot
+    (schema arrow, source element, target element) holds a link count."""
+    nodes = schema.sorted_nodes
+    for size in itertools.product(range(max_per_node + 1), repeat=len(nodes)):
+        fibers = {n: [f"{n}#{i}" for i in range(k)] for n, k in zip(nodes, size)}
+        pairs = [(a.id, fibers[a.src], fibers[a.tgt]) for a in schema.sorted_arrows]
+        yield fibers, [(a, s, t) for a, srcs, tgts in pairs for s in srcs for t in tgts]
+
+
+def _instance(schema: Graph, fibers: dict, slots: list, counts: tuple) -> TypedInstance:
+    """`counts[i]` parallel links on slot i; the typing is valid by construction."""
+    node_typing = {e: n for n, fiber in fibers.items() for e in fiber}
+    arrows, arrow_typing = [], {}
+    for (a, s, t), k in zip(slots, counts):
+        for j in range(k):
+            arrows.append((f"{a}#{s}#{t}#{j}", s, t))
+            arrow_typing[f"{a}#{s}#{t}#{j}"] = a
+    carrier = Graph.build(node_typing, arrows)
+    typing = _trusted_morphism(
+        carrier, schema, dict(sorted(node_typing.items())), dict(sorted(arrow_typing.items()))
+    )
+    return TypedInstance(typing)
+
+
 def iter_typed_instances(
-    schema: Graph,
-    max_per_node: int,
-    max_parallel: int = 2,
-    max_total_links: Optional[int] = None,
+    schema: Graph, max_per_node: int, max_parallel: int = 2
 ) -> Iterator[TypedInstance]:
     """All typed instances with at most max_per_node elements per schema node
     and at most max_parallel parallel links per (schema arrow, element pair)."""
-    node_list = schema.sorted_nodes
-    sizes = itertools.product(range(max_per_node + 1), repeat=len(node_list))
-    for size in sizes:
-        fibers = {
-            n: [f"{n}#{i}" for i in range(k)] for n, k in zip(node_list, size)
-        }
-        slots: list[tuple[str, str, str]] = []
-        for a in schema.sorted_arrows:
-            for s in fibers[a.src]:
-                for t in fibers[a.tgt]:
-                    slots.append((a.id, s, t))
+    for fibers, slots in _families(schema, max_per_node):
         for counts in itertools.product(range(max_parallel + 1), repeat=len(slots)):
-            if max_total_links is not None and sum(counts) > max_total_links:
+            yield _instance(schema, fibers, slots, counts)
+
+
+def _slot_permutations(fibers: dict, slots: list) -> list[Callable]:
+    """Getters c -> c∘p, one per non-identity permutation p of the slots
+    that a permutation of elements within each fibre induces."""
+    index = {slot: i for i, slot in enumerate(slots)}
+    perms = set()
+    for images in itertools.product(*map(itertools.permutations, fibers.values())):
+        rename = dict(zip(itertools.chain(*fibers.values()), itertools.chain(*images)))
+        perms.add(tuple(index[(a, rename[s], rename[t])] for a, s, t in slots))
+    perms.discard(tuple(range(len(slots))))
+    return [operator.itemgetter(*perm) for perm in sorted(perms)]
+
+
+def iter_instance_classes(
+    schema: Graph, max_per_node: int, max_parallel: int = 2
+) -> Iterator[TypedInstance]:
+    """One instance per isomorphism class that `iter_typed_instances` covers:
+    the first member of the class in that enumeration, in the same order.
+
+    Orderly generation (Read, "Every one a winner", 1978): two instances of
+    one size vector are isomorphic exactly when a permutation of elements
+    within fibres carries one link-count vector to the other, and instances
+    of different size vectors never are.  `itertools.product` yields count
+    vectors in lexicographic order, so a vector is the first of its class
+    exactly when no such permutation makes it lexicographically smaller.
+    """
+    for fibers, slots in _families(schema, max_per_node):
+        perms = _slot_permutations(fibers, slots)
+        for counts in itertools.product(range(max_parallel + 1), repeat=len(slots)):
+            if any(p(counts) < counts for p in perms):
                 continue
-            nodes = [e for fiber in fibers.values() for e in fiber]
-            node_typing = {e: n for n, fiber in fibers.items() for e in fiber}
-            arrows = []
-            arrow_typing = {}
-            for (arrow_id, s, t), k in zip(slots, counts):
-                for j in range(k):
-                    link = f"{arrow_id}#{s}#{t}#{j}"
-                    arrows.append((link, s, t))
-                    arrow_typing[link] = arrow_id
-            yield TypedInstance.build(
-                schema, Graph.build(nodes, arrows), node_typing, arrow_typing
-            )
+            yield _instance(schema, fibers, slots, counts)

@@ -24,8 +24,8 @@ from dcl.instances import (
     SliceMorphism,
     TypedInstance,
     canonicalize_instance,
+    iter_instance_classes,
     iter_slice_morphisms,
-    iter_typed_instances,
     restrict,
     serialize_instance,
     to_indexed,
@@ -622,23 +622,23 @@ def jointly_monic_signature() -> Signature:
 def verify_dependency_soundness(
     sig: Signature, size_bound: int, max_parallel: int = 2
 ) -> SoundnessReport:
-    """Restriction of every small valid instance along every dependency must be valid."""
+    """Restriction of every small valid instance along every dependency must be valid.
+
+    One canonical instance per class; the valid ones are found once per source symbol.
+    """
     checked = 0
     violations = []
+    valid: dict[str, list[TypedInstance]] = {}
     for dep in sig.dependencies:
         source = sig.symbols[dep.source]
         target = sig.symbols[dep.target]
-        seen: set[bytes] = set()
-        for t in iter_typed_instances(source.arity, size_bound, max_parallel):
-            ci = canonicalize_instance(t)
-            if ci.bytes in seen:
-                continue
-            seen.add(ci.bytes)
-            if not evaluate(source, ci.instance).is_valid:
-                continue
+        if dep.source not in valid:
+            classes = iter_instance_classes(source.arity, size_bound, max_parallel)
+            canonical = (canonicalize_instance(t).instance for t in classes)
+            valid[dep.source] = [t for t in canonical if evaluate(source, t).is_valid]
+        for t in valid[dep.source]:
             checked += 1
-            restricted = restrict(ci.instance, dep.arity_map)
-            verdict = evaluate(target, restricted)
+            verdict = evaluate(target, restrict(t, dep.arity_map))
             if not verdict.is_valid:
-                violations.append(SoundnessViolation(dep.id, ci.instance, verdict))
+                violations.append(SoundnessViolation(dep.id, t, verdict))
     return SoundnessReport(checked, tuple(violations))

@@ -223,6 +223,15 @@ class TestMalformedInput:
             (["infer", OUT_THEORY], {}),
             (["infer", OUT_THEORY], {"kind": "formula"}),
             (["check", SKETCH], {"kind": "instance", "schema": []}),
+            (["canon"], {"kind": "graph", "nodes": [1, "a"], "arrows": []}),
+            (
+                ["canon"],
+                {"kind": "graph", "nodes": ["a"], "arrows": [{"id": 7, "src": "a", "tgt": "a"}]},
+            ),
+            (
+                ["canon"],
+                {"kind": "graph", "nodes": ["a"], "arrows": [{"id": "e", "src": "a", "tgt": ["a"]}]},
+            ),
         ],
     )
     def test_exit_three_with_message(self, capsys, tmp_path, command, payload):

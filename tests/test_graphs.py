@@ -450,21 +450,26 @@ def symmetric_shapes(draw):
     return types, arrows
 
 
-def shaped_instance(types, arrows, rng: random.Random) -> TypedInstance:
-    """The shape with node and arrow ids given in an order drawn from rng."""
-    ids = [f"x{i}" for i in range(len(types))]
+def shaped_instance(types, arrows, rng: random.Random, names=None) -> TypedInstance:
+    """The shape with node and arrow ids given in an order drawn from rng.
+
+    `names` lists the node ids, then the arrow ids (default x0.., a0..).
+    """
+    if names is None:
+        names = [f"x{i}" for i in range(len(types))] + [f"a{k}" for k in range(len(arrows))]
+    ids, arrow_ids = names[: len(types)], names[len(types) :]
     rng.shuffle(ids)
     order = list(range(len(arrows)))
     rng.shuffle(order)
     carrier = Graph.build(
         ids,
-        [(f"a{k}", ids[arrows[i][0]], ids[arrows[i][1]]) for k, i in enumerate(order)],
+        [(arrow_ids[k], ids[arrows[i][0]], ids[arrows[i][1]]) for k, i in enumerate(order)],
     )
     return TypedInstance.build(
         SCHEMA,
         carrier,
         {ids[i]: t for i, t in enumerate(types)},
-        {f"a{k}": arrows[i][2] for k, i in enumerate(order)},
+        {arrow_ids[k]: arrows[i][2] for k, i in enumerate(order)},
     )
 
 
@@ -562,6 +567,18 @@ class TestCanonicalSearch:
         t2 = shaped_instance(*shape, rng2)
         assert canonical_bytes(t1.carrier) == canonical_bytes(t2.carrier)
         assert canonicalize_instance(t1).bytes == canonicalize_instance(t2).bytes
+
+    @given(symmetric_shapes(), st.randoms(use_true_random=False), st.data())
+    @settings(deadline=None)
+    def test_bytes_invariant_over_adversarial_ids(self, shape, rng, data):
+        # ids made of the characters pair and class ids are built from
+        types, arrows = shape
+        size = len(types) + len(arrows)
+        names = data.draw(st.lists(ADVERSARIAL_IDS, min_size=size, max_size=size, unique=True))
+        plain = shaped_instance(*shape, random.Random(0))
+        odd = shaped_instance(*shape, rng, names)
+        assert canonical_bytes(plain.carrier) == canonical_bytes(odd.carrier)
+        assert canonicalize_instance(plain).bytes == canonicalize_instance(odd).bytes
 
     @given(out_regular_graphs(), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
