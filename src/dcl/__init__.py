@@ -14,7 +14,6 @@ from dcl.graphs import (
     canonical_bytes,
     canonicalize,
     compose,
-    enumerate_homomorphisms,
     find_isomorphism,
     identity,
     pullback,
@@ -63,7 +62,6 @@ __all__ = [
     "compose",
     "compose_delta",
     "delta_of",
-    "enumerate_homomorphisms",
     "find_isomorphism",
     "from_indexed",
     "identity",

@@ -1,126 +1,49 @@
-"""Ready-made schemas, instances, and theories used by tests and the CLI.
+"""Ready-made schemas, instances, and theories used by the tests and the benchmark.
 
 The centerpiece is a small vehicle-registry schema: drivers drive vehicles
 of some type, hold licenses covering types, and vehicles carry ordinary
 and driving wheels.  Three mutations of the valid instance each break
-exactly one constraint.
+exactly one constraint.  Every fixture with a shipped file in `dcl/data`
+is read from that file, so the tests exercise what the CLI loads.
 """
 
 from __future__ import annotations
 
+import pathlib
+
 from dcl.graphs import Graph, GraphMorphism
-from dcl.injlogic import InjTheory, as_slice, as_slice_morphism, terminal_graph
-from dcl.instances import SliceMorphism, TypedInstance, from_indexed, IndexedSemantics
+from dcl.injlogic import InjTheory
+from dcl.instances import SliceMorphism, TypedInstance
+from dcl.io import load
 from dcl.signature import (
     ConstraintSymbol,
     Regular,
     Signature,
-    composite_subset_symbol,
     jointly_monic_signature,
-    key_symbol,
-    multiplicity_symbol,
     single_arrow_arity,
-    subset_symbol,
 )
-from dcl.sketch import ConstraintDeclaration, Sketch
+from dcl.sketch import Sketch
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
 # Vehicle registry
 
 
+def vehicle_registry_sketch() -> Sketch:
+    """Multiplicities on drives, of, has and hasdr, driving wheels among the
+    wheels, drives covered by a license of the vehicle's type, and drivers
+    keyed by name and birth date."""
+    return load(DATA / "registry-sketch.json")
+
+
 def vehicle_registry_carrier() -> Graph:
-    return Graph.build(
-        ["Driver", "Vehicle", "VehType", "License", "Wheel", "String", "Date"],
-        [
-            ("drives", "Driver", "Vehicle"),
-            ("of", "Vehicle", "VehType"),
-            ("lcdBy", "Driver", "License"),
-            ("covers", "License", "VehType"),
-            ("has", "Vehicle", "Wheel"),
-            ("hasdr", "Vehicle", "Wheel"),
-            ("name", "Driver", "String"),
-            ("bdate", "Driver", "Date"),
-        ],
-    )
+    return vehicle_registry_sketch().carrier
 
 
 def vehicle_registry_signature() -> Signature:
-    symbols = {}
-    for sym in (
-        multiplicity_symbol([(0, 1)]),
-        multiplicity_symbol([(1, 1)]),
-        multiplicity_symbol([(1, 4), (6, 6)]),
-        multiplicity_symbol([(1, 2), (4, 4)]),
-        subset_symbol(),
-        composite_subset_symbol(),
-        key_symbol(["name", "bdate"]),
-    ):
-        symbols[sym.name] = sym
-    return Signature(symbols)
-
-
-def _arrow_binding(carrier: Graph, arrow_id: str) -> GraphMorphism:
-    arrow = carrier.arrow_by_id[arrow_id]
-    return GraphMorphism(
-        single_arrow_arity(), carrier, {"A": arrow.src, "B": arrow.tgt}, {"r": arrow_id}
-    )
-
-
-def vehicle_registry_sketch() -> Sketch:
-    carrier = vehicle_registry_carrier()
-    sig = vehicle_registry_signature()
-    sub = sig.symbols["[sub]"]
-    sub4 = sig.symbols["[sub4]"]
-    key = sig.symbols["[key]"]
-    declarations = (
-        ConstraintDeclaration("drives:[0..1]", "[0..1]", _arrow_binding(carrier, "drives")),
-        ConstraintDeclaration("of:[1]", "[1]", _arrow_binding(carrier, "of")),
-        ConstraintDeclaration("has:[1..4,6]", "[1..4,6]", _arrow_binding(carrier, "has")),
-        ConstraintDeclaration("hasdr:[1..2,4]", "[1..2,4]", _arrow_binding(carrier, "hasdr")),
-        ConstraintDeclaration(
-            "hasdr-in-has:[sub]",
-            "[sub]",
-            GraphMorphism(
-                sub.arity,
-                carrier,
-                {"A": "Vehicle", "B": "Wheel"},
-                {"r1": "hasdr", "r2": "has"},
-            ),
-        ),
-        ConstraintDeclaration(
-            "licensed-drive:[sub4]",
-            "[sub4]",
-            GraphMorphism(
-                sub4.arity,
-                carrier,
-                {"A": "Driver", "B": "Vehicle", "C": "License", "D": "VehType"},
-                {"r1": "drives", "r2": "of", "s1": "lcdBy", "s2": "covers"},
-            ),
-        ),
-        ConstraintDeclaration(
-            "driver-identity:[key]",
-            "[key]",
-            GraphMorphism(
-                key.arity,
-                carrier,
-                {"C": "Driver", "V0": "String", "V1": "Date"},
-                {"name": "name", "bdate": "bdate"},
-            ),
-        ),
-    )
-    return Sketch("vehicle-registry", carrier, sig, declarations)
-
-
-def _registry_instance(
-    node_sets: dict[str, set[str]], links: dict[str, set[tuple[str, str, str]]]
-) -> TypedInstance:
-    carrier = vehicle_registry_carrier()
-    spans = {a: frozenset(links.get(a, set())) for a in carrier.arrow_by_id}
-    ix = IndexedSemantics(
-        carrier, {n: frozenset(node_sets.get(n, set())) for n in carrier.nodes}, spans
-    )
-    return from_indexed(ix)
+    return vehicle_registry_sketch().signature
 
 
 def vehicle_registry_instance() -> TypedInstance:
@@ -130,114 +53,23 @@ def vehicle_registry_instance() -> TypedInstance:
     deliberate: covers is not jointly functional here, only the constraints
     actually declared must hold.
     """
-    return _registry_instance(
-        {
-            "Driver": {"d1"},
-            "Vehicle": {"v1"},
-            "VehType": {"vt1"},
-            "License": {"l1"},
-            "Wheel": {"w1", "w2", "w3"},
-            "String": {"Bob"},
-            "Date": {"b950101"},
-        },
-        {
-            "drives": {("dr1", "d1", "v1")},
-            "of": {("of1", "v1", "vt1")},
-            "lcdBy": {("lc1", "d1", "l1")},
-            "covers": {("cv1", "l1", "vt1"), ("cv2", "l1", "vt1")},
-            "has": {("h1", "v1", "w1"), ("h2", "v1", "w2"), ("h3", "v1", "w3")},
-            "hasdr": {("hd1", "v1", "w1")},
-            "name": {("nm1", "d1", "Bob")},
-            "bdate": {("bd1", "d1", "b950101")},
-        },
-    )
+    return load(DATA / "registry-valid.json")
 
 
 def mutation_five_wheels() -> TypedInstance:
     """Adds wheels four and five; only the has-multiplicity breaks."""
-    return _registry_instance(
-        {
-            "Driver": {"d1"},
-            "Vehicle": {"v1"},
-            "VehType": {"vt1"},
-            "License": {"l1"},
-            "Wheel": {"w1", "w2", "w3", "w4", "w5"},
-            "String": {"Bob"},
-            "Date": {"b950101"},
-        },
-        {
-            "drives": {("dr1", "d1", "v1")},
-            "of": {("of1", "v1", "vt1")},
-            "lcdBy": {("lc1", "d1", "l1")},
-            "covers": {("cv1", "l1", "vt1"), ("cv2", "l1", "vt1")},
-            "has": {
-                ("h1", "v1", "w1"),
-                ("h2", "v1", "w2"),
-                ("h3", "v1", "w3"),
-                ("h4", "v1", "w4"),
-                ("h5", "v1", "w5"),
-            },
-            "hasdr": {("hd1", "v1", "w1")},
-            "name": {("nm1", "d1", "Bob")},
-            "bdate": {("bd1", "d1", "b950101")},
-        },
-    )
+    return load(DATA / "registry-five-wheels.json")
 
 
 def mutation_duplicate_identity() -> TypedInstance:
     """Adds a second driver with the same name and birth date; only the key breaks."""
-    return _registry_instance(
-        {
-            "Driver": {"d1", "d2"},
-            "Vehicle": {"v1"},
-            "VehType": {"vt1"},
-            "License": {"l1"},
-            "Wheel": {"w1", "w2", "w3"},
-            "String": {"Bob"},
-            "Date": {"b950101"},
-        },
-        {
-            "drives": {("dr1", "d1", "v1")},
-            "of": {("of1", "v1", "vt1")},
-            "lcdBy": {("lc1", "d1", "l1")},
-            "covers": {("cv1", "l1", "vt1"), ("cv2", "l1", "vt1")},
-            "has": {("h1", "v1", "w1"), ("h2", "v1", "w2"), ("h3", "v1", "w3")},
-            "hasdr": {("hd1", "v1", "w1")},
-            "name": {("nm1", "d1", "Bob"), ("nm2", "d2", "Bob")},
-            "bdate": {("bd1", "d1", "b950101"), ("bd2", "d2", "b950101")},
-        },
-    )
+    return load(DATA / "registry-dup-identity.json")
 
 
 def mutation_unlicensed_drive() -> TypedInstance:
     """Redirects the drive to a vehicle of an uncovered type; only the
     composite inclusion breaks."""
-    return _registry_instance(
-        {
-            "Driver": {"d1"},
-            "Vehicle": {"v1", "v2"},
-            "VehType": {"vt1", "vt2"},
-            "License": {"l1"},
-            "Wheel": {"w1", "w2", "w3", "w6"},
-            "String": {"Bob"},
-            "Date": {"b950101"},
-        },
-        {
-            "drives": {("dr1", "d1", "v2")},
-            "of": {("of1", "v1", "vt1"), ("of2", "v2", "vt2")},
-            "lcdBy": {("lc1", "d1", "l1")},
-            "covers": {("cv1", "l1", "vt1"), ("cv2", "l1", "vt1")},
-            "has": {
-                ("h1", "v1", "w1"),
-                ("h2", "v1", "w2"),
-                ("h3", "v1", "w3"),
-                ("h6", "v2", "w6"),
-            },
-            "hasdr": {("hd1", "v1", "w1"), ("hd6", "v2", "w6")},
-            "name": {("nm1", "d1", "Bob")},
-            "bdate": {("bd1", "d1", "b950101")},
-        },
-    )
+    return load(DATA / "registry-unlicensed.json")
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +132,9 @@ span_single_valued_signature = jointly_monic_signature
 
 def outgoing_edge_theory() -> InjTheory:
     """One formula: every node has an outgoing edge."""
-    s = Graph.build(["A"])
-    q = Graph.build(["A", "B"], [("r", "A", "B")])
-    f = as_slice_morphism(GraphMorphism(s, q, {"A": "A"}, {}))
-    return InjTheory(terminal_graph(), {"out-edge": f})
+    return load(DATA / "out-edge-theory.json")
 
 
 def edge_pair_theory() -> InjTheory:
     """Two formulas: an outgoing edge exists, and edges complete to 2-cycles."""
-    s1 = Graph.build(["A"])
-    q1 = Graph.build(["A", "B"], [("r", "A", "B")])
-    f1 = as_slice_morphism(GraphMorphism(s1, q1, {"A": "A"}, {}))
-    s2 = Graph.build(["A", "B"], [("r", "A", "B")])
-    q2 = Graph.build(["A", "B"], [("r", "A", "B"), ("back", "B", "A")])
-    f2 = as_slice_morphism(
-        GraphMorphism(s2, q2, {"A": "A", "B": "B"}, {"r": "r"})
-    )
-    return InjTheory(terminal_graph(), {"out-edge": f1, "close-cycle": f2})
+    return load(DATA / "edge-pair-theory.json")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -346,31 +346,6 @@ def factorization_pins(
     return pins
 
 
-@dataclass(frozen=True)
-class HomSearchResult:
-    morphisms: tuple[GraphMorphism, ...]
-    truncated: bool
-
-    def __iter__(self) -> Iterator[GraphMorphism]:
-        return iter(self.morphisms)
-
-    def __len__(self) -> int:
-        return len(self.morphisms)
-
-
-def enumerate_homomorphisms(
-    g: Graph, h: Graph, limit: Optional[int] = None
-) -> HomSearchResult:
-    found: list[GraphMorphism] = []
-    truncated = False
-    for m in iter_homomorphisms(g, h):
-        if limit is not None and len(found) >= limit:
-            truncated = True
-            break
-        found.append(m)
-    return HomSearchResult(tuple(found), truncated)
-
-
 def find_isomorphism(g: Graph, h: Graph) -> Optional[GraphMorphism]:
     """The lexicographically least isomorphism g -> h, or None."""
     if len(g.nodes) != len(h.nodes) or len(g.arrows) != len(h.arrows):
@@ -457,29 +432,19 @@ def pullback(
     )
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
+def _find(parent, x):
+    """Root of x in a union-find `parent` (a list or dict), halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    def add(self, x: str) -> None:
-        self.parent.setdefault(x, x)
 
-    def find(self, x: str) -> str:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: str, y: str) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-    def classes(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+def _union(parent, x, y) -> None:
+    """Merge the classes of x and y; the lesser root becomes the root."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[max(rx, ry)] = min(rx, ry)
 
 
 def _side_tag(side: str, raw: str) -> str:
@@ -502,36 +467,42 @@ def pushout(
     """
     if f.dom != g.dom:
         raise GraphError("pushout requires a span: domains differ")
-    uf_nodes = _UnionFind()
-    uf_arrows = _UnionFind()
+    node_parent: dict[str, str] = {}  # union-find parents of tagged ids
+    arrow_parent: dict[str, str] = {}
     ends: dict[str, tuple[str, str]] = {}
     for side, graph in (("L", f.cod), ("R", g.cod)):
         for n in graph.nodes:
-            uf_nodes.add(_side_tag(side, n))
+            tagged = _side_tag(side, n)
+            node_parent[tagged] = tagged
         for a in graph.arrows:
             tagged = _side_tag(side, a.id)
-            uf_arrows.add(tagged)
+            arrow_parent[tagged] = tagged
             ends[tagged] = (_side_tag(side, a.src), _side_tag(side, a.tgt))
     for c in f.dom.nodes:
-        uf_nodes.union(_side_tag("L", f.node_map[c]), _side_tag("R", g.node_map[c]))
+        _union(node_parent, _side_tag("L", f.node_map[c]), _side_tag("R", g.node_map[c]))
     for c in f.dom.arrow_by_id:
-        uf_arrows.union(_side_tag("L", f.arrow_map[c]), _side_tag("R", g.arrow_map[c]))
+        _union(arrow_parent, _side_tag("L", f.arrow_map[c]), _side_tag("R", g.arrow_map[c]))
 
-    node_classes = uf_nodes.classes()
-    arrow_classes = uf_arrows.classes()
-    node_id = {rep: "~".join(sorted(ms)) for rep, ms in node_classes.items()}
-    arrow_id = {rep: "~".join(sorted(ms)) for rep, ms in arrow_classes.items()}
+    def class_ids(parent: dict[str, str]) -> dict[str, str]:
+        """Each root, the least member of its class, to the class id."""
+        members: dict[str, list[str]] = {}
+        for x in parent:
+            members.setdefault(_find(parent, x), []).append(x)
+        return {root: "~".join(sorted(ms)) for root, ms in members.items()}
+
+    node_id = class_ids(node_parent)
+    arrow_id = class_ids(arrow_parent)
 
     def node_class(tagged: str) -> str:
-        return node_id[uf_nodes.find(tagged)]
+        return node_id[_find(node_parent, tagged)]
 
     def arrow_class(tagged: str) -> str:
-        return arrow_id[uf_arrows.find(tagged)]
+        return arrow_id[_find(arrow_parent, tagged)]
 
-    arrows = []
-    for rep in sorted(arrow_classes):
-        src, tgt = ends[min(arrow_classes[rep])]
-        arrows.append((arrow_id[rep], node_class(src), node_class(tgt)))
+    arrows = [
+        (arrow_id[root], node_class(ends[root][0]), node_class(ends[root][1]))
+        for root in arrow_id
+    ]
     p_graph = Graph.build(node_id.values(), arrows)
 
     def into(side: str, graph: Graph) -> GraphMorphism:
@@ -643,13 +614,6 @@ def _twin_swaps(cols: list[int], outs: list, ins: list) -> list[dict[int, int]]:
     ]
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 class _Level:
     """A node of the search tree: its partition and the children tried so far.
 
@@ -683,9 +647,7 @@ class _Level:
                     for gamma in autos[self.applied :]:
                         if on_path.isdisjoint(gamma):
                             for x, y in gamma.items():
-                                rx, ry = _find(self.orbits, x), _find(self.orbits, y)
-                                if rx != ry:
-                                    self.orbits[max(rx, ry)] = min(rx, ry)
+                                _union(self.orbits, x, y)
                     self.applied = len(autos)
                 root = _find(self.orbits, v)
                 if any(_find(self.orbits, u) == root for u in self.tried):

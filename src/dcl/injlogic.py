@@ -11,8 +11,8 @@ graph (one node, one loop).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from dcl.graphs import (
     Graph,
@@ -31,8 +31,8 @@ from dcl.instances import (
     iter_instance_isomorphisms,
     iter_slice_morphisms,
 )
-from dcl.signature import check_injectivity
-from dcl.verdicts import Status, Verdict
+from dcl.signature import DEFAULT_SEARCH_LIMIT, check_injectivity
+from dcl.verdicts import Status
 
 
 def terminal_graph() -> Graph:
@@ -68,10 +68,6 @@ class InjTheory:
                 raise GraphError(f"formula {name!r} lives over a different base")
 
 
-def is_injective(a: TypedInstance, f: SliceMorphism, limit: int = 20_000) -> Verdict:
-    return check_injectivity(a, f, limit)
-
-
 # ---------------------------------------------------------------------------
 # Semantic entailment by finite-model enumeration
 
@@ -92,7 +88,7 @@ def semantic_entails(
     goal: SliceMorphism,
     size_bound: int,
     max_parallel: int = 2,
-    limit: int = 20_000,
+    limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> SemanticResult:
     """Every small model of the theory must be injective w.r.t. the goal.
 
@@ -106,7 +102,7 @@ def semantic_entails(
         ci = canonicalize_instance(a)
         model = True
         for f in theory.formulas.values():
-            v = is_injective(ci.instance, f, limit)
+            v = check_injectivity(ci.instance, f, limit)
             if v.status is Status.UNKNOWN:
                 unknown = True
                 model = False
@@ -117,7 +113,7 @@ def semantic_entails(
         if not model:
             continue
         checked += 1
-        v = is_injective(ci.instance, goal, limit)
+        v = check_injectivity(ci.instance, goal, limit)
         if v.status is Status.UNKNOWN:
             unknown = True
             continue
@@ -152,11 +148,7 @@ class Derivation:
     def to_json(self) -> dict:
         return {
             "rule": self.rule,
-            "conclusion": {
-                "dom": self.conclusion.from_.to_json(),
-                "cod": self.conclusion.to.to_json(),
-                "map": self.conclusion.map.to_json(inline=False),
-            },
+            "conclusion": self.conclusion.to_json(),
             "premises": [p.to_json() for p in self.premises],
         }
 

@@ -68,10 +68,7 @@ class TypedInstance:
         return {
             "schema": self.schema.to_json(),
             "carrier": self.carrier.to_json(),
-            "typing": {
-                "nodes": dict(self.typing.node_map),
-                "arrows": dict(self.typing.arrow_map),
-            },
+            "typing": self.typing.to_json(inline=False),
         }
 
     @classmethod
@@ -145,15 +142,23 @@ class SliceMorphism:
             raise GraphError("cannot compose slice morphisms: endpoints differ")
         return SliceMorphism(self.from_, other.to, compose(self.map, other.map))
 
-    @cached_property
-    def is_monic(self) -> bool:
-        return len(set(self.map.node_map.values())) == len(self.map.node_map) and len(
-            set(self.map.arrow_map.values())
-        ) == len(self.map.arrow_map)
-
     @classmethod
     def identity(cls, t: TypedInstance) -> "SliceMorphism":
         return cls(t, t, identity(t.carrier))
+
+    def to_json(self) -> dict:
+        return {
+            "dom": self.from_.to_json(),
+            "cod": self.to.to_json(),
+            "map": self.map.to_json(inline=False),
+        }
+
+    @classmethod
+    def from_json(cls, data: Mapping) -> "SliceMorphism":
+        dom = TypedInstance.from_json(data["dom"])
+        cod = TypedInstance.from_json(data["cod"], schema=dom.schema)
+        m = GraphMorphism.from_json(data["map"], dom=dom.carrier, cod=cod.carrier)
+        return cls(dom, cod, m)
 
 
 def _trusted_slice(
@@ -314,10 +319,6 @@ class Delta:
 
     __hash__ = None  # type: ignore[assignment]
 
-    @property
-    def legs_monic(self) -> bool:
-        return self.left.is_monic and self.right.is_monic
-
     def to_json(self) -> dict:
         return {
             "source": self.source.to_json(),
@@ -438,13 +439,22 @@ def _families(schema: Graph, max_per_node: int) -> Iterator[tuple[dict, list]]:
 
 
 def _instance(schema: Graph, fibers: dict, slots: list, counts: tuple) -> TypedInstance:
-    """`counts[i]` parallel links on slot i; the typing is valid by construction."""
+    """`counts[i]` parallel links on slot i; the typing is valid by construction.
+
+    Elements are named "node#i" and links "arrow#k", k counting the links
+    of one schema arrow.  Splitting at the last "#" recovers the schema id,
+    and schema node and arrow ids are distinct, so no two names collide
+    whatever characters the schema ids contain.
+    """
     node_typing = {e: n for n, fiber in fibers.items() for e in fiber}
     arrows, arrow_typing = [], {}
+    links = dict.fromkeys(schema.arrow_by_id, 0)
     for (a, s, t), k in zip(slots, counts):
-        for j in range(k):
-            arrows.append((f"{a}#{s}#{t}#{j}", s, t))
-            arrow_typing[f"{a}#{s}#{t}#{j}"] = a
+        for _ in range(k):
+            link = f"{a}#{links[a]}"
+            links[a] += 1
+            arrows.append((link, s, t))
+            arrow_typing[link] = a
     carrier = Graph.build(node_typing, arrows)
     typing = _trusted_morphism(
         carrier, schema, dict(sorted(node_typing.items())), dict(sorted(arrow_typing.items()))

@@ -12,9 +12,10 @@ import pathlib
 from typing import Any, Mapping, Union
 
 from dcl.graphs import Graph, GraphError, GraphMorphism, SizeGuardError
-from dcl.injlogic import Derivation, InjTheory, as_slice_morphism, terminal_graph
+from dcl.injlogic import InjTheory, as_slice_morphism, terminal_graph
 from dcl.instances import Delta, SliceMorphism, TypedInstance
 from dcl.signature import (
+    DEFAULT_SEARCH_LIMIT,
     Commutativity,
     CompositeSubset4,
     ConstraintSymbol,
@@ -34,25 +35,6 @@ from dcl.sketch import ConstraintDeclaration, Sketch, SketchMorphism, is_closed
 
 class FormatError(GraphError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Slice morphisms (used inside several containers)
-
-
-def slice_morphism_to_json(f: SliceMorphism) -> dict:
-    return {
-        "dom": f.from_.to_json(),
-        "cod": f.to.to_json(),
-        "map": f.map.to_json(inline=False),
-    }
-
-
-def slice_morphism_from_json(data: Mapping) -> SliceMorphism:
-    dom = TypedInstance.from_json(data["dom"])
-    cod = TypedInstance.from_json(data["cod"], schema=dom.schema)
-    m = GraphMorphism.from_json(data["map"], dom=dom.carrier, cod=cod.carrier)
-    return SliceMorphism(dom, cod, m)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +61,7 @@ def semantics_to_json(spec: SemanticsSpec) -> dict:
     if isinstance(spec, Regular):
         return {
             "kind": "regular",
-            "formula": slice_morphism_to_json(spec.formula),
+            "formula": spec.formula.to_json(),
             "search_limit": spec.search_limit,
         }
     if isinstance(spec, Lifting):
@@ -118,13 +100,13 @@ def semantics_from_json(data: Mapping) -> SemanticsSpec:
         return Commutativity(tuple(data.get("path", ("f", "g"))), data.get("direct", "h"))
     if kind == "regular":
         return Regular(
-            slice_morphism_from_json(data["formula"]),
-            data.get("search_limit", 20_000),
+            SliceMorphism.from_json(data["formula"]),
+            data.get("search_limit", DEFAULT_SEARCH_LIMIT),
         )
     if kind == "lifting":
         m = GraphMorphism.from_json(data["m"])
         n = GraphMorphism.from_json(data["n"], dom=m.cod)
-        return Lifting(m, n, data.get("search_limit", 20_000))
+        return Lifting(m, n, data.get("search_limit", DEFAULT_SEARCH_LIMIT))
     if kind == "table":
         entries = tuple(
             (e["id"], TypedInstance.from_json(e["instance"])) for e in data["entries"]
@@ -241,7 +223,7 @@ def theory_to_json(theory: InjTheory) -> dict:
         if plain:
             formulas[name] = f.map.to_json()
         else:
-            formulas[name] = slice_morphism_to_json(f)
+            formulas[name] = f.to_json()
     return {
         "kind": "theory",
         "ambient": {"kind": "graph"} if plain else {"kind": "slice", "over": theory.base.to_json()},
@@ -260,7 +242,7 @@ def theory_from_json(data: Mapping) -> InjTheory:
     elif ambient["kind"] == "slice":
         base = Graph.from_json(ambient["over"])
         formulas = {
-            name: slice_morphism_from_json(m) for name, m in data["formulas"].items()
+            name: SliceMorphism.from_json(m) for name, m in data["formulas"].items()
         }
     else:
         raise FormatError(f"unknown ambient kind {ambient.get('kind')!r}")
@@ -270,13 +252,13 @@ def theory_from_json(data: Mapping) -> InjTheory:
 def formula_to_json(f: SliceMorphism, plain: bool = False) -> dict:
     if plain:
         return {"kind": "formula", "ambient": {"kind": "graph"}, "map": f.map.to_json()}
-    return {"kind": "formula", "ambient": {"kind": "slice"}, **slice_morphism_to_json(f)}
+    return {"kind": "formula", "ambient": {"kind": "slice"}, **f.to_json()}
 
 
 def formula_from_json(data: Mapping) -> SliceMorphism:
     if data.get("ambient", {}).get("kind") == "graph":
         return as_slice_morphism(GraphMorphism.from_json(data["map"]))
-    return slice_morphism_from_json(data)
+    return SliceMorphism.from_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +329,8 @@ def load(path: Union[str, pathlib.Path]) -> Any:
         raise FormatError(f"{p}: file not found")
     except json.JSONDecodeError as exc:
         raise FormatError(f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}")
+    except RecursionError:
+        raise FormatError(f"{p}: JSON nested too deeply")
     try:
         return from_json(data)
     except SizeGuardError:

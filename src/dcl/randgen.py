@@ -6,10 +6,11 @@ front), so generation never needs a hom search and always succeeds.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Optional
 
-from dcl.graphs import Graph, GraphMorphism, enumerate_homomorphisms
+from dcl.graphs import Graph, GraphMorphism, iter_homomorphisms
 from dcl.instances import TypedInstance
 from dcl.signature import (
     Signature,
@@ -98,9 +99,9 @@ def random_declaration(
     rng.shuffle(names)
     for name in names:
         symbol = signature.symbols[name]
-        homs = enumerate_homomorphisms(symbol.arity, carrier, limit=hom_limit)
-        if homs.morphisms:
-            binding = rng.choice(homs.morphisms)
+        homs = list(itertools.islice(iter_homomorphisms(symbol.arity, carrier), hom_limit))
+        if homs:
+            binding = rng.choice(homs)
             return ConstraintDeclaration(decl_id, name, binding)
     return None
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from dcl.graphs import GraphError, GraphMorphism, compose, pair_id, pullback
+from dcl.graphs import GraphError, GraphMorphism, pair_id
 from dcl.instances import (
     Delta,
     SliceMorphism,
     TypedInstance,
     _canonical_delta,
-    canonicalize_instance,
     restrict,
+    restrict_with_projection,
     serialize_instance,
 )
 from dcl.signature import Dependency, Signature, evaluate
@@ -193,19 +193,18 @@ def pullback_delta(f: GraphMorphism, d: Delta) -> Delta:
         raise GraphError("pullback_delta: delta lives over a different schema")
     source = restrict(d.source, f)
     target = restrict(d.target, f)
-    apex = restrict(d.apex, f)
+    apex, projection = restrict_with_projection(d.apex, f)
 
     def induced(leg_map: GraphMorphism, into: TypedInstance) -> GraphMorphism:
-        node_map = {}
-        for x in d.apex.carrier.sorted_nodes:
-            for g in f.dom.sorted_nodes:
-                if d.apex.typing.node_map[x] == f.node_map[g]:
-                    node_map[pair_id(x, g)] = pair_id(leg_map.node_map[x], g)
-        arrow_map = {}
-        for x in d.apex.carrier.sorted_arrows:
-            for g in f.dom.sorted_arrows:
-                if d.apex.typing.arrow_map[x.id] == f.arrow_map[g.id]:
-                    arrow_map[pair_id(x.id, g.id)] = pair_id(leg_map.arrow_map[x.id], g.id)
+        # a pair (x|g) of the apex projects to x and is typed by g
+        node_map = {
+            pair: pair_id(leg_map.node_map[x], apex.typing.node_map[pair])
+            for pair, x in projection.node_map.items()
+        }
+        arrow_map = {
+            pair: pair_id(leg_map.arrow_map[x], apex.typing.arrow_map[pair])
+            for pair, x in projection.arrow_map.items()
+        }
         return GraphMorphism(apex.carrier, into.carrier, node_map, arrow_map)
 
     left = SliceMorphism(apex, source, induced(d.left.map, source))

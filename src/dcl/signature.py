@@ -8,8 +8,8 @@ together with the translation between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from dcl.graphs import (
     Graph,
@@ -387,9 +387,9 @@ def check_injectivity(
             if y is None:
                 return Verdict(
                     Status.INVALID,
-                    counterexample=Counterexample(t, (_maps_json(x.map),)),
+                    counterexample=Counterexample(t, (x.map.to_json(inline=False),)),
                 )
-            table.append({"x": _maps_json(x.map), "y": _maps_json(y.map)})
+            table.append({"x": x.map.to_json(inline=False), "y": y.map.to_json(inline=False)})
     except _BudgetExhausted:
         return Verdict(Status.UNKNOWN, detail="hom-search limit exceeded")
     return Verdict(Status.VALID, Evidence(t, {"factorizations": table}))
@@ -397,10 +397,6 @@ def check_injectivity(
 
 class _BudgetExhausted(Exception):
     pass
-
-
-def _maps_json(m: GraphMorphism) -> dict:
-    return {"nodes": dict(m.node_map), "arrows": dict(m.arrow_map)}
 
 
 def regular_to_lifting(arity: Graph, spec: Regular) -> Lifting:
@@ -496,20 +492,24 @@ class Signature:
         for d in self.dependencies:
             if not d.is_identity:
                 edges.setdefault(d.source, []).append(d.target)
-        state: dict[str, int] = {}
-
-        def visit(n: str) -> None:
-            state[n] = 1
-            for m in edges.get(n, ()):
-                if state.get(m) == 1:
-                    raise SignatureError("dependency graph has a cycle")
-                if m not in state:
-                    visit(m)
-            state[n] = 2
-
-        for n in self.symbols:
-            if n not in state:
-                visit(n)
+        state: dict[str, int] = {}  # 1 on the depth-first path, 2 when done
+        for root in self.symbols:
+            if root in state:
+                continue
+            state[root] = 1
+            path = [(root, iter(edges.get(root, ())))]
+            while path:
+                n, targets = path[-1]
+                for m in targets:
+                    if state.get(m) == 1:
+                        raise SignatureError("dependency graph has a cycle")
+                    if m not in state:
+                        state[m] = 1
+                        path.append((m, iter(edges.get(m, ()))))
+                        break
+                else:
+                    state[n] = 2
+                    path.pop()
 
     def dependencies_of(self, symbol_name: str) -> tuple[Dependency, ...]:
         return tuple(d for d in self.dependencies if d.source == symbol_name)
@@ -560,7 +560,7 @@ def format_intervals(intervals: Sequence[Interval]) -> str:
     parts = []
     for lo, hi in intervals:
         if hi is None:
-            parts.append("0..*" if lo == 0 else ("1..*" if lo == 1 else f"{lo}..*"))
+            parts.append(f"{lo}..*")
         elif lo == hi:
             parts.append(str(lo))
         else:
@@ -635,7 +635,9 @@ def verify_dependency_soundness(
         if dep.source not in valid:
             classes = iter_instance_classes(source.arity, size_bound, max_parallel)
             canonical = (canonicalize_instance(t).instance for t in classes)
-            valid[dep.source] = [t for t in canonical if evaluate(source, t).is_valid]
+            # already canonical, so decided directly, not through `evaluate`
+            decide = source.semantics.decide
+            valid[dep.source] = [t for t in canonical if decide(source.arity, t).is_valid]
         for t in valid[dep.source]:
             checked += 1
             verdict = evaluate(target, restrict(t, dep.arity_map))

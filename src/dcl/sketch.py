@@ -13,10 +13,8 @@ from typing import Iterable, Mapping, Optional
 
 from dcl.graphs import Graph, GraphError, GraphMorphism, compose
 from dcl.signature import (
-    ConstraintSymbol,
     Multiplicity,
     Signature,
-    SignatureError,
     multiplicity_symbol,
 )
 
@@ -64,19 +62,6 @@ class Sketch:
             if d.id == declaration_id:
                 return d
         raise KeyError(declaration_id)
-
-    def extensional_duplicates(self) -> tuple[tuple[str, str], ...]:
-        """Pairs of distinct declarations with equal label and binding.
-
-        Declarations carry identity (multiset semantics); duplicates are
-        legal, this just reports them.
-        """
-        out = []
-        for i, d in enumerate(self.declarations):
-            for e in self.declarations[i + 1 :]:
-                if d.label == e.label and d.binding == e.binding:
-                    out.append((d.id, e.id))
-        return tuple(out)
 
 
 def _has_declaration(

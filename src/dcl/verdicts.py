@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from dcl.instances import TypedInstance, serialize_instance
+from dcl.instances import TypedInstance
 
 
 class Status(enum.Enum):
@@ -27,10 +27,6 @@ class Evidence:
     restricted: TypedInstance
     witness: Any
     declaration: Optional[str] = None
-
-    @property
-    def restricted_bytes(self) -> bytes:
-        return serialize_instance(self.restricted)
 
     def to_json(self) -> dict:
         return {

@@ -19,7 +19,6 @@ from dcl.injlogic import (
     SemanticResult,
     axiom,
     coproduct_macro,
-    is_injective,
     semantic_entails,
     terminal_graph,
 )
@@ -33,6 +32,7 @@ from dcl.io import load
 from dcl.signature import (
     SoundnessReport,
     SoundnessViolation,
+    check_injectivity,
     evaluate,
     jointly_monic_symbol,
     restrict,
@@ -52,7 +52,7 @@ def reference_semantic_entails(theory, goal, size_bound, max_parallel=2, limit=2
         seen.add(ci.bytes)
         model = True
         for f in theory.formulas.values():
-            v = is_injective(ci.instance, f, limit)
+            v = check_injectivity(ci.instance, f, limit)
             if v.status is Status.UNKNOWN:
                 unknown = True
                 model = False
@@ -63,7 +63,7 @@ def reference_semantic_entails(theory, goal, size_bound, max_parallel=2, limit=2
         if not model:
             continue
         checked += 1
-        v = is_injective(ci.instance, goal, limit)
+        v = check_injectivity(ci.instance, goal, limit)
         if v.status is Status.UNKNOWN:
             unknown = True
             continue

@@ -8,8 +8,11 @@ from dcl.io import dumps, load
 from dcl.graphs import Graph
 
 
+DATA = resources.files("dcl").joinpath("data")
+
+
 def data_path(name: str) -> str:
-    return str(resources.files("dcl").joinpath("data", name))
+    return str(DATA.joinpath(name))
 
 
 SKETCH = data_path("registry-sketch.json")
@@ -241,6 +244,29 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_deeply_nested_json_exit_three(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["canon", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested too deeply" in err
+
+    def test_long_dependency_chain_reported(self, capsys, tmp_path):
+        # symbol i depends on symbol i + 1: a chain deeper than the recursion limit
+        from dcl.graphs import identity
+        from dcl.signature import Dependency, Signature, multiplicity_symbol
+
+        symbols = [multiplicity_symbol([(0, None)], name=f"s{i}") for i in range(1500)]
+        deps = tuple(
+            Dependency(f"d{i}", a.name, b.name, identity(a.arity))
+            for i, (a, b) in enumerate(zip(symbols, symbols[1:]))
+        )
+        path = tmp_path / "chain.json"
+        path.write_text(dumps(Signature({s.name: s for s in symbols}, deps)))
+        assert main(["deps-check", str(path), "--size", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] and out["checked"] > 0
+
     def test_size_guard_while_loading_exit_two(self, capsys, tmp_path, monkeypatch):
         # a table entry is canonicalized when the signature is built
         from dcl.signature import ConstraintSymbol, Signature, Table, single_arrow_arity
@@ -263,16 +289,7 @@ class TestMalformedInput:
 
 class TestRoundtrips:
     @pytest.mark.parametrize(
-        "name",
-        [
-            "registry-sketch.json",
-            "registry-valid.json",
-            "span-signature.json",
-            "out-edge-theory.json",
-            "edge-pair-theory.json",
-            "coproduct-goal.json",
-            "vehicle-fragment-map.json",
-        ],
+        "name", sorted(p.name for p in DATA.iterdir() if p.name.endswith(".json"))
     )
     def test_parse_serialize_parse(self, name, tmp_path):
         obj = load(data_path(name))

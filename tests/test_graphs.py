@@ -15,7 +15,6 @@ from dcl.graphs import (
     canonical_bytes,
     canonicalize,
     compose,
-    enumerate_homomorphisms,
     find_isomorphism,
     identity,
     iter_homomorphisms,
@@ -23,8 +22,22 @@ from dcl.graphs import (
     pullback,
     pushout,
 )
-from dcl.instances import TypedInstance, canonicalize_instance
+from dcl.instances import (
+    TypedInstance,
+    canonicalize_instance,
+    iter_instance_classes,
+    iter_typed_instances,
+)
 from dcl.randgen import random_graph, random_morphism_into
+from dcl.signature import (
+    ConstraintSymbol,
+    Dependency,
+    JointlyMonic,
+    Multiplicity,
+    Signature,
+    jointly_monic_signature,
+    verify_dependency_soundness,
+)
 
 
 def triangle():
@@ -110,18 +123,11 @@ class TestHomSearch:
         second = [m.node_map for m in iter_homomorphisms(chain, k2)]
         assert first == second
 
-    def test_truncation_flag(self):
-        g = Graph.build(["a"])
-        h = Graph.build([f"n{i}" for i in range(5)])
-        res = enumerate_homomorphisms(g, h, limit=3)
-        assert res.truncated and len(res) == 3
-
     def test_empty_domain_has_unique_hom(self):
-        res = enumerate_homomorphisms(Graph.empty(), triangle())
-        assert len(res) == 1 and not res.truncated
+        assert len(list(iter_homomorphisms(Graph.empty(), triangle()))) == 1
 
     def test_no_homs_into_empty(self):
-        assert len(enumerate_homomorphisms(triangle(), Graph.empty())) == 0
+        assert list(iter_homomorphisms(triangle(), Graph.empty())) == []
 
     def test_parallel_arrows_multiply(self):
         par = Graph.build(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
@@ -287,8 +293,8 @@ class TestPushout:
             dom = random_graph(rng, 3, 3, min_nodes=0)
             codl = random_graph(rng, 4, 5)
             codr = random_graph(rng, 4, 5)
-            homl = enumerate_homomorphisms(dom, codl, limit=5).morphisms
-            homr = enumerate_homomorphisms(dom, codr, limit=5).morphisms
+            homl = list(itertools.islice(iter_homomorphisms(dom, codl), 5))
+            homr = list(itertools.islice(iter_homomorphisms(dom, codr), 5))
             if not homl or not homr:
                 continue
             checked += 1
@@ -626,3 +632,94 @@ class TestCanonicalSearch:
                 assert gc.collect() == 0
             finally:
                 gc.enable()
+
+
+@st.composite
+def adversarial_schemas(draw):
+    """(schema, iso onto the same shape with plain ids) for a schema on at
+    most two nodes and two arrows (loops and parallels allowed) whose ids
+    are drawn from the characters pair, class and link ids are made of."""
+    n = draw(st.integers(1, 2))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2))
+    size = n + len(ends)
+    ids = draw(st.lists(ADVERSARIAL_IDS, min_size=size, max_size=size, unique=True))
+    odd = Graph.build(ids[:n], [(ids[n + k], ids[s], ids[t]) for k, (s, t) in enumerate(ends)])
+    plain = Graph.build(
+        [f"N{i}" for i in range(n)],
+        [(f"R{k}", f"N{s}", f"N{t}") for k, (s, t) in enumerate(ends)],
+    )
+    return GraphMorphism(
+        odd,
+        plain,
+        {ids[i]: f"N{i}" for i in range(n)},
+        {ids[n + k]: f"R{k}" for k in range(len(ends))},
+    )
+
+
+def moved_bytes(instances, iso=None) -> list[bytes]:
+    """Canonical bytes of each instance, retyped along the schema iso first."""
+    out = []
+    for t in instances:
+        if iso is not None:
+            t = TypedInstance(compose(t.typing, iso))
+        out.append(canonicalize_instance(t).bytes)
+    return out
+
+
+def renamed_jm_signature(ids: list[str]) -> tuple[Signature, GraphMorphism]:
+    """`jointly_monic_signature` with arity ids `ids` in place of 0, 1, 2, 01,
+    02, and the iso from its span arity onto the plain one."""
+    n0, n1, n2, e01, e02 = ids
+    span = Graph.build([n0, n1, n2], [(e01, n0, n1), (e02, n0, n2)])
+    leg = Graph.build([n0, n1], [(e01, n0, n1)])
+    jm = ConstraintSymbol("[jm]", span, JointlyMonic(e01, e02))
+    one = ConstraintSymbol("[1]", leg, Multiplicity(((1, 1),)))
+    deps = (
+        Dependency("d1", "[jm]", "[1]", GraphMorphism(leg, span, {n0: n0, n1: n1}, {e01: e01})),
+        Dependency("d2", "[jm]", "[1]", GraphMorphism(leg, span, {n0: n0, n1: n2}, {e01: e02})),
+    )
+    plain = jointly_monic_signature().symbols["[jm]"].arity
+    iso = GraphMorphism(
+        span, plain, {n0: "0", n1: "1", n2: "2"}, {e01: "01", e02: "02"}
+    )
+    return Signature({"[jm]": jm, "[1]": one}, deps), iso
+
+
+class TestEnumerationOverAdversarialIds:
+    def test_link_names_do_not_collide(self):
+        # links named arrow#src#tgt#j collided here: both were r#A#B#0#T#0#0
+        schema = Graph.build(["A#B", "B", "T"], [("r", "A#B", "T"), ("r#A", "B", "T")])
+        assert len(list(iter_typed_instances(schema, 1, 1))) == 13
+        assert len(list(iter_instance_classes(schema, 1, 1))) == 13
+
+    @given(adversarial_schemas())
+    @settings(deadline=None)
+    def test_typed_instances_match_plain_ids(self, iso):
+        odd = moved_bytes(iter_typed_instances(iso.dom, 1, 2), iso)
+        plain = moved_bytes(iter_typed_instances(iso.cod, 1, 2))
+        assert sorted(odd) == sorted(plain)
+
+    @given(adversarial_schemas())
+    @settings(deadline=None)
+    def test_instance_classes_match_plain_ids(self, iso):
+        odd = moved_bytes(iter_instance_classes(iso.dom, 2, 1), iso)
+        plain = moved_bytes(iter_instance_classes(iso.cod, 2, 1))
+        assert len(set(odd)) == len(odd)
+        assert sorted(odd) == sorted(plain)
+
+    @given(st.lists(ADVERSARIAL_IDS, min_size=5, max_size=5, unique=True))
+    @settings(deadline=None)
+    def test_dependency_sweep_matches_plain_ids(self, ids):
+        sig, iso = renamed_jm_signature(ids)
+        odd = verify_dependency_soundness(sig, 1)
+        plain = verify_dependency_soundness(jointly_monic_signature(), 1)
+        assert odd.checked == plain.checked > 0
+
+        def violations(report, iso=None):
+            witnesses = moved_bytes([v.witness for v in report.violations], iso)
+            return sorted(
+                (v.dependency, v.verdict.status.value, w)
+                for v, w in zip(report.violations, witnesses)
+            )
+
+        assert violations(odd, iso) == violations(plain)

@@ -16,7 +16,6 @@ from dcl.injlogic import (
     coproduct_macro,
     formulas_isomorphic,
     identity_formula,
-    is_injective,
     pushout_derivation,
     semantic_entails,
     slice_pushout,
@@ -24,6 +23,7 @@ from dcl.injlogic import (
     verify_derivation,
 )
 from dcl.instances import SliceMorphism, TypedInstance, iter_slice_morphisms
+from dcl.signature import check_injectivity
 from dcl.verdicts import Status
 
 
@@ -36,17 +36,17 @@ def point_into_edge():
 class TestInjectivity:
     def test_loop_graph_injective_for_out_edge(self):
         a = as_slice(Graph.build(["n"], [("l", "n", "n")]))
-        assert is_injective(a, point_into_edge()).is_valid
+        assert check_injectivity(a, point_into_edge()).is_valid
 
     def test_sink_node_not_injective(self):
         a = as_slice(Graph.build(["n"]))
-        v = is_injective(a, point_into_edge())
+        v = check_injectivity(a, point_into_edge())
         assert v.status is Status.INVALID
         assert v.counterexample.offenders
 
     def test_empty_graph_vacuously_injective(self):
         a = as_slice(Graph.empty())
-        assert is_injective(a, point_into_edge()).is_valid
+        assert check_injectivity(a, point_into_edge()).is_valid
 
     def test_budget_exhaustion_is_unknown(self):
         a = as_slice(
@@ -56,8 +56,8 @@ class TestInjectivity:
             )
         )
         f = point_into_edge()
-        assert is_injective(a, f).is_valid
-        v = is_injective(a, f, limit=2)
+        assert check_injectivity(a, f).is_valid
+        v = check_injectivity(a, f, limit=2)
         assert v.status is Status.UNKNOWN
 
 
@@ -71,7 +71,7 @@ class TestSemanticEntailment:
         th = InjTheory(terminal_graph(), {})
         res = semantic_entails(th, point_into_edge(), 2)
         assert res.status == "refuted"
-        assert is_injective(res.counterexample, point_into_edge()).status is Status.INVALID
+        assert check_injectivity(res.counterexample, point_into_edge()).status is Status.INVALID
 
     def test_coproduct_consequence_entailed(self):
         th = outgoing_edge_theory()
