@@ -16,7 +16,7 @@ from typing import Optional
 from dcl.graphs import Graph, GraphError, GraphMorphism, SizeGuardError, canonicalize
 from dcl.injlogic import InjTheory, bounded_entailment
 from dcl.instances import Delta, SliceMorphism, TypedInstance, canonicalize_instance
-from dcl.io import FormatError, dumps, load
+from dcl.io import FormatError, _indented, dumps, load
 from dcl.randgen import harness_signature, random_satax_triple
 from dcl.satisfaction import (
     migrate_instance,
@@ -49,10 +49,7 @@ _STATUS_EXIT = {
 
 
 def _print(data) -> None:
-    if isinstance(data, str):
-        sys.stdout.write(data)
-    else:
-        sys.stdout.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(data if isinstance(data, str) else _indented(data) + "\n")
 
 
 def _expect(obj, cls, what: str):

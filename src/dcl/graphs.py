@@ -230,6 +230,15 @@ def _trusted_morphism(
     return m
 
 
+def _trusted_graph(nodes: Iterable[str], arrows: Iterable[tuple[str, str, str]]) -> Graph:
+    """A graph built without validation: arrow ids must be distinct and not
+    node ids, and endpoints nodes, as `Graph.__post_init__` would check."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "nodes", frozenset(nodes))
+    object.__setattr__(g, "arrows", frozenset(Arrow(*a) for a in arrows))
+    return g
+
+
 def search_morphisms(
     g: Graph,
     h: Graph,
@@ -418,7 +427,7 @@ def pullback(
             arrows.append((pid, pair_id(x.src, y.src), pair_id(x.tgt, y.tgt)))
             arrow_p[pid] = x.id
             arrow_q[pid] = y.id
-    p_graph = Graph.build(nodes, arrows)
+    p_graph = _trusted_graph(nodes, arrows)
 
     def projection(cod: Graph, node_map: dict, arrow_map: dict) -> GraphMorphism:
         return _trusted_morphism(
@@ -503,14 +512,14 @@ def pushout(
         (arrow_id[root], node_class(ends[root][0]), node_class(ends[root][1]))
         for root in arrow_id
     ]
-    p_graph = Graph.build(node_id.values(), arrows)
+    p_graph = _trusted_graph(node_id.values(), arrows)
 
     def into(side: str, graph: Graph) -> GraphMorphism:
-        return GraphMorphism(
+        return _trusted_morphism(
             graph,
             p_graph,
-            {n: node_class(_side_tag(side, n)) for n in graph.nodes},
-            {a: arrow_class(_side_tag(side, a)) for a in graph.arrow_by_id},
+            {n: node_class(_side_tag(side, n)) for n in graph.sorted_nodes},
+            {a.id: arrow_class(_side_tag(side, a.id)) for a in graph.sorted_arrows},
         )
 
     return p_graph, into("L", f.cod), into("R", g.cod)
@@ -597,21 +606,13 @@ def _encode(order: list[int], outs: list, names: list[str]) -> tuple:
     )
 
 
-def _twin_swaps(cols: list[int], outs: list, ins: list) -> list[dict[int, int]]:
-    """Automorphisms known up front: swaps of twins.
-
-    Two nodes of one colour with the same arrows (label and neighbour) out
-    and in are exchanged by an automorphism; so are any two of a class of
-    such twins, which the chain of adjacent swaps generates.
-    """
+def _twin_classes(cols: list[int], outs: list, ins: list) -> list[list[int]]:
+    """Classes of twins: nodes of one colour with the same arrows (label and
+    neighbour) out and in.  Any two twins are exchanged by an automorphism."""
     classes: dict[tuple, list[int]] = {}
     for x, (c, out, into) in enumerate(zip(cols, outs, ins)):
         classes.setdefault((c, tuple(sorted(out)), tuple(sorted(into))), []).append(x)
-    return [
-        {a: b, b: a}
-        for members in classes.values()
-        for a, b in zip(members, members[1:])
-    ]
+    return list(classes.values())
 
 
 class _Level:
@@ -664,13 +665,18 @@ def _search(root: list[int], outs: list, ins: list, names: list[str]) -> tuple:
     individualized and the partition refined again, down to discrete leaves.
     A candidate in the orbit of an explored sibling, under the automorphisms
     found so far that fix the path pointwise, has an equivalent subtree and
-    is skipped.  Automorphisms are twin swaps known up front and the map
+    is skipped.  Automorphisms are the chain of adjacent swaps in each class
+    of twins, known up front, which generates its permutations, and the map
     between two leaves with equal encodings; such a leaf also shows that
     the whole subtree below the point where its path leaves the earlier
     leaf's path is equivalent to one explored, so the search jumps back
     there.  Returns (encoding, order) of the least leaf.
     """
-    autos = _twin_swaps(root, outs, ins)
+    autos = [
+        {a: b, b: a}
+        for members in _twin_classes(root, outs, ins)
+        for a, b in zip(members, members[1:])
+    ]
     first: Optional[tuple] = None  # (encoding, order, path) of a leaf
     best: Optional[tuple] = None
     path: list[int] = []
@@ -742,8 +748,11 @@ def _canonical_component(
         c_ins = [[(label, local[y]) for label, y in ins[x]] for x in members]
         c_names = [names[x] for x in members]
     cols = _refine(c_names, c_outs, c_ins)
-    if _target_cell(cols) is None:
-        order = _leaf_order(cols)
+    cells = len(set(cols))
+    if cells == len(cols) or cells == len(_twin_classes(cols, c_outs, c_ins)):
+        # every cell is one class of twins: individualizing a twin splits only
+        # its own cell, so `_search` would return its first leaf, this order
+        order = sorted(range(len(cols)), key=lambda x: (cols[x], x))
         encoding = _encode(order, c_outs, c_names)
     else:
         encoding, order = _search(cols, c_outs, c_ins, c_names)
@@ -763,7 +772,7 @@ def canonicalize(
     a cell of several nodes, an individualization-refinement search for the
     least adjacency encoding, pruned by the automorphisms it finds (twin
     swaps and maps between leaves with equal encodings).  Isolated nodes and
-    components that refinement already orders take no search.  Components
+    components that refinement orders up to twins take no search.  Components
     follow one another in the order of their encodings.  Optional node
     colors / arrow labels restrict the isomorphisms considered (used to
     canonicalize typed instances); labels must be drawn from a shared
@@ -786,7 +795,7 @@ def canonicalize(
     position = {n: i for i, n in enumerate(nodes)}
     outs: list[list[tuple[str, int]]] = [[] for _ in nodes]
     ins: list[list[tuple[str, int]]] = [[] for _ in nodes]
-    for a in g.arrows:
+    for a in g.sorted_arrows:
         s, t, label = position[a.src], position[a.tgt], labels[a.id]
         outs[s].append((label, t))
         ins[t].append((label, s))
@@ -801,7 +810,7 @@ def canonicalize(
         g.arrows, key=lambda a: (index[a.src], index[a.tgt], labels[a.id], a.id)
     )
     arrow_map = dict(sorted((a.id, f"e{i}") for i, a in enumerate(arrow_order)))
-    canonical = Graph.build(
+    canonical = _trusted_graph(
         node_map.values(),
         [(arrow_map[a.id], node_map[a.src], node_map[a.tgt]) for a in g.arrows],
     )

@@ -17,6 +17,7 @@ from dcl.graphs import (
     Graph,
     GraphError,
     GraphMorphism,
+    _trusted_graph,
     _trusted_morphism,
     canonicalize,
     compose,
@@ -173,6 +174,19 @@ def _trusted_slice(
     return out
 
 
+def _trusted_instance(
+    schema: Graph, node_typing: dict, arrows: list, arrow_typing: dict
+) -> TypedInstance:
+    """An instance built without validation: `arrows` are (link, src, tgt)
+    triples over the elements `node_typing` types, all ids distinct, and
+    the typing preserves incidence."""
+    carrier = _trusted_graph(node_typing, arrows)
+    typing = _trusted_morphism(
+        carrier, schema, dict(sorted(node_typing.items())), dict(sorted(arrow_typing.items()))
+    )
+    return TypedInstance(typing)
+
+
 def iter_slice_morphisms(
     s: TypedInstance,
     t: TypedInstance,
@@ -283,7 +297,6 @@ def to_indexed(t: TypedInstance) -> IndexedSemantics:
 
 
 def from_indexed(ix: IndexedSemantics) -> TypedInstance:
-    nodes = [e for fiber in ix.node_sets.values() for e in fiber]
     node_typing = {
         e: schema_node for schema_node, fiber in ix.node_sets.items() for e in fiber
     }
@@ -293,8 +306,7 @@ def from_indexed(ix: IndexedSemantics) -> TypedInstance:
         for link, src, tgt in span:
             arrows.append((link, src, tgt))
             arrow_typing[link] = schema_arrow
-    carrier = Graph.build(nodes, arrows)
-    return TypedInstance.build(ix.schema, carrier, node_typing, arrow_typing)
+    return _trusted_instance(ix.schema, node_typing, arrows, arrow_typing)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +467,7 @@ def _instance(schema: Graph, fibers: dict, slots: list, counts: tuple) -> TypedI
             links[a] += 1
             arrows.append((link, s, t))
             arrow_typing[link] = a
-    carrier = Graph.build(node_typing, arrows)
-    typing = _trusted_morphism(
-        carrier, schema, dict(sorted(node_typing.items())), dict(sorted(arrow_typing.items()))
-    )
-    return TypedInstance(typing)
+    return _trusted_instance(schema, node_typing, arrows, arrow_typing)
 
 
 def iter_typed_instances(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Union
 
 from dcl.graphs import Graph, GraphError, GraphMorphism, SizeGuardError
@@ -312,8 +313,36 @@ def from_json(data: Mapping) -> Any:
     raise FormatError(f"unknown kind {kind!r}")
 
 
+def _indented(value: Any, newline: str = "\n") -> str:
+    """`json.dumps` text with a 2-space indent and sorted keys, byte for byte;
+    `newline` is the line break before this level.  `json` indents in pure
+    Python; this writer leaves each string to the C escaper, in one call."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+            + ": "
+            + (encode_basestring_ascii(v) if type(v) is str else _indented(v, inner))
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [
+            encode_basestring_ascii(v) if type(v) is str else _indented(v, inner)
+            for v in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(to_json(obj), indent=2, sort_keys=True) + "\n"
+    return _indented(to_json(obj)) + "\n"
 
 
 def save(obj: Any, path: Union[str, pathlib.Path]) -> None:

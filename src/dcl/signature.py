@@ -126,23 +126,10 @@ class Key:
             raise SignatureError("key arity must have a single common source node")
         (class_node,) = sources
         attrs = [a.id for a in arity.sorted_arrows]
-        ix = to_indexed(t)
-        tuples = {}
-        for element in sorted(ix.node_sets[class_node]):
-            tuples[element] = tuple(
-                tuple(sorted(tgt for _, src, tgt in ix.arrow_spans[attr] if src == element))
-                for attr in attrs
-            )
-        seen: dict[tuple, str] = {}
-        for element, key in tuples.items():
-            if key in seen:
-                return Verdict(
-                    Status.INVALID,
-                    counterexample=Counterexample(t, (seen[key], element)),
-                )
-            seen[key] = element
-        witness = {e: [list(v) for v in key] for e, key in tuples.items()}
-        return Verdict(Status.VALID, Evidence(t, {"keys": witness}))
+        keys = _distinct_targets(t, class_node, attrs)
+        if isinstance(keys, Verdict):
+            return keys
+        return Verdict(Status.VALID, Evidence(t, {"keys": keys}))
 
 
 @dataclass(frozen=True)
@@ -183,17 +170,16 @@ class CompositeSubset4:
         ix = to_indexed(t)
         r1, r2 = self.path1
         s1, s2 = self.path2
+        s2_from = _links_from(ix.arrow_spans[s2])
         cover_pairs = {}
         for m1, a, b in sorted(ix.arrow_spans[s1]):
-            for m2, b2, c in sorted(ix.arrow_spans[s2]):
-                if b == b2:
-                    cover_pairs.setdefault((a, c), (m1, m2))
+            for m2, c in s2_from.get(b, ()):
+                cover_pairs.setdefault((a, c), (m1, m2))
+        r2_from = _links_from(ix.arrow_spans[r2])
         assignment = {}
         offenders = []
         for l1, a, b in sorted(ix.arrow_spans[r1]):
-            for l2, b2, c in sorted(ix.arrow_spans[r2]):
-                if b != b2:
-                    continue
+            for l2, c in r2_from.get(b, ()):
                 cover = cover_pairs.get((a, c))
                 if cover is None:
                     offenders.append((l1, l2))
@@ -223,24 +209,9 @@ class JointlyMonic:
         apex = arity.arrow_by_id[self.first].src
         if arity.arrow_by_id[self.second].src != apex:
             raise SignatureError("jointly-monic legs must share their source node")
-        ix = to_indexed(t)
-        seen: dict[tuple, str] = {}
-        pairs = {}
-        for element in sorted(ix.node_sets[apex]):
-            firsts = sorted(
-                tgt for _, src, tgt in ix.arrow_spans[self.first] if src == element
-            )
-            seconds = sorted(
-                tgt for _, src, tgt in ix.arrow_spans[self.second] if src == element
-            )
-            pair = (tuple(firsts), tuple(seconds))
-            if pair in seen:
-                return Verdict(
-                    Status.INVALID,
-                    counterexample=Counterexample(t, (seen[pair], element)),
-                )
-            seen[pair] = element
-            pairs[element] = [list(pair[0]), list(pair[1])]
+        pairs = _distinct_targets(t, apex, (self.first, self.second))
+        if isinstance(pairs, Verdict):
+            return pairs
         return Verdict(Status.VALID, Evidence(t, pairs))
 
 
@@ -255,11 +226,8 @@ class Commutativity:
     def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
         ix = to_indexed(t)
         f, g = self.path
-        composite = set()
-        for _, a, b in ix.arrow_spans[f]:
-            for _, b2, c in ix.arrow_spans[g]:
-                if b == b2:
-                    composite.add((a, c))
+        g_from = _links_from(ix.arrow_spans[g])
+        composite = {(a, c) for _, a, b in ix.arrow_spans[f] for _, c in g_from.get(b, ())}
         direct = {(a, c) for _, a, c in ix.arrow_spans[self.direct]}
         if composite != direct:
             diff = tuple(sorted(composite ^ direct))
@@ -293,13 +261,14 @@ class Lifting:
     def __post_init__(self) -> None:
         if self.m.cod != self.n.dom:
             raise SignatureError("lifting pair does not compose")
+        # a translation of the fields, not a field: equality and JSON ignore it
+        object.__setattr__(self, "_regular", lifting_to_regular(self)[1])
 
     def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
         """Decided as the regular formula `lifting_to_regular` gives."""
-        schema, regular = lifting_to_regular(self)
-        if schema != arity:
+        if self.n.cod != arity:
             raise SignatureError("lifting pair does not target the arity")
-        return regular.decide(arity, t)
+        return self._regular.decide(arity, t)
 
 
 @dataclass(frozen=True)
@@ -349,6 +318,31 @@ def _single_arrow(arity: Graph):
     if len(arity.arrows) != 1:
         raise SignatureError("expected an arity with exactly one arrow")
     return arity.sorted_arrows[0]
+
+
+def _links_from(span: frozenset[tuple[str, str, str]]) -> dict[str, list[tuple[str, str]]]:
+    """Each source element of a span to its (link, target) pairs, in sorted order."""
+    out: dict[str, list[tuple[str, str]]] = {}
+    for link, src, tgt in sorted(span):
+        out.setdefault(src, []).append((link, tgt))
+    return out
+
+
+def _distinct_targets(
+    t: TypedInstance, node: str, arrows: Sequence[str]
+) -> Union[Verdict, dict[str, list]]:
+    """Each element of `node`'s fibre, in sorted order, to the sorted targets
+    of its links along each of `arrows`; or Invalid, naming the first
+    element whose targets an earlier element shares."""
+    ix = to_indexed(t)
+    links = [_links_from(ix.arrow_spans[a]) for a in arrows]
+    seen: dict[tuple, str] = {}
+    for e in sorted(ix.node_sets[node]):
+        key = tuple(tuple(sorted(tgt for _, tgt in by_src.get(e, ()))) for by_src in links)
+        if key in seen:
+            return Verdict(Status.INVALID, counterexample=Counterexample(t, (seen[key], e)))
+        seen[key] = e
+    return {e: [list(v) for v in key] for key, e in seen.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,22 @@
+import hashlib
 import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dcl
 from dcl.cli import main
-from dcl.io import dumps, load
+from dcl.io import _indented, dumps, load, save
 from dcl.graphs import Graph
+from dcl.instances import Delta, SliceMorphism, iter_slice_morphisms
+from dcl.randgen import random_graph, random_morphism_into, random_typed_instance
 
 
 DATA = resources.files("dcl").joinpath("data")
@@ -297,3 +308,107 @@ class TestRoundtrips:
         again = tmp_path / name
         again.write_text(text)
         assert dumps(load(str(again))) == text
+
+
+# Hashes of stdout for commands on the shipped data, run from `dcl/data`.
+# The benchmark checks verdicts only; these pin every byte: evidence, the
+# order of offenders and witnesses, and the layout.
+GOLDEN = [
+    (["check", "registry-sketch.json", "registry-valid.json"], 0,
+     "c35b71c36af6c3c54467e7a416794507dfc2009b97b5e86344f39467c5da3958"),
+    (["check", "registry-sketch.json", "registry-five-wheels.json"], 1,
+     "3e3d5621720adb96292077c6018e9e4f3a26a1f09ef6adb5f43b913713cf0f49"),
+    (["check", "registry-sketch.json", "registry-dup-identity.json"], 1,
+     "728c4e617235e463ac1bed55962516e70234b742b1b818ce208e8e09fd5607f7"),
+    (["check", "registry-sketch.json", "registry-unlicensed.json"], 1,
+     "eb75a3afad18c975133775da1bd5b367d642253ceb62caaa40eb484edca4abd3"),
+    (["close", "registry-sketch.json"], 0,
+     "f4270204219af52569f7a376030538c6928396c6aa5d665967bd32058329d281"),
+    (["canon", "registry-valid.json"], 0,
+     "557496ac7797adff6e87744a631e2f8f0023bc8d69dac0ffa64a1e34aa797e56"),
+    (["translate", "span-signature.json", "--to", "lifting"], 0,
+     "b36ea5c52c8cd3674df8064a8b0dcd3af0240f601428495ec25a05d8852b810a"),
+    (["translate", "span-signature.json", "--to", "regular"], 0,
+     "b36ea5c52c8cd3674df8064a8b0dcd3af0240f601428495ec25a05d8852b810a"),
+    (["migrate", "vehicle-fragment-map.json", "registry-valid.json", "--direction", "pull"], 0,
+     "e4b1c091584fb7b1e3b353f4deef0713a3054dc01da450869b9f1285cced500a"),
+    (["infer", "out-edge-theory.json", "coproduct-goal.json"], 0,
+     "3e94e95de1e231d96daef81dfaa8b2205088ace135a5192a72141fabe6e634ad"),
+    (["deps-check", "span-signature.json", "--size", "2"], 1,
+     "7b6dd676993a23375cec4fb9c62347b31ee3f26b012e63d47b82a56ab2c0dee0"),
+    (["satax", "--trials", "1000", "--seed", "7"], 0,
+     "f1bb4b9a8525fd9f5488e46bac27e410a36236175c144a7255567c4bc07db284"),
+]
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize(
+        "argv,code,digest", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
+    )
+    def test_stdout_hash(self, capsys, monkeypatch, argv, code, digest):
+        monkeypatch.chdir(str(DATA))
+        assert main(argv) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+JSON_KEYS = [st.text(), st.integers() | st.booleans() | st.floats(allow_nan=False), st.none()]
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        *(st.dictionaries(keys, inner) for keys in JSON_KEYS),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_indented_json_dumps(self, value):
+        # tuples, empty containers, non-ASCII and control characters, int keys
+        assert _indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def run_with_hash_seed(args: list[str], seed: int) -> str:
+    """Stdout of `python args` under PYTHONHASHSEED=seed, importing this dcl."""
+    src = str(pathlib.Path(dcl.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestHashSeedIndependence:
+    def test_canonical_relabelings(self):
+        code = (
+            "import hashlib, json, random\n"
+            "from dcl.graphs import canonicalize\n"
+            "from dcl.randgen import random_graph\n"
+            "rng, digest = random.Random(0), hashlib.sha256()\n"
+            "for _ in range(3000):\n"
+            "    r = canonicalize(random_graph(rng, 6, 8)).relabeling\n"
+            "    digest.update(json.dumps([r.node_map, r.arrow_map]).encode())\n"
+            "print(digest.hexdigest())\n"
+        )
+        assert len({run_with_hash_seed(["-c", code], seed) for seed in (1, 2, 3)}) == 1
+
+    def test_migrate_delta_stdout(self, tmp_path):
+        # seed 329 draws an apex with automorphisms: which one its canonical
+        # relabeling picks decides the printed legs
+        rng = random.Random(329)
+        schema = random_graph(rng, 2, 2)
+        f = random_morphism_into(rng, schema, 3, 4)
+        apex = random_typed_instance(rng, schema, 3, 8)
+        target = random_typed_instance(rng, schema, 2, 3)
+        leg = next(iter_slice_morphisms(apex, target))
+        paths = [str(tmp_path / "map.json"), str(tmp_path / "delta.json")]
+        save(f, paths[0])
+        save(Delta(apex, target, apex, SliceMorphism.identity(apex), leg), paths[1])
+        argv = ["-m", "dcl.cli", "migrate", *paths, "--direction", "pull"]
+        assert len({run_with_hash_seed(argv, seed) for seed in (1, 2, 3)}) == 1

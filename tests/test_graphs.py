@@ -12,6 +12,10 @@ from dcl.graphs import (
     GraphError,
     GraphMorphism,
     SizeGuardError,
+    _canonical_component,
+    _refine,
+    _search,
+    _twin_classes,
     canonical_bytes,
     canonicalize,
     compose,
@@ -517,6 +521,22 @@ def out_regular_graphs(draw, max_nodes=6):
     )
 
 
+@st.composite
+def coloured_lists(draw, max_nodes=7, max_arrows=6):
+    """(names, outs, ins) as `canonicalize` builds them, for a graph whose
+    node colours and arrow labels come from "AB", or are all blank."""
+    n = draw(st.integers(1, max_nodes))
+    colour = st.sampled_from(draw(st.sampled_from([[""], ["A", "B"]])))
+    names = draw(st.lists(colour, min_size=n, max_size=n))
+    node = st.integers(0, n - 1)
+    outs: list = [[] for _ in range(n)]
+    ins: list = [[] for _ in range(n)]
+    for s, t, label in draw(st.lists(st.tuples(node, node, colour), max_size=max_arrows)):
+        outs[s].append((label, t))
+        ins[t].append((label, s))
+    return names, outs, ins
+
+
 def relabelled(g: Graph, rng: random.Random) -> Graph:
     """g with its node ids permuted and its arrow ids renamed."""
     perm = list(g.sorted_nodes)
@@ -620,6 +640,20 @@ class TestCanonicalSearch:
         cf = canonicalize(g, max_nodes=len(g.nodes))
         assert cf.relabeling.is_bijective
         assert cf.bytes == canonicalize(h, max_nodes=len(g.nodes)).bytes
+
+    @given(coloured_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_twin_cells_take_the_search_result(self, lists):
+        # refinement leaves cells that are each one class of twins: the
+        # component's order skips the search and must equal what it returns
+        names, outs, ins = lists
+        cols = _refine(names, outs, ins)
+        cells = len(set(cols))
+        if cells == len(cols) or cells != len(_twin_classes(cols, outs, ins)):
+            return
+        everything = list(range(len(names)))
+        expected = _search(cols, outs, ins, names)
+        assert _canonical_component(everything, outs, ins, names) == expected
 
     def test_leaves_no_reference_cycles(self):
         # run with the collector off, as the benchmark does: a cycle would
