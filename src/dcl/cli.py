@@ -1,8 +1,8 @@
 """Command-line surface: validation, migration, translation, harnesses.
 
-Exit codes: 0 valid/success, 1 invalid/violation, 2 unknown (search bound
-or size guard hit), 3 input error.  Output is deterministic JSON; randomness
-only enters through an explicit --seed.
+Exit codes: 0 valid/success, 1 invalid/violation, 2 unknown (a work bound was
+hit; a verdict's detail, else stderr, names it), 3 input error.  Output is
+deterministic JSON; randomness only enters through an explicit --seed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 import sys
 from typing import Optional
 
-from dcl.graphs import Graph, GraphError, GraphMorphism, SizeGuardError, canonicalize
+from dcl.graphs import BoundExceeded, Graph, GraphError, GraphMorphism, canonicalize
 from dcl.injlogic import InjTheory, bounded_entailment
 from dcl.instances import Delta, SliceMorphism, TypedInstance, canonicalize_instance
 from dcl.io import FormatError, _indented, dumps, load
@@ -254,7 +254,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SizeGuardError as exc:
+    except BoundExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNKNOWN
     except (FormatError, GraphError, FileNotFoundError, json.JSONDecodeError) as exc:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -19,21 +18,28 @@ class GraphError(ValueError):
     """Malformed graph data or a non-composable / mismatched operation."""
 
 
-class SizeGuardError(GraphError):
-    """An operation refused to run because its input exceeds the size guard."""
+class BoundExceeded(Exception):
+    """A search spent its work bound: the answer is Unknown, not an error.
+    Not a GraphError, so no handler for malformed input catches it."""
 
 
-DEFAULT_SIZE_GUARD = 64
+class Budget:
+    """Work spent against a limit; `charge` raises BoundExceeded past it."""
+
+    def __init__(self, bound: str, limit: int) -> None:
+        self.bound, self.limit, self.spent = bound, limit, 0
+
+    def charge(self, units: int = 1) -> None:
+        self.spent += units
+        if self.spent > self.limit:
+            raise BoundExceeded(
+                f"{self.bound} bound exceeded: spent {self.spent} of {self.limit} units"
+            )
 
 
-def _size_guard() -> int:
-    raw = os.environ.get("DCL_SIZE_GUARD")
-    if raw is None:
-        return DEFAULT_SIZE_GUARD
-    try:
-        return int(raw)
-    except ValueError:
-        raise GraphError(f"DCL_SIZE_GUARD is not an integer: {raw!r}")
+# Work units one `canonicalize` call may spend: a unit is one node or arrow
+# incidence of a component, per refinement call and per refinement round.
+CANONICAL_WORK_LIMIT = 2_000_000
 
 
 class Arrow(NamedTuple):
@@ -543,20 +549,24 @@ def serialize_graph(g: Graph) -> bytes:
     return json.dumps(g.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
 
-def _refine(cols: list, outs: list, ins: list) -> list[int]:
+def _refine(cols: list, outs: list, ins: list, budget: Budget) -> list[int]:
     """Colour refinement to the coarsest equitable partition finer than `cols`.
 
     `outs[x]` / `ins[x]` list (arrow label, neighbour) pairs of node x.  The
     result renumbers the cells 0, 1, ... in the order of the input colours:
     refinement splits cells but never reorders them, so a node individualized
-    at the front of its cell keeps that place in every leaf below it.
+    at the front of its cell keeps that place in every leaf below it.  The
+    call and each round charge `budget` one unit per node and incidence.
     """
     n = len(cols)
+    work = n + sum(map(len, outs)) + sum(map(len, ins))
+    budget.charge(work)
     cells = len(set(cols))
     if cells == n:
         rank = {c: r for r, c in enumerate(sorted(cols))}
         return [rank[c] for c in cols]
     while True:
+        budget.charge(work)
         sigs = [
             (
                 c,
@@ -658,7 +668,7 @@ class _Level:
         return None
 
 
-def _search(root: list[int], outs: list, ins: list, names: list[str]) -> tuple:
+def _search(root: list[int], outs: list, ins: list, names: list[str], budget: Budget) -> tuple:
     """Least leaf encoding of the individualization-refinement tree below `root`.
 
     Depth-first: each node of the first non-singleton cell in turn is
@@ -689,7 +699,7 @@ def _search(root: list[int], outs: list, ins: list, names: list[str]) -> tuple:
             stack.pop()
             continue
         path.append(v)
-        cols = _refine([(c, x != v) for x, c in enumerate(level.cols)], outs, ins)
+        cols = _refine([(c, x != v) for x, c in enumerate(level.cols)], outs, ins, budget)
         cell = _target_cell(cols)
         if cell is not None:
             stack.append(_Level(cols, cell))
@@ -732,7 +742,7 @@ def _components(outs: list, ins: list) -> list[list[int]]:
 
 
 def _canonical_component(
-    members: list[int], outs: list, ins: list, names: list[str]
+    members: list[int], outs: list, ins: list, names: list[str], budget: Budget
 ) -> tuple[tuple, list[int]]:
     """(encoding, members in canonical order) of one weakly connected component."""
     if len(members) == 1:
@@ -747,7 +757,7 @@ def _canonical_component(
         c_outs = [[(label, local[y]) for label, y in outs[x]] for x in members]
         c_ins = [[(label, local[y]) for label, y in ins[x]] for x in members]
         c_names = [names[x] for x in members]
-    cols = _refine(c_names, c_outs, c_ins)
+    cols = _refine(c_names, c_outs, c_ins, budget)
     cells = len(set(cols))
     if cells == len(cols) or cells == len(_twin_classes(cols, c_outs, c_ins)):
         # every cell is one class of twins: individualizing a twin splits only
@@ -755,13 +765,12 @@ def _canonical_component(
         order = sorted(range(len(cols)), key=lambda x: (cols[x], x))
         encoding = _encode(order, c_outs, c_names)
     else:
-        encoding, order = _search(cols, c_outs, c_ins, c_names)
+        encoding, order = _search(cols, c_outs, c_ins, c_names, budget)
     return encoding, [members[x] for x in order]
 
 
 def canonicalize(
     g: Graph,
-    max_nodes: Optional[int] = None,
     node_colors: Optional[Mapping[str, str]] = None,
     arrow_labels: Optional[Mapping[str, str]] = None,
 ) -> CanonicalForm:
@@ -776,16 +785,11 @@ def canonicalize(
     follow one another in the order of their encodings.  Optional node
     colors / arrow labels restrict the isomorphisms considered (used to
     canonicalize typed instances); labels must be drawn from a shared
-    vocabulary for cross-graph byte comparison.  A graph with more nodes
-    than `max_nodes` (default: DCL_SIZE_GUARD, else 64) raises
-    SizeGuardError.
+    vocabulary for cross-graph byte comparison.  Refinement, in and below
+    the search, spends at most CANONICAL_WORK_LIMIT units of work; past it
+    the call raises BoundExceeded naming the canonical-form bound.
     """
-    guard = max_nodes if max_nodes is not None else _size_guard()
-    if len(g.nodes) > guard:
-        raise SizeGuardError(
-            f"refusing to canonicalize a graph with {len(g.nodes)} nodes "
-            f"(guard is {guard}; set DCL_SIZE_GUARD to override)"
-        )
+    budget = Budget("canonical-form", CANONICAL_WORK_LIMIT)
     labels = arrow_labels if arrow_labels is not None else {a.id: "" for a in g.arrows}
     nodes = g.sorted_nodes
     if node_colors is None:
@@ -800,7 +804,7 @@ def canonicalize(
         outs[s].append((label, t))
         ins[t].append((label, s))
     parts = sorted(
-        _canonical_component(members, outs, ins, names)
+        _canonical_component(members, outs, ins, names, budget)
         for members in _components(outs, ins)
     )
     order = [nodes[x] for _, members in parts for x in members]
@@ -817,5 +821,5 @@ def canonicalize(
     return CanonicalForm(canonical, _trusted_morphism(g, canonical, node_map, arrow_map))
 
 
-def canonical_bytes(g: Graph, max_nodes: Optional[int] = None) -> bytes:
-    return canonicalize(g, max_nodes).bytes
+def canonical_bytes(g: Graph) -> bytes:
+    return canonicalize(g).bytes

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from dcl.graphs import (
+    BoundExceeded,
+    Budget,
     Graph,
     GraphError,
     GraphMorphism,
@@ -332,7 +334,9 @@ def bounded_entailment(
 ) -> EntailmentResult:
     """Breadth-first proof search; returns Derivable with a verified proof,
     or Unknown.  Never claims refutation: Pushout generates unboundedly many
-    consequences, so exhausting the bound proves nothing negative.
+    consequences, so exhausting the bound proves nothing negative.  `budget`
+    counts admitted formulas and the morphisms Pushout and Cancellation
+    enumerate; what is found within it is still admitted, then the search stops.
     """
     if goal.from_.schema != theory.base:
         raise GraphError("goal lives over a different base")
@@ -345,13 +349,13 @@ def bounded_entailment(
     derived: list[Derivation] = []
     conclusions = FormulaSet()
     frontier: list[Derivation] = []
-    spent = [0]
+    work = Budget("proof-search", budget)
 
     def matches_goal(f: SliceMorphism) -> bool:
         return formulas_isomorphic(f, goal)
 
     def admit(d: Derivation) -> Optional[Derivation]:
-        spent[0] += 1
+        work.spent += 1  # counted, never refused: see the docstring
         if len(d.conclusion.to.carrier.nodes) > max_carrier:
             return None
         if not conclusions.add(d.conclusion):
@@ -361,10 +365,12 @@ def bounded_entailment(
         return d
 
     objects: list[TypedInstance] = []
+    object_bytes: set[bytes] = set()
 
     def admit_object(t: TypedInstance) -> None:
-        ci = canonicalize_instance(t)
-        if all(canonicalize_instance(o).bytes != ci.bytes for o in objects):
+        key = canonicalize_instance(t).bytes
+        if key not in object_bytes:
+            object_bytes.add(key)
             objects.append(t)
 
     for name in theory.formulas:
@@ -393,7 +399,7 @@ def bounded_entailment(
         admit(macro)
 
     for _ in range(max_depth):
-        if spent[0] > budget:
+        if work.spent > work.limit:
             break
         current = list(frontier)
         frontier.clear()
@@ -401,32 +407,26 @@ def bounded_entailment(
         known = list(derived)
         for d1 in current:
             for d2 in known:
-                if spent[0] > budget:
-                    break
                 if d1.conclusion.to == d2.conclusion.from_:
                     candidates.append(compose_derivations(d1, d2))
                 if d2.conclusion.to == d1.conclusion.from_ and d1 is not d2:
                     candidates.append(compose_derivations(d2, d1))
-        for d1 in current:
-            for target in objects:
-                if len(target.carrier.nodes) > size_bound:
-                    continue
-                for g in iter_slice_morphisms(d1.conclusion.from_, target):
-                    spent[0] += 1
-                    if spent[0] > budget:
-                        break
-                    candidates.append(pushout_derivation(d1, g))
-        for dh in current:
-            for mid in objects:
-                if len(mid.carrier.nodes) > size_bound:
-                    continue
-                for f1 in iter_slice_morphisms(dh.conclusion.from_, mid):
-                    for f2 in iter_slice_morphisms(mid, dh.conclusion.to):
-                        spent[0] += 1
-                        if spent[0] > budget:
-                            break
-                        if f1.then(f2).map == dh.conclusion.map:
-                            candidates.append(cancel_derivation(dh, f1, f2))
+        small = [t for t in objects if len(t.carrier.nodes) <= size_bound]
+        try:
+            for d1 in current:
+                for target in small:
+                    for g in iter_slice_morphisms(d1.conclusion.from_, target):
+                        work.charge()
+                        candidates.append(pushout_derivation(d1, g))
+            for dh in current:
+                for mid in small:
+                    for f1 in iter_slice_morphisms(dh.conclusion.from_, mid):
+                        for f2 in iter_slice_morphisms(mid, dh.conclusion.to):
+                            work.charge()
+                            if f1.then(f2).map == dh.conclusion.map:
+                                candidates.append(cancel_derivation(dh, f1, f2))
+        except BoundExceeded:
+            pass  # the depth loop stops once these candidates are admitted
         for c in candidates:
             d = admit(c)
             if d is None:

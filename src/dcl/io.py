@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import pathlib
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Union
 
-from dcl.graphs import Graph, GraphError, GraphMorphism, SizeGuardError
+from dcl.graphs import Graph, GraphError, GraphMorphism
 from dcl.injlogic import InjTheory, as_slice_morphism, terminal_graph
 from dcl.instances import Delta, SliceMorphism, TypedInstance
 from dcl.signature import (
@@ -42,23 +43,16 @@ class FormatError(GraphError):
 # Semantics specs
 
 
+# semantics whose JSON is their fields: arrow names, and paths of them as lists
+_FIELD_SEMANTICS = {s.kind: s for s in (Key, Subset, CompositeSubset4, JointlyMonic, Commutativity)}
+
+
 def semantics_to_json(spec: SemanticsSpec) -> dict:
     if isinstance(spec, Multiplicity):
         return {"kind": "multiplicity", "intervals": [list(iv) for iv in spec.intervals]}
-    if isinstance(spec, Key):
-        return {"kind": "key"}
-    if isinstance(spec, Subset):
-        return {"kind": "subset", "first": spec.first, "second": spec.second}
-    if isinstance(spec, CompositeSubset4):
-        return {
-            "kind": "composite_subset4",
-            "path1": list(spec.path1),
-            "path2": list(spec.path2),
-        }
-    if isinstance(spec, JointlyMonic):
-        return {"kind": "jointly_monic", "first": spec.first, "second": spec.second}
-    if isinstance(spec, Commutativity):
-        return {"kind": "commutativity", "path": list(spec.path), "direct": spec.direct}
+    if type(spec) in _FIELD_SEMANTICS.values():
+        named = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(spec).items()}
+        return {"kind": spec.kind, **named}
     if isinstance(spec, Regular):
         return {
             "kind": "regular",
@@ -87,18 +81,11 @@ def semantics_from_json(data: Mapping) -> SemanticsSpec:
     kind = data.get("kind")
     if kind == "multiplicity":
         return Multiplicity(tuple((lo, hi) for lo, hi in data["intervals"]))
-    if kind == "key":
-        return Key()
-    if kind == "subset":
-        return Subset(data.get("first", "r1"), data.get("second", "r2"))
-    if kind == "composite_subset4":
-        return CompositeSubset4(
-            tuple(data.get("path1", ("r1", "r2"))), tuple(data.get("path2", ("s1", "s2")))
-        )
-    if kind == "jointly_monic":
-        return JointlyMonic(data.get("first", "01"), data.get("second", "02"))
-    if kind == "commutativity":
-        return Commutativity(tuple(data.get("path", ("f", "g"))), data.get("direct", "h"))
+    if kind in _FIELD_SEMANTICS:
+        spec = _FIELD_SEMANTICS[kind]
+        named = {f.name: data[f.name] for f in fields(spec) if f.name in data}
+        # a list is a path; any other value is left for the symbol to reject
+        return spec(**{k: tuple(v) if isinstance(v, list) else v for k, v in named.items()})
     if kind == "regular":
         return Regular(
             SliceMorphism.from_json(data["formula"]),
@@ -362,8 +349,6 @@ def load(path: Union[str, pathlib.Path]) -> Any:
         raise FormatError(f"{p}: JSON nested too deeply")
     try:
         return from_json(data)
-    except SizeGuardError:
-        raise  # a bound was hit: Unknown, not malformed input
     except GraphError as exc:
         raise FormatError(f"{p}: {exc}")
     except KeyError as exc:

@@ -9,13 +9,14 @@ together with the translation between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from dcl.graphs import (
+    BoundExceeded,
+    Budget,
     Graph,
     GraphError,
     GraphMorphism,
-    SizeGuardError,
     compose,
     factorization_pins,
     identity,
@@ -88,12 +89,13 @@ class Multiplicity:
     intervals: tuple[Interval, ...]
 
     def __post_init__(self) -> None:
-        ivs = tuple((int(lo), None if hi is None else int(hi)) for lo, hi in self.intervals)
+        ivs = tuple((lo, hi) for lo, hi in self.intervals)
         object.__setattr__(self, "intervals", ivs)
         prev_hi = -1
         for i, (lo, hi) in enumerate(ivs):
-            if lo < 0 or (hi is not None and hi < lo):
-                raise SignatureError(f"bad multiplicity interval [{lo}..{hi}]")
+            # `type(x) is int`, not isinstance: bools are not counts
+            if type(lo) is not int or lo < 0 or hi is not None and (type(hi) is not int or hi < lo):
+                raise SignatureError(f"bad multiplicity interval [{lo!r}..{hi!r}]")
             if lo <= prev_hi:
                 raise SignatureError("multiplicity intervals must be sorted and disjoint")
             if hi is None and i != len(ivs) - 1:
@@ -243,6 +245,10 @@ class Regular:
     formula: SliceMorphism = None  # type: ignore[assignment]
     search_limit: int = DEFAULT_SEARCH_LIMIT
 
+    def __post_init__(self) -> None:
+        if type(self.search_limit) is not int or self.search_limit < 0:
+            raise SignatureError(f"search_limit is not a count: {self.search_limit!r}")
+
     def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
         if self.formula.from_.schema != arity:
             raise SignatureError("regular formula does not live over the arity")
@@ -358,39 +364,29 @@ def check_injectivity(
     with y pinned on the image of the formula to what x forces, so the first
     y found is the least one with f;y == x.  `limit` bounds the morphisms
     the searches enumerate, testing maps and factorizations together; past
-    it the verdict is Unknown.  Pinning enumerates fewer morphisms than
-    filtering every y would, so a bound can turn Unknown into a definite
-    verdict, never Valid into Invalid or back.
+    it the verdict is Unknown, naming the bound.  Pinning enumerates fewer
+    morphisms than filtering every y would, so a bound can turn Unknown
+    into a definite verdict, never Valid into Invalid or back.
     """
-    budget = [limit]
-
-    def bounded(it: Iterator[SliceMorphism]) -> Iterator[SliceMorphism]:
-        for m in it:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise _BudgetExhausted
-            yield m
-
+    budget = Budget("injectivity-search", limit)
     table = []
     try:
-        for x in bounded(iter_slice_morphisms(formula.from_, t)):
+        for x in iter_slice_morphisms(formula.from_, t):
+            budget.charge()
             pins = factorization_pins(formula.map, x.map)
             y = None
             if pins is not None:
-                y = next(bounded(iter_slice_morphisms(formula.to, t, pins)), None)
+                y = next(iter_slice_morphisms(formula.to, t, pins), None)
             if y is None:
                 return Verdict(
                     Status.INVALID,
                     counterexample=Counterexample(t, (x.map.to_json(inline=False),)),
                 )
+            budget.charge()
             table.append({"x": x.map.to_json(inline=False), "y": y.map.to_json(inline=False)})
-    except _BudgetExhausted:
-        return Verdict(Status.UNKNOWN, detail="hom-search limit exceeded")
+    except BoundExceeded as exc:
+        return Verdict(Status.UNKNOWN, detail=str(exc))
     return Verdict(Status.VALID, Evidence(t, {"factorizations": table}))
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def regular_to_lifting(arity: Graph, spec: Regular) -> Lifting:
@@ -419,6 +415,18 @@ class ConstraintSymbol:
     arity: Graph
     semantics: SemanticsSpec
 
+    def __post_init__(self) -> None:
+        # the arrows a semantics names must be arrows of the arity, and a
+        # path a pair of them
+        fields = vars(self.semantics)
+        paths = [fields[f] for f in ("path", "path1", "path2") if f in fields]
+        if not all(isinstance(p, tuple) and len(p) == 2 for p in paths):
+            raise SignatureError(f"symbol {self.name!r}: a path is not a pair: {paths!r}")
+        names = [fields[f] for f in ("first", "second", "direct") if f in fields]
+        for name in names + [name for path in paths for name in path]:
+            if not isinstance(name, str) or name not in self.arity.arrow_by_id:
+                raise SignatureError(f"symbol {self.name!r}: {name!r} is not an arrow of its arity")
+
     __hash__ = None  # type: ignore[assignment]
 
 
@@ -426,8 +434,9 @@ def evaluate(symbol: ConstraintSymbol, t: TypedInstance) -> Verdict:
     """Run the symbol's decision procedure on an instance over its arity.
 
     The instance is canonicalized first, which makes the procedure
-    iso-invariant by construction.  An instance too large to canonicalize
-    (see DCL_SIZE_GUARD) gets an Unknown verdict naming the guard.
+    iso-invariant by construction.  An instance whose canonical form spends
+    its work bound gets an Unknown verdict whose detail names the bound, its
+    limit and the work spent.
     """
     if t.schema != symbol.arity:
         raise SignatureError(
@@ -435,7 +444,7 @@ def evaluate(symbol: ConstraintSymbol, t: TypedInstance) -> Verdict:
         )
     try:
         canonical = canonicalize_instance(t).instance
-    except SizeGuardError as exc:
+    except BoundExceeded as exc:
         return Verdict(Status.UNKNOWN, detail=str(exc))
     return symbol.semantics.decide(symbol.arity, canonical)
 

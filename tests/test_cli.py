@@ -1,10 +1,14 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcl
+import dcl.graphs
 from dcl.cli import main
 from dcl.io import _indented, dumps, load, save
 from dcl.graphs import Graph
@@ -76,12 +81,42 @@ class TestCheck:
         assert capsys.readouterr().out == first
 
     def test_size_guard_hit_exit_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("DCL_SIZE_GUARD", "2")
+        monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
         assert main(["check", SKETCH, VALID]) == 2
         out = json.loads(capsys.readouterr().out)
         assert out["overall"] == "unknown"
         details = [d["detail"] or "" for d in out["declarations"]]
-        assert any("DCL_SIZE_GUARD" in detail for detail in details)
+        assert any(
+            detail.startswith("canonical-form bound exceeded: spent ")
+            and detail.endswith(" of 2 units")
+            for detail in details
+        )
+
+    def test_disjoint_copies_checked_at_default_bound(self, capsys, tmp_path):
+        # 24 relabelled copies: 216 nodes, no restriction hard to canonicalize
+        one = json.loads(pathlib.Path(VALID).read_text())
+        copies = {
+            "kind": "instance",
+            "schema": one["schema"],
+            "carrier": {"nodes": [], "arrows": []},
+            "typing": {"nodes": {}, "arrows": {}},
+        }
+        carrier, typing = copies["carrier"], copies["typing"]
+        for i in range(24):
+            name = f"c{i}.{{}}".format
+            carrier["nodes"] += [name(n) for n in one["carrier"]["nodes"]]
+            carrier["arrows"] += [
+                {"id": name(a["id"]), "src": name(a["src"]), "tgt": name(a["tgt"])}
+                for a in one["carrier"]["arrows"]
+            ]
+            for kind in ("nodes", "arrows"):
+                typing[kind].update(
+                    (name(x), t) for x, t in one["typing"][kind].items()
+                )
+        path = tmp_path / "copies.json"
+        path.write_text(json.dumps(copies))
+        assert main(["check", SKETCH, str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] == "valid"
 
 
 class TestMigrate:
@@ -179,9 +214,32 @@ class TestCanonClose:
     def test_canon_size_guard_exit_two(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "g.json"
         path.write_text(dumps(Graph.build(["a", "b"], [("e", "a", "b")])))
-        monkeypatch.setenv("DCL_SIZE_GUARD", "1")
+        monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 1)
         assert main(["canon", str(path)]) == 2
-        assert "DCL_SIZE_GUARD" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: canonical-form bound exceeded: spent 4 of 1 units\n"
+
+    def test_canon_de_bruijn_hits_bound(self, capsys, tmp_path):
+        # B(2,9): 512 nodes, 1024 arrows, every node of in- and out-degree 2;
+        # refinement never splits it, and the search runs out of work
+        path = tmp_path / "debruijn.json"
+        path.write_text(
+            dumps(
+                Graph.build(
+                    [f"v{i}" for i in range(512)],
+                    [
+                        (f"e{i}.{b}", f"v{i}", f"v{(2 * i + b) % 512}")
+                        for i in range(512)
+                        for b in (0, 1)
+                    ],
+                )
+            )
+        )
+        assert main(["canon", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: canonical-form bound exceeded: spent ")
+        assert "Traceback" not in captured.err
 
     def test_close_adds_consequences(self, capsys, tmp_path):
         from dcl.fixtures import span_single_valued_signature
@@ -229,6 +287,50 @@ class TestDepsCheck:
         assert not out["ok"] and out["violations"]
 
 
+def shipped(name: str):
+    return json.loads(DATA.joinpath(name).read_text())
+
+
+def replaced(document, key: str, value):
+    """A copy of `document` with the value of the first `key` met, depth first,
+    replaced by `value`."""
+    document = copy.deepcopy(document)
+    stack = [document]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict) and key in node:
+            node[key] = value
+            return document
+        children = node.values() if isinstance(node, dict) else node
+        stack.extend(c for c in reversed(list(children)) if isinstance(c, (dict, list)))
+    raise KeyError(key)
+
+
+def one_symbol_signature(symbol) -> dict:
+    from dcl.signature import Signature
+
+    return json.loads(dumps(Signature({symbol.name: symbol})))
+
+
+def regular_signature() -> dict:
+    from dcl.fixtures import existence_symbol
+
+    return one_symbol_signature(existence_symbol())
+
+
+def commutativity_signature() -> dict:
+    from dcl.signature import commutativity_symbol
+
+    return one_symbol_signature(commutativity_symbol())
+
+
+# the payload file takes this place in the command, or comes last
+PAYLOAD = "<payload>"
+SKETCH_FILE = "registry-sketch.json"
+CHECK_SKETCH = ["check", PAYLOAD, VALID]
+TO_LIFTING = ["translate", "--to", "lifting"]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "command,payload",
@@ -246,12 +348,28 @@ class TestMalformedInput:
                 ["canon"],
                 {"kind": "graph", "nodes": ["a"], "arrows": [{"id": "e", "src": "a", "tgt": ["a"]}]},
             ),
+            # semantics naming arrows that are not arrows of the arity
+            (CHECK_SKETCH, replaced(shipped(SKETCH_FILE), "path1", ["r1", 1.5])),
+            (CHECK_SKETCH, replaced(shipped(SKETCH_FILE), "second", "r3")),
+            (CHECK_SKETCH, replaced(shipped(SKETCH_FILE), "path2", ["s1"])),
+            (["deps-check"], replaced(shipped("span-signature.json"), "first", [])),
+            (TO_LIFTING, replaced(commutativity_signature(), "path", "fg")),
+            (TO_LIFTING, replaced(commutativity_signature(), "direct", None)),
+            # counts that are not non-negative JSON integers
+            (CHECK_SKETCH, replaced(shipped(SKETCH_FILE), "intervals", [["1", 1.7]])),
+            (CHECK_SKETCH, replaced(shipped(SKETCH_FILE), "intervals", [[0, True]])),
+            (CHECK_SKETCH, replaced(shipped(SKETCH_FILE), "intervals", [[-1, 1]])),
+            (TO_LIFTING, replaced(regular_signature(), "search_limit", "many")),
+            (TO_LIFTING, replaced(regular_signature(), "search_limit", True)),
+            (TO_LIFTING, replaced(regular_signature(), "search_limit", -1)),
         ],
     )
     def test_exit_three_with_message(self, capsys, tmp_path, command, payload):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(payload))
-        assert main(command + [str(path)]) == 3
+        if PAYLOAD not in command:
+            command = command + [PAYLOAD]
+        assert main([str(path) if arg == PAYLOAD else arg for arg in command]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
@@ -285,17 +403,115 @@ class TestMalformedInput:
         arity = single_arrow_arity()
         entry = {
             "schema": arity.to_json(),
-            "carrier": {"nodes": ["a1", "a2", "a3"], "arrows": []},
-            "typing": {"nodes": {"a1": "A", "a2": "A", "a3": "A"}, "arrows": {}},
+            "carrier": {"nodes": ["a1", "b1"], "arrows": [{"id": "l1", "src": "a1", "tgt": "b1"}]},
+            "typing": {"nodes": {"a1": "A", "b1": "B"}, "arrows": {"l1": "r"}},
         }
         sig = Signature({"[t]": ConstraintSymbol("[t]", arity, Table())})
         data = json.loads(dumps(sig))
         data["symbols"][0]["semantics"]["entries"] = [{"id": "row", "instance": entry}]
         path = tmp_path / "sig.json"
         path.write_text(json.dumps(data))
-        monkeypatch.setenv("DCL_SIZE_GUARD", "2")
+        monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
         assert main(["deps-check", str(path)]) == 2
-        assert "DCL_SIZE_GUARD" in capsys.readouterr().err
+        assert "canonical-form bound exceeded" in capsys.readouterr().err
+
+
+# Each shipped file with the cheap commands that read it.
+FUZZ_COMMANDS = {
+    SKETCH_FILE: [CHECK_SKETCH, ["close", PAYLOAD]],
+    "registry-valid.json": [["check", SKETCH, PAYLOAD], ["canon", PAYLOAD]],
+    "span-signature.json": [
+        ["translate", PAYLOAD, "--to", "lifting"],
+        ["deps-check", PAYLOAD, "--size", "1"],
+    ],
+    "out-edge-theory.json": [["infer", PAYLOAD, GOAL, "--depth", "1"]],
+    "edge-pair-theory.json": [["infer", PAYLOAD, GOAL, "--depth", "1"]],
+    "coproduct-goal.json": [["infer", OUT_THEORY, PAYLOAD, "--depth", "1"]],
+    "vehicle-fragment-map.json": [["migrate", PAYLOAD, VALID, "--direction", "pull"]],
+}
+OTHER_TYPE_VALUES = [None, True, 0, 1.5, "x", [], {}]
+
+
+def json_parts(value, keys: set, strings: set) -> None:
+    """Collect the dict keys and the string values of a JSON value."""
+    if isinstance(value, dict):
+        keys.update(value)
+        children = value.values()
+    elif isinstance(value, list):
+        children = value
+    else:
+        if isinstance(value, str):
+            strings.add(value)
+        return
+    for child in children:
+        json_parts(child, keys, strings)
+
+
+def holders(value, key: str) -> list:
+    """The dicts inside a JSON value that have `key`."""
+    if isinstance(value, dict):
+        found = [value] if key in value else []
+        children = value.values()
+    elif isinstance(value, list):
+        found, children = [], value
+    else:
+        return []
+    return found + [d for child in children for d in holders(child, key)]
+
+
+def mutate(document, rng: random.Random) -> None:
+    """One mutation, in place: drop a key or element, give a value another
+    type, duplicate a list element (such as an id) or rename a string.
+
+    The place is drawn by key name first, a key that is also a string value
+    (an id keying a map) standing in one group for them all, so the few
+    keys that carry semantics are drawn as often as the many ids."""
+    keys: set = set()
+    strings: set = set()
+    json_parts(document, keys, strings)
+    key = rng.choice([None, *sorted(keys - strings)])
+    if key is None:
+        key = rng.choice(sorted(keys & strings))
+    holder = rng.choice(holders(document, key))
+    value = holder[key]
+    while isinstance(value, list) and value and rng.random() < 0.5:
+        holder, key = value, rng.randrange(len(value))
+        value = holder[key]
+    op = rng.choice(["drop", "retype", "rename"] + ["duplicate"] * isinstance(holder, list))
+    if op == "drop":
+        del holder[key]
+    elif op == "retype":
+        holder[key] = rng.choice([v for v in OTHER_TYPE_VALUES if type(v) is not type(value)])
+    elif op == "duplicate":
+        holder.insert(key, copy.deepcopy(value))
+    else:
+        name = rng.choice([f"{key}'", *sorted(keys | strings)])
+        if isinstance(value, str):
+            holder[key] = name
+        elif isinstance(holder, dict):
+            holder[name] = holder.pop(key)
+
+
+class TestCliFuzz:
+    # hypothesis picks the seed; the draws are uniform, which finds the few
+    # keys that carry semantics far more often than its own biased draws
+    @given(st.randoms(use_true_random=True))
+    @settings(deadline=None)
+    def test_mutated_shipped_files_exit_cleanly(self, rng):
+        for _ in range(3):
+            name = rng.choice(sorted(FUZZ_COMMANDS))
+            document = shipped(name)
+            mutate(document, rng)
+            with tempfile.TemporaryDirectory() as tmp:
+                path = pathlib.Path(tmp) / name
+                path.write_text(json.dumps(document))
+                for command in FUZZ_COMMANDS[name]:
+                    argv = [str(path) if arg == PAYLOAD else arg for arg in command]
+                    err = io.StringIO()
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                        code = main(argv)
+                    assert code in (0, 1, 2, 3), (argv, document)
+                    assert "Traceback" not in err.getvalue()
 
 
 class TestRoundtrips:

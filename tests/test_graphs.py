@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcl.graphs
 from dcl.graphs import (
+    BoundExceeded,
+    Budget,
     Graph,
     GraphError,
     GraphMorphism,
-    SizeGuardError,
     _canonical_component,
     _refine,
     _search,
@@ -405,17 +407,26 @@ class TestCanonicalForms:
         )
         assert canonical_bytes(two) != canonical_bytes(six)
 
-    def test_size_guard(self):
-        big = Graph.build([f"n{i}" for i in range(100)])
-        with pytest.raises(SizeGuardError):
-            canonicalize(big)
-        assert canonicalize(big, max_nodes=100).graph is not None
+    def test_size_guard(self, monkeypatch):
+        # the bound is on refinement work: a triangle's one refinement call
+        # costs 3 nodes + 6 incidences, and its round as much again
+        monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 10)
+        with pytest.raises(BoundExceeded) as hit:
+            canonicalize(triangle())
+        assert str(hit.value) == "canonical-form bound exceeded: spent 18 of 10 units"
+        assert not isinstance(hit.value, GraphError)
+        # isolated nodes take no refinement, so size alone never hits it
+        assert canonicalize(Graph.build([f"n{i}" for i in range(100)])).graph is not None
 
     def test_size_guard_env(self, monkeypatch):
+        # the old node-count variable is no longer read; the work limit is
+        # read on every call, and a triangle spends 54 units
         monkeypatch.setenv("DCL_SIZE_GUARD", "2")
-        with pytest.raises(SizeGuardError):
+        canonicalize(triangle())
+        monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 53)
+        with pytest.raises(BoundExceeded):
             canonicalize(triangle())
-        monkeypatch.setenv("DCL_SIZE_GUARD", "200")
+        monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 54)
         canonicalize(triangle())
 
 
@@ -637,9 +648,9 @@ class TestCanonicalSearch:
         # a hub of isomorphic branches and a union of isomorphic components
         # have factorially many automorphisms; pruning must keep them cheap
         h = relabelled(g, random.Random(11))
-        cf = canonicalize(g, max_nodes=len(g.nodes))
+        cf = canonicalize(g)
         assert cf.relabeling.is_bijective
-        assert cf.bytes == canonicalize(h, max_nodes=len(g.nodes)).bytes
+        assert cf.bytes == canonicalize(h).bytes
 
     @given(coloured_lists())
     @settings(max_examples=300, deadline=None)
@@ -647,13 +658,14 @@ class TestCanonicalSearch:
         # refinement leaves cells that are each one class of twins: the
         # component's order skips the search and must equal what it returns
         names, outs, ins = lists
-        cols = _refine(names, outs, ins)
+        unbounded = Budget("test", float("inf"))
+        cols = _refine(names, outs, ins, unbounded)
         cells = len(set(cols))
         if cells == len(cols) or cells != len(_twin_classes(cols, outs, ins)):
             return
         everything = list(range(len(names)))
-        expected = _search(cols, outs, ins, names)
-        assert _canonical_component(everything, outs, ins, names) == expected
+        expected = _search(cols, outs, ins, names, unbounded)
+        assert _canonical_component(everything, outs, ins, names, unbounded) == expected
 
     def test_leaves_no_reference_cycles(self):
         # run with the collector off, as the benchmark does: a cycle would

@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
-from dcl.fixtures import edge_pair_theory, outgoing_edge_theory
+from dcl.fixtures import DATA, edge_pair_theory, outgoing_edge_theory
 from dcl.graphs import Graph, GraphError, GraphMorphism, compose, identity
 from dcl.injlogic import (
     Derivation,
@@ -23,6 +26,7 @@ from dcl.injlogic import (
     verify_derivation,
 )
 from dcl.instances import SliceMorphism, TypedInstance, iter_slice_morphisms
+from dcl.io import load
 from dcl.signature import check_injectivity
 from dcl.verdicts import Status
 
@@ -59,6 +63,7 @@ class TestInjectivity:
         assert check_injectivity(a, f).is_valid
         v = check_injectivity(a, f, limit=2)
         assert v.status is Status.UNKNOWN
+        assert v.detail == "injectivity-search bound exceeded: spent 3 of 2 units"
 
 
 class TestSemanticEntailment:
@@ -177,7 +182,52 @@ class TestDerivations:
         assert len(macro.conclusion.to.carrier.nodes) == 4
 
 
+def loop_goal() -> SliceMorphism:
+    """Every node has a loop."""
+    s = Graph.build(["A"])
+    q = Graph.build(["A"], [("l", "A", "A")])
+    return as_slice_morphism(GraphMorphism(s, q, {"A": "A"}, {}))
+
+
+def entailment_case(name: str):
+    out, pair = outgoing_edge_theory(), edge_pair_theory()
+    return {
+        "edge-pair composite": (
+            pair, pair.formulas["out-edge"].then(pair.formulas["close-cycle"])
+        ),
+        "coproduct": (out, load(DATA / "coproduct-goal.json")),
+        "loop, out-edge": (out, loop_goal()),
+        "loop, edge-pair": (pair, loop_goal()),
+    }[name]
+
+
+# status and sha256 of the proof's sorted JSON, the same at every depth and
+# budget of the grid below, as the search gave when an overrun still went on
+# starting searches
+ENTAILMENT_GRID = [
+    ("edge-pair composite", "derivable",
+     "1adb7c0e3039a35fd88695a3e048d462be0989963fe5754f0c6c50b95bfe1942"),
+    ("coproduct", "derivable",
+     "bee016ab07e15e009645cad7df030d385545a7494ad443473c44160380d07e26"),
+    ("loop, out-edge", "unknown", None),
+    ("loop, edge-pair", "unknown", None),
+]
+
+
 class TestBoundedEntailment:
+    @pytest.mark.parametrize(
+        "name,status,digest", ENTAILMENT_GRID, ids=[case[0] for case in ENTAILMENT_GRID]
+    )
+    def test_stops_at_first_overrun_with_same_result(self, name, status, digest):
+        theory, goal = entailment_case(name)
+        for depth in (1, 2, 3):
+            for budget in (20, 50, 200, 1000):
+                res = bounded_entailment(theory, goal, max_depth=depth, budget=budget)
+                assert res.status == status, (depth, budget)
+                if digest is not None:
+                    proof = json.dumps(res.derivation.to_json(), sort_keys=True)
+                    assert hashlib.sha256(proof.encode()).hexdigest() == digest
+
     def test_axiom_found_at_depth_zero(self):
         th = outgoing_edge_theory()
         res = bounded_entailment(th, th.formulas["out-edge"], max_depth=0)
