@@ -167,7 +167,7 @@ def cmd_infer(args) -> int:
     if result.derivable:
         _print({"status": "derivable", "proof": result.derivation.to_json()})
         return EXIT_VALID
-    _print({"status": "unknown"})
+    _print({"status": "unknown", "detail": result.detail})
     return EXIT_UNKNOWN
 
 

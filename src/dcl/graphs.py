@@ -105,8 +105,10 @@ class Graph:
     @classmethod
     def from_json(cls, data: Mapping) -> "Graph":
         try:
-            nodes = data["nodes"]
-            arrows = [(a["id"], a["src"], a["tgt"]) for a in data["arrows"]]
+            nodes, arrow_list = data["nodes"], data["arrows"]
+            if not isinstance(nodes, list) or not isinstance(arrow_list, list):
+                raise TypeError("nodes and arrows must be lists")
+            arrows = [(a["id"], a["src"], a["tgt"]) for a in arrow_list]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph JSON: {exc}")
         for x in itertools.chain(nodes, itertools.chain.from_iterable(arrows)):
@@ -339,26 +341,6 @@ def search_morphisms(
 def iter_homomorphisms(g: Graph, h: Graph) -> Iterator[GraphMorphism]:
     """All incidence-preserving morphisms g -> h, in `search_morphisms` order."""
     yield from search_morphisms(g, h)
-
-
-def factorization_pins(
-    f: GraphMorphism, x: GraphMorphism
-) -> Optional[tuple[dict[str, str], dict[str, str]]]:
-    """The partial map y on the image of f forced by f;y == x.
-
-    None when no y exists: x sends two elements with one f-image apart.
-    """
-    if f.dom != x.dom:
-        raise GraphError("factorization pins need maps from one domain")
-    pins: tuple[dict[str, str], dict[str, str]] = ({}, {})
-    for pinned, f_map, x_map in (
-        (pins[0], f.node_map, x.node_map),
-        (pins[1], f.arrow_map, x.arrow_map),
-    ):
-        for element, image in f_map.items():
-            if pinned.setdefault(image, x_map[element]) != x_map[element]:
-                return None
-    return pins
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[GraphMorphism]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from dcl.graphs import (
     BoundExceeded,
@@ -21,7 +21,6 @@ from dcl.graphs import (
     GraphError,
     GraphMorphism,
     compose,
-    factorization_pins,
     identity,
     pushout,
 )
@@ -29,6 +28,7 @@ from dcl.instances import (
     SliceMorphism,
     TypedInstance,
     canonicalize_instance,
+    iter_factorizations,
     iter_instance_classes,
     iter_instance_isomorphisms,
     iter_slice_morphisms,
@@ -101,26 +101,17 @@ def semantic_entails(
     checked = 0
     unknown = False
     for a in iter_instance_classes(theory.base, size_bound, max_parallel):
-        ci = canonicalize_instance(a)
-        model = True
+        model = canonicalize_instance(a).instance
         for f in theory.formulas.values():
-            v = check_injectivity(ci.instance, f, limit)
-            if v.status is Status.UNKNOWN:
-                unknown = True
-                model = False
+            status = check_injectivity(model, f, limit).status
+            if status is not Status.VALID:
                 break
-            if not v.is_valid:
-                model = False
-                break
-        if not model:
-            continue
-        checked += 1
-        v = check_injectivity(ci.instance, goal, limit)
-        if v.status is Status.UNKNOWN:
-            unknown = True
-            continue
-        if not v.is_valid:
-            return SemanticResult("refuted", checked, ci.instance)
+        else:
+            checked += 1
+            status = check_injectivity(model, goal, limit).status
+            if status is Status.INVALID:
+                return SemanticResult("refuted", checked, model)
+        unknown = unknown or status is Status.UNKNOWN
     return SemanticResult("unknown" if unknown else "entailed", checked)
 
 
@@ -282,6 +273,7 @@ def verify_derivation(d: Derivation, theory: InjTheory) -> None:
 class EntailmentResult:
     status: str  # "derivable" | "unknown"
     derivation: Optional[Derivation] = None
+    detail: Optional[str] = None  # Unknown: the bound that ended the search
 
     @property
     def derivable(self) -> bool:
@@ -291,18 +283,20 @@ class EntailmentResult:
 def formulas_isomorphic(f: SliceMorphism, g: SliceMorphism) -> bool:
     """Same arrow up to isomorphisms of both endpoints commuting with the maps.
 
-    For each isomorphism a of the domains, the isomorphism b of the
-    codomains is searched pinned on the image of f to what a;g forces.
+    For each isomorphism a of the domains, an isomorphism b of the
+    codomains with f;b == a;g is an injective factorization of a;g through
+    f between codomains of one size.
     """
     if f.from_.schema != g.from_.schema:
         return False
-    for a in iter_instance_isomorphisms(f.from_, g.from_):
-        pins = factorization_pins(f.map, compose(a.map, g.map))
-        if pins is None:
-            continue
-        if next(iter_instance_isomorphisms(f.to, g.to, pins), None) is not None:
-            return True
-    return False
+    q, r = f.to.carrier, g.to.carrier
+    if len(q.nodes) != len(r.nodes) or len(q.arrows) != len(r.arrows):
+        return False
+    return any(
+        next(iter_factorizations(f, compose(a.map, g.map), g.to, injective=True), None)
+        is not None
+        for a in iter_instance_isomorphisms(f.from_, g.from_)
+    )
 
 
 class FormulaSet:
@@ -325,6 +319,44 @@ class FormulaSet:
         return True
 
 
+def _one_step(
+    current: list[Derivation],
+    known: list[Derivation],
+    small: list[TypedInstance],
+    work: Budget,
+) -> list[Derivation]:
+    """Composition, Pushout and Cancellation applied once to `current`:
+    composites with the `known` formulas, pushouts along maps into the
+    `small` objects, and cancellations through them.  Pushout charges `work`
+    one unit per map it pushes along, Cancellation one per first factor and
+    one per factorization; the step ends where `work` runs out.
+    """
+    candidates: list[Derivation] = []
+    for d1 in current:
+        for d2 in known:
+            if d1.conclusion.to == d2.conclusion.from_:
+                candidates.append(compose_derivations(d1, d2))
+            if d2.conclusion.to == d1.conclusion.from_ and d1 is not d2:
+                candidates.append(compose_derivations(d2, d1))
+    try:
+        for d1 in current:
+            for target in small:
+                for g in iter_slice_morphisms(d1.conclusion.from_, target):
+                    work.charge()
+                    candidates.append(pushout_derivation(d1, g))
+        for dh in current:
+            h = dh.conclusion
+            for mid in small:
+                for f1 in iter_slice_morphisms(h.from_, mid):
+                    work.charge()
+                    for f2 in iter_factorizations(f1, h.map, h.to):
+                        work.charge()
+                        candidates.append(cancel_derivation(dh, f1, f2))
+    except BoundExceeded:
+        pass  # what was found is still admitted; then the search stops
+    return candidates
+
+
 def bounded_entailment(
     theory: InjTheory,
     goal: SliceMorphism,
@@ -333,10 +365,11 @@ def bounded_entailment(
     budget: int = 4_000,
 ) -> EntailmentResult:
     """Breadth-first proof search; returns Derivable with a verified proof,
-    or Unknown.  Never claims refutation: Pushout generates unboundedly many
-    consequences, so exhausting the bound proves nothing negative.  `budget`
-    counts admitted formulas and the morphisms Pushout and Cancellation
-    enumerate; what is found within it is still admitted, then the search stops.
+    or Unknown with a detail naming the bound that ended the search.  Never
+    claims refutation: Pushout generates unboundedly many consequences, so
+    exhausting the bound proves nothing negative.  `budget` counts admitted
+    formulas and the work of each step (see `_one_step`); what is found
+    within it is still admitted, then the search stops.
     """
     if goal.from_.schema != theory.base:
         raise GraphError("goal lives over a different base")
@@ -350,89 +383,48 @@ def bounded_entailment(
     conclusions = FormulaSet()
     frontier: list[Derivation] = []
     work = Budget("proof-search", budget)
+    objects: dict[bytes, TypedInstance] = {}  # by canonical bytes, first come
 
-    def matches_goal(f: SliceMorphism) -> bool:
-        return formulas_isomorphic(f, goal)
+    def admit_objects(ts: Iterable[TypedInstance]) -> None:
+        for t in ts:
+            objects.setdefault(canonicalize_instance(t).bytes, t)
 
-    def admit(d: Derivation) -> Optional[Derivation]:
-        work.spent += 1  # counted, never refused: see the docstring
-        if len(d.conclusion.to.carrier.nodes) > max_carrier:
-            return None
-        if not conclusions.add(d.conclusion):
-            return None
-        derived.append(d)
-        frontier.append(d)
-        return d
+    def proof_among(candidates: Iterable[Derivation]) -> Optional[Derivation]:
+        """Admit the candidates in order; the first admitted one that
+        matches the goal, verified, or None."""
+        for d in candidates:
+            work.spent += 1  # counted, never refused: see the docstring
+            if len(d.conclusion.to.carrier.nodes) > max_carrier:
+                continue
+            if not conclusions.add(d.conclusion):
+                continue
+            derived.append(d)
+            frontier.append(d)
+            if formulas_isomorphic(d.conclusion, goal):
+                verify_derivation(d, theory)
+                return d
+        return None
 
-    objects: list[TypedInstance] = []
-    object_bytes: set[bytes] = set()
-
-    def admit_object(t: TypedInstance) -> None:
-        key = canonicalize_instance(t).bytes
-        if key not in object_bytes:
-            object_bytes.add(key)
-            objects.append(t)
-
-    for name in theory.formulas:
-        d = admit(axiom(theory, name))
-        if d is not None and matches_goal(d.conclusion):
-            verify_derivation(d, theory)
-            return EntailmentResult("derivable", d)
-    for f in theory.formulas.values():
-        admit_object(f.from_)
-        admit_object(f.to)
-    admit_object(goal.from_)
-    admit_object(goal.to)
-    for t in objects:
-        d = admit(identity_formula(t))
-        if d is not None and matches_goal(d.conclusion):
-            verify_derivation(d, theory)
-            return EntailmentResult("derivable", d)
-
-    # the coproduct script first: it is the common shape of composite goals
     axioms = [axiom(theory, name) for name in theory.formulas]
-    for d1, d2 in itertools.product(axioms, axioms):
-        macro = coproduct_macro(d1, d2)
-        if matches_goal(macro.conclusion):
-            verify_derivation(macro, theory)
-            return EntailmentResult("derivable", macro)
-        admit(macro)
-
+    proof = proof_among(axioms)
+    if proof is None:
+        admit_objects(t for f in [*theory.formulas.values(), goal] for t in (f.from_, f.to))
+        proof = proof_among(identity_formula(t) for t in objects.values())
+    if proof is None:
+        # the coproduct script first: it is the common shape of composite goals
+        products = itertools.product(axioms, axioms)
+        proof = proof_among(coproduct_macro(d1, d2) for d1, d2 in products)
     for _ in range(max_depth):
-        if work.spent > work.limit:
+        if proof is not None or work.spent > work.limit:
             break
         current = list(frontier)
         frontier.clear()
-        candidates: list[Derivation] = []
-        known = list(derived)
-        for d1 in current:
-            for d2 in known:
-                if d1.conclusion.to == d2.conclusion.from_:
-                    candidates.append(compose_derivations(d1, d2))
-                if d2.conclusion.to == d1.conclusion.from_ and d1 is not d2:
-                    candidates.append(compose_derivations(d2, d1))
-        small = [t for t in objects if len(t.carrier.nodes) <= size_bound]
-        try:
-            for d1 in current:
-                for target in small:
-                    for g in iter_slice_morphisms(d1.conclusion.from_, target):
-                        work.charge()
-                        candidates.append(pushout_derivation(d1, g))
-            for dh in current:
-                for mid in small:
-                    for f1 in iter_slice_morphisms(dh.conclusion.from_, mid):
-                        for f2 in iter_slice_morphisms(mid, dh.conclusion.to):
-                            work.charge()
-                            if f1.then(f2).map == dh.conclusion.map:
-                                candidates.append(cancel_derivation(dh, f1, f2))
-        except BoundExceeded:
-            pass  # the depth loop stops once these candidates are admitted
-        for c in candidates:
-            d = admit(c)
-            if d is None:
-                continue
-            admit_object(d.conclusion.to)
-            if matches_goal(d.conclusion):
-                verify_derivation(d, theory)
-                return EntailmentResult("derivable", d)
-    return EntailmentResult("unknown")
+        small = [t for t in objects.values() if len(t.carrier.nodes) <= size_bound]
+        proof = proof_among(_one_step(current, derived, small, work))
+        admit_objects(d.conclusion.to for d in frontier)
+    if proof is not None:
+        return EntailmentResult("derivable", proof)
+    spent = f"spent {work.spent} of {work.limit} units"
+    if work.spent > work.limit:
+        return EntailmentResult("unknown", detail=f"proof-search bound exceeded: {spent}")
+    return EntailmentResult("unknown", detail=f"depth bound {max_depth} reached: {spent}")

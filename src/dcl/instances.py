@@ -205,17 +205,35 @@ def iter_slice_morphisms(
         yield _trusted_slice(s, t, m)
 
 
-def iter_instance_isomorphisms(
-    s: TypedInstance,
-    t: TypedInstance,
-    pins: Optional[tuple[Mapping[str, str], Mapping[str, str]]] = None,
+def iter_factorizations(
+    f: SliceMorphism, x: GraphMorphism, t: TypedInstance, injective: bool = False
 ) -> Iterator[SliceMorphism]:
-    """The typing-preserving isomorphisms s -> t that respect `pins`."""
+    """The y: cod f -> t with f;y == x, in `search_morphisms` order.
+
+    The search is pinned on the image of f to what x forces, so it
+    enumerates only factorizations; there are none when x sends two
+    elements with one f-image apart.  `injective` is passed to the search.
+    """
+    if x.dom != f.map.dom or x.cod != t.carrier:
+        raise GraphError("a factorization of x needs x: dom f -> carrier of t")
+    pins: tuple[dict[str, str], dict[str, str]] = ({}, {})
+    for pinned, f_map, x_map in (
+        (pins[0], f.map.node_map, x.node_map),
+        (pins[1], f.map.arrow_map, x.arrow_map),
+    ):
+        for element, image in f_map.items():
+            if pinned.setdefault(image, x_map[element]) != x_map[element]:
+                return
+    yield from iter_slice_morphisms(f.to, t, pins, injective)
+
+
+def iter_instance_isomorphisms(s: TypedInstance, t: TypedInstance) -> Iterator[SliceMorphism]:
+    """The typing-preserving isomorphisms s -> t."""
     if len(s.carrier.nodes) != len(t.carrier.nodes) or len(s.carrier.arrows) != len(
         t.carrier.arrows
     ):
         return
-    yield from iter_slice_morphisms(s, t, pins, injective=True)
+    yield from iter_slice_morphisms(s, t, injective=True)
 
 
 def find_instance_isomorphism(

@@ -18,13 +18,13 @@ from dcl.graphs import (
     GraphError,
     GraphMorphism,
     compose,
-    factorization_pins,
     identity,
 )
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
     canonicalize_instance,
+    iter_factorizations,
     iter_instance_classes,
     iter_slice_morphisms,
     restrict,
@@ -360,11 +360,11 @@ def check_injectivity(
 ) -> Verdict:
     """Does every testing map from the formula's domain factor through it?
 
-    For each testing map x: S -> t, the factorization y: Q -> t is searched
-    with y pinned on the image of the formula to what x forces, so the first
-    y found is the least one with f;y == x.  `limit` bounds the morphisms
-    the searches enumerate, testing maps and factorizations together; past
-    it the verdict is Unknown, naming the bound.  Pinning enumerates fewer
+    For each testing map x: S -> t, the first y: Q -> t that
+    `iter_factorizations` yields is the least one with f;y == x.  `limit`
+    bounds the morphisms the searches enumerate, testing maps and
+    factorizations together; past it the verdict is Unknown, naming the
+    bound.  Pinning enumerates fewer
     morphisms than filtering every y would, so a bound can turn Unknown
     into a definite verdict, never Valid into Invalid or back.
     """
@@ -373,10 +373,7 @@ def check_injectivity(
     try:
         for x in iter_slice_morphisms(formula.from_, t):
             budget.charge()
-            pins = factorization_pins(formula.map, x.map)
-            y = None
-            if pins is not None:
-                y = next(iter_slice_morphisms(formula.to, t, pins), None)
+            y = next(iter_factorizations(formula, x.map, t), None)
             if y is None:
                 return Verdict(
                     Status.INVALID,

@@ -71,12 +71,7 @@ def _has_declaration(
 
 
 def is_closed(sketch: Sketch) -> bool:
-    for d in sketch.declarations:
-        for dep in sketch.signature.dependencies_of(d.label):
-            binding = compose(dep.arity_map, d.binding)
-            if not _has_declaration(sketch.declarations, dep.target, binding):
-                return False
-    return True
+    return len(close_sketch(sketch).declarations) == len(sketch.declarations)
 
 
 def close_sketch(sketch: Sketch) -> Sketch:

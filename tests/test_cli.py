@@ -159,6 +159,27 @@ class TestTranslate:
         assert main(["translate", str(mid), "--to", "regular"]) == 0
         assert '"regular"' in capsys.readouterr().out
 
+    def test_golden_both_directions(self, capsys, tmp_path):
+        from dcl.fixtures import existence_symbol, uniqueness_symbol
+        from dcl.signature import ConstraintSymbol, Signature, regular_to_lifting
+
+        # one symbol of each kind, so each direction translates one of them
+        unique = uniqueness_symbol()
+        lifting = regular_to_lifting(unique.arity, unique.semantics)
+        symbols = [existence_symbol(), ConstraintSymbol(unique.name, unique.arity, lifting)]
+        save(Signature({s.name: s for s in symbols}, ()), tmp_path / "sig.json")
+        out = {}
+        for to, digest in [
+            ("lifting", "4bf2741ba26d3fcdf8f88107c7671629b3be0ac17f864ca1e497b3bd295401c2"),
+            ("regular", "d4d19764df6e069ac5a512cb13150f500a044d2eb730530c85b14c62cc26987c"),
+        ]:
+            assert main(["translate", str(tmp_path / "sig.json"), "--to", to]) == 0
+            out[to] = capsys.readouterr().out
+            assert hashlib.sha256(out[to].encode()).hexdigest() == digest
+        (tmp_path / "lifted.json").write_text(out["lifting"])
+        assert main(["translate", str(tmp_path / "lifted.json"), "--to", "regular"]) == 0
+        assert capsys.readouterr().out == out["regular"]
+
 
 class TestSatax:
     def test_clean_run(self, capsys):
@@ -198,6 +219,29 @@ class TestInfer:
         f = as_slice_morphism(GraphMorphism(s, q, {"A": "A"}, {}))
         goal.write_text(json.dumps(formula_to_json(f, plain=True)))
         assert main(["infer", OUT_THEORY, str(goal), "--depth", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "theory,depth,detail",
+        [
+            (OUT_THEORY, "1", "depth bound 1 reached: spent 73 of 4000 units"),
+            (
+                data_path("edge-pair-theory.json"),
+                "2",
+                "proof-search bound exceeded: spent 5927 of 4000 units",
+            ),
+        ],
+        ids=["depth-bound", "budget-bound"],
+    )
+    def test_unknown_prints_the_bound(self, capsys, tmp_path, theory, depth, detail):
+        from dcl.graphs import GraphMorphism
+        from dcl.injlogic import as_slice_morphism
+
+        # every node has a loop: derivable from neither theory
+        s, q = Graph.build(["A"]), Graph.build(["A"], [("l", "A", "A")])
+        goal = tmp_path / "loop-goal.json"
+        save(as_slice_morphism(GraphMorphism(s, q, {"A": "A"}, {})), goal)
+        assert main(["infer", theory, str(goal), "--depth", depth]) == 2
+        assert json.loads(capsys.readouterr().out) == {"status": "unknown", "detail": detail}
 
 
 class TestCanonClose:
@@ -362,6 +406,10 @@ class TestMalformedInput:
             (TO_LIFTING, replaced(regular_signature(), "search_limit", "many")),
             (TO_LIFTING, replaced(regular_signature(), "search_limit", True)),
             (TO_LIFTING, replaced(regular_signature(), "search_limit", -1)),
+            # node and arrow fields that are not lists
+            (["canon"], {"kind": "graph", "nodes": "ab", "arrows": []}),
+            (["canon"], {"kind": "graph", "nodes": {"a": 1}, "arrows": []}),
+            (["canon"], {"kind": "graph", "nodes": ["a"], "arrows": {}}),
         ],
     )
     def test_exit_three_with_message(self, capsys, tmp_path, command, payload):

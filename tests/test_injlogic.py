@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import dcl.injlogic as injlogic
 from dcl.fixtures import DATA, edge_pair_theory, outgoing_edge_theory
 from dcl.graphs import Graph, GraphError, GraphMorphism, compose, identity
 from dcl.injlogic import (
@@ -227,6 +228,41 @@ class TestBoundedEntailment:
                 if digest is not None:
                     proof = json.dumps(res.derivation.to_json(), sort_keys=True)
                     assert hashlib.sha256(proof.encode()).hexdigest() == digest
+
+    def test_cancellation_enumerates_only_factorizations(self, monkeypatch):
+        # the step once enumerated every f2: mid -> cod h and kept the f2
+        # with f1;f2 == h: 138 slice morphisms on this goal, 9 of them kept.
+        # Each factorization the pinned search yields is kept.
+        enumerated, kept = [], []
+        search, cancel = injlogic.iter_slice_morphisms, injlogic.cancel_derivation
+
+        def counting_search(*args):
+            for m in search(*args):
+                enumerated.append(m)
+                yield m
+
+        def counting_cancel(dh, f1, f2):
+            kept.append(f2)
+            return cancel(dh, f1, f2)
+
+        monkeypatch.setattr(injlogic, "iter_slice_morphisms", counting_search)
+        monkeypatch.setattr(injlogic, "cancel_derivation", counting_cancel)
+        theory, goal = entailment_case("edge-pair composite")
+        assert bounded_entailment(theory, goal, max_depth=4).derivable
+        assert len(kept) == 9
+        assert len(enumerated) + len(kept) < 138
+
+    def test_unknown_names_the_depth_bound(self):
+        theory, goal = entailment_case("loop, out-edge")
+        res = bounded_entailment(theory, goal, max_depth=1, budget=4000)
+        assert res.status == "unknown"
+        assert res.detail == "depth bound 1 reached: spent 73 of 4000 units"
+
+    def test_unknown_names_the_budget(self):
+        theory, goal = entailment_case("loop, out-edge")
+        res = bounded_entailment(theory, goal, max_depth=4, budget=200)
+        assert res.status == "unknown"
+        assert res.detail == "proof-search bound exceeded: spent 341 of 200 units"
 
     def test_axiom_found_at_depth_zero(self):
         th = outgoing_edge_theory()

@@ -7,7 +7,7 @@ generation (`randgen` picks homomorphisms by index) depends.
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcl.fixtures import existence_symbol, uniqueness_symbol
@@ -15,6 +15,7 @@ from dcl.graphs import Graph, GraphMorphism, compose, iter_homomorphisms, search
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
+    iter_factorizations,
     iter_slice_morphisms,
     iter_typed_instances,
 )
@@ -120,6 +121,47 @@ def typed_instances(draw, max_nodes=4, max_arrows=5):
     return TypedInstance.build(SCHEMA, Graph.build(nodes, arrows), types, arrow_types)
 
 
+def sub_instance(t: TypedInstance, nodes, arrows) -> TypedInstance:
+    """The part of t on `nodes`, `arrows` and the arrows' endpoints."""
+    nodes = set(nodes) | {a.src for a in arrows} | {a.tgt for a in arrows}
+    return TypedInstance.build(
+        SCHEMA,
+        Graph.build(nodes, arrows),
+        {n: t.typing.node_map[n] for n in nodes},
+        {a.id: t.typing.arrow_map[a.id] for a in arrows},
+    )
+
+
+def with_twins(t: TypedInstance) -> TypedInstance:
+    """t with a parallel link of the same type next to each link."""
+    twins = [(f"{a.id}'", a.src, a.tgt) for a in t.carrier.arrows]
+    typing = dict(t.typing.arrow_map)
+    typing.update((f"{a.id}'", typing[a.id]) for a in t.carrier.arrows)
+    carrier = Graph.build(t.carrier.nodes, [*t.carrier.arrows, *twins])
+    return TypedInstance.build(SCHEMA, carrier, t.typing.node_map, typing)
+
+
+@st.composite
+def factorization_problems(draw):
+    """(f, x, t) with f: s -> q and x: s -> t drawn from the slice searches.
+
+    s is part of q, so some f exists.  t is drawn, or is q with twinned
+    links, so that x exists and a factorization's arrows have parallel
+    rivals that only x's arrow images rule out.
+    """
+    q = draw(typed_instances())
+    s = sub_instance(
+        q,
+        draw(st.sets(st.sampled_from(q.carrier.sorted_nodes))) if q.carrier.nodes else (),
+        draw(st.sets(st.sampled_from(q.carrier.sorted_arrows))) if q.carrier.arrows else (),
+    )
+    t = with_twins(q) if draw(st.booleans()) else draw(typed_instances(max_arrows=7))
+    xs = list(iter_slice_morphisms(s, t))
+    assume(xs)
+    f = draw(st.sampled_from(list(iter_slice_morphisms(s, q))))
+    return f, draw(st.sampled_from(xs)).map, t
+
+
 @st.composite
 def pins_for(draw, g: Graph, h: Graph):
     """A partial node map and a partial arrow map g -> h, not necessarily valid."""
@@ -223,6 +265,18 @@ class TestSliceSearch:
         )
         assert maps(x.map for x in iter_slice_morphisms(s, t, pins, injective=True)) == maps(
             m for m in everything if respects(m, pins) and is_monic(m)
+        )
+
+    @given(factorization_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_factorizations_are_filtered(self, problem):
+        f, x, t = problem
+        expected = [
+            y.map for y in iter_slice_morphisms(f.to, t) if compose(f.map, y.map) == x
+        ]
+        assert maps(y.map for y in iter_factorizations(f, x, t)) == maps(expected)
+        assert maps(y.map for y in iter_factorizations(f, x, t, injective=True)) == maps(
+            m for m in expected if is_monic(m)
         )
 
 
