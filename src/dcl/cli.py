@@ -1,13 +1,15 @@
 """Command-line surface: validation, migration, translation, harnesses.
 
 Exit codes: 0 valid/success, 1 invalid/violation, 2 unknown (a work bound was
-hit; a verdict's detail, else stderr, names it), 3 input error.  Output is
+hit; a verdict's detail, else stderr, names it), 3 input error (a malformed
+file, or a command line the parser rejects).  Output is
 deterministic JSON; randomness only enters through an explicit --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -195,8 +197,28 @@ def cmd_deps_check(args) -> int:
     return EXIT_VALID if report.ok else EXIT_INVALID
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects; the text is the usage and the message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, and 2 means Unknown here
+    def error(self, message: str):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
+def _count(text: str, minimum: int = 0) -> int:
+    """An integer option value of at least `minimum`: a size, depth or count."""
+    try:
+        if int(text) >= minimum:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcl", description="diagram constraint logic over finite graphs"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -206,54 +228,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--close", action="store_true", help="close the sketch first")
     p.add_argument("--allow-unclosed", action="store_true")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("migrate", help="pull an instance/delta or push a sketch")
     p.add_argument("map")
     p.add_argument("payload")
     p.add_argument("--direction", choices=["pull", "push"], required=True)
-    p.set_defaults(func=cmd_migrate)
 
     p = sub.add_parser("translate", help="convert regular/lifting constraint forms")
     p.add_argument("signature")
     p.add_argument("--to", choices=["lifting", "regular"], required=True)
-    p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("satax", help="randomized satisfaction-axiom harness")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nodes", type=int, default=5)
+    # every symbol's arity has a node, so no declaration binds into an empty graph
+    p.add_argument("--max-nodes", type=functools.partial(_count, minimum=1), default=5)
     p.add_argument("--fault-inject", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_satax)
 
     p = sub.add_parser("infer", help="bounded injectivity-logic proof search")
     p.add_argument("theory")
     p.add_argument("goal")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--size", type=int, default=6)
-    p.set_defaults(func=cmd_infer)
+    p.add_argument("--depth", type=_count, default=3)
+    p.add_argument("--size", type=_count, default=6)
 
     p = sub.add_parser("canon", help="canonical form of a graph or instance")
     p.add_argument("path")
-    p.set_defaults(func=cmd_canon)
 
     p = sub.add_parser("close", help="dependency-close a sketch")
     p.add_argument("sketch")
-    p.set_defaults(func=cmd_close)
 
     p = sub.add_parser("deps-check", help="verify signature dependency soundness")
     p.add_argument("signature")
-    p.add_argument("--size", type=int, default=2)
-    p.set_defaults(func=cmd_deps_check)
+    p.add_argument("--size", type=_count, default=2)
 
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` builds once per process: a parse leaves no state on it."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = _shared_parser().parse_args(argv)
+        # looked up per call, so that a wrapped or patched handler is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except _UsageError as exc:
+        sys.stderr.write(str(exc))
+        return EXIT_INPUT
     except BoundExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNKNOWN

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcl
+import dcl.cli
 import dcl.graphs
 from dcl.cli import main
 from dcl.io import _indented, dumps, load, save
@@ -40,6 +42,102 @@ SPAN_SIG = data_path("span-signature.json")
 OUT_THEORY = data_path("out-edge-theory.json")
 GOAL = data_path("coproduct-goal.json")
 FRAGMENT = data_path("vehicle-fragment-map.json")
+
+
+class TestCommandLine:
+    # one call of each command, and a usage error
+    CALLS = [
+        ["check", SKETCH, VALID],
+        ["close", SKETCH],
+        ["canon", VALID],
+        ["translate", SPAN_SIG, "--to", "lifting"],
+        ["migrate", FRAGMENT, VALID, "--direction", "pull"],
+        ["infer", OUT_THEORY, GOAL, "--depth", "1"],
+        ["deps-check", SPAN_SIG, "--size", "0"],
+        ["satax", "--trials", "3"],
+        ["check", SKETCH],
+    ]
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+        construct = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(parser)
+            construct(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        dcl.cli._shared_parser.cache_clear()
+        codes = [main(argv) for argv in self.CALLS]
+        assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 3]
+        # the first call builds the parser and its eight subcommand parsers
+        assert len(built) == 9
+        codes = [main(argv) for argv in self.CALLS]
+        assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 3] and len(built) == 9
+
+    def test_no_state_kept_between_parses(self, capsys, monkeypatch):
+        seen = []
+        for name in ("cmd_check", "cmd_deps_check"):
+            monkeypatch.setattr(dcl.cli, name, lambda args: seen.append(vars(args)) or 0)
+        for argv in (
+            ["check", "--close", "--allow-unclosed", SKETCH, VALID],
+            ["check", SKETCH, VALID],
+            ["deps-check", SPAN_SIG, "--size", "1"],
+            ["deps-check", SPAN_SIG],
+        ):
+            assert main(argv) == 0
+        assert [(d.get("close"), d.get("allow_unclosed"), d.get("size")) for d in seen] == [
+            (True, True, None),
+            (False, False, None),
+            (None, None, 1),
+            (None, None, 2),
+        ]
+
+    def test_built_parser_is_the_callers(self, capsys):
+        parser = dcl.cli.build_parser()
+        assert parser is not dcl.cli.build_parser()
+        parser.add_argument("--extra")
+        assert parser.parse_args(["--extra", "x", "canon", VALID]).extra == "x"
+        assert main(["--extra", "x", "canon", VALID]) == 3
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["check"], "the following arguments are required: sketch, instance"),
+            (["infer", "a", "b", "--depth", "x"], "argument --depth: expected an integer >= 0"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["check-without-files", "depth-not-an-integer", "no-command"],
+    )
+    def test_usage_error_exit_three(self, capsys, argv, message):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: dcl") and message in captured.err
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["check", "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dcl check")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["deps-check", SPAN_SIG, "--size", "-1"],
+            ["infer", OUT_THEORY, GOAL, "--depth", "-1"],
+            ["infer", OUT_THEORY, GOAL, "--size", "-2"],
+            ["satax", "--trials", "-5"],
+            ["satax", "--max-nodes", "-1"],
+            # every arity has a node: no declaration binds into an empty graph
+            ["satax", "--max-nodes", "0"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if a not in (SPAN_SIG, OUT_THEORY, GOAL)),
+    )
+    def test_negative_count_exit_three(self, capsys, argv):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "expected an integer >= " in captured.err
 
 
 class TestCheck:
@@ -560,6 +658,53 @@ class TestCliFuzz:
                         code = main(argv)
                     assert code in (0, 1, 2, 3), (argv, document)
                     assert "Traceback" not in err.getvalue()
+
+
+def list_paths(value, path=()) -> list:
+    """The key and index paths to every list inside a JSON value."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return []
+    found = [path] if isinstance(value, list) else []
+    return found + [p for key, child in children for p in list_paths(child, path + (key,))]
+
+
+def reading_command(name: str) -> list:
+    """A cheap command that reads the shipped file `name` in place of PAYLOAD."""
+    # the registry mutations are instances shaped like the valid one
+    return FUZZ_COMMANDS.get(name, FUZZ_COMMANDS["registry-valid.json"])[0]
+
+
+RETYPED_LISTS = [
+    (name, path, value)
+    for name in sorted(p.name for p in DATA.iterdir() if p.name.endswith(".json"))
+    for path in list_paths(shipped(name))
+    for value in ({}, "")
+]
+
+
+class TestRetypedListFields:
+    # a list read as another type must not pass for an empty or a shorter list
+    @pytest.mark.parametrize(
+        "name,path,value",
+        RETYPED_LISTS,
+        ids=[f"{n}:{'.'.join(map(str, p))}={json.dumps(v)}" for n, p, v in RETYPED_LISTS],
+    )
+    def test_exit_three(self, capsys, tmp_path, name, path, value):
+        document = shipped(name)
+        holder = document
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        file = tmp_path / name
+        file.write_text(json.dumps(document))
+        argv = [str(file) if arg == PAYLOAD else arg for arg in reading_command(name)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestRoundtrips:
