@@ -266,7 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.lru_cache(maxsize=None)
 def _shared_parser() -> argparse.ArgumentParser:
-    """The parser `main` builds once per process: a parse leaves no state on it."""
+    """The parser `main` builds once per process: a parse leaves no state on it.
+
+    Only callers that run `main` many times in one process gain from this;
+    the `dcl` console script calls it once.
+    """
     return build_parser()
 
 

@@ -39,12 +39,11 @@ class FormatError(GraphError):
     pass
 
 
-def _list(data: Mapping, key: str, default: Any = None) -> list:
-    """`data[key]`, or `default` when it is absent; FormatError unless a list,
-    so that no other JSON value reads as an empty or a shorter list."""
-    value = data[key] if default is None or key in data else default
+def _list(value: Any, what: str) -> list:
+    """`value`, or FormatError unless it is a list, so that no other JSON value
+    reads as an empty or a shorter list."""
     if not isinstance(value, list):
-        raise FormatError(f"{key!r} must be a list, got {type(value).__name__}")
+        raise FormatError(f"{what!r} must be a list, got {type(value).__name__}")
     return value
 
 
@@ -89,7 +88,8 @@ def semantics_to_json(spec: SemanticsSpec) -> dict:
 def semantics_from_json(data: Mapping) -> SemanticsSpec:
     kind = data.get("kind")
     if kind == "multiplicity":
-        return Multiplicity(tuple((lo, hi) for lo, hi in _list(data, "intervals")))
+        intervals = _list(data["intervals"], "intervals")
+        return Multiplicity(tuple((lo, hi) for lo, hi in intervals))
     if kind in _FIELD_SEMANTICS:
         spec = _FIELD_SEMANTICS[kind]
         named = {f.name: data[f.name] for f in fields(spec) if f.name in data}
@@ -105,10 +105,8 @@ def semantics_from_json(data: Mapping) -> SemanticsSpec:
         n = GraphMorphism.from_json(data["n"], dom=m.cod)
         return Lifting(m, n, data.get("search_limit", DEFAULT_SEARCH_LIMIT))
     if kind == "table":
-        entries = tuple(
-            (e["id"], TypedInstance.from_json(e["instance"])) for e in _list(data, "entries")
-        )
-        return Table(entries)
+        entries = _list(data["entries"], "entries")
+        return Table(tuple((e["id"], TypedInstance.from_json(e["instance"])) for e in entries))
     raise FormatError(f"unknown semantics kind {kind!r}")
 
 
@@ -141,13 +139,13 @@ def signature_to_json(sig: Signature) -> dict:
 
 def signature_from_json(data: Mapping) -> Signature:
     symbols = {}
-    for s in _list(data, "symbols"):
+    for s in _list(data["symbols"], "symbols"):
         arity = Graph.from_json(s["arity"])
         symbols[s["name"]] = ConstraintSymbol(
             s["name"], arity, semantics_from_json(s["semantics"])
         )
     dependencies = []
-    for d in _list(data, "dependencies", []):
+    for d in _list(data.get("dependencies", []), "dependencies"):
         src, tgt = d["from"], d["to"]
         dependencies.append(
             Dependency(
@@ -180,7 +178,7 @@ def sketch_from_json(data: Mapping) -> Sketch:
     carrier = Graph.from_json(data["carrier"])
     sig = signature_from_json(data["signature"])
     declarations = []
-    for d in _list(data, "declarations"):
+    for d in _list(data["declarations"], "declarations"):
         symbol = sig.symbols.get(d["label"])
         if symbol is None:
             raise FormatError(f"declaration {d['id']!r} names unknown symbol {d['label']!r}")

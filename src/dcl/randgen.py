@@ -112,7 +112,13 @@ def random_satax_triple(
     max_nodes: int = 5,
     max_arrows: int = 6,
 ) -> tuple[GraphMorphism, ConstraintDeclaration, TypedInstance]:
-    """(schema morphism f, declaration over dom f, instance over cod f)."""
+    """(schema morphism f, declaration over dom f, instance over cod f).
+
+    max_nodes must be at least 1: every symbol's arity has a node, so no
+    declaration binds into the empty domain that max_nodes=0 draws.
+    """
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     while True:
         big = random_graph(rng, max_nodes, max_arrows)
         f = random_morphism_into(rng, big, max_nodes, max_arrows)

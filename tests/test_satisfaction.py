@@ -147,6 +147,12 @@ class TestSatAxiom:
             f, d, t = random_satax_triple(rng, sig)
             assert verify_sat_axiom(f, d, t, sig).passed
 
+    @pytest.mark.parametrize("max_nodes", [0, -1])
+    def test_triple_without_nodes_is_refused(self, max_nodes):
+        # an empty domain admits no declaration, so drawing again would never end
+        with pytest.raises(ValueError, match="max_nodes"):
+            random_satax_triple(random.Random(0), harness_signature(), max_nodes=max_nodes)
+
     def test_fault_injection_detected(self):
         sig = harness_signature()
         carrier = Graph.build(["A", "B"], [("r", "A", "B")])
