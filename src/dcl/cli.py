@@ -18,7 +18,7 @@ from typing import Optional
 from dcl.graphs import BoundExceeded, Graph, GraphError, GraphMorphism, canonicalize
 from dcl.injlogic import InjTheory, bounded_entailment
 from dcl.instances import Delta, SliceMorphism, TypedInstance, canonicalize_instance
-from dcl.io import FormatError, _indented, dumps, load
+from dcl.io import FormatError, _expect, _indented, dumps, load
 from dcl.randgen import harness_signature, random_satax_triple
 from dcl.satisfaction import (
     migrate_instance,
@@ -52,12 +52,6 @@ _STATUS_EXIT = {
 
 def _print(data) -> None:
     sys.stdout.write(data if isinstance(data, str) else _indented(data) + "\n")
-
-
-def _expect(obj, cls, what: str):
-    if not isinstance(obj, cls):
-        raise FormatError(f"{what}: expected a {cls.__name__}, got {type(obj).__name__}")
-    return obj
 
 
 def cmd_check(args) -> int:
@@ -194,7 +188,9 @@ def cmd_deps_check(args) -> int:
     sig = _expect(load(args.signature), Signature, args.signature)
     report = verify_dependency_soundness(sig, args.size)
     _print(report.to_json())
-    return EXIT_VALID if report.ok else EXIT_INVALID
+    if report.status is Status.UNKNOWN:
+        sys.stderr.write(f"unknown: {report.undecided[0].verdict.detail}\n")
+    return _STATUS_EXIT[report.status]
 
 
 class _UsageError(Exception):

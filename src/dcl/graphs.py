@@ -88,12 +88,6 @@ class Graph:
     def sorted_arrows(self) -> tuple[Arrow, ...]:
         return tuple(sorted(self.arrows))
 
-    def src(self, arrow_id: str) -> str:
-        return self.arrow_by_id[arrow_id].src
-
-    def tgt(self, arrow_id: str) -> str:
-        return self.arrow_by_id[arrow_id].tgt
-
     def to_json(self) -> dict:
         return {
             "nodes": list(self.sorted_nodes),
@@ -161,6 +155,20 @@ class GraphMorphism:
             and len(set(self.arrow_map.values())) == len(self.cod.arrows)
         )
 
+    def node_fibres(self) -> dict[str, list[str]]:
+        """Each codomain node to its preimage, in sorted order; rebuilt per call."""
+        out: dict[str, list[str]] = {n: [] for n in self.cod.sorted_nodes}
+        for n in self.dom.sorted_nodes:
+            out[self.node_map[n]].append(n)
+        return out
+
+    def arrow_fibres(self) -> dict[str, list[Arrow]]:
+        """Each codomain arrow id to its preimage arrows, in sorted order; rebuilt per call."""
+        out: dict[str, list[Arrow]] = {a.id: [] for a in self.cod.sorted_arrows}
+        for a in self.dom.sorted_arrows:
+            out[self.arrow_map[a.id]].append(a)
+        return out
+
     def inverse(self) -> "GraphMorphism":
         if not self.is_bijective:
             raise GraphError("morphism is not an isomorphism")
@@ -188,7 +196,10 @@ class GraphMorphism:
         try:
             dom = dom if dom is not None else Graph.from_json(data["dom"])
             cod = cod if cod is not None else Graph.from_json(data["cod"])
-            return cls(dom, cod, dict(data["nodes"]), dict(data["arrows"]))
+            nodes, arrows = data["nodes"], data["arrows"]
+            if not isinstance(nodes, dict) or not isinstance(arrows, dict):
+                raise TypeError("nodes and arrows must be objects")
+            return cls(dom, cod, nodes, arrows)
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed morphism JSON: {exc}")
 
@@ -271,15 +282,14 @@ def search_morphisms(
     which between graphs of equal size are the isomorphisms.
     """
     if typings is None:
-        blank = dict.fromkeys([*g.nodes, *g.arrow_by_id, *h.nodes, *h.arrow_by_id])
-        node_colour = arrow_label = cod_colour = cod_label = blank
+        blank = dict.fromkeys([*g.nodes, *g.arrow_by_id, *h.arrow_by_id])
+        node_colour = arrow_label = cod_label = blank
+        by_colour: Mapping = {None: h.sorted_nodes}
     else:
         node_colour, arrow_label = typings[0].node_map, typings[0].arrow_map
-        cod_colour, cod_label = typings[1].node_map, typings[1].arrow_map
+        cod_label = typings[1].arrow_map
+        by_colour = typings[1].node_fibres()
     node_pins, arrow_pins = pins if pins is not None else ({}, {})
-    by_colour: dict = {}
-    for n in h.sorted_nodes:
-        by_colour.setdefault(cod_colour[n], []).append(n)
     index: dict[tuple, list[str]] = {}
     for a in h.sorted_arrows:
         index.setdefault((cod_label[a.id], a.src, a.tgt), []).append(a.id)
@@ -391,26 +401,22 @@ def pullback(
     """
     if f.cod != g.cod:
         raise GraphError("pullback requires a cospan: codomains differ")
-    nodes_over: dict[str, list[str]] = {}
-    for b in g.dom.sorted_nodes:
-        nodes_over.setdefault(g.node_map[b], []).append(b)
     nodes = []
     node_p: dict[str, str] = {}
     node_q: dict[str, str] = {}
+    g_nodes = g.node_fibres()
     for a in f.dom.sorted_nodes:
-        for b in nodes_over.get(f.node_map[a], ()):
+        for b in g_nodes[f.node_map[a]]:
             pid = pair_id(a, b)
             nodes.append(pid)
             node_p[pid] = a
             node_q[pid] = b
-    arrows_over: dict[str, list[Arrow]] = {}
-    for y in g.dom.sorted_arrows:
-        arrows_over.setdefault(g.arrow_map[y.id], []).append(y)
     arrows = []
     arrow_p: dict[str, str] = {}
     arrow_q: dict[str, str] = {}
+    g_arrows = g.arrow_fibres()
     for x in f.dom.sorted_arrows:
-        for y in arrows_over.get(f.arrow_map[x.id], ()):
+        for y in g_arrows[f.arrow_map[x.id]]:
             pid = pair_id(x.id, y.id)
             arrows.append((pid, pair_id(x.src, y.src), pair_id(x.tgt, y.tgt)))
             arrow_p[pid] = x.id

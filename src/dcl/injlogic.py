@@ -34,7 +34,7 @@ from dcl.instances import (
     iter_slice_morphisms,
 )
 from dcl.signature import DEFAULT_SEARCH_LIMIT, check_injectivity
-from dcl.verdicts import Status
+from dcl.verdicts import Status, Verdict
 
 
 def terminal_graph() -> Graph:
@@ -79,6 +79,7 @@ class SemanticResult:
     status: str  # "entailed" | "refuted" | "unknown"
     models_checked: int
     counterexample: Optional[TypedInstance] = None
+    detail: Optional[str] = None  # Unknown: the first Unknown verdict's detail
 
     @property
     def entailed(self) -> bool:
@@ -99,20 +100,23 @@ def semantic_entails(
     (`iter_instance_classes`), each checked in canonical form.
     """
     checked = 0
-    unknown = False
+    unknown: Optional[Verdict] = None
     for a in iter_instance_classes(theory.base, size_bound, max_parallel):
         model = canonicalize_instance(a).instance
         for f in theory.formulas.values():
-            status = check_injectivity(model, f, limit).status
-            if status is not Status.VALID:
+            verdict = check_injectivity(model, f, limit)
+            if verdict.status is not Status.VALID:
                 break
         else:
             checked += 1
-            status = check_injectivity(model, goal, limit).status
-            if status is Status.INVALID:
+            verdict = check_injectivity(model, goal, limit)
+            if verdict.status is Status.INVALID:
                 return SemanticResult("refuted", checked, model)
-        unknown = unknown or status is Status.UNKNOWN
-    return SemanticResult("unknown" if unknown else "entailed", checked)
+        if unknown is None and verdict.status is Status.UNKNOWN:
+            unknown = verdict
+    if unknown is not None:
+        return SemanticResult("unknown", checked, detail=unknown.detail)
+    return SemanticResult("entailed", checked)
 
 
 # ---------------------------------------------------------------------------

@@ -53,18 +53,6 @@ class TypedInstance:
     def empty(cls, schema: Graph) -> "TypedInstance":
         return cls(GraphMorphism(Graph.empty(), schema, {}, {}))
 
-    def node_fiber(self, schema_node: str) -> tuple[str, ...]:
-        return tuple(
-            n for n in self.carrier.sorted_nodes if self.typing.node_map[n] == schema_node
-        )
-
-    def arrow_fiber(self, schema_arrow: str) -> tuple[str, ...]:
-        return tuple(
-            a.id
-            for a in self.carrier.sorted_arrows
-            if self.typing.arrow_map[a.id] == schema_arrow
-        )
-
     def to_json(self) -> dict:
         return {
             "schema": self.schema.to_json(),
@@ -77,8 +65,7 @@ class TypedInstance:
         try:
             schema = schema if schema is not None else Graph.from_json(data["schema"])
             carrier = Graph.from_json(data["carrier"])
-            typing = data["typing"]
-            return cls.build(schema, carrier, typing["nodes"], typing["arrows"])
+            return cls(GraphMorphism.from_json(data["typing"], carrier, schema))
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed instance JSON: {exc}")
 
@@ -303,15 +290,7 @@ class IndexedSemantics:
 
 
 def to_indexed(t: TypedInstance) -> IndexedSemantics:
-    node_sets = {n: frozenset(t.node_fiber(n)) for n in t.schema.nodes}
-    arrow_spans = {}
-    for a in t.schema.arrow_by_id:
-        span = set()
-        for link in t.arrow_fiber(a):
-            arrow = t.carrier.arrow_by_id[link]
-            span.add((link, arrow.src, arrow.tgt))
-        arrow_spans[a] = frozenset(span)
-    return IndexedSemantics(t.schema, node_sets, arrow_spans)
+    return IndexedSemantics(t.schema, t.typing.node_fibres(), t.typing.arrow_fibres())
 
 
 def from_indexed(ix: IndexedSemantics) -> TypedInstance:

@@ -39,11 +39,11 @@ class FormatError(GraphError):
     pass
 
 
-def _list(value: Any, what: str) -> list:
-    """`value`, or FormatError unless it is a list, so that no other JSON value
-    reads as an empty or a shorter list."""
-    if not isinstance(value, list):
-        raise FormatError(f"{what!r} must be a list, got {type(value).__name__}")
+def _expect(value: Any, cls: type, what: str):
+    """`value`, or FormatError unless it is a `cls`, so that no other JSON value
+    reads as an empty or a shorter list, nor a list of pairs as an object."""
+    if not isinstance(value, cls):
+        raise FormatError(f"{what}: expected a {cls.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -88,7 +88,7 @@ def semantics_to_json(spec: SemanticsSpec) -> dict:
 def semantics_from_json(data: Mapping) -> SemanticsSpec:
     kind = data.get("kind")
     if kind == "multiplicity":
-        intervals = _list(data["intervals"], "intervals")
+        intervals = _expect(data["intervals"], list, "intervals")
         return Multiplicity(tuple((lo, hi) for lo, hi in intervals))
     if kind in _FIELD_SEMANTICS:
         spec = _FIELD_SEMANTICS[kind]
@@ -105,7 +105,7 @@ def semantics_from_json(data: Mapping) -> SemanticsSpec:
         n = GraphMorphism.from_json(data["n"], dom=m.cod)
         return Lifting(m, n, data.get("search_limit", DEFAULT_SEARCH_LIMIT))
     if kind == "table":
-        entries = _list(data["entries"], "entries")
+        entries = _expect(data["entries"], list, "entries")
         return Table(tuple((e["id"], TypedInstance.from_json(e["instance"])) for e in entries))
     raise FormatError(f"unknown semantics kind {kind!r}")
 
@@ -139,13 +139,13 @@ def signature_to_json(sig: Signature) -> dict:
 
 def signature_from_json(data: Mapping) -> Signature:
     symbols = {}
-    for s in _list(data["symbols"], "symbols"):
+    for s in _expect(data["symbols"], list, "symbols"):
         arity = Graph.from_json(s["arity"])
         symbols[s["name"]] = ConstraintSymbol(
             s["name"], arity, semantics_from_json(s["semantics"])
         )
     dependencies = []
-    for d in _list(data.get("dependencies", []), "dependencies"):
+    for d in _expect(data.get("dependencies", []), list, "dependencies"):
         src, tgt = d["from"], d["to"]
         dependencies.append(
             Dependency(
@@ -178,7 +178,7 @@ def sketch_from_json(data: Mapping) -> Sketch:
     carrier = Graph.from_json(data["carrier"])
     sig = signature_from_json(data["signature"])
     declarations = []
-    for d in _list(data["declarations"], "declarations"):
+    for d in _expect(data["declarations"], list, "declarations"):
         symbol = sig.symbols.get(d["label"])
         if symbol is None:
             raise FormatError(f"declaration {d['id']!r} names unknown symbol {d['label']!r}")
@@ -208,7 +208,7 @@ def sketch_morphism_from_json(data: Mapping) -> SketchMorphism:
     graph_map = GraphMorphism.from_json(
         data["graph_map"], dom=from_.carrier, cod=to.carrier
     )
-    return SketchMorphism(from_, to, graph_map, dict(data["decls"]))
+    return SketchMorphism(from_, to, graph_map, _expect(data["decls"], dict, "decls"))
 
 
 def theory_to_json(theory: InjTheory) -> dict:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from dcl.graphs import (
+    Arrow,
     BoundExceeded,
     Budget,
     Graph,
@@ -29,7 +30,6 @@ from dcl.instances import (
     iter_slice_morphisms,
     restrict,
     serialize_instance,
-    to_indexed,
 )
 from dcl.verdicts import Counterexample, Evidence, Status, Verdict
 
@@ -109,9 +109,9 @@ class Multiplicity:
 
     def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
         arrow = _single_arrow(arity)
-        counts = {a: 0 for a in t.node_fiber(arrow.src)}
-        for link in t.arrow_fiber(arrow.id):
-            counts[t.carrier.src(link)] += 1
+        counts = dict.fromkeys(t.typing.node_fibres()[arrow.src], 0)
+        for link in t.typing.arrow_fibres()[arrow.id]:
+            counts[link.src] += 1
         offenders = tuple(sorted(a for a, c in counts.items() if not self.admits(c)))
         if offenders:
             return Verdict(Status.INVALID, counterexample=Counterexample(t, offenders))
@@ -141,13 +141,11 @@ class Subset:
     second: str = "r2"
 
     def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
-        ix = to_indexed(t)
-        second_pairs = {
-            (src, tgt): link for link, src, tgt in sorted(ix.arrow_spans[self.second])
-        }
+        spans = t.typing.arrow_fibres()
+        second_pairs = {(src, tgt): link for link, src, tgt in spans[self.second]}
         assignment = {}
         offenders = []
-        for link, src, tgt in sorted(ix.arrow_spans[self.first]):
+        for link, src, tgt in spans[self.first]:
             match = second_pairs.get((src, tgt))
             if match is None:
                 offenders.append(link)
@@ -169,18 +167,18 @@ class CompositeSubset4:
     path2: tuple[str, str] = ("s1", "s2")
 
     def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
-        ix = to_indexed(t)
+        spans = t.typing.arrow_fibres()
         r1, r2 = self.path1
         s1, s2 = self.path2
-        s2_from = _links_from(ix.arrow_spans[s2])
+        s2_from = _links_from(spans[s2])
         cover_pairs = {}
-        for m1, a, b in sorted(ix.arrow_spans[s1]):
+        for m1, a, b in spans[s1]:
             for m2, c in s2_from.get(b, ()):
                 cover_pairs.setdefault((a, c), (m1, m2))
-        r2_from = _links_from(ix.arrow_spans[r2])
+        r2_from = _links_from(spans[r2])
         assignment = {}
         offenders = []
-        for l1, a, b in sorted(ix.arrow_spans[r1]):
+        for l1, a, b in spans[r1]:
             for l2, c in r2_from.get(b, ()):
                 cover = cover_pairs.get((a, c))
                 if cover is None:
@@ -226,11 +224,11 @@ class Commutativity:
     direct: str = "h"
 
     def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
-        ix = to_indexed(t)
+        spans = t.typing.arrow_fibres()
         f, g = self.path
-        g_from = _links_from(ix.arrow_spans[g])
-        composite = {(a, c) for _, a, b in ix.arrow_spans[f] for _, c in g_from.get(b, ())}
-        direct = {(a, c) for _, a, c in ix.arrow_spans[self.direct]}
+        g_from = _links_from(spans[g])
+        composite = {(a, c) for _, a, b in spans[f] for _, c in g_from.get(b, ())}
+        direct = {(a, c) for _, a, c in spans[self.direct]}
         if composite != direct:
             diff = tuple(sorted(composite ^ direct))
             return Verdict(Status.INVALID, counterexample=Counterexample(t, diff))
@@ -326,10 +324,11 @@ def _single_arrow(arity: Graph):
     return arity.sorted_arrows[0]
 
 
-def _links_from(span: frozenset[tuple[str, str, str]]) -> dict[str, list[tuple[str, str]]]:
-    """Each source element of a span to its (link, target) pairs, in sorted order."""
+def _links_from(span: Sequence[Arrow]) -> dict[str, list[tuple[str, str]]]:
+    """Each source element of a sorted arrow fibre to its (link, target) pairs,
+    in link order."""
     out: dict[str, list[tuple[str, str]]] = {}
-    for link, src, tgt in sorted(span):
+    for link, src, tgt in span:
         out.setdefault(src, []).append((link, tgt))
     return out
 
@@ -340,10 +339,10 @@ def _distinct_targets(
     """Each element of `node`'s fibre, in sorted order, to the sorted targets
     of its links along each of `arrows`; or Invalid, naming the first
     element whose targets an earlier element shares."""
-    ix = to_indexed(t)
-    links = [_links_from(ix.arrow_spans[a]) for a in arrows]
+    spans = t.typing.arrow_fibres()
+    links = [_links_from(spans[a]) for a in arrows]
     seen: dict[tuple, str] = {}
-    for e in sorted(ix.node_sets[node]):
+    for e in t.typing.node_fibres()[node]:
         key = tuple(tuple(sorted(tgt for _, tgt in by_src.get(e, ()))) for by_src in links)
         if key in seen:
             return Verdict(Status.INVALID, counterexample=Counterexample(t, (seen[key], e)))
@@ -531,25 +530,33 @@ class SoundnessViolation:
 @dataclass(frozen=True)
 class SoundnessReport:
     checked: int
-    violations: tuple[SoundnessViolation, ...]
+    violations: tuple[SoundnessViolation, ...]  # Invalid restrictions
+    undecided: tuple[SoundnessViolation, ...] = ()  # Unknown, on a class or its restriction
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.undecided
+
+    @property
+    def status(self) -> Status:
+        """Invalid on any violation, else Unknown while anything is undecided."""
+        if self.violations:
+            return Status.INVALID
+        return Status.UNKNOWN if self.undecided else Status.VALID
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checked": self.checked,
-            "violations": [
-                {
-                    "dependency": v.dependency,
-                    "witness": v.witness.to_json(),
-                    "status": v.verdict.status.value,
-                }
-                for v in self.violations
-            ],
-        }
+        def entry(v: SoundnessViolation) -> dict:
+            return {
+                "dependency": v.dependency,
+                "witness": v.witness.to_json(),
+                "status": v.verdict.status.value,
+            }
+
+        out = {"ok": self.ok, "checked": self.checked}
+        out["violations"] = [entry(v) for v in self.violations]
+        if self.undecided:  # only then, so a fully decided report keeps its bytes
+            out["undecided"] = [{**entry(v), "detail": v.verdict.detail} for v in self.undecided]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -625,22 +632,29 @@ def verify_dependency_soundness(
     """Restriction of every small valid instance along every dependency must be valid.
 
     One canonical instance per class; the valid ones are found once per source symbol.
+    An Unknown verdict, on a class or on its restriction, is undecided, not a violation.
     """
     checked = 0
     violations = []
-    valid: dict[str, list[TypedInstance]] = {}
+    undecided = []
+    kept: dict[str, list[tuple[TypedInstance, Verdict]]] = {}
     for dep in sig.dependencies:
         source = sig.symbols[dep.source]
         target = sig.symbols[dep.target]
-        if dep.source not in valid:
+        if dep.source not in kept:
             classes = iter_instance_classes(source.arity, size_bound, max_parallel)
             canonical = (canonicalize_instance(t).instance for t in classes)
             # already canonical, so decided directly, not through `evaluate`
-            decide = source.semantics.decide
-            valid[dep.source] = [t for t in canonical if decide(source.arity, t).is_valid]
-        for t in valid[dep.source]:
+            verdicts = ((t, source.semantics.decide(source.arity, t)) for t in canonical)
+            kept[dep.source] = [(t, v) for t, v in verdicts if v.status is not Status.INVALID]
+        for t, source_verdict in kept[dep.source]:
+            if not source_verdict.is_valid:
+                undecided.append(SoundnessViolation(dep.id, t, source_verdict))
+                continue
             checked += 1
             verdict = evaluate(target, restrict(t, dep.arity_map))
-            if not verdict.is_valid:
+            if verdict.status is Status.UNKNOWN:
+                undecided.append(SoundnessViolation(dep.id, t, verdict))
+            elif not verdict.is_valid:
                 violations.append(SoundnessViolation(dep.id, t, verdict))
-    return SoundnessReport(checked, tuple(violations))
+    return SoundnessReport(checked, tuple(violations), tuple(undecided))

@@ -238,6 +238,24 @@ class TestMigrate:
     def test_pull_rejects_sketch_payload(self, capsys):
         assert main(["migrate", FRAGMENT, SKETCH, "--direction", "pull"]) == 3
 
+    def test_map_that_is_not_an_object_exit_three(self, capsys, tmp_path):
+        # dict(["AB"]) == {"A": "B"}: a list must not read as a node map
+        graph = lambda node: {"nodes": [node], "arrows": []}
+        files = {
+            "map.json": {"dom": graph("A"), "cod": graph("B"), "nodes": ["AB"], "arrows": {}},
+            "instance.json": {
+                "schema": graph("B"),
+                "carrier": graph("b"),
+                "typing": {"nodes": {"b": "B"}, "arrows": {}},
+            },
+        }
+        for (name, document), kind in zip(files.items(), ("morphism", "instance")):
+            (tmp_path / name).write_text(json.dumps({"kind": kind, **document}))
+        argv = ["migrate", str(tmp_path / "map.json"), str(tmp_path / "instance.json")]
+        assert main(argv + ["--direction", "pull"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestTranslate:
     def test_roundtrip_via_lifting(self, capsys, tmp_path):
@@ -427,6 +445,33 @@ class TestDepsCheck:
         assert main(["deps-check", SPAN_SIG, "--size", "2"]) == 1
         out = json.loads(capsys.readouterr().out)
         assert not out["ok"] and out["violations"]
+
+    @pytest.mark.parametrize("undecided_side", ["source", "target"])
+    def test_unknown_verdict_exit_two(self, capsys, tmp_path, undecided_side):
+        # a zero search limit leaves some classes of [u0] undecided
+        from dcl.fixtures import uniqueness_formula
+        from dcl.graphs import identity
+        from dcl.signature import ConstraintSymbol, Dependency, Regular, Signature
+        from dcl.signature import multiplicity_symbol, single_arrow_arity
+
+        bounded = ConstraintSymbol(
+            "[u0]", single_arrow_arity(), Regular(uniqueness_formula(), search_limit=0)
+        )
+        loose = multiplicity_symbol([(0, None)])
+        source, target = (bounded, loose) if undecided_side == "source" else (loose, bounded)
+        sig = Signature(
+            {bounded.name: bounded, loose.name: loose},
+            (Dependency("d", source.name, target.name, identity(source.arity)),),
+        )
+        path = tmp_path / "sig.json"
+        path.write_text(dumps(sig))
+        assert main(["deps-check", str(path), "--size", "1"]) == 2
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert not out["ok"] and out["violations"] == [] and len(out["undecided"]) == 2
+        detail = "injectivity-search bound exceeded: spent 1 of 0 units"
+        assert all(u["status"] == "unknown" and u["detail"] == detail for u in out["undecided"])
+        assert captured.err == f"unknown: {detail}\n"
 
 
 def shipped(name: str):

@@ -289,6 +289,16 @@ class TestPullback:
             fiber(f.arrow_map, e) * fiber(g.arrow_map, e) for e in f.cod.arrow_by_id
         )
         assert compose(p, f) == compose(q, g)
+        for m in (f, g):
+            arrow_images = {a: m.arrow_map[a.id] for a in m.dom.arrows}
+            for fibres, images, cod in (
+                (m.node_fibres(), m.node_map, m.cod.nodes),
+                (m.arrow_fibres(), arrow_images, m.cod.arrow_by_id.keys()),
+            ):
+                assert fibres.keys() == cod
+                assert all(over == sorted(over) for over in fibres.values())
+                pairs = [(x, c) for c, over in fibres.items() for x in over]
+                assert sorted(pairs) == sorted(images.items())
 
 
 class TestPushout:

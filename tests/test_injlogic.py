@@ -79,6 +79,12 @@ class TestSemanticEntailment:
         assert res.status == "refuted"
         assert check_injectivity(res.counterexample, point_into_edge()).status is Status.INVALID
 
+    def test_unknown_names_the_bound(self):
+        th = InjTheory(terminal_graph(), {})
+        res = semantic_entails(th, point_into_edge(), 2, limit=0)
+        assert res.status == "unknown" and res.counterexample is None
+        assert res.detail == "injectivity-search bound exceeded: spent 1 of 0 units"
+
     def test_coproduct_consequence_entailed(self):
         th = outgoing_edge_theory()
         f = th.formulas["out-edge"]

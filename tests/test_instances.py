@@ -43,8 +43,8 @@ def small_instance():
 class TestTypedInstance:
     def test_fibers(self):
         t = small_instance()
-        assert t.node_fiber("A") == ("a1", "a2")
-        assert t.arrow_fiber("r") == ("l1", "l2")
+        assert t.typing.node_fibres()["A"] == ["a1", "a2"]
+        assert [a.id for a in t.typing.arrow_fibres()["r"]] == ["l1", "l2"]
 
     def test_typing_must_be_morphism(self):
         with pytest.raises(GraphError):

@@ -182,6 +182,15 @@ class TestSketchMorphisms:
         report = check_sketch_morphism(SketchMorphism(s, s, identity(s.carrier), decl_map))
         assert any("label" in v for v in report.violations)
 
+    def test_decls_must_be_a_json_object(self):
+        # dict() would read a list of pairs as the map it lists
+        from dcl.io import FormatError, from_json, to_json
+
+        data = to_json(SketchMorphism.identity(close_sketch(span_sketch())))
+        data["decls"] = [[k, v] for k, v in data["decls"].items()]
+        with pytest.raises(FormatError):
+            from_json(data)
+
     def test_composite_of_accepted_is_accepted(self):
         s = close_sketch(span_sketch())
         i = SketchMorphism.identity(s)
