@@ -757,6 +757,22 @@ def _canonical_component(
     return encoding, [members[x] for x in order]
 
 
+def _canonical_order(names: list[str], arrows: list[tuple[int, str, int]]) -> list[int]:
+    """Nodes 0..n-1, node x coloured `names[x]`, in canonical order, given the
+    arrows as (source, label, target) triples: the integer core of `canonicalize`."""
+    outs: list[list[tuple[str, int]]] = [[] for _ in names]
+    ins: list[list[tuple[str, int]]] = [[] for _ in names]
+    for x, label, y in arrows:
+        outs[x].append((label, y))
+        ins[y].append((label, x))
+    budget = Budget("canonical-form", CANONICAL_WORK_LIMIT)
+    parts = sorted(
+        _canonical_component(members, outs, ins, names, budget)
+        for members in _components(outs, ins)
+    )
+    return [x for _, members in parts for x in members]
+
+
 def canonicalize(
     g: Graph,
     node_colors: Optional[Mapping[str, str]] = None,
@@ -777,25 +793,12 @@ def canonicalize(
     the search, spends at most CANONICAL_WORK_LIMIT units of work; past it
     the call raises BoundExceeded naming the canonical-form bound.
     """
-    budget = Budget("canonical-form", CANONICAL_WORK_LIMIT)
     labels = arrow_labels if arrow_labels is not None else {a.id: "" for a in g.arrows}
     nodes = g.sorted_nodes
-    if node_colors is None:
-        names = [""] * len(nodes)
-    else:
-        names = [node_colors[n] for n in nodes]
+    names = [""] * len(nodes) if node_colors is None else [node_colors[n] for n in nodes]
     position = {n: i for i, n in enumerate(nodes)}
-    outs: list[list[tuple[str, int]]] = [[] for _ in nodes]
-    ins: list[list[tuple[str, int]]] = [[] for _ in nodes]
-    for a in g.sorted_arrows:
-        s, t, label = position[a.src], position[a.tgt], labels[a.id]
-        outs[s].append((label, t))
-        ins[t].append((label, s))
-    parts = sorted(
-        _canonical_component(members, outs, ins, names, budget)
-        for members in _components(outs, ins)
-    )
-    order = [nodes[x] for _, members in parts for x in members]
+    arrows = [(position[a.src], labels[a.id], position[a.tgt]) for a in g.sorted_arrows]
+    order = [nodes[x] for x in _canonical_order(names, arrows)]
     index = {n: i for i, n in enumerate(order)}
     node_map = {n: f"n{index[n]}" for n in nodes}
     arrow_order = sorted(

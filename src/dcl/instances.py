@@ -17,6 +17,7 @@ from dcl.graphs import (
     Graph,
     GraphError,
     GraphMorphism,
+    _canonical_order,
     _trusted_graph,
     _trusted_morphism,
     canonicalize,
@@ -249,6 +250,38 @@ def restrict_with_projection(
 
 def restrict(t: TypedInstance, m: GraphMorphism) -> TypedInstance:
     return restrict_with_projection(t, m)[0]
+
+
+def canonical_restriction(
+    t: TypedInstance, m: GraphMorphism, fibres: Optional[tuple[dict, dict]] = None
+) -> TypedInstance:
+    """`canonicalize_instance(restrict(t, m)).instance`, with no pullback ids.
+
+    The pullback's elements are numbered fibre by fibre (the elements over
+    m(h), for each node h of dom m in sorted order), its links join those
+    numbers, and only the canonical result is named.  `fibres` is the pair
+    (t.typing.node_fibres(), t.typing.arrow_fibres()), for a caller that
+    restricts t along many maps.
+    """
+    if t.schema != m.cod:
+        raise GraphError("restriction: morphism codomain differs from the schema")
+    node_fibres, arrow_fibres = fibres or (t.typing.node_fibres(), t.typing.arrow_fibres())
+    names, number, links = [], {}, []
+    for h in m.dom.sorted_nodes:
+        number[h] = {x: len(names) + i for i, x in enumerate(node_fibres[m.node_map[h]])}
+        names += [h] * len(number[h])
+    for k in m.dom.sorted_arrows:
+        srcs, tgts = number[k.src], number[k.tgt]
+        links += [(srcs[a.src], k.id, tgts[a.tgt]) for a in arrow_fibres[m.arrow_map[k.id]]]
+    order = _canonical_order(names, links)
+    position = {x: i for i, x in enumerate(order)}
+    ranked = sorted((position[x], position[y], k) for x, k, y in links)
+    return _trusted_instance(
+        m.dom,
+        {f"n{i}": names[x] for i, x in enumerate(order)},
+        [(f"e{j}", f"n{x}", f"n{y}") for j, (x, y, _) in enumerate(ranked)],
+        {f"e{j}": k for j, (_, _, k) in enumerate(ranked)},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,16 +35,16 @@ from dcl.verdicts import Evidence, Status, ValidationReport, Verdict
 
 
 def satisfies(
-    t: TypedInstance, d: ConstraintDeclaration, signature: Signature
+    t: TypedInstance,
+    d: ConstraintDeclaration,
+    signature: Signature,
+    fibres: Optional[tuple[dict, dict]] = None,
 ) -> Verdict:
-    """Restrict t along the declaration's binding and run the symbol semantics."""
-    if t.schema != d.binding.cod:
-        raise GraphError("satisfies: instance schema differs from the binding codomain")
+    """Decide the symbol on t restricted along the binding; `fibres` goes to `evaluate`."""
     symbol = signature.symbols.get(d.label)
     if symbol is None:
         raise GraphError(f"satisfies: unknown symbol {d.label!r}")
-    restricted = restrict(t, d.binding)
-    return evaluate(symbol, restricted).with_declaration(d.id)
+    return evaluate(symbol, t, d.binding, fibres).with_declaration(d.id)
 
 
 def validate_instance(
@@ -64,14 +64,13 @@ def validate_instance(
         raise SketchError(
             f"sketch {sketch.name!r} is not dependency-closed; missing: {missing}"
         )
-    verdicts = tuple(satisfies(t, d, sketch.signature) for d in sketch.declarations)
+    fibres = (t.typing.node_fibres(), t.typing.arrow_fibres())
+    verdicts = tuple(satisfies(t, d, sketch.signature, fibres) for d in sketch.declarations)
     return ValidationReport(sketch.name, instance_name, verdicts)
 
 
 def migrate_instance(f: GraphMorphism, t: TypedInstance) -> TypedInstance:
     """Model reduct: pull the instance back along the schema morphism."""
-    if t.schema != f.cod:
-        raise GraphError("migrate_instance: schema differs from the morphism codomain")
     return restrict(t, f)
 
 
@@ -144,8 +143,7 @@ def propagate_evidence(
     if dep.id not in {x.id for x in signature.dependencies}:
         raise GraphError(f"propagate_evidence: unregistered dependency {dep.id!r}")
     target = signature.symbols[dep.target]
-    restricted = restrict(v.evidence.restricted, dep.arity_map)
-    out = evaluate(target, restricted)
+    out = evaluate(target, v.evidence.restricted, dep.arity_map)
     if v.declaration is not None:
         suffix = "" if dep.is_identity else f"/{dep.id}"
         out = out.with_declaration(f"{v.declaration}{suffix}")

@@ -24,11 +24,11 @@ from dcl.graphs import (
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
+    canonical_restriction,
     canonicalize_instance,
     iter_factorizations,
     iter_instance_classes,
     iter_slice_morphisms,
-    restrict,
     serialize_instance,
 )
 from dcl.verdicts import Counterexample, Evidence, Status, Verdict
@@ -426,20 +426,26 @@ class ConstraintSymbol:
     __hash__ = None  # type: ignore[assignment]
 
 
-def evaluate(symbol: ConstraintSymbol, t: TypedInstance) -> Verdict:
-    """Run the symbol's decision procedure on an instance over its arity.
+def evaluate(
+    symbol: ConstraintSymbol,
+    t: TypedInstance,
+    binding: Optional[GraphMorphism] = None,
+    fibres: Optional[tuple[dict, dict]] = None,
+) -> Verdict:
+    """Run the symbol's decision procedure on t restricted along `binding`:
+    arity -> schema(t), or on t, an instance over the arity, without one.
 
-    The instance is canonicalized first, which makes the procedure
-    iso-invariant by construction.  An instance whose canonical form spends
-    its work bound gets an Unknown verdict whose detail names the bound, its
-    limit and the work spent.
+    The procedure sees `canonical_restriction(t, binding, fibres)`, which
+    makes it iso-invariant by construction.  A canonical form that spends
+    its work bound gives an Unknown verdict whose detail names the bound,
+    its limit and the work spent.
     """
-    if t.schema != symbol.arity:
+    if (t.schema if binding is None else binding.dom) != symbol.arity:
         raise SignatureError(
             f"instance schema differs from the arity of {symbol.name!r}"
         )
     try:
-        canonical = canonicalize_instance(t).instance
+        canonical = canonical_restriction(t, binding or identity(t.schema), fibres)
     except BoundExceeded as exc:
         return Verdict(Status.UNKNOWN, detail=str(exc))
     return symbol.semantics.decide(symbol.arity, canonical)
@@ -525,6 +531,7 @@ class SoundnessViolation:
     dependency: str
     witness: TypedInstance
     verdict: Verdict
+    on: Optional[str] = None  # what was Unknown, if undecided: "class" or "restriction"
 
 
 @dataclass(frozen=True)
@@ -555,7 +562,9 @@ class SoundnessReport:
         out = {"ok": self.ok, "checked": self.checked}
         out["violations"] = [entry(v) for v in self.violations]
         if self.undecided:  # only then, so a fully decided report keeps its bytes
-            out["undecided"] = [{**entry(v), "detail": v.verdict.detail} for v in self.undecided]
+            out["undecided"] = [
+                {**entry(v), "detail": v.verdict.detail, "on": v.on} for v in self.undecided
+            ]
         return out
 
 
@@ -649,12 +658,12 @@ def verify_dependency_soundness(
             kept[dep.source] = [(t, v) for t, v in verdicts if v.status is not Status.INVALID]
         for t, source_verdict in kept[dep.source]:
             if not source_verdict.is_valid:
-                undecided.append(SoundnessViolation(dep.id, t, source_verdict))
+                undecided.append(SoundnessViolation(dep.id, t, source_verdict, "class"))
                 continue
             checked += 1
-            verdict = evaluate(target, restrict(t, dep.arity_map))
+            verdict = evaluate(target, t, dep.arity_map)
             if verdict.status is Status.UNKNOWN:
-                undecided.append(SoundnessViolation(dep.id, t, verdict))
+                undecided.append(SoundnessViolation(dep.id, t, verdict, "restriction"))
             elif not verdict.is_valid:
                 violations.append(SoundnessViolation(dep.id, t, verdict))
     return SoundnessReport(checked, tuple(violations), tuple(undecided))

@@ -26,6 +26,7 @@ from dcl.instances import (
     canonicalize_instance,
     iter_instance_classes,
     iter_typed_instances,
+    restrict,
     serialize_instance,
 )
 from dcl.io import load
@@ -35,7 +36,6 @@ from dcl.signature import (
     check_injectivity,
     evaluate,
     jointly_monic_symbol,
-    restrict,
     verify_dependency_soundness,
 )
 from dcl.verdicts import Status

@@ -471,6 +471,8 @@ class TestDepsCheck:
         assert not out["ok"] and out["violations"] == [] and len(out["undecided"]) == 2
         detail = "injectivity-search bound exceeded: spent 1 of 0 units"
         assert all(u["status"] == "unknown" and u["detail"] == detail for u in out["undecided"])
+        side = "class" if undecided_side == "source" else "restriction"
+        assert all(u["on"] == side for u in out["undecided"])
         assert captured.err == f"unknown: {detail}\n"
 
 

@@ -2,6 +2,8 @@ import gc
 import itertools
 import os
 import random
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +32,12 @@ from dcl.graphs import (
 )
 from dcl.instances import (
     TypedInstance,
+    canonical_restriction,
     canonicalize_instance,
     iter_instance_classes,
     iter_typed_instances,
+    restrict,
+    serialize_instance,
 )
 from dcl.randgen import random_graph, random_morphism_into
 from dcl.signature import (
@@ -41,9 +46,12 @@ from dcl.signature import (
     JointlyMonic,
     Multiplicity,
     Signature,
+    Table,
+    evaluate,
     jointly_monic_signature,
     verify_dependency_soundness,
 )
+from dcl.verdicts import Status
 
 
 def triangle():
@@ -155,11 +163,11 @@ ADVERSARIAL_IDS = st.text("xy|()~:#\\", min_size=1, max_size=4)
 
 
 @st.composite
-def adversarial_graph_over(draw, base: Graph):
-    """A graph with adversarial ids and a morphism from it into `base`."""
-    ids = draw(st.lists(ADVERSARIAL_IDS, unique=True, max_size=9))
-    cut = draw(st.integers(0, len(ids)))
-    nodes, arrow_ids = ids[:cut], ids[cut:]
+def graph_over(draw, base: Graph, ids=ADVERSARIAL_IDS, max_size: int = 9):
+    """A graph with ids drawn from `ids` and a morphism from it into `base`."""
+    names = draw(st.lists(ids, unique=True, max_size=max_size))
+    cut = draw(st.integers(0, len(names)))
+    nodes, arrow_ids = names[:cut], names[cut:] if base.arrows else []
     node_map = {n: draw(st.sampled_from(base.sorted_nodes)) for n in nodes}
     arrows, arrow_map = [], {}
     for a in arrow_ids:
@@ -175,7 +183,7 @@ def adversarial_graph_over(draw, base: Graph):
 @st.composite
 def cospans(draw):
     base = Graph.build(["c", "d"], [("cc", "c", "c"), ("cd", "c", "d"), ("dc", "d", "c")])
-    return draw(adversarial_graph_over(base)), draw(adversarial_graph_over(base))
+    return draw(graph_over(base)), draw(graph_over(base))
 
 
 @st.composite
@@ -185,8 +193,8 @@ def spans(draw):
     Each C node and C arrow picks its images, so the pushout glues both
     nodes and arrows.
     """
-    left = draw(adversarial_graph_over(Graph.build(["c"], [("l", "c", "c")]))).dom
-    right = draw(adversarial_graph_over(Graph.build(["c"], [("l", "c", "c")]))).dom
+    left = draw(graph_over(Graph.build(["c"], [("l", "c", "c")]))).dom
+    right = draw(graph_over(Graph.build(["c"], [("l", "c", "c")]))).dom
     if not left.nodes or not right.nodes:
         return (
             GraphMorphism(Graph.empty(), left, {}, {}),
@@ -739,6 +747,79 @@ def renamed_jm_signature(ids: list[str]) -> tuple[Signature, GraphMorphism]:
         span, plain, {n0: "0", n1: "1", n2: "2"}, {e01: "01", e02: "02"}
     )
     return Signature({"[jm]": jm, "[1]": one}, deps), iso
+
+
+PLAIN_IDS = st.text("abc", min_size=1, max_size=3)
+
+
+@st.composite
+def restriction_cases(draw, ids) -> tuple[TypedInstance, GraphMorphism]:
+    """(t, b): an instance t over a schema G and a binding b: H -> G, both
+    drawn over G, so b may send several nodes or arrows of H to one of G."""
+    schema_ids = draw(st.lists(ids, unique=True, min_size=2, max_size=5))
+    cut = draw(st.integers(1, len(schema_ids) - 1))
+    nodes = schema_ids[:cut]
+    pick = st.sampled_from(nodes)
+    schema = Graph.build(nodes, [(a, draw(pick), draw(pick)) for a in schema_ids[cut:]])
+    t = TypedInstance(draw(graph_over(schema, ids, max_size=10)))
+    return t, draw(graph_over(schema, ids, max_size=6))
+
+
+BUDGET_HIT = re.compile(r"canonical-form bound exceeded: spent \d+ of 2 units")
+
+
+class TestCanonicalRestriction:
+    """canonical_restriction(t, b) is the canonical form of restrict(t, b)."""
+
+    def check(self, t, b):
+        fused = canonical_restriction(t, b)
+        restricted = restrict(t, b)
+        assert serialize_instance(fused) == canonicalize_instance(restricted).bytes
+        fibres = (t.typing.node_fibres(), t.typing.arrow_fibres())
+        assert canonical_restriction(t, b, fibres) == fused
+        # with a work limit of 2 units, any component of two or more
+        # elements spends it; isolated elements, loops included, spend none
+        symbol = ConstraintSymbol("[t]", b.dom, Table())
+        with mock.patch.object(dcl.graphs, "CANONICAL_WORK_LIMIT", 2):
+            verdicts = [evaluate(symbol, t, b), evaluate(symbol, restricted)]
+            if any(a.src != a.tgt for a in restricted.carrier.arrows):
+                assert all(v.status is Status.UNKNOWN for v in verdicts)
+                assert all(BUDGET_HIT.fullmatch(v.detail) for v in verdicts)
+                with pytest.raises(BoundExceeded, match=BUDGET_HIT):
+                    canonicalize_instance(restricted)
+            else:
+                assert all(v.status is Status.INVALID for v in verdicts)
+
+    @given(restriction_cases(PLAIN_IDS))
+    @settings(deadline=None)
+    def test_equals_canonical_form_of_restriction(self, case):
+        self.check(*case)
+
+    @given(restriction_cases(ADVERSARIAL_IDS))
+    @settings(deadline=None)
+    def test_equals_canonical_form_over_adversarial_ids(self, case):
+        self.check(*case)
+
+    @staticmethod
+    def two_links() -> TypedInstance:
+        schema = Graph.build(["A", "B"], [("r", "A", "B")])
+        carrier = Graph.build(["a1", "a2", "b1"], [("l1", "a1", "b1"), ("l2", "a2", "b1")])
+        typing = {"a1": "A", "a2": "A", "b1": "B"}
+        return TypedInstance(GraphMorphism(carrier, schema, typing, {"l1": "r", "l2": "r"}))
+
+    def test_non_injective_binding(self):
+        # X and Y both land on A, u and v both on r: the restriction holds
+        # two copies of the A-elements, each linked to b1 as in t
+        t = self.two_links()
+        h = Graph.build(["X", "Y", "Z"], [("u", "X", "Z"), ("v", "Y", "Z")])
+        b = GraphMorphism(h, t.schema, {"X": "A", "Y": "A", "Z": "B"}, {"u": "r", "v": "r"})
+        assert len(canonical_restriction(t, b).carrier.arrows) == 4
+        self.check(t, b)
+
+    def test_codomain_must_be_the_schema(self):
+        m = GraphMorphism(Graph.build(["X"]), Graph.build(["X"]), {"X": "X"}, {})
+        with pytest.raises(GraphError):
+            canonical_restriction(self.two_links(), m)
 
 
 class TestEnumerationOverAdversarialIds:
