@@ -17,7 +17,7 @@ from typing import Optional
 
 from dcl.graphs import BoundExceeded, Graph, GraphError, GraphMorphism, canonicalize
 from dcl.injlogic import InjTheory, bounded_entailment
-from dcl.instances import Delta, SliceMorphism, TypedInstance, canonicalize_instance
+from dcl.instances import Delta, SliceMorphism, TypedInstance, canonical_restriction
 from dcl.io import FormatError, _expect, _indented, dumps, load
 from dcl.randgen import harness_signature, random_satax_triple
 from dcl.satisfaction import (
@@ -122,6 +122,7 @@ def cmd_satax(args) -> int:
     sig = harness_signature()
     translate = _broken_translate if args.fault_inject else translate_declaration
     passed = 0
+    undecided = []  # the detail of each trial Unknown on both sides
     failures = []
     for i in range(args.trials):
         f, d, t = random_satax_triple(rng, sig, max_nodes=args.max_nodes)
@@ -130,7 +131,9 @@ def cmd_satax(args) -> int:
         except GraphError as exc:
             failures.append({"trial": i, "error": str(exc)})
             continue
-        if result.passed:
+        if result.passed and result.reduct_side.status is Status.UNKNOWN:
+            undecided.append(result.reduct_side.detail)
+        elif result.passed:
             passed += 1
         else:
             failures.append(
@@ -148,10 +151,13 @@ def cmd_satax(args) -> int:
             "seed": args.seed,
             "passed": passed,
             "failed": len(failures),
+            **({"undecided": len(undecided)} if undecided else {}),
             "failures": failures[:10],
         }
     )
-    return EXIT_VALID if not failures else EXIT_INVALID
+    if undecided:
+        sys.stderr.write(f"unknown: {undecided[0]}\n")
+    return EXIT_INVALID if failures else EXIT_UNKNOWN if undecided else EXIT_VALID
 
 
 def cmd_infer(args) -> int:
@@ -172,7 +178,7 @@ def cmd_canon(args) -> int:
     if isinstance(obj, Graph):
         _print(dumps(canonicalize(obj).graph))
     elif isinstance(obj, TypedInstance):
-        _print(dumps(canonicalize_instance(obj).instance))
+        _print(dumps(canonical_restriction(obj)))
     else:
         raise FormatError("canon expects a graph or an instance")
     return EXIT_VALID

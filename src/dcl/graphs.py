@@ -279,7 +279,9 @@ def search_morphisms(
     the typings' images.  `pins` (node map, arrow map), each partial on g,
     fixes those images; the result is the unpinned search filtered by the
     pins, in the same order.  `injective` keeps only injective morphisms,
-    which between graphs of equal size are the isomorphisms.
+    which between graphs of equal size are the isomorphisms; an arrow image
+    already taken is not tried, nor, for an isomorphism, a node whose arrow
+    ends differ.
     """
     if typings is None:
         blank = dict.fromkeys([*g.nodes, *g.arrow_by_id, *h.arrow_by_id])
@@ -295,9 +297,17 @@ def search_morphisms(
         index.setdefault((cod_label[a.id], a.src, a.tgt), []).append(a.id)
 
     nodes = g.sorted_nodes
+    # an isomorphism keeps each node's arrow ends, by label and direction
+    iso = injective and len(g.nodes) == len(h.nodes) and len(g.arrows) == len(h.arrows)
+    if iso:
+        degree, cod_degree = _degrees(g, arrow_label), _degrees(h, cod_label)
+        if sorted(degree.values()) != sorted(cod_degree.values()):
+            return
     candidates = []
     for n in nodes:
         options = by_colour.get(node_colour[n], [])
+        if iso:
+            options = [c for c in options if cod_degree[c] == degree[n]]
         pinned = node_pins.get(n)
         candidates.append(options if pinned is None else [c for c in options if c == pinned])
     if not all(candidates):
@@ -316,9 +326,7 @@ def search_morphisms(
         for label, s, t, pinned in ends:
             found = index[(label, image[s], image[t])]
             options.append(found if pinned is None else [x for x in found if x == pinned])
-        for images in itertools.product(*options):
-            if injective and len(set(images)) < len(images):
-                continue
+        for images in _distinct_product(options) if injective else itertools.product(*options):
             yield _trusted_morphism(
                 g, h, dict(zip(nodes, image)), dict(zip(arrow_ids, images))
             )
@@ -348,6 +356,25 @@ def search_morphisms(
             yield from complete(image)
 
 
+def _distinct_product(options: list[list[str]]) -> Iterator[tuple[str, ...]]:
+    """The tuples of `itertools.product(*options)` that repeat no element, in
+    its order; an element already taken is skipped where it is met."""
+    chosen: list[str] = []
+    stack = [iter(options[0])] if options else []
+    while stack:
+        x = next((x for x in stack[-1] if x not in chosen), None)
+        if x is None:
+            stack.pop()
+            del chosen[len(stack) - 1 :]
+        elif len(stack) < len(options):
+            chosen.append(x)
+            stack.append(iter(options[len(stack)]))
+        else:
+            yield (*chosen, x)
+    if not options:
+        yield ()
+
+
 def iter_homomorphisms(g: Graph, h: Graph) -> Iterator[GraphMorphism]:
     """All incidence-preserving morphisms g -> h, in `search_morphisms` order."""
     yield from search_morphisms(g, h)
@@ -357,17 +384,16 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[GraphMorphism]:
     """The lexicographically least isomorphism g -> h, or None."""
     if len(g.nodes) != len(h.nodes) or len(g.arrows) != len(h.arrows):
         return None
-    if sorted(_degree_profile(g).values()) != sorted(_degree_profile(h).values()):
-        return None
     return next(search_morphisms(g, h, injective=True), None)
 
 
-def _degree_profile(g: Graph) -> dict[str, tuple[int, int]]:
-    out = {n: [0, 0] for n in g.nodes}
+def _degrees(g: Graph, label: Mapping) -> dict[str, tuple]:
+    """Each node's arrow ends, as sorted (arrow label, is source) pairs."""
+    ends: dict[str, list] = {n: [] for n in g.nodes}
     for a in g.arrows:
-        out[a.src][0] += 1
-        out[a.tgt][1] += 1
-    return {n: (d[0], d[1]) for n, d in out.items()}
+        ends[a.src].append((label[a.id], True))
+        ends[a.tgt].append((label[a.id], False))
+    return {n: tuple(sorted(e)) for n, e in ends.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,12 @@ from dcl.graphs import (
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
-    canonicalize_instance,
+    canonical_restriction,
     iter_factorizations,
     iter_instance_classes,
     iter_instance_isomorphisms,
     iter_slice_morphisms,
+    serialize_instance,
 )
 from dcl.signature import DEFAULT_SEARCH_LIMIT, check_injectivity
 from dcl.verdicts import Status, Verdict
@@ -97,12 +98,17 @@ def semantic_entails(
 
     Exhaustive over instances with at most size_bound elements per base
     node and max_parallel parallel links, one per isomorphism class
-    (`iter_instance_classes`), each checked in canonical form.
+    (`iter_instance_classes`), each checked in canonical form.  A class
+    whose canonical form spends its bound is Unknown, as an Unknown verdict is.
     """
     checked = 0
     unknown: Optional[Verdict] = None
     for a in iter_instance_classes(theory.base, size_bound, max_parallel):
-        model = canonicalize_instance(a).instance
+        try:
+            model = canonical_restriction(a)
+        except BoundExceeded as exc:
+            unknown = unknown or Verdict(Status.UNKNOWN, detail=str(exc))
+            continue
         for f in theory.formulas.values():
             verdict = check_injectivity(model, f, limit)
             if verdict.status is not Status.VALID:
@@ -315,7 +321,7 @@ class FormulaSet:
 
     def add(self, f: SliceMorphism) -> bool:
         """Add f unless an isomorphic formula is in already; True if added."""
-        key = canonicalize_instance(f.from_).bytes, canonicalize_instance(f.to).bytes
+        key = tuple(serialize_instance(canonical_restriction(t)) for t in (f.from_, f.to))
         bucket = self._buckets.setdefault(key, [])
         if any(formulas_isomorphic(f, g) for g in bucket):
             return False
@@ -369,7 +375,8 @@ def bounded_entailment(
     budget: int = 4_000,
 ) -> EntailmentResult:
     """Breadth-first proof search; returns Derivable with a verified proof,
-    or Unknown with a detail naming the bound that ended the search.  Never
+    or Unknown with a detail naming the bound that ended the search: its own
+    budget, its depth, or the canonical form of a formula or object.  Never
     claims refutation: Pushout generates unboundedly many consequences, so
     exhausting the bound proves nothing negative.  `budget` counts admitted
     formulas and the work of each step (see `_one_step`); what is found
@@ -391,7 +398,7 @@ def bounded_entailment(
 
     def admit_objects(ts: Iterable[TypedInstance]) -> None:
         for t in ts:
-            objects.setdefault(canonicalize_instance(t).bytes, t)
+            objects.setdefault(serialize_instance(canonical_restriction(t)), t)
 
     def proof_among(candidates: Iterable[Derivation]) -> Optional[Derivation]:
         """Admit the candidates in order; the first admitted one that
@@ -410,22 +417,26 @@ def bounded_entailment(
         return None
 
     axioms = [axiom(theory, name) for name in theory.formulas]
-    proof = proof_among(axioms)
-    if proof is None:
-        admit_objects(t for f in [*theory.formulas.values(), goal] for t in (f.from_, f.to))
-        proof = proof_among(identity_formula(t) for t in objects.values())
-    if proof is None:
-        # the coproduct script first: it is the common shape of composite goals
-        products = itertools.product(axioms, axioms)
-        proof = proof_among(coproduct_macro(d1, d2) for d1, d2 in products)
-    for _ in range(max_depth):
-        if proof is not None or work.spent > work.limit:
-            break
-        current = list(frontier)
-        frontier.clear()
-        small = [t for t in objects.values() if len(t.carrier.nodes) <= size_bound]
-        proof = proof_among(_one_step(current, derived, small, work))
-        admit_objects(d.conclusion.to for d in frontier)
+    try:
+        proof = proof_among(axioms)
+        if proof is None:
+            admit_objects(t for f in [*theory.formulas.values(), goal] for t in (f.from_, f.to))
+            proof = proof_among(identity_formula(t) for t in objects.values())
+        if proof is None:
+            # the coproduct script first: it is the common shape of composite goals
+            products = itertools.product(axioms, axioms)
+            proof = proof_among(coproduct_macro(d1, d2) for d1, d2 in products)
+        for _ in range(max_depth):
+            if proof is not None or work.spent > work.limit:
+                break
+            current = list(frontier)
+            frontier.clear()
+            small = [t for t in objects.values() if len(t.carrier.nodes) <= size_bound]
+            proof = proof_among(_one_step(current, derived, small, work))
+            admit_objects(d.conclusion.to for d in frontier)
+    except BoundExceeded as exc:
+        # the canonical form of a formula's endpoint or of an object spent its bound
+        return EntailmentResult("unknown", detail=str(exc))
     if proof is not None:
         return EntailmentResult("derivable", proof)
     spent = f"spent {work.spent} of {work.limit} units"

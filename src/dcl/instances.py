@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional
 
 from dcl.graphs import (
@@ -74,40 +73,10 @@ class TypedInstance:
         return f"TypedInstance({self.carrier!r} over {self.schema!r})"
 
 
-@dataclass(frozen=True)
-class CanonicalInstance:
-    instance: TypedInstance
-    relabeling: GraphMorphism  # iso: original carrier -> canonical carrier
-
-    @cached_property
-    def bytes(self) -> bytes:
-        return serialize_instance(self.instance)
-
-
 def serialize_instance(t: TypedInstance) -> bytes:
     import json
 
     return json.dumps(t.to_json(), sort_keys=True, separators=(",", ":")).encode()
-
-
-def canonicalize_instance(t: TypedInstance) -> CanonicalInstance:
-    """Relabel the carrier canonically so that two instances over the same
-    schema serialize to equal bytes iff they are isomorphic as slice objects.
-
-    The carrier canonicalization is seeded with typing colors (node types)
-    and arrow labels (arrow types), so only typing-preserving relabelings
-    are considered.
-    """
-    cf = canonicalize(
-        t.carrier,
-        node_colors=t.typing.node_map,
-        arrow_labels=t.typing.arrow_map,
-    )
-    nodes, arrows = cf.relabeling.node_map, cf.relabeling.arrow_map
-    node_typing = dict(sorted((nodes[n], c) for n, c in t.typing.node_map.items()))
-    arrow_typing = dict(sorted((arrows[a], c) for a, c in t.typing.arrow_map.items()))
-    typing = _trusted_morphism(cf.graph, t.schema, node_typing, arrow_typing)
-    return CanonicalInstance(TypedInstance(typing), cf.relabeling)
 
 
 @dataclass(frozen=True)
@@ -253,9 +222,11 @@ def restrict(t: TypedInstance, m: GraphMorphism) -> TypedInstance:
 
 
 def canonical_restriction(
-    t: TypedInstance, m: GraphMorphism, fibres: Optional[tuple[dict, dict]] = None
+    t: TypedInstance, m: Optional[GraphMorphism] = None, fibres: Optional[tuple] = None
 ) -> TypedInstance:
-    """`canonicalize_instance(restrict(t, m)).instance`, with no pullback ids.
+    """The canonical form of `restrict(t, m)`, or of t itself without m: two
+    instances over one schema have equal canonical forms iff they are
+    isomorphic as slice objects.
 
     The pullback's elements are numbered fibre by fibre (the elements over
     m(h), for each node h of dom m in sorted order), its links join those
@@ -263,21 +234,25 @@ def canonical_restriction(
     (t.typing.node_fibres(), t.typing.arrow_fibres()), for a caller that
     restricts t along many maps.
     """
-    if t.schema != m.cod:
+    if m is not None and t.schema != m.cod:
         raise GraphError("restriction: morphism codomain differs from the schema")
+    arity = t.schema if m is None else m.dom
+    # without m, each node and arrow of the schema stands for itself
+    node_of, arrow_of = ({}, {}) if m is None else (m.node_map, m.arrow_map)
     node_fibres, arrow_fibres = fibres or (t.typing.node_fibres(), t.typing.arrow_fibres())
     names, number, links = [], {}, []
-    for h in m.dom.sorted_nodes:
-        number[h] = {x: len(names) + i for i, x in enumerate(node_fibres[m.node_map[h]])}
+    for h in arity.sorted_nodes:
+        number[h] = {x: len(names) + i for i, x in enumerate(node_fibres[node_of.get(h, h)])}
         names += [h] * len(number[h])
-    for k in m.dom.sorted_arrows:
+    for k in arity.sorted_arrows:
         srcs, tgts = number[k.src], number[k.tgt]
-        links += [(srcs[a.src], k.id, tgts[a.tgt]) for a in arrow_fibres[m.arrow_map[k.id]]]
+        over = arrow_fibres[arrow_of.get(k.id, k.id)]
+        links += [(srcs[a.src], k.id, tgts[a.tgt]) for a in over]
     order = _canonical_order(names, links)
     position = {x: i for i, x in enumerate(order)}
     ranked = sorted((position[x], position[y], k) for x, k, y in links)
     return _trusted_instance(
-        m.dom,
+        arity,
         {f"n{i}": names[x] for i, x in enumerate(order)},
         [(f"e{j}", f"n{x}", f"n{y}") for j, (x, y, _) in enumerate(ranked)],
         {f"e{j}": k for j, (_, _, k) in enumerate(ranked)},
@@ -404,9 +379,9 @@ def delta_of(f: SliceMorphism, direction: str = "forward") -> Delta:
 
 
 def _canonical_delta(d: Delta) -> Delta:
-    ci = canonicalize_instance(d.apex)
-    inv = ci.relabeling.inverse()
-    apex = ci.instance
+    typing = d.apex.typing
+    inv = canonicalize(d.apex.carrier, typing.node_map, typing.arrow_map).relabeling.inverse()
+    apex = TypedInstance(compose(inv, typing))
     return Delta(
         d.source,
         d.target,

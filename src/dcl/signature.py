@@ -25,7 +25,6 @@ from dcl.instances import (
     SliceMorphism,
     TypedInstance,
     canonical_restriction,
-    canonicalize_instance,
     iter_factorizations,
     iter_instance_classes,
     iter_slice_morphisms,
@@ -287,14 +286,15 @@ class Table:
         seen_bytes = set()
         seen_ids = set()
         for entry_id, instance in self.entries:
-            ci = canonicalize_instance(instance)
-            if ci.bytes in seen_bytes:
+            instance = canonical_restriction(instance)
+            key = serialize_instance(instance)
+            if key in seen_bytes:
                 raise SignatureError(f"duplicate table entry {entry_id!r}")
             if entry_id in seen_ids:
                 raise SignatureError(f"duplicate table entry id {entry_id!r}")
-            seen_bytes.add(ci.bytes)
+            seen_bytes.add(key)
             seen_ids.add(entry_id)
-            canonical.append((entry_id, ci.instance))
+            canonical.append((entry_id, instance))
         object.__setattr__(self, "entries", tuple(canonical))
 
     def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
@@ -445,7 +445,7 @@ def evaluate(
             f"instance schema differs from the arity of {symbol.name!r}"
         )
     try:
-        canonical = canonical_restriction(t, binding or identity(t.schema), fibres)
+        canonical = canonical_restriction(t, binding, fibres)
     except BoundExceeded as exc:
         return Verdict(Status.UNKNOWN, detail=str(exc))
     return symbol.semantics.decide(symbol.arity, canonical)
@@ -641,7 +641,8 @@ def verify_dependency_soundness(
     """Restriction of every small valid instance along every dependency must be valid.
 
     One canonical instance per class; the valid ones are found once per source symbol.
-    An Unknown verdict, on a class or on its restriction, is undecided, not a violation.
+    An Unknown verdict, on a class or on its restriction, is undecided, not a violation;
+    a class whose canonical form spends its bound is Unknown, witnessed as enumerated.
     """
     checked = 0
     violations = []
@@ -651,11 +652,16 @@ def verify_dependency_soundness(
         source = sig.symbols[dep.source]
         target = sig.symbols[dep.target]
         if dep.source not in kept:
-            classes = iter_instance_classes(source.arity, size_bound, max_parallel)
-            canonical = (canonicalize_instance(t).instance for t in classes)
-            # already canonical, so decided directly, not through `evaluate`
-            verdicts = ((t, source.semantics.decide(source.arity, t)) for t in canonical)
-            kept[dep.source] = [(t, v) for t, v in verdicts if v.status is not Status.INVALID]
+            kept[dep.source] = []
+            for t in iter_instance_classes(source.arity, size_bound, max_parallel):
+                try:
+                    t = canonical_restriction(t)
+                    # already canonical, so decided directly, not through `evaluate`
+                    verdict = source.semantics.decide(source.arity, t)
+                except BoundExceeded as exc:
+                    verdict = Verdict(Status.UNKNOWN, detail=str(exc))
+                if verdict.status is not Status.INVALID:
+                    kept[dep.source].append((t, verdict))
         for t, source_verdict in kept[dep.source]:
             if not source_verdict.is_valid:
                 undecided.append(SoundnessViolation(dep.id, t, source_verdict, "class"))

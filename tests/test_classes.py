@@ -14,7 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dcl.fixtures import edge_pair_theory, outgoing_edge_theory
-from dcl.graphs import Graph, GraphMorphism
+from dcl.graphs import Graph, GraphMorphism, canonicalize
 from dcl.injlogic import (
     SemanticResult,
     axiom,
@@ -23,7 +23,7 @@ from dcl.injlogic import (
     terminal_graph,
 )
 from dcl.instances import (
-    canonicalize_instance,
+    canonical_restriction,
     iter_instance_classes,
     iter_typed_instances,
     restrict,
@@ -46,13 +46,14 @@ def reference_semantic_entails(theory, goal, size_bound, max_parallel=2, limit=2
     checked = 0
     unknown = False
     for a in iter_typed_instances(theory.base, size_bound, max_parallel):
-        ci = canonicalize_instance(a)
-        if ci.bytes in seen:
+        canonical = canonical_restriction(a)
+        key = serialize_instance(canonical)
+        if key in seen:
             continue
-        seen.add(ci.bytes)
+        seen.add(key)
         model = True
         for f in theory.formulas.values():
-            v = check_injectivity(ci.instance, f, limit)
+            v = check_injectivity(canonical, f, limit)
             if v.status is Status.UNKNOWN:
                 unknown = True
                 model = False
@@ -63,12 +64,12 @@ def reference_semantic_entails(theory, goal, size_bound, max_parallel=2, limit=2
         if not model:
             continue
         checked += 1
-        v = check_injectivity(ci.instance, goal, limit)
+        v = check_injectivity(canonical, goal, limit)
         if v.status is Status.UNKNOWN:
             unknown = True
             continue
         if not v.is_valid:
-            return SemanticResult("refuted", checked, ci.instance)
+            return SemanticResult("refuted", checked, canonical)
     return SemanticResult("unknown" if unknown else "entailed", checked)
 
 
@@ -80,17 +81,18 @@ def reference_dependency_soundness(sig, size_bound, max_parallel=2):
         target = sig.symbols[dep.target]
         seen: set[bytes] = set()
         for t in iter_typed_instances(source.arity, size_bound, max_parallel):
-            ci = canonicalize_instance(t)
-            if ci.bytes in seen:
+            canonical = canonical_restriction(t)
+            key = serialize_instance(canonical)
+            if key in seen:
                 continue
-            seen.add(ci.bytes)
-            if not evaluate(source, ci.instance).is_valid:
+            seen.add(key)
+            if not evaluate(source, canonical).is_valid:
                 continue
             checked += 1
-            restricted = restrict(ci.instance, dep.arity_map)
+            restricted = restrict(canonical, dep.arity_map)
             verdict = evaluate(target, restricted)
             if not verdict.is_valid:
-                violations.append(SoundnessViolation(dep.id, ci.instance, verdict))
+                violations.append(SoundnessViolation(dep.id, canonical, verdict))
     return SoundnessReport(checked, tuple(violations))
 
 
@@ -98,7 +100,7 @@ def first_seen_classes(schema, max_per_node, max_parallel):
     """Canonical bytes of each class, in order of its first labelled member."""
     seen: dict[bytes, None] = {}
     for t in iter_typed_instances(schema, max_per_node, max_parallel):
-        seen.setdefault(canonicalize_instance(t).bytes, None)
+        seen.setdefault(serialize_instance(canonical_restriction(t)), None)
     return list(seen)
 
 
@@ -145,17 +147,18 @@ class TestInstanceClasses:
         # the labelled reference canonicalizes every instance, so keep it small
         assume(labelled_count(schema, max_per_node, max_parallel) <= 2000)
         classes = list(iter_instance_classes(schema, max_per_node, max_parallel))
-        got = [canonicalize_instance(t).bytes for t in classes]
+        got = [serialize_instance(canonical_restriction(t)) for t in classes]
         assert got == first_seen_classes(schema, max_per_node, max_parallel)
 
     @given(small_schemas(), st.integers(0, 2), st.integers(0, 2))
     def test_built_as_the_validating_constructor_builds(self, schema, max_per_node, max_parallel):
-        # instances and canonical forms are built trusted: their maps must be
-        # valid and keyed in sorted order, as GraphMorphism would leave them
+        # instances, canonical forms and the typed relabeling `_canonical_delta`
+        # takes are built trusted: their maps must be valid and keyed in
+        # sorted order, as GraphMorphism would leave them
         assume(labelled_count(schema, max_per_node, max_parallel) <= 2000)
         for t in iter_instance_classes(schema, max_per_node, max_parallel):
-            ci = canonicalize_instance(t)
-            for m in (t.typing, ci.instance.typing, ci.relabeling):
+            cf = canonicalize(t.carrier, t.typing.node_map, t.typing.arrow_map)
+            for m in (t.typing, canonical_restriction(t).typing, cf.relabeling):
                 checked = GraphMorphism(m.dom, m.cod, m.node_map, m.arrow_map)
                 assert checked == m
                 assert list(m.node_map) == list(checked.node_map)

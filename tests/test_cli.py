@@ -302,6 +302,17 @@ class TestSatax:
         assert main(["satax", "--trials", "25", "--seed", "7"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] == 25 and out["failed"] == 0
+        assert "undecided" not in out
+
+    def test_unknown_trials_are_undecided(self, capsys, monkeypatch):
+        # both sides of a trial Unknown agree, but nothing was checked
+        monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
+        assert main(["satax", "--trials", "50", "--seed", "7"]) == 2
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["failed"] == 0 and out["undecided"] > 0
+        assert out["passed"] + out["undecided"] == 50
+        assert captured.err.startswith("unknown: canonical-form bound exceeded: spent ")
 
     def test_reproducible(self, capsys):
         main(["satax", "--trials", "10", "--seed", "3"])
@@ -321,6 +332,12 @@ class TestInfer:
         out = json.loads(capsys.readouterr().out)
         assert out["status"] == "derivable"
         assert out["proof"]["rule"] == "CoproductMacro"
+
+    def test_canonical_form_bound_prints_unknown(self, capsys, monkeypatch):
+        monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
+        assert main(["infer", OUT_THEORY, GOAL]) == 2
+        detail = "canonical-form bound exceeded: spent 4 of 2 units"
+        assert json.loads(capsys.readouterr().out) == {"status": "unknown", "detail": detail}
 
     def test_unknown_goal(self, capsys, tmp_path):
         goal = tmp_path / "goal.json"
@@ -474,6 +491,19 @@ class TestDepsCheck:
         side = "class" if undecided_side == "source" else "restriction"
         assert all(u["on"] == side for u in out["undecided"])
         assert captured.err == f"unknown: {detail}\n"
+
+    def test_canonical_form_bound_on_a_class_is_undecided(self, capsys, monkeypatch):
+        # a class whose canonical form spends the bound is reported, witnessed
+        # as enumerated, not an abort of the whole sweep
+        monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
+        code = main(["deps-check", SPAN_SIG, "--size", "1"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1 and out["violations"]
+        assert {u["dependency"] for u in out["undecided"]} == {"d1", "d2"}
+        for u in out["undecided"]:
+            assert u["on"] == "class" and u["status"] == "unknown"
+            assert u["detail"].startswith("canonical-form bound exceeded: spent ")
+            assert all("#" in n for n in u["witness"]["carrier"]["nodes"])
 
 
 def shipped(name: str):

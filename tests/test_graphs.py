@@ -33,7 +33,7 @@ from dcl.graphs import (
 from dcl.instances import (
     TypedInstance,
     canonical_restriction,
-    canonicalize_instance,
+    find_instance_isomorphism,
     iter_instance_classes,
     iter_typed_instances,
     restrict,
@@ -621,7 +621,7 @@ class TestCanonicalSearch:
         t1 = shaped_instance(*shape, rng1)
         t2 = shaped_instance(*shape, rng2)
         assert canonical_bytes(t1.carrier) == canonical_bytes(t2.carrier)
-        assert canonicalize_instance(t1).bytes == canonicalize_instance(t2).bytes
+        assert canonical_restriction(t1) == canonical_restriction(t2)
 
     @given(symmetric_shapes(), st.randoms(use_true_random=False), st.data())
     @settings(deadline=None)
@@ -633,7 +633,7 @@ class TestCanonicalSearch:
         plain = shaped_instance(*shape, random.Random(0))
         odd = shaped_instance(*shape, rng, names)
         assert canonical_bytes(plain.carrier) == canonical_bytes(odd.carrier)
-        assert canonicalize_instance(plain).bytes == canonicalize_instance(odd).bytes
+        assert canonical_restriction(plain) == canonical_restriction(odd)
 
     @given(out_regular_graphs(), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
@@ -726,7 +726,7 @@ def moved_bytes(instances, iso=None) -> list[bytes]:
     for t in instances:
         if iso is not None:
             t = TypedInstance(compose(t.typing, iso))
-        out.append(canonicalize_instance(t).bytes)
+        out.append(serialize_instance(canonical_restriction(t)))
     return out
 
 
@@ -774,7 +774,9 @@ class TestCanonicalRestriction:
     def check(self, t, b):
         fused = canonical_restriction(t, b)
         restricted = restrict(t, b)
-        assert serialize_instance(fused) == canonicalize_instance(restricted).bytes
+        assert find_instance_isomorphism(restricted, fused) is not None
+        assert serialize_instance(fused) == serialize_instance(canonical_restriction(restricted))
+        assert canonical_restriction(t) == canonical_restriction(t, identity(t.schema))
         fibres = (t.typing.node_fibres(), t.typing.arrow_fibres())
         assert canonical_restriction(t, b, fibres) == fused
         # with a work limit of 2 units, any component of two or more
@@ -786,7 +788,7 @@ class TestCanonicalRestriction:
                 assert all(v.status is Status.UNKNOWN for v in verdicts)
                 assert all(BUDGET_HIT.fullmatch(v.detail) for v in verdicts)
                 with pytest.raises(BoundExceeded, match=BUDGET_HIT):
-                    canonicalize_instance(restricted)
+                    canonical_restriction(restricted)
             else:
                 assert all(v.status is Status.INVALID for v in verdicts)
 

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import re
 
 import pytest
 
+import dcl.graphs
 import dcl.injlogic as injlogic
 from dcl.fixtures import DATA, edge_pair_theory, outgoing_edge_theory
 from dcl.graphs import Graph, GraphError, GraphMorphism, compose, identity
@@ -84,6 +86,15 @@ class TestSemanticEntailment:
         res = semantic_entails(th, point_into_edge(), 2, limit=0)
         assert res.status == "unknown" and res.counterexample is None
         assert res.detail == "injectivity-search bound exceeded: spent 1 of 0 units"
+
+    def test_canonical_form_bound_is_unknown(self, monkeypatch):
+        # entailed at the default bound; at 2 units every model with a link
+        # spends its canonical form's bound, so nothing is claimed
+        th = outgoing_edge_theory()
+        monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
+        res = semantic_entails(th, th.formulas["out-edge"], 2)
+        assert res.status == "unknown" and res.counterexample is None
+        assert re.fullmatch(r"canonical-form bound exceeded: spent \d+ of 2 units", res.detail)
 
     def test_coproduct_consequence_entailed(self):
         th = outgoing_edge_theory()

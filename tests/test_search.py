@@ -6,12 +6,20 @@ generation (`randgen` picks homomorphisms by index) depends.
 """
 
 import itertools
+import signal
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcl.fixtures import existence_symbol, uniqueness_symbol
-from dcl.graphs import Graph, GraphMorphism, compose, iter_homomorphisms, search_morphisms
+from dcl.graphs import (
+    Graph,
+    GraphMorphism,
+    compose,
+    find_isomorphism,
+    iter_homomorphisms,
+    search_morphisms,
+)
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
@@ -240,6 +248,43 @@ class TestHomSearch:
             assert maps(search_morphisms(g, h, injective=True)) == maps(
                 m for m in everything if m.is_bijective
             )
+
+
+def within_seconds(seconds: int, search):
+    """search(), or TimeoutError once `seconds` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"search still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return search()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestIsomorphismSearchIsPruned:
+    """Isomorphisms are found without enumerating what cannot extend to one."""
+
+    def test_parallel_arrows(self):
+        # 12 parallel loops: the first injective arrow choice in product
+        # order comes after about 12**11 repeating ones
+        g = Graph.build(["p"], [(f"l{i}", "p", "p") for i in range(12)])
+        h = Graph.build(["q"], [(f"m{i}", "q", "q") for i in range(12)])
+        iso = within_seconds(10, lambda: find_isomorphism(g, h))
+        assert iso.arrow_map == {f"l{i}": f"m{i}" for i in range(12)}
+
+    def test_isolated_nodes_before_an_arrow_end(self):
+        # the arrow's target sorts first and its source last; a target tried
+        # on an isolated node used to fail only after every arrangement of
+        # the isolated nodes in between
+        nodes = [f"a{i:02}" for i in range(12)]
+        g = Graph.build([*nodes, "z"], [("r", "z", "a00")])
+        h = Graph.build([*nodes, "z"], [("r", "z", "a11")])
+        iso = within_seconds(10, lambda: find_isomorphism(g, h))
+        assert iso.node_map["a00"] == "a11" and iso.node_map["z"] == "z"
 
 
 class TestSliceSearch:

@@ -6,7 +6,6 @@ from dcl.graphs import Graph, GraphMorphism, identity
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
-    canonicalize_instance,
     iter_typed_instances,
     to_indexed,
 )
