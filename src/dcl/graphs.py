@@ -270,9 +270,9 @@ def search_morphisms(
     Order: node ids of g are assigned in sorted order, each trying its
     candidates in sorted order (node assignments vary slowest), then arrow
     images follow in sorted arrow order, each over its candidates sorted
-    by id.  The search indexes h once per call: nodes by colour and arrow
-    ids by (label, src, tgt).  Assigning a node checks only the arrows of
-    g whose later endpoint it is (forward checking).
+    by id.  A plan of g, an index of h (nodes by colour, arrow ids by
+    (label, src, tgt)) and a run over both with the pins make the search;
+    assigning a node checks only the arrows of g it closes (forward checking).
 
     `typings`, a pair (g -> S, h -> S) over one schema S, limits the search
     to morphisms that commute with them: node colours and arrow labels are
@@ -283,20 +283,44 @@ def search_morphisms(
     already taken is not tried, nor, for an isomorphism, a node whose arrow
     ends differ.
     """
-    if typings is None:
-        blank = dict.fromkeys([*g.nodes, *g.arrow_by_id, *h.arrow_by_id])
-        node_colour = arrow_label = cod_label = blank
-        by_colour: Mapping = {None: h.sorted_nodes}
-    else:
-        node_colour, arrow_label = typings[0].node_map, typings[0].arrow_map
-        cod_label = typings[1].arrow_map
-        by_colour = typings[1].node_fibres()
-    node_pins, arrow_pins = pins if pins is not None else ({}, {})
+    if g.nodes and not h.nodes:  # no morphism into the empty graph: skip planning
+        return iter(())
+    g_typing, h_typing = typings or (None, None)
+    return _run_search(_pattern_plan(g, g_typing), _target_index(h, h_typing), pins, injective)
+
+
+def _pattern_plan(g: Graph, typing: Optional[GraphMorphism] = None) -> tuple:
+    """What the search needs of a pattern, whatever the target: (g, arrow labels,
+    sorted nodes, their colours, each node's forward checks, arrow ids, and arrow
+    ends as (label, source position, target position, pin None))."""
+    label = typing.arrow_map if typing else dict.fromkeys(g.arrow_by_id)
+    nodes = g.sorted_nodes
+    colours = [typing.node_map[n] for n in nodes] if typing else [None] * len(nodes)
+    position = {n: i for i, n in enumerate(nodes)}
+    checks: list[list[tuple]] = [[] for _ in nodes]
+    ends = []
+    for a in g.sorted_arrows:
+        s, t = position[a.src], position[a.tgt]
+        checks[max(s, t)].append((label[a.id], s, t))
+        ends.append((label[a.id], s, t, None))
+    return g, label, nodes, colours, checks, [a.id for a in g.sorted_arrows], ends
+
+
+def _target_index(h: Graph, typing: Optional[GraphMorphism] = None) -> tuple:
+    """What the search needs of a target, whatever the pattern: (h, its arrow
+    labels, its nodes by colour, its arrow ids by (label, src, tgt)), sorted."""
+    label = typing.arrow_map if typing else dict.fromkeys(h.arrow_by_id)
     index: dict[tuple, list[str]] = {}
     for a in h.sorted_arrows:
-        index.setdefault((cod_label[a.id], a.src, a.tgt), []).append(a.id)
+        index.setdefault((label[a.id], a.src, a.tgt), []).append(a.id)
+    return h, label, typing.node_fibres() if typing else {None: h.sorted_nodes}, index
 
-    nodes = g.sorted_nodes
+
+def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Iterator[GraphMorphism]:
+    """`search_morphisms` of a planned pattern into an indexed target."""
+    g, arrow_label, nodes, colours, checks, arrow_ids, ends = plan
+    h, cod_label, by_colour, index = target
+    node_pins, arrow_pins = pins if pins is not None else ({}, {})
     # an isomorphism keeps each node's arrow ends, by label and direction
     iso = injective and len(g.nodes) == len(h.nodes) and len(g.arrows) == len(h.arrows)
     if iso:
@@ -304,22 +328,16 @@ def search_morphisms(
         if sorted(degree.values()) != sorted(cod_degree.values()):
             return
     candidates = []
-    for n in nodes:
-        options = by_colour.get(node_colour[n], [])
+    for n, colour in zip(nodes, colours):
+        options = by_colour.get(colour, [])
         if iso:
             options = [c for c in options if cod_degree[c] == degree[n]]
         pinned = node_pins.get(n)
         candidates.append(options if pinned is None else [c for c in options if c == pinned])
     if not all(candidates):
         return
-    position = {n: i for i, n in enumerate(nodes)}
-    checks: list[list[tuple]] = [[] for _ in nodes]
-    ends = []
-    for a in g.sorted_arrows:
-        s, t = position[a.src], position[a.tgt]
-        checks[max(s, t)].append((arrow_label[a.id], s, t))
-        ends.append((arrow_label[a.id], s, t, arrow_pins.get(a.id)))
-    arrow_ids = [a.id for a in g.sorted_arrows]
+    if arrow_pins:
+        ends = [(*end[:3], arrow_pins.get(a)) for a, end in zip(arrow_ids, ends)]
 
     def complete(image: list[str]) -> Iterator[GraphMorphism]:
         options = []

@@ -100,7 +100,10 @@ def semantic_entails(
     node and max_parallel parallel links, one per isomorphism class
     (`iter_instance_classes`), each checked in canonical form.  A class
     whose canonical form spends its bound is Unknown, as an Unknown verdict is.
+    A goal over another base is refused, as `bounded_entailment` refuses it.
     """
+    if goal.from_.schema != theory.base:
+        raise GraphError("goal lives over a different base")
     checked = 0
     unknown: Optional[Verdict] = None
     for a in iter_instance_classes(theory.base, size_bound, max_parallel):

@@ -173,15 +173,19 @@ def iter_factorizations(
     """
     if x.dom != f.map.dom or x.cod != t.carrier:
         raise GraphError("a factorization of x needs x: dom f -> carrier of t")
+    pins = _factorization_pins(f.map, x)
+    if pins is not None:
+        yield from iter_slice_morphisms(f.to, t, pins, injective)
+
+
+def _factorization_pins(f: GraphMorphism, x: GraphMorphism) -> Optional[tuple[dict, dict]]:
+    """The pins on cod f that f;y == x forces, or None if x parts an f-fibre."""
     pins: tuple[dict[str, str], dict[str, str]] = ({}, {})
-    for pinned, f_map, x_map in (
-        (pins[0], f.map.node_map, x.node_map),
-        (pins[1], f.map.arrow_map, x.arrow_map),
-    ):
+    for pinned, f_map, x_map in zip(pins, (f.node_map, f.arrow_map), (x.node_map, x.arrow_map)):
         for element, image in f_map.items():
             if pinned.setdefault(image, x_map[element]) != x_map[element]:
-                return
-    yield from iter_slice_morphisms(f.to, t, pins, injective)
+                return None
+    return pins
 
 
 def iter_instance_isomorphisms(s: TypedInstance, t: TypedInstance) -> Iterator[SliceMorphism]:
@@ -228,12 +232,27 @@ def canonical_restriction(
     instances over one schema have equal canonical forms iff they are
     isomorphic as slice objects.
 
-    The pullback's elements are numbered fibre by fibre (the elements over
-    m(h), for each node h of dom m in sorted order), its links join those
-    numbers, and only the canonical result is named.  `fibres` is the pair
+    The pullback's elements are numbered from the fibres, and only the
+    canonical result is named.  `fibres` is the pair
     (t.typing.node_fibres(), t.typing.arrow_fibres()), for a caller that
     restricts t along many maps.
     """
+    names, links = _numbered_restriction(t, m, fibres)
+    order = _canonical_order(names, links)
+    position = {x: i for i, x in enumerate(order)}
+    ranked = sorted((position[x], position[y], k) for x, k, y in links)
+    return _trusted_instance(
+        t.schema if m is None else m.dom,
+        {f"n{i}": names[x] for i, x in enumerate(order)},
+        [(f"e{j}", f"n{x}", f"n{y}") for j, (x, y, _) in enumerate(ranked)],
+        {f"e{j}": k for j, (_, _, k) in enumerate(ranked)},
+    )
+
+
+def _numbered_restriction(t: TypedInstance, m: Optional[GraphMorphism], fibres=None) -> tuple:
+    """(names, links) of `restrict(t, m)`: element i, numbered fibre by fibre
+    (over m(h), for each node h of dom m in sorted order), lies over names[i];
+    a link is a (source, arrow of dom m, target) triple."""
     if m is not None and t.schema != m.cod:
         raise GraphError("restriction: morphism codomain differs from the schema")
     arity = t.schema if m is None else m.dom
@@ -248,15 +267,7 @@ def canonical_restriction(
         srcs, tgts = number[k.src], number[k.tgt]
         over = arrow_fibres[arrow_of.get(k.id, k.id)]
         links += [(srcs[a.src], k.id, tgts[a.tgt]) for a in over]
-    order = _canonical_order(names, links)
-    position = {x: i for i, x in enumerate(order)}
-    ranked = sorted((position[x], position[y], k) for x, k, y in links)
-    return _trusted_instance(
-        arity,
-        {f"n{i}": names[x] for i, x in enumerate(order)},
-        [(f"e{j}", f"n{x}", f"n{y}") for j, (x, y, _) in enumerate(ranked)],
-        {f"e{j}": k for j, (_, _, k) in enumerate(ranked)},
-    )
+    return tuple(names), tuple(links)
 
 
 # ---------------------------------------------------------------------------

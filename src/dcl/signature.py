@@ -18,16 +18,19 @@ from dcl.graphs import (
     Graph,
     GraphError,
     GraphMorphism,
+    _pattern_plan,
+    _run_search,
+    _target_index,
     compose,
     identity,
 )
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
+    _factorization_pins,
+    _numbered_restriction,
     canonical_restriction,
-    iter_factorizations,
     iter_instance_classes,
-    iter_slice_morphisms,
     serialize_instance,
 )
 from dcl.verdicts import Counterexample, Evidence, Status, Verdict
@@ -247,8 +250,6 @@ class Regular:
             raise SignatureError(f"search_limit is not a count: {self.search_limit!r}")
 
     def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
-        if self.formula.from_.schema != arity:
-            raise SignatureError("regular formula does not live over the arity")
         return check_injectivity(t, self.formula, self.search_limit)
 
 
@@ -365,21 +366,28 @@ def check_injectivity(
     factorizations together; past it the verdict is Unknown, naming the
     bound.  Pinning enumerates fewer
     morphisms than filtering every y would, so a bound can turn Unknown
-    into a definite verdict, never Valid into Invalid or back.
+    into a definite verdict, never Valid into Invalid or back.  The searches
+    share one index of t and a plan of each side of the formula; a formula
+    over another schema is refused.
     """
+    if formula.from_.schema != t.schema:
+        raise SignatureError("formula does not live over the schema of the instance")
     budget = Budget("injectivity-search", limit)
+    target = _target_index(t.carrier, t.typing)
+    factors = _pattern_plan(formula.to.carrier, formula.to.typing)
     table = []
     try:
-        for x in iter_slice_morphisms(formula.from_, t):
+        for x in _run_search(_pattern_plan(formula.from_.carrier, formula.from_.typing), target):
             budget.charge()
-            y = next(iter_factorizations(formula, x.map, t), None)
+            pins = _factorization_pins(formula.map, x)
+            y = None if pins is None else next(_run_search(factors, target, pins), None)
             if y is None:
                 return Verdict(
                     Status.INVALID,
-                    counterexample=Counterexample(t, (x.map.to_json(inline=False),)),
+                    counterexample=Counterexample(t, (x.to_json(inline=False),)),
                 )
             budget.charge()
-            table.append({"x": x.map.to_json(inline=False), "y": y.map.to_json(inline=False)})
+            table.append({"x": x.to_json(inline=False), "y": y.to_json(inline=False)})
     except BoundExceeded as exc:
         return Verdict(Status.UNKNOWN, detail=str(exc))
     return Verdict(Status.VALID, Evidence(t, {"factorizations": table}))
@@ -640,14 +648,16 @@ def verify_dependency_soundness(
 ) -> SoundnessReport:
     """Restriction of every small valid instance along every dependency must be valid.
 
-    One canonical instance per class; the valid ones are found once per source symbol.
+    One canonical instance per class; the valid ones, with their fibres, are found once per
+    source symbol.  A target decides each numbered restriction once per call.
     An Unknown verdict, on a class or on its restriction, is undecided, not a violation;
     a class whose canonical form spends its bound is Unknown, witnessed as enumerated.
     """
     checked = 0
     violations = []
     undecided = []
-    kept: dict[str, list[tuple[TypedInstance, Verdict]]] = {}
+    kept: dict[str, list[tuple[TypedInstance, Verdict, tuple]]] = {}
+    decided: dict[tuple, Verdict] = {}  # (target symbol, names, links) -> verdict
     for dep in sig.dependencies:
         source = sig.symbols[dep.source]
         target = sig.symbols[dep.target]
@@ -661,13 +671,17 @@ def verify_dependency_soundness(
                 except BoundExceeded as exc:
                     verdict = Verdict(Status.UNKNOWN, detail=str(exc))
                 if verdict.status is not Status.INVALID:
-                    kept[dep.source].append((t, verdict))
-        for t, source_verdict in kept[dep.source]:
+                    fibres = t.typing.node_fibres(), t.typing.arrow_fibres()
+                    kept[dep.source].append((t, verdict, fibres))
+        for t, source_verdict, fibres in kept[dep.source]:
             if not source_verdict.is_valid:
                 undecided.append(SoundnessViolation(dep.id, t, source_verdict, "class"))
                 continue
             checked += 1
-            verdict = evaluate(target, t, dep.arity_map)
+            key = (dep.target, *_numbered_restriction(t, dep.arity_map, fibres))
+            if key not in decided:
+                decided[key] = evaluate(target, t, dep.arity_map, fibres)
+            verdict = decided[key]
             if verdict.status is Status.UNKNOWN:
                 undecided.append(SoundnessViolation(dep.id, t, verdict, "restriction"))
             elif not verdict.is_valid:

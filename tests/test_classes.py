@@ -14,6 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dcl.fixtures import edge_pair_theory, outgoing_edge_theory
+import dcl.graphs
 from dcl.graphs import Graph, GraphMorphism, canonicalize
 from dcl.injlogic import (
     SemanticResult,
@@ -31,11 +32,17 @@ from dcl.instances import (
 )
 from dcl.io import load
 from dcl.signature import (
+    Dependency,
+    Multiplicity,
+    Signature,
     SoundnessReport,
     SoundnessViolation,
     check_injectivity,
     evaluate,
     jointly_monic_symbol,
+    key_symbol,
+    multiplicity_symbol,
+    single_arrow_arity,
     verify_dependency_soundness,
 )
 from dcl.verdicts import Status
@@ -76,6 +83,7 @@ def reference_semantic_entails(theory, goal, size_bound, max_parallel=2, limit=2
 def reference_dependency_soundness(sig, size_bound, max_parallel=2):
     checked = 0
     violations = []
+    undecided = []
     for dep in sig.dependencies:
         source = sig.symbols[dep.source]
         target = sig.symbols[dep.target]
@@ -91,9 +99,11 @@ def reference_dependency_soundness(sig, size_bound, max_parallel=2):
             checked += 1
             restricted = restrict(canonical, dep.arity_map)
             verdict = evaluate(target, restricted)
-            if not verdict.is_valid:
+            if verdict.status is Status.UNKNOWN:
+                undecided.append(SoundnessViolation(dep.id, canonical, verdict, "restriction"))
+            elif not verdict.is_valid:
                 violations.append(SoundnessViolation(dep.id, canonical, verdict))
-    return SoundnessReport(checked, tuple(violations))
+    return SoundnessReport(checked, tuple(violations), tuple(undecided))
 
 
 def first_seen_classes(schema, max_per_node, max_parallel):
@@ -139,6 +149,29 @@ def criterion_06_goals():
 
 def report_bytes(report: SoundnessReport) -> str:
     return json.dumps(report.to_json(), sort_keys=True)
+
+
+def span_key_signature() -> Signature:
+    """[jm] with its two legs onto [1], as shipped, and a third dependency
+    onto a four-attribute key whose attributes are all the 01 leg: its
+    restrictions repeat that leg four times, so they are larger than the
+    classes they come from."""
+    jm, one = jointly_monic_symbol(), multiplicity_symbol([(1, 1)])
+    key = key_symbol(["r1", "r2", "r3", "r4"])
+    leg = single_arrow_arity()
+    four = GraphMorphism(
+        key.arity,
+        jm.arity,
+        {"C": "0", **{f"V{i}": "1" for i in range(4)}},
+        {f"r{i}": "01" for i in range(1, 5)},
+    )
+    legs = [
+        Dependency(d, jm.name, one.name, GraphMorphism(leg, jm.arity, {"A": "0", "B": b}, {"r": r}))
+        for d, b, r in (("d1", "1", "01"), ("d2", "2", "02"))
+    ]
+    return Signature(
+        {s.name: s for s in (jm, one, key)}, (*legs, Dependency("d3", jm.name, key.name, four))
+    )
 
 
 class TestInstanceClasses:
@@ -189,6 +222,43 @@ class TestSweepsMatchReference:
                 serialize_instance(v.witness) for v in want.violations
             ]
             assert report_bytes(got) == report_bytes(want)
+
+    def test_dependency_soundness_over_two_targets(self):
+        # two dependencies into [1] with different arity maps, one into [key]
+        sig = span_key_signature()
+        flagged = set()
+        for size, parallel in ((1, 1), (1, 2), (2, 1)):
+            got = verify_dependency_soundness(sig, size, parallel)
+            flagged |= {v.dependency for v in got.violations}
+            assert report_bytes(got) == report_bytes(
+                reference_dependency_soundness(sig, size, parallel)
+            )
+        assert flagged == {"d1", "d2", "d3"}
+
+    def test_repeated_unknown_restrictions(self, monkeypatch):
+        # at 20 units every class has its canonical form and four [key]
+        # restrictions, all one numbering, spend the bound: each keeps its
+        # own entry, on the restriction, with the detail a fresh call gives
+        monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 20)
+        sig = span_key_signature()
+        got = verify_dependency_soundness(sig, 1, 2)
+        assert [(v.dependency, v.on) for v in got.undecided] == [("d3", "restriction")] * 4
+        assert {v.verdict.detail for v in got.undecided} == {
+            "canonical-form bound exceeded: spent 21 of 20 units"
+        }
+        assert report_bytes(got) == report_bytes(reference_dependency_soundness(sig, 1, 2))
+
+    def test_each_distinct_restriction_decided_once(self, monkeypatch):
+        # 292 restrictions of kept classes, whose numberings take 24 values
+        decided = []
+        decide = Multiplicity.decide
+        monkeypatch.setattr(
+            Multiplicity, "decide", lambda self, arity, t: decided.append(t) or decide(self, arity, t)
+        )
+        sig = load(str(resources.files("dcl") / "data" / "span-signature.json"))
+        report = verify_dependency_soundness(sig, 2, 1)
+        assert report.checked == 292
+        assert 0 < len(decided) < report.checked
 
     def test_semantic_entails(self):
         statuses = set()

@@ -30,7 +30,7 @@ from dcl.injlogic import (
 )
 from dcl.instances import SliceMorphism, TypedInstance, iter_slice_morphisms
 from dcl.io import load
-from dcl.signature import check_injectivity
+from dcl.signature import SignatureError, check_injectivity
 from dcl.verdicts import Status
 
 
@@ -38,6 +38,14 @@ def point_into_edge():
     s = Graph.build(["A"])
     q = Graph.build(["A", "B"], [("r", "A", "B")])
     return as_slice_morphism(GraphMorphism(s, q, {"A": "A"}, {}))
+
+
+def point_into_two_points():
+    """{a} -> {b1, b2} over the one-node base X, foreign to the terminal graph."""
+    x = Graph.build(["X"])
+    a = TypedInstance.build(x, Graph.build(["a"]), {"a": "X"}, {})
+    b = TypedInstance.build(x, Graph.build(["b1", "b2"]), {"b1": "X", "b2": "X"}, {})
+    return SliceMorphism(a, b, GraphMorphism(a.carrier, b.carrier, {"a": "b1"}, {}))
 
 
 class TestInjectivity:
@@ -68,6 +76,12 @@ class TestInjectivity:
         assert v.status is Status.UNKNOWN
         assert v.detail == "injectivity-search bound exceeded: spent 3 of 2 units"
 
+    def test_formula_over_another_schema_refused(self):
+        # no testing map crosses schemas, which used to read as Valid
+        a = as_slice(Graph.build(["n"], [("l", "n", "n")]))
+        with pytest.raises(SignatureError, match="does not live over the schema"):
+            check_injectivity(a, point_into_two_points())
+
 
 class TestSemanticEntailment:
     def test_entailed_by_own_axiom(self):
@@ -95,6 +109,13 @@ class TestSemanticEntailment:
         res = semantic_entails(th, th.formulas["out-edge"], 2)
         assert res.status == "unknown" and res.counterexample is None
         assert re.fullmatch(r"canonical-form bound exceeded: spent \d+ of 2 units", res.detail)
+
+    def test_goal_over_another_base_refused(self):
+        # as bounded_entailment refuses it; the sweep used to say "entailed"
+        th = outgoing_edge_theory()
+        for size in (0, 2):
+            with pytest.raises(GraphError, match="goal lives over a different base"):
+                semantic_entails(th, point_into_two_points(), size)
 
     def test_coproduct_consequence_entailed(self):
         th = outgoing_edge_theory()

@@ -15,6 +15,9 @@ from dcl.fixtures import existence_symbol, uniqueness_symbol
 from dcl.graphs import (
     Graph,
     GraphMorphism,
+    _pattern_plan,
+    _run_search,
+    _target_index,
     compose,
     find_isomorphism,
     iter_homomorphisms,
@@ -323,6 +326,21 @@ class TestSliceSearch:
         assert maps(y.map for y in iter_factorizations(f, x, t, injective=True)) == maps(
             m for m in expected if is_monic(m)
         )
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_plan_and_index_serve_many_pins(self, data):
+        # what check_injectivity does: plan s and index t once, then run the
+        # search for every pin set; each run must equal a fresh search
+        s, t = data.draw(typed_instances()), data.draw(typed_instances(max_arrows=7))
+        typings = (s.typing, t.typing) if data.draw(st.booleans()) else None
+        plan = _pattern_plan(s.carrier, typings and typings[0])
+        index = _target_index(t.carrier, typings and typings[1])
+        pin_sets = data.draw(st.lists(pins_for(s.carrier, t.carrier), max_size=4))
+        for pins, injective in itertools.product([None, *pin_sets], (False, True)):
+            assert maps(_run_search(plan, index, pins, injective)) == maps(
+                search_morphisms(s.carrier, t.carrier, typings, pins, injective)
+            )
 
 
 def factorization_table(formula, t):
