@@ -249,12 +249,12 @@ def _trusted_morphism(
     return m
 
 
-def _trusted_graph(nodes: Iterable[str], arrows: Iterable[tuple[str, str, str]]) -> Graph:
+def _trusted_graph(nodes: Iterable[str], arrows: Iterable[Arrow]) -> Graph:
     """A graph built without validation: arrow ids must be distinct and not
     node ids, and endpoints nodes, as `Graph.__post_init__` would check."""
     g = object.__new__(Graph)
     object.__setattr__(g, "nodes", frozenset(nodes))
-    object.__setattr__(g, "arrows", frozenset(Arrow(*a) for a in arrows))
+    object.__setattr__(g, "arrows", frozenset(arrows))
     return g
 
 
@@ -462,7 +462,7 @@ def pullback(
     for x in f.dom.sorted_arrows:
         for y in g_arrows[f.arrow_map[x.id]]:
             pid = pair_id(x.id, y.id)
-            arrows.append((pid, pair_id(x.src, y.src), pair_id(x.tgt, y.tgt)))
+            arrows.append(Arrow(pid, pair_id(x.src, y.src), pair_id(x.tgt, y.tgt)))
             arrow_p[pid] = x.id
             arrow_q[pid] = y.id
     p_graph = _trusted_graph(nodes, arrows)
@@ -547,7 +547,7 @@ def pushout(
         return arrow_id[_find(arrow_parent, tagged)]
 
     arrows = [
-        (arrow_id[root], node_class(ends[root][0]), node_class(ends[root][1]))
+        Arrow(arrow_id[root], node_class(ends[root][0]), node_class(ends[root][1]))
         for root in arrow_id
     ]
     p_graph = _trusted_graph(node_id.values(), arrows)
@@ -801,20 +801,22 @@ def _canonical_component(
     return encoding, [members[x] for x in order]
 
 
-def _canonical_order(names: list[str], arrows: list[tuple[int, str, int]]) -> list[int]:
-    """Nodes 0..n-1, node x coloured `names[x]`, in canonical order, given the
-    arrows as (source, label, target) triples: the integer core of `canonicalize`."""
+def _canonical_order(names: list[str], arrows: list[tuple[int, str, int]]) -> list[tuple]:
+    """The canonical parts of nodes 0..n-1, node x coloured `names[x]`, given the
+    arrows as (source, label, target) triples: the integer core of `canonicalize`.
+    A part is (encoding, members) of one component, members in canonical order,
+    encoded as (size, colours, sorted (source, target, label) triples over places
+    0..size-1).  Parts are sorted, so their members in turn are the canonical order."""
     outs: list[list[tuple[str, int]]] = [[] for _ in names]
     ins: list[list[tuple[str, int]]] = [[] for _ in names]
     for x, label, y in arrows:
         outs[x].append((label, y))
         ins[y].append((label, x))
     budget = Budget("canonical-form", CANONICAL_WORK_LIMIT)
-    parts = sorted(
+    return sorted(
         _canonical_component(members, outs, ins, names, budget)
         for members in _components(outs, ins)
     )
-    return [x for _, members in parts for x in members]
 
 
 def canonicalize(
@@ -842,7 +844,7 @@ def canonicalize(
     names = [""] * len(nodes) if node_colors is None else [node_colors[n] for n in nodes]
     position = {n: i for i, n in enumerate(nodes)}
     arrows = [(position[a.src], labels[a.id], position[a.tgt]) for a in g.sorted_arrows]
-    order = [nodes[x] for x in _canonical_order(names, arrows)]
+    order = [nodes[x] for _, members in _canonical_order(names, arrows) for x in members]
     index = {n: i for i, n in enumerate(order)}
     node_map = {n: f"n{index[n]}" for n in nodes}
     arrow_order = sorted(
@@ -851,7 +853,7 @@ def canonicalize(
     arrow_map = dict(sorted((a.id, f"e{i}") for i, a in enumerate(arrow_order)))
     canonical = _trusted_graph(
         node_map.values(),
-        [(arrow_map[a.id], node_map[a.src], node_map[a.tgt]) for a in g.arrows],
+        [Arrow(arrow_map[a.id], node_map[a.src], node_map[a.tgt]) for a in g.arrows],
     )
     return CanonicalForm(canonical, _trusted_morphism(g, canonical, node_map, arrow_map))
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional
 
 from dcl.graphs import (
+    Arrow,
     Graph,
     GraphError,
     GraphMorphism,
@@ -137,7 +138,7 @@ def _trusted_instance(
     """An instance built without validation: `arrows` are (link, src, tgt)
     triples over the elements `node_typing` types, all ids distinct, and
     the typing preserves incidence."""
-    carrier = _trusted_graph(node_typing, arrows)
+    carrier = _trusted_graph(node_typing, map(Arrow._make, arrows))
     typing = _trusted_morphism(
         carrier, schema, dict(sorted(node_typing.items())), dict(sorted(arrow_typing.items()))
     )
@@ -237,16 +238,34 @@ def canonical_restriction(
     (t.typing.node_fibres(), t.typing.arrow_fibres()), for a caller that
     restricts t along many maps.
     """
+    return _canonical_with_fibres(t, m, fibres)[0]
+
+
+def _canonical_with_fibres(
+    t: TypedInstance, m: Optional[GraphMorphism] = None, fibres: Optional[tuple] = None
+) -> tuple[TypedInstance, tuple[dict, dict]]:
+    """`canonical_restriction(t, m, fibres)` and its (node_fibres(), arrow_fibres()),
+    named in one pass over the canonical parts: element i is `n{i}`, link j `e{j}`,
+    and ids are visited in sorted order, which is numeric order up to ten ids."""
     names, links = _numbered_restriction(t, m, fibres)
-    order = _canonical_order(names, links)
-    position = {x: i for i, x in enumerate(order)}
-    ranked = sorted((position[x], position[y], k) for x, k, y in links)
-    return _trusted_instance(
-        t.schema if m is None else m.dom,
-        {f"n{i}": names[x] for i, x in enumerate(order)},
-        [(f"e{j}", f"n{x}", f"n{y}") for j, (x, y, _) in enumerate(ranked)],
-        {f"e{j}": k for j, (_, _, k) in enumerate(ranked)},
-    )
+    arity = t.schema if m is None else m.dom
+    colours, ranked = [], []
+    for (_, part_colours, triples), _ in _canonical_order(names, links):
+        ranked += [(len(colours) + x, len(colours) + y, k) for x, y, k in triples]
+        colours += part_colours
+    nodes = [f"n{i}" for i in range(len(colours))]
+    node_typing, node_fibres = {}, {h: [] for h in arity.sorted_nodes}
+    for i in range(len(nodes)) if len(nodes) <= 10 else sorted(range(len(nodes)), key=str):
+        node_typing[nodes[i]] = colours[i]
+        node_fibres[colours[i]].append(nodes[i])
+    arrow_typing, arrow_fibres = {}, {k.id: [] for k in arity.sorted_arrows}
+    for j in range(len(ranked)) if len(ranked) <= 10 else sorted(range(len(ranked)), key=str):
+        x, y, k = ranked[j]
+        arrow_typing[f"e{j}"] = k
+        arrow_fibres[k].append(Arrow(f"e{j}", nodes[x], nodes[y]))
+    carrier = _trusted_graph(node_typing, [a for over in arrow_fibres.values() for a in over])
+    typing = _trusted_morphism(carrier, arity, node_typing, arrow_typing)
+    return TypedInstance(typing), (node_fibres, arrow_fibres)
 
 
 def _numbered_restriction(t: TypedInstance, m: Optional[GraphMorphism], fibres=None) -> tuple:

@@ -19,7 +19,6 @@ from dcl.instances import (
     _canonical_delta,
     restrict,
     restrict_with_projection,
-    serialize_instance,
 )
 from dcl.signature import Dependency, Signature, evaluate
 from dcl.sketch import (
@@ -116,13 +115,11 @@ def verify_sat_axiom(
         return SatAxiomResult(
             False, reduct_side, translated_side, "verdict statuses differ"
         )
-    if reduct_side.is_valid:
-        left = serialize_instance(reduct_side.evidence.restricted)
-        right = serialize_instance(translated_side.evidence.restricted)
-        if left != right:
-            return SatAxiomResult(
-                False, reduct_side, translated_side, "evidence bytes differ"
-            )
+    # canonical instances: equal as values exactly when their bytes are equal
+    if reduct_side.is_valid and (
+        reduct_side.evidence.restricted != translated_side.evidence.restricted
+    ):
+        return SatAxiomResult(False, reduct_side, translated_side, "evidence bytes differ")
     return SatAxiomResult(True, reduct_side, translated_side)
 
 

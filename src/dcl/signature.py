@@ -27,6 +27,7 @@ from dcl.graphs import (
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
+    _canonical_with_fibres,
     _factorization_pins,
     _numbered_restriction,
     canonical_restriction,
@@ -109,10 +110,11 @@ class Multiplicity:
     def admits(self, count: int) -> bool:
         return any(lo <= count and (hi is None or count <= hi) for lo, hi in self.intervals)
 
-    def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
+    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
         arrow = _single_arrow(arity)
-        counts = dict.fromkeys(t.typing.node_fibres()[arrow.src], 0)
-        for link in t.typing.arrow_fibres()[arrow.id]:
+        node_fibres, arrow_fibres = fibres or (t.typing.node_fibres(), t.typing.arrow_fibres())
+        counts = dict.fromkeys(node_fibres[arrow.src], 0)
+        for link in arrow_fibres[arrow.id]:
             counts[link.src] += 1
         offenders = tuple(sorted(a for a, c in counts.items() if not self.admits(c)))
         if offenders:
@@ -124,13 +126,13 @@ class Multiplicity:
 class Key:
     kind = "key"
 
-    def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
+    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
         sources = {a.src for a in arity.arrows}
         if len(sources) != 1:
             raise SignatureError("key arity must have a single common source node")
         (class_node,) = sources
         attrs = [a.id for a in arity.sorted_arrows]
-        keys = _distinct_targets(t, class_node, attrs)
+        keys = _distinct_targets(t, fibres, class_node, attrs)
         if isinstance(keys, Verdict):
             return keys
         return Verdict(Status.VALID, Evidence(t, {"keys": keys}))
@@ -142,8 +144,8 @@ class Subset:
     first: str = "r1"
     second: str = "r2"
 
-    def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
-        spans = t.typing.arrow_fibres()
+    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
+        spans = fibres[1] if fibres else t.typing.arrow_fibres()
         second_pairs = {(src, tgt): link for link, src, tgt in spans[self.second]}
         assignment = {}
         offenders = []
@@ -168,8 +170,8 @@ class CompositeSubset4:
     path1: tuple[str, str] = ("r1", "r2")
     path2: tuple[str, str] = ("s1", "s2")
 
-    def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
-        spans = t.typing.arrow_fibres()
+    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
+        spans = fibres[1] if fibres else t.typing.arrow_fibres()
         r1, r2 = self.path1
         s1, s2 = self.path2
         s2_from = _links_from(spans[s2])
@@ -207,11 +209,11 @@ class JointlyMonic:
     first: str = "01"
     second: str = "02"
 
-    def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
+    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
         apex = arity.arrow_by_id[self.first].src
         if arity.arrow_by_id[self.second].src != apex:
             raise SignatureError("jointly-monic legs must share their source node")
-        pairs = _distinct_targets(t, apex, (self.first, self.second))
+        pairs = _distinct_targets(t, fibres, apex, (self.first, self.second))
         if isinstance(pairs, Verdict):
             return pairs
         return Verdict(Status.VALID, Evidence(t, pairs))
@@ -225,8 +227,8 @@ class Commutativity:
     path: tuple[str, str] = ("f", "g")
     direct: str = "h"
 
-    def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
-        spans = t.typing.arrow_fibres()
+    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
+        spans = fibres[1] if fibres else t.typing.arrow_fibres()
         f, g = self.path
         g_from = _links_from(spans[g])
         composite = {(a, c) for _, a, b in spans[f] for _, c in g_from.get(b, ())}
@@ -249,7 +251,7 @@ class Regular:
         if type(self.search_limit) is not int or self.search_limit < 0:
             raise SignatureError(f"search_limit is not a count: {self.search_limit!r}")
 
-    def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
+    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
         return check_injectivity(t, self.formula, self.search_limit)
 
 
@@ -268,7 +270,7 @@ class Lifting:
         # a translation of the fields, not a field: equality and JSON ignore it
         object.__setattr__(self, "_regular", lifting_to_regular(self)[1])
 
-    def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
+    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
         """Decided as the regular formula `lifting_to_regular` gives."""
         if self.n.cod != arity:
             raise SignatureError("lifting pair does not target the arity")
@@ -298,10 +300,9 @@ class Table:
             canonical.append((entry_id, instance))
         object.__setattr__(self, "entries", tuple(canonical))
 
-    def decide(self, arity: Graph, t: TypedInstance) -> Verdict:
-        wanted = serialize_instance(t)
+    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
         for entry_id, instance in self.entries:
-            if serialize_instance(instance) == wanted:
+            if instance == t:
                 return Verdict(Status.VALID, Evidence(t, {"entry": entry_id}))
         return Verdict(Status.INVALID, counterexample=Counterexample(t, ()))
 
@@ -335,15 +336,15 @@ def _links_from(span: Sequence[Arrow]) -> dict[str, list[tuple[str, str]]]:
 
 
 def _distinct_targets(
-    t: TypedInstance, node: str, arrows: Sequence[str]
+    t: TypedInstance, fibres: Optional[tuple], node: str, arrows: Sequence[str]
 ) -> Union[Verdict, dict[str, list]]:
     """Each element of `node`'s fibre, in sorted order, to the sorted targets
     of its links along each of `arrows`; or Invalid, naming the first
     element whose targets an earlier element shares."""
-    spans = t.typing.arrow_fibres()
+    node_fibres, spans = fibres or (t.typing.node_fibres(), t.typing.arrow_fibres())
     links = [_links_from(spans[a]) for a in arrows]
     seen: dict[tuple, str] = {}
-    for e in t.typing.node_fibres()[node]:
+    for e in node_fibres[node]:
         key = tuple(tuple(sorted(tgt for _, tgt in by_src.get(e, ()))) for by_src in links)
         if key in seen:
             return Verdict(Status.INVALID, counterexample=Counterexample(t, (seen[key], e)))
@@ -444,7 +445,8 @@ def evaluate(
     arity -> schema(t), or on t, an instance over the arity, without one.
 
     The procedure sees `canonical_restriction(t, binding, fibres)`, which
-    makes it iso-invariant by construction.  A canonical form that spends
+    makes it iso-invariant by construction, together with that instance's
+    fibres from the same naming pass.  A canonical form that spends
     its work bound gives an Unknown verdict whose detail names the bound,
     its limit and the work spent.
     """
@@ -453,10 +455,10 @@ def evaluate(
             f"instance schema differs from the arity of {symbol.name!r}"
         )
     try:
-        canonical = canonical_restriction(t, binding, fibres)
+        canonical, canonical_fibres = _canonical_with_fibres(t, binding, fibres)
     except BoundExceeded as exc:
         return Verdict(Status.UNKNOWN, detail=str(exc))
-    return symbol.semantics.decide(symbol.arity, canonical)
+    return symbol.semantics.decide(symbol.arity, canonical, canonical_fibres)
 
 
 @dataclass(frozen=True)
@@ -665,13 +667,13 @@ def verify_dependency_soundness(
             kept[dep.source] = []
             for t in iter_instance_classes(source.arity, size_bound, max_parallel):
                 try:
-                    t = canonical_restriction(t)
+                    t, fibres = _canonical_with_fibres(t)
                     # already canonical, so decided directly, not through `evaluate`
-                    verdict = source.semantics.decide(source.arity, t)
+                    verdict = source.semantics.decide(source.arity, t, fibres)
                 except BoundExceeded as exc:
-                    verdict = Verdict(Status.UNKNOWN, detail=str(exc))
+                    # an Unknown class is reported, never restricted, so needs no fibres
+                    fibres, verdict = None, Verdict(Status.UNKNOWN, detail=str(exc))
                 if verdict.status is not Status.INVALID:
-                    fibres = t.typing.node_fibres(), t.typing.arrow_fibres()
                     kept[dep.source].append((t, verdict, fibres))
         for t, source_verdict, fibres in kept[dep.source]:
             if not source_verdict.is_valid:

@@ -253,7 +253,9 @@ class TestSweepsMatchReference:
         decided = []
         decide = Multiplicity.decide
         monkeypatch.setattr(
-            Multiplicity, "decide", lambda self, arity, t: decided.append(t) or decide(self, arity, t)
+            Multiplicity,
+            "decide",
+            lambda self, arity, t, *rest: decided.append(t) or decide(self, arity, t, *rest),
         )
         sig = load(str(resources.files("dcl") / "data" / "span-signature.json"))
         report = verify_dependency_soundness(sig, 2, 1)

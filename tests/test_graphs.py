@@ -802,6 +802,16 @@ class TestCanonicalRestriction:
     def test_equals_canonical_form_over_adversarial_ids(self, case):
         self.check(*case)
 
+    @given(restriction_cases(PLAIN_IDS), st.data())
+    @settings(deadline=None)
+    def test_value_equality_is_byte_equality(self, case, data):
+        # a second small instance over the same schema is often isomorphic
+        t, _ = case
+        u = TypedInstance(data.draw(graph_over(t.schema, PLAIN_IDS, max_size=3)))
+        for a, b in itertools.combinations([t, u, restrict(t, identity(t.schema))], 2):
+            a, b = canonical_restriction(a), canonical_restriction(b)
+            assert (a == b) == (serialize_instance(a) == serialize_instance(b))
+
     @staticmethod
     def two_links() -> TypedInstance:
         schema = Graph.build(["A", "B"], [("r", "A", "B")])

@@ -172,6 +172,31 @@ class TestSatAxiom:
         res = verify_sat_axiom(identity(carrier), d, t, sig, translate=broken)
         assert not res.passed and res.detail == "verdict statuses differ"
 
+    def test_evidence_fault_detected(self):
+        # both sides are Valid, but the hook rebinds r to the parallel s,
+        # so the reduct's evidence has one link and the translation's two
+        sig = harness_signature()
+        carrier = Graph.build(["A", "B"], [("r", "A", "B"), ("s", "A", "B")])
+        arity = sig.symbols["[1..*]"].arity
+        d = ConstraintDeclaration(
+            "d", "[1..*]", GraphMorphism(arity, carrier, {"A": "A", "B": "B"}, {"r": "r"})
+        )
+        t = TypedInstance.build(
+            carrier,
+            Graph.build(["a", "b"], [("l1", "a", "b"), ("l2", "a", "b"), ("l3", "a", "b")]),
+            {"a": "A", "b": "B"},
+            {"l1": "r", "l2": "s", "l3": "s"},
+        )
+
+        def rebind(f, decl):
+            out = translate_declaration(f, decl)
+            binding = GraphMorphism(arity, carrier, out.binding.node_map, {"r": "s"})
+            return ConstraintDeclaration(out.id, out.label, binding)
+
+        res = verify_sat_axiom(identity(carrier), d, t, sig, translate=rebind)
+        assert res.reduct_side.is_valid and res.translated_side.is_valid
+        assert not res.passed and res.detail == "evidence bytes differ"
+
 
 class TestPropagation:
     def _jm_setup(self):

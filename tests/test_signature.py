@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dcl.graphs import Graph, GraphMorphism, identity
+from dcl.graphs import Graph, GraphMorphism, identity, iter_homomorphisms
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
@@ -38,7 +40,7 @@ from dcl.signature import (
     verify_dependency_soundness,
 )
 from dcl.fixtures import existence_formula, existence_symbol, uniqueness_formula, uniqueness_symbol
-from dcl.verdicts import Status
+from dcl.verdicts import Status, Verdict
 
 
 def check_lifting(t, m, n):
@@ -380,6 +382,86 @@ class TestIsoInvariance:
                     assert serialize_instance(va.evidence.restricted) == serialize_instance(
                         vb.evidence.restricted
                     )
+
+
+SPAN_SYMBOLS = (
+    multiplicity_symbol([(1, None)]),
+    key_symbol(["k1", "k2"]),
+    subset_symbol(),
+    composite_subset_symbol(),
+    jointly_monic_symbol(),
+    commutativity_symbol(),
+)
+
+
+class FibreSpy:
+    """A semantics that records what `evaluate` hands its decision procedure."""
+
+    kind = "spy"
+
+    def __init__(self):
+        self.seen = []
+
+    def decide(self, arity, t, fibres=None):
+        self.seen.append((t, fibres))
+        return Verdict(Status.UNKNOWN, detail="recorded")
+
+
+@st.composite
+def bound_instances(draw):
+    """(symbol, t, b): a span-based symbol, an instance t of up to 16
+    elements and 20 links over a drawn schema G with a loop R0 on N0, and a
+    binding b: arity -> G, which the loop makes sure exists."""
+    symbol = draw(st.sampled_from(SPAN_SYMBOLS))
+    nodes = [f"N{i}" for i in range(draw(st.integers(1, 3)))]
+    ends = [("N0", "N0")] + draw(
+        st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=3)
+    )
+    schema = Graph.build(nodes, [(f"R{k}", s, t) for k, (s, t) in enumerate(ends)])
+    b = draw(st.sampled_from(list(iter_homomorphisms(symbol.arity, schema))))
+    types = draw(st.lists(st.sampled_from(nodes), max_size=16))
+    elements = {f"x{i}": h for i, h in enumerate(types)}
+    links, link_typing = [], {}
+    for _ in range(draw(st.integers(0, 20))):
+        arrow = draw(st.sampled_from(schema.sorted_arrows))
+        srcs = [x for x, h in elements.items() if h == arrow.src]
+        tgts = [x for x, h in elements.items() if h == arrow.tgt]
+        if srcs and tgts:
+            link = f"l{len(links)}"
+            links.append((link, draw(st.sampled_from(srcs)), draw(st.sampled_from(tgts))))
+            link_typing[link] = arrow.id
+    t = TypedInstance.build(schema, Graph.build(elements, links), elements, link_typing)
+    return symbol, t, b
+
+
+def twelve_links() -> tuple:
+    """[1..*] on an instance of 13 elements and 12 links: past ten ids, n10 sorts before n2."""
+    arity = single_arrow_arity()
+    elements = {"a": "A", **{f"b{i}": "B" for i in range(12)}}
+    links = [(f"l{i}", "a", f"b{i}") for i in range(12)]
+    typing = {link: "r" for link, _, _ in links}
+    t = TypedInstance.build(arity, Graph.build(elements, links), elements, typing)
+    return SPAN_SYMBOLS[0], t, identity(arity)
+
+
+class TestCanonicalFibres:
+    """`evaluate` hands each decision the canonical instance's own fibres."""
+
+    @given(bound_instances())
+    @example(twelve_links())
+    @settings(deadline=None)
+    def test_fibres_are_the_canonical_instances(self, case):
+        symbol, t, b = case
+        spy = FibreSpy()
+        evaluate(ConstraintSymbol("[spy]", symbol.arity, spy), t, b)
+        ((canonical, fibres),) = spy.seen
+        node_fibres, arrow_fibres = canonical.typing.node_fibres(), canonical.typing.arrow_fibres()
+        # dict and list order included
+        assert list(fibres[0].items()) == list(node_fibres.items())
+        assert list(fibres[1].items()) == list(arrow_fibres.items())
+        given_fibres = symbol.semantics.decide(symbol.arity, canonical, fibres).to_json()
+        assert given_fibres == symbol.semantics.decide(symbol.arity, canonical).to_json()
+        assert evaluate(symbol, t, b).to_json() == given_fibres
 
 
 class TestSignatureStructure:
