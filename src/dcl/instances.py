@@ -246,7 +246,7 @@ def _canonical_with_fibres(
 ) -> tuple[TypedInstance, tuple[dict, dict]]:
     """`canonical_restriction(t, m, fibres)` and its (node_fibres(), arrow_fibres()),
     named in one pass over the canonical parts: element i is `n{i}`, link j `e{j}`,
-    and ids are visited in sorted order, which is numeric order up to ten ids."""
+    and ids are visited in sorted order (`n10` before `n2`)."""
     names, links = _numbered_restriction(t, m, fibres)
     arity = t.schema if m is None else m.dom
     colours, ranked = [], []
@@ -255,11 +255,11 @@ def _canonical_with_fibres(
         colours += part_colours
     nodes = [f"n{i}" for i in range(len(colours))]
     node_typing, node_fibres = {}, {h: [] for h in arity.sorted_nodes}
-    for i in range(len(nodes)) if len(nodes) <= 10 else sorted(range(len(nodes)), key=str):
+    for i in sorted(range(len(nodes)), key=str):
         node_typing[nodes[i]] = colours[i]
         node_fibres[colours[i]].append(nodes[i])
     arrow_typing, arrow_fibres = {}, {k.id: [] for k in arity.sorted_arrows}
-    for j in range(len(ranked)) if len(ranked) <= 10 else sorted(range(len(ranked)), key=str):
+    for j in sorted(range(len(ranked)), key=str):
         x, y, k = ranked[j]
         arrow_typing[f"e{j}"] = k
         arrow_fibres[k].append(Arrow(f"e{j}", nodes[x], nodes[y]))

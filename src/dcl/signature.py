@@ -446,9 +446,10 @@ def evaluate(
 
     The procedure sees `canonical_restriction(t, binding, fibres)`, which
     makes it iso-invariant by construction, together with that instance's
-    fibres from the same naming pass.  A canonical form that spends
-    its work bound gives an Unknown verdict whose detail names the bound,
-    its limit and the work spent.
+    fibres from the same naming pass.  `decide(arity, t)` without them stays
+    public: the span-based procedures then compute them from t.  A canonical
+    form that spends its work bound gives an Unknown verdict whose detail
+    names the bound, its limit and the work spent.
     """
     if (t.schema if binding is None else binding.dom) != symbol.arity:
         raise SignatureError(
