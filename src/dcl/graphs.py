@@ -306,14 +306,23 @@ def _pattern_plan(g: Graph, typing: Optional[GraphMorphism] = None) -> tuple:
     return g, label, nodes, colours, checks, [a.id for a in g.sorted_arrows], ends
 
 
-def _target_index(h: Graph, typing: Optional[GraphMorphism] = None) -> tuple:
+def _target_index(
+    h: Graph, typing: Optional[GraphMorphism] = None, fibres: Optional[tuple] = None
+) -> tuple:
     """What the search needs of a target, whatever the pattern: (h, its arrow
-    labels, its nodes by colour, its arrow ids by (label, src, tgt)), sorted."""
+    labels, its nodes by colour, its arrow ids by (label, src, tgt)), sorted.
+    `fibres`, typing's (node_fibres(), arrow_fibres()) if the caller has them,
+    are read instead of grouping and sorting h again."""
     label = typing.arrow_map if typing else dict.fromkeys(h.arrow_by_id)
+    if fibres:
+        by_colour, arrows = fibres[0], itertools.chain.from_iterable(fibres[1].values())
+    else:
+        by_colour = typing.node_fibres() if typing else {None: h.sorted_nodes}
+        arrows = h.sorted_arrows
     index: dict[tuple, list[str]] = {}
-    for a in h.sorted_arrows:
+    for a in arrows:
         index.setdefault((label[a.id], a.src, a.tgt), []).append(a.id)
-    return h, label, typing.node_fibres() if typing else {None: h.sorted_nodes}, index
+    return h, label, by_colour, index
 
 
 def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Iterator[GraphMorphism]:

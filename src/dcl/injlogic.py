@@ -27,14 +27,15 @@ from dcl.graphs import (
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
+    _canonical_numbered,
+    _iter_classes,
     canonical_restriction,
     iter_factorizations,
-    iter_instance_classes,
     iter_instance_isomorphisms,
     iter_slice_morphisms,
     serialize_instance,
 )
-from dcl.signature import DEFAULT_SEARCH_LIMIT, check_injectivity
+from dcl.signature import DEFAULT_SEARCH_LIMIT, Regular
 from dcl.verdicts import Status, Verdict
 
 
@@ -98,27 +99,32 @@ def semantic_entails(
 
     Exhaustive over instances with at most size_bound elements per base
     node and max_parallel parallel links, one per isomorphism class
-    (`iter_instance_classes`), each checked in canonical form.  A class
+    (`iter_instance_classes`), each checked in canonical form, made from
+    the class's numbering with no labelled instance built.  Each formula and
+    the goal are checked as `Regular` specs, planned once per sweep.  A class
     whose canonical form spends its bound is Unknown, as an Unknown verdict is.
     A goal over another base is refused, as `bounded_entailment` refuses it.
     """
     if goal.from_.schema != theory.base:
         raise GraphError("goal lives over a different base")
+    base = theory.base
+    formulas = [Regular(f, limit) for f in theory.formulas.values()]
+    wanted = Regular(goal, limit)
     checked = 0
     unknown: Optional[Verdict] = None
-    for a in iter_instance_classes(theory.base, size_bound, max_parallel):
+    for names, links, _ in _iter_classes(base, size_bound, max_parallel):
         try:
-            model = canonical_restriction(a)
+            model, fibres = _canonical_numbered(names, links, base)
         except BoundExceeded as exc:
             unknown = unknown or Verdict(Status.UNKNOWN, detail=str(exc))
             continue
-        for f in theory.formulas.values():
-            verdict = check_injectivity(model, f, limit)
+        for f in formulas:
+            verdict = f.decide(base, model, fibres)
             if verdict.status is not Status.VALID:
                 break
         else:
             checked += 1
-            verdict = check_injectivity(model, goal, limit)
+            verdict = wanted.decide(base, model, fibres)
             if verdict.status is Status.INVALID:
                 return SemanticResult("refuted", checked, model)
         if unknown is None and verdict.status is Status.UNKNOWN:

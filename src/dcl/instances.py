@@ -7,6 +7,7 @@ immutable and pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -244,11 +245,18 @@ def canonical_restriction(
 def _canonical_with_fibres(
     t: TypedInstance, m: Optional[GraphMorphism] = None, fibres: Optional[tuple] = None
 ) -> tuple[TypedInstance, tuple[dict, dict]]:
-    """`canonical_restriction(t, m, fibres)` and its (node_fibres(), arrow_fibres()),
+    """`canonical_restriction(t, m, fibres)` and its (node_fibres(), arrow_fibres())."""
+    arity = t.schema if m is None else m.dom
+    return _canonical_numbered(*_numbered_restriction(t, m, fibres), arity)
+
+
+def _canonical_numbered(
+    names: tuple, links: tuple, arity: Graph
+) -> tuple[TypedInstance, tuple[dict, dict]]:
+    """The canonical instance over `arity` of the numbered instance (names, links),
+    as `_numbered_restriction` gives it, and its (node_fibres(), arrow_fibres()),
     named in one pass over the canonical parts: element i is `n{i}`, link j `e{j}`,
     and ids are visited in sorted order (`n10` before `n2`)."""
-    names, links = _numbered_restriction(t, m, fibres)
-    arity = t.schema if m is None else m.dom
     colours, ranked = [], []
     for (_, part_colours, triples), _ in _canonical_order(names, links):
         ranked += [(len(colours) + x, len(colours) + y, k) for x, y, k in triples]
@@ -517,11 +525,14 @@ def iter_typed_instances(
 
 def _slot_permutations(fibers: dict, slots: list) -> list[Callable]:
     """Getters c -> c∘p, one per non-identity permutation p of the slots
-    that a permutation of elements within each fibre induces."""
+    that a permutation of elements within each fibre induces.  Fibres that
+    no slot reaches are left alone: permuting them induces the identity."""
     index = {slot: i for i, slot in enumerate(slots)}
+    ends = {e for _, s, t in slots for e in (s, t)}
+    moved = [fiber for fiber in fibers.values() if ends.intersection(fiber)]
     perms = set()
-    for images in itertools.product(*map(itertools.permutations, fibers.values())):
-        rename = dict(zip(itertools.chain(*fibers.values()), itertools.chain(*images)))
+    for images in itertools.product(*map(itertools.permutations, moved)):
+        rename = dict(zip(itertools.chain(*moved), itertools.chain(*images)))
         perms.add(tuple(index[(a, rename[s], rename[t])] for a, s, t in slots))
     perms.discard(tuple(range(len(slots))))
     return [operator.itemgetter(*perm) for perm in sorted(perms)]
@@ -531,7 +542,17 @@ def iter_instance_classes(
     schema: Graph, max_per_node: int, max_parallel: int = 2
 ) -> Iterator[TypedInstance]:
     """One instance per isomorphism class that `iter_typed_instances` covers:
-    the first member of the class in that enumeration, in the same order.
+    the first member of the class in that enumeration, in the same order."""
+    for _, _, labelled in _iter_classes(schema, max_per_node, max_parallel):
+        yield labelled()
+
+
+def _iter_classes(
+    schema: Graph, max_per_node: int, max_parallel: int = 2
+) -> Iterator[tuple[tuple, tuple, Callable[[], TypedInstance]]]:
+    """(names, links, labelled) per class of `iter_instance_classes`, in its
+    order: `labelled()` builds that class's instance, and (names, links) is
+    `_numbered_restriction(labelled(), None)`, made from the count vector alone.
 
     Orderly generation (Read, "Every one a winner", 1978): two instances of
     one size vector are isomorphic exactly when a permutation of elements
@@ -542,7 +563,32 @@ def iter_instance_classes(
     """
     for fibers, slots in _families(schema, max_per_node):
         perms = _slot_permutations(fibers, slots)
+        # element "h#i" is numbered by the rank of "h#i" among its fibre's ids
+        number: dict[str, int] = {}
+        for fiber in fibers.values():
+            ranked = enumerate(_str_order(len(fiber)), len(number))
+            number.update((fiber[i], x) for x, i in ranked)
+        names = tuple(h for h, fiber in fibers.items() for _ in fiber)
+        singles = [((number[s], a, number[t]),) for a, s, t in slots]
+        # slots of one schema arrow end where its links do
+        ends = list(itertools.accumulate(
+            len(fibers[a.src]) * len(fibers[a.tgt]) for a in schema.sorted_arrows
+        ))
         for counts in itertools.product(range(max_parallel + 1), repeat=len(slots)):
             if any(p(counts) < counts for p in perms):
                 continue
-            yield _instance(schema, fibers, slots, counts)
+            links = list(itertools.chain.from_iterable(map(operator.mul, singles, counts)))
+            if len(links) > 10:  # link "a#10" of one arrow sorts before "a#2"
+                start, lo = 0, 0
+                for hi in ends:
+                    end = start + sum(counts[lo:hi])
+                    if end - start > 10:
+                        links[start:end] = [links[start + k] for k in _str_order(end - start)]
+                    start, lo = end, hi
+            yield names, tuple(links), functools.partial(_instance, schema, fibers, slots, counts)
+
+
+@functools.lru_cache(maxsize=None)
+def _str_order(n: int) -> tuple[int, ...]:
+    """0..n-1 in the order of their decimal strings, as sorted ids hold them."""
+    return tuple(sorted(range(n), key=str))

@@ -27,11 +27,12 @@ from dcl.graphs import (
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
+    _canonical_numbered,
     _canonical_with_fibres,
     _factorization_pins,
+    _iter_classes,
     _numbered_restriction,
     canonical_restriction,
-    iter_instance_classes,
     serialize_instance,
 )
 from dcl.verdicts import Counterexample, Evidence, Status, Verdict
@@ -250,9 +251,11 @@ class Regular:
     def __post_init__(self) -> None:
         if type(self.search_limit) is not int or self.search_limit < 0:
             raise SignatureError(f"search_limit is not a count: {self.search_limit!r}")
+        # the search plans of both sides, not a field: equality and JSON ignore them
+        object.__setattr__(self, "_plans", _formula_plans(self.formula))
 
     def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
-        return check_injectivity(t, self.formula, self.search_limit)
+        return check_injectivity(t, self.formula, self.search_limit, fibres, self._plans)
 
 
 @dataclass(frozen=True)
@@ -274,7 +277,7 @@ class Lifting:
         """Decided as the regular formula `lifting_to_regular` gives."""
         if self.n.cod != arity:
             raise SignatureError("lifting pair does not target the arity")
-        return self._regular.decide(arity, t)
+        return self._regular.decide(arity, t, fibres)
 
 
 @dataclass(frozen=True)
@@ -356,8 +359,17 @@ def _distinct_targets(
 # Injectivity check
 
 
+def _formula_plans(formula: SliceMorphism) -> tuple[tuple, tuple]:
+    """The search plans of the formula's domain and codomain."""
+    return tuple(_pattern_plan(side.carrier, side.typing) for side in (formula.from_, formula.to))
+
+
 def check_injectivity(
-    t: TypedInstance, formula: SliceMorphism, limit: int = DEFAULT_SEARCH_LIMIT
+    t: TypedInstance,
+    formula: SliceMorphism,
+    limit: int = DEFAULT_SEARCH_LIMIT,
+    fibres: Optional[tuple[dict, dict]] = None,
+    plans: Optional[tuple[tuple, tuple]] = None,
 ) -> Verdict:
     """Does every testing map from the formula's domain factor through it?
 
@@ -369,16 +381,18 @@ def check_injectivity(
     morphisms than filtering every y would, so a bound can turn Unknown
     into a definite verdict, never Valid into Invalid or back.  The searches
     share one index of t and a plan of each side of the formula; a formula
-    over another schema is refused.
+    over another schema is refused.  `fibres`, t's (node_fibres(),
+    arrow_fibres()), and `plans`, `_formula_plans(formula)`, are for a caller
+    that holds them already.
     """
     if formula.from_.schema != t.schema:
         raise SignatureError("formula does not live over the schema of the instance")
     budget = Budget("injectivity-search", limit)
-    target = _target_index(t.carrier, t.typing)
-    factors = _pattern_plan(formula.to.carrier, formula.to.typing)
+    target = _target_index(t.carrier, t.typing, fibres)
+    tests, factors = plans or _formula_plans(formula)
     table = []
     try:
-        for x in _run_search(_pattern_plan(formula.from_.carrier, formula.from_.typing), target):
+        for x in _run_search(tests, target):
             budget.charge()
             pins = _factorization_pins(formula.map, x)
             y = None if pins is None else next(_run_search(factors, target, pins), None)
@@ -651,10 +665,11 @@ def verify_dependency_soundness(
 ) -> SoundnessReport:
     """Restriction of every small valid instance along every dependency must be valid.
 
-    One canonical instance per class; the valid ones, with their fibres, are found once per
-    source symbol.  A target decides each numbered restriction once per call.
-    An Unknown verdict, on a class or on its restriction, is undecided, not a violation;
-    a class whose canonical form spends its bound is Unknown, witnessed as enumerated.
+    One canonical instance per class, made from the class's numbering; the valid ones,
+    with their fibres, are found once per source symbol.  A target decides each numbered
+    restriction once per call.  An Unknown verdict, on a class or on its restriction, is
+    undecided, not a violation; a class whose canonical form spends its bound is Unknown,
+    witnessed as enumerated: only then is its labelled instance built.
     """
     checked = 0
     violations = []
@@ -666,14 +681,15 @@ def verify_dependency_soundness(
         target = sig.symbols[dep.target]
         if dep.source not in kept:
             kept[dep.source] = []
-            for t in iter_instance_classes(source.arity, size_bound, max_parallel):
+            for names, links, labelled in _iter_classes(source.arity, size_bound, max_parallel):
                 try:
-                    t, fibres = _canonical_with_fibres(t)
-                    # already canonical, so decided directly, not through `evaluate`
-                    verdict = source.semantics.decide(source.arity, t, fibres)
+                    t, fibres = _canonical_numbered(names, links, source.arity)
                 except BoundExceeded as exc:
                     # an Unknown class is reported, never restricted, so needs no fibres
-                    fibres, verdict = None, Verdict(Status.UNKNOWN, detail=str(exc))
+                    t, fibres, verdict = labelled(), None, Verdict(Status.UNKNOWN, detail=str(exc))
+                else:
+                    # already canonical, so decided directly, not through `evaluate`
+                    verdict = source.semantics.decide(source.arity, t, fibres)
                 if verdict.status is not Status.INVALID:
                     kept[dep.source].append((t, verdict, fibres))
         for t, source_verdict, fibres in kept[dep.source]:

@@ -23,7 +23,10 @@ from dcl.injlogic import (
     semantic_entails,
     terminal_graph,
 )
+import dcl.instances
 from dcl.instances import (
+    _iter_classes,
+    _numbered_restriction,
     canonical_restriction,
     iter_instance_classes,
     iter_typed_instances,
@@ -197,6 +200,25 @@ class TestInstanceClasses:
                 assert list(m.node_map) == list(checked.node_map)
                 assert list(m.arrow_map) == list(checked.arrow_map)
 
+    def test_numbering_is_the_labelled_instances_numbering(self):
+        # ids reach two digits, where "X#10" sorts before "X#2" and link "r#10"
+        # before "r#2": up to 12 elements of X, and up to 18 links on r
+        for schema, max_per_node, max_parallel in (
+            (Graph.build(["X"], []), 12, 1),
+            (single_arrow_arity(), 3, 2),
+        ):
+            wide = 0
+            for names, links, labelled in _iter_classes(schema, max_per_node, max_parallel):
+                assert (names, links) == _numbered_restriction(labelled(), None)
+                wide += len(names) > 10 or len(links) > 10
+            assert wide > 0
+
+    @given(small_schemas(), st.integers(0, 2), st.integers(0, 2))
+    def test_numbering_on_small_schemas(self, schema, max_per_node, max_parallel):
+        assume(labelled_count(schema, max_per_node, max_parallel) <= 2000)
+        for names, links, labelled in _iter_classes(schema, max_per_node, max_parallel):
+            assert (names, links) == _numbered_restriction(labelled(), None)
+
     def test_terminal_base_class_count(self):
         assert sum(1 for _ in iter_instance_classes(terminal_graph(), 3, 1)) == 117
         assert sum(1 for _ in iter_typed_instances(terminal_graph(), 3, 1)) == 531
@@ -261,6 +283,31 @@ class TestSweepsMatchReference:
         report = verify_dependency_soundness(sig, 2, 1)
         assert report.checked == 292
         assert 0 < len(decided) < report.checked
+
+    def test_sweeps_build_no_labelled_instance(self, monkeypatch):
+        built = []
+        real = dcl.instances._instance
+        monkeypatch.setattr(dcl.instances, "_instance", lambda *a: built.append(a) or real(*a))
+        sig = load(str(resources.files("dcl") / "data" / "span-signature.json"))
+        assert not verify_dependency_soundness(sig, 2, 1).ok
+        for theory, goal in criterion_06_goals()[:3]:
+            semantic_entails(theory, goal, 3, 1)
+        assert built == []
+
+    def test_unknown_class_witnessed_as_enumerated(self, monkeypatch):
+        # at 2 units a class with a link spends its canonical form's bound:
+        # its witness is its labelled instance, built for it alone
+        built = []
+        real = dcl.instances._instance
+        monkeypatch.setattr(dcl.instances, "_instance", lambda *a: built.append(a) or real(*a))
+        monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
+        sig = load(str(resources.files("dcl") / "data" / "span-signature.json"))
+        on_class = [v for v in verify_dependency_soundness(sig, 1, 1).undecided if v.on == "class"]
+        witnesses = {serialize_instance(v.witness) for v in on_class}
+        assert on_class and len(built) == len(witnesses)
+        classes = list(iter_instance_classes(sig.symbols["[jm]"].arity, 1, 1))
+        assert all(v.witness in classes for v in on_class)
+        assert all(v.verdict.detail.startswith("canonical-form bound exceeded") for v in on_class)
 
     def test_semantic_entails(self):
         statuses = set()

@@ -11,7 +11,8 @@ import signal
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dcl.fixtures import existence_symbol, uniqueness_symbol
+import dcl.signature
+from dcl.fixtures import existence_symbol, outgoing_edge_theory, uniqueness_symbol
 from dcl.graphs import (
     Graph,
     GraphMorphism,
@@ -30,6 +31,7 @@ from dcl.instances import (
     iter_slice_morphisms,
     iter_typed_instances,
 )
+from dcl.injlogic import semantic_entails
 from dcl.signature import (
     ConstraintSymbol,
     check_injectivity,
@@ -376,6 +378,45 @@ class TestRegularLiftingAgreement:
                     assert "factorizations" in regular.evidence.witness
                 else:
                     assert regular.counterexample == lifted.counterexample
+
+    def test_canonical_instance_grouped_once(self, monkeypatch):
+        # evaluate groups t to restrict it; the search reads the naming pass's
+        # fibres, not a second grouping of the canonical instance
+        symbol = existence_symbol()
+        lifting = ConstraintSymbol(
+            symbol.name, symbol.arity, regular_to_lifting(symbol.arity, symbol.semantics)
+        )
+        grouped = []
+        real = GraphMorphism.node_fibres
+        monkeypatch.setattr(GraphMorphism, "node_fibres", lambda m: grouped.append(m) or real(m))
+        instances = list(iter_typed_instances(single_arrow_arity(), 2, 2))
+        for s in (symbol, lifting):
+            grouped.clear()
+            for t in instances:
+                evaluate(s, t)
+            assert len(grouped) == len(instances) == 107
+
+    def test_each_formula_planned_once(self, monkeypatch):
+        planned = []
+        real = dcl.signature._pattern_plan
+        monkeypatch.setattr(
+            dcl.signature, "_pattern_plan", lambda *a: planned.append(a) or real(*a)
+        )
+        symbol = existence_symbol()
+        lifting = ConstraintSymbol(
+            symbol.name, symbol.arity, regular_to_lifting(symbol.arity, symbol.semantics)
+        )
+        assert len(planned) == 4  # both sides of the formula and of its lifting translation
+        for t in iter_typed_instances(single_arrow_arity(), 2, 2):
+            evaluate(symbol, t)
+            evaluate(lifting, t)
+        assert len(planned) == 4
+        # a sweep plans each formula of the theory and the goal once
+        theory = outgoing_edge_theory()
+        planned.clear()
+        result = semantic_entails(theory, theory.formulas["out-edge"], 3, 1)
+        assert result.entailed and result.models_checked > len(theory.formulas) + 1
+        assert len(planned) == 2 * (len(theory.formulas) + 1)
 
     def test_factorizations_match_filtering_search(self):
         for symbol in (existence_symbol(), uniqueness_symbol()):
