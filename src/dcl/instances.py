@@ -566,29 +566,20 @@ def _iter_classes(
         # element "h#i" is numbered by the rank of "h#i" among its fibre's ids
         number: dict[str, int] = {}
         for fiber in fibers.values():
-            ranked = enumerate(_str_order(len(fiber)), len(number))
+            ranked = enumerate(sorted(range(len(fiber)), key=str), len(number))
             number.update((fiber[i], x) for x, i in ranked)
         names = tuple(h for h, fiber in fibers.items() for _ in fiber)
         singles = [((number[s], a, number[t]),) for a, s, t in slots]
-        # slots of one schema arrow end where its links do
-        ends = list(itertools.accumulate(
-            len(fibers[a.src]) * len(fibers[a.tgt]) for a in schema.sorted_arrows
-        ))
+        widths = [len(fibers[a.src]) * len(fibers[a.tgt]) for a in schema.sorted_arrows]
+        spans = list(itertools.pairwise(itertools.accumulate(widths, initial=0)))
         for counts in itertools.product(range(max_parallel + 1), repeat=len(slots)):
             if any(p(counts) < counts for p in perms):
                 continue
             links = list(itertools.chain.from_iterable(map(operator.mul, singles, counts)))
-            if len(links) > 10:  # link "a#10" of one arrow sorts before "a#2"
-                start, lo = 0, 0
-                for hi in ends:
-                    end = start + sum(counts[lo:hi])
-                    if end - start > 10:
-                        links[start:end] = [links[start + k] for k in _str_order(end - start)]
-                    start, lo = end, hi
+            if len(links) > 10:  # each schema arrow's links in id order: "r#10" before "r#2"
+                start = 0
+                for lo, hi in spans:
+                    n = sum(counts[lo:hi])
+                    links[start : start + n] = [links[start + k] for k in sorted(range(n), key=str)]
+                    start += n
             yield names, tuple(links), functools.partial(_instance, schema, fibers, slots, counts)
-
-
-@functools.lru_cache(maxsize=None)
-def _str_order(n: int) -> tuple[int, ...]:
-    """0..n-1 in the order of their decimal strings, as sorted ids hold them."""
-    return tuple(sorted(range(n), key=str))

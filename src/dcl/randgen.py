@@ -96,9 +96,8 @@ def random_declaration(
 ) -> Optional[ConstraintDeclaration]:
     """A random symbol bound into the carrier, or None if nothing embeds.
 
-    The names are shuffled whatever the carrier, so the random stream does
-    not depend on which searches run; an arity with a node has no morphism
-    into an empty carrier, so that search is not run.
+    An arity with a node has no morphism into an empty carrier, so that
+    search is skipped; the shuffle is not, so the random stream stays.
     """
     names = list(signature.symbols)
     rng.shuffle(names)
