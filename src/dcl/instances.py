@@ -576,10 +576,10 @@ def _iter_classes(
             if any(p(counts) < counts for p in perms):
                 continue
             links = list(itertools.chain.from_iterable(map(operator.mul, singles, counts)))
-            if len(links) > 10:  # each schema arrow's links in id order: "r#10" before "r#2"
-                start = 0
-                for lo, hi in spans:
-                    n = sum(counts[lo:hi])
-                    links[start : start + n] = [links[start + k] for k in sorted(range(n), key=str)]
-                    start += n
+            # each schema arrow's links in id order: "r#10" before "r#2"
+            start = 0
+            for lo, hi in spans:
+                n = sum(counts[lo:hi])
+                links[start : start + n] = [links[start + k] for k in sorted(range(n), key=str)]
+                start += n
             yield names, tuple(links), functools.partial(_instance, schema, fibers, slots, counts)

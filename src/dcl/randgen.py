@@ -94,17 +94,11 @@ def random_declaration(
     decl_id: str = "rnd",
     hom_limit: int = 200,
 ) -> Optional[ConstraintDeclaration]:
-    """A random symbol bound into the carrier, or None if nothing embeds.
-
-    An arity with a node has no morphism into an empty carrier, so that
-    search is skipped; the shuffle is not, so the random stream stays.
-    """
+    """A random symbol bound into the carrier, or None if nothing embeds."""
     names = list(signature.symbols)
     rng.shuffle(names)
     for name in names:
         symbol = signature.symbols[name]
-        if symbol.arity.nodes and not carrier.nodes:
-            continue
         homs = list(itertools.islice(iter_homomorphisms(symbol.arity, carrier), hom_limit))
         if homs:
             binding = rng.choice(homs)

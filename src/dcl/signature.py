@@ -252,10 +252,11 @@ class Regular:
         if type(self.search_limit) is not int or self.search_limit < 0:
             raise SignatureError(f"search_limit is not a count: {self.search_limit!r}")
         # the search plans of both sides, not a field: equality and JSON ignore them
-        object.__setattr__(self, "_plans", _formula_plans(self.formula))
+        sides = (self.formula.from_, self.formula.to)
+        object.__setattr__(self, "_plans", tuple(_pattern_plan(s.carrier, s.typing) for s in sides))
 
     def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
-        return check_injectivity(t, self.formula, self.search_limit, fibres, self._plans)
+        return check_injectivity(t, self, fibres)
 
 
 @dataclass(frozen=True)
@@ -359,37 +360,28 @@ def _distinct_targets(
 # Injectivity check
 
 
-def _formula_plans(formula: SliceMorphism) -> tuple[tuple, tuple]:
-    """The search plans of the formula's domain and codomain."""
-    return tuple(_pattern_plan(side.carrier, side.typing) for side in (formula.from_, formula.to))
-
-
 def check_injectivity(
-    t: TypedInstance,
-    formula: SliceMorphism,
-    limit: int = DEFAULT_SEARCH_LIMIT,
-    fibres: Optional[tuple[dict, dict]] = None,
-    plans: Optional[tuple[tuple, tuple]] = None,
+    t: TypedInstance, spec: Regular, fibres: Optional[tuple[dict, dict]] = None
 ) -> Verdict:
-    """Does every testing map from the formula's domain factor through it?
+    """Does every testing map from the spec's formula's domain factor through it?
 
     For each testing map x: S -> t, the first y: Q -> t that
-    `iter_factorizations` yields is the least one with f;y == x.  `limit`
-    bounds the morphisms the searches enumerate, testing maps and
-    factorizations together; past it the verdict is Unknown, naming the
+    `iter_factorizations` yields is the least one with f;y == x.  The spec's
+    `search_limit` bounds the morphisms the searches enumerate, testing maps
+    and factorizations together; past it the verdict is Unknown, naming the
     bound.  Pinning enumerates fewer
     morphisms than filtering every y would, so a bound can turn Unknown
     into a definite verdict, never Valid into Invalid or back.  The searches
-    share one index of t and a plan of each side of the formula; a formula
-    over another schema is refused.  `fibres`, t's (node_fibres(),
-    arrow_fibres()), and `plans`, `_formula_plans(formula)`, are for a caller
-    that holds them already.
+    share one index of t and the spec's plan of each side of the formula; a
+    formula over another schema is refused.  `fibres`, t's (node_fibres(),
+    arrow_fibres()), are for a caller that holds them already.
     """
+    formula = spec.formula
     if formula.from_.schema != t.schema:
         raise SignatureError("formula does not live over the schema of the instance")
-    budget = Budget("injectivity-search", limit)
+    budget = Budget("injectivity-search", spec.search_limit)
     target = _target_index(t.carrier, t.typing, fibres)
-    tests, factors = plans or _formula_plans(formula)
+    tests, factors = spec._plans
     table = []
     try:
         for x in _run_search(tests, target):

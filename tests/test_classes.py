@@ -37,6 +37,7 @@ from dcl.io import load
 from dcl.signature import (
     Dependency,
     Multiplicity,
+    Regular,
     Signature,
     SoundnessReport,
     SoundnessViolation,
@@ -63,7 +64,7 @@ def reference_semantic_entails(theory, goal, size_bound, max_parallel=2, limit=2
         seen.add(key)
         model = True
         for f in theory.formulas.values():
-            v = check_injectivity(canonical, f, limit)
+            v = check_injectivity(canonical, Regular(f, limit))
             if v.status is Status.UNKNOWN:
                 unknown = True
                 model = False
@@ -74,7 +75,7 @@ def reference_semantic_entails(theory, goal, size_bound, max_parallel=2, limit=2
         if not model:
             continue
         checked += 1
-        v = check_injectivity(canonical, goal, limit)
+        v = check_injectivity(canonical, Regular(goal, limit))
         if v.status is Status.UNKNOWN:
             unknown = True
             continue

@@ -30,7 +30,7 @@ from dcl.injlogic import (
 )
 from dcl.instances import SliceMorphism, TypedInstance, iter_slice_morphisms
 from dcl.io import load
-from dcl.signature import SignatureError, check_injectivity
+from dcl.signature import Regular, SignatureError, check_injectivity
 from dcl.verdicts import Status
 
 
@@ -51,17 +51,17 @@ def point_into_two_points():
 class TestInjectivity:
     def test_loop_graph_injective_for_out_edge(self):
         a = as_slice(Graph.build(["n"], [("l", "n", "n")]))
-        assert check_injectivity(a, point_into_edge()).is_valid
+        assert check_injectivity(a, Regular(point_into_edge())).is_valid
 
     def test_sink_node_not_injective(self):
         a = as_slice(Graph.build(["n"]))
-        v = check_injectivity(a, point_into_edge())
+        v = check_injectivity(a, Regular(point_into_edge()))
         assert v.status is Status.INVALID
         assert v.counterexample.offenders
 
     def test_empty_graph_vacuously_injective(self):
         a = as_slice(Graph.empty())
-        assert check_injectivity(a, point_into_edge()).is_valid
+        assert check_injectivity(a, Regular(point_into_edge())).is_valid
 
     def test_budget_exhaustion_is_unknown(self):
         a = as_slice(
@@ -71,8 +71,8 @@ class TestInjectivity:
             )
         )
         f = point_into_edge()
-        assert check_injectivity(a, f).is_valid
-        v = check_injectivity(a, f, limit=2)
+        assert check_injectivity(a, Regular(f)).is_valid
+        v = check_injectivity(a, Regular(f, 2))
         assert v.status is Status.UNKNOWN
         assert v.detail == "injectivity-search bound exceeded: spent 3 of 2 units"
 
@@ -80,7 +80,7 @@ class TestInjectivity:
         # no testing map crosses schemas, which used to read as Valid
         a = as_slice(Graph.build(["n"], [("l", "n", "n")]))
         with pytest.raises(SignatureError, match="does not live over the schema"):
-            check_injectivity(a, point_into_two_points())
+            check_injectivity(a, Regular(point_into_two_points()))
 
 
 class TestSemanticEntailment:
@@ -93,7 +93,8 @@ class TestSemanticEntailment:
         th = InjTheory(terminal_graph(), {})
         res = semantic_entails(th, point_into_edge(), 2)
         assert res.status == "refuted"
-        assert check_injectivity(res.counterexample, point_into_edge()).status is Status.INVALID
+        v = check_injectivity(res.counterexample, Regular(point_into_edge()))
+        assert v.status is Status.INVALID
 
     def test_unknown_names_the_bound(self):
         th = InjTheory(terminal_graph(), {})

@@ -21,10 +21,8 @@ from dcl.instances import (
     iter_slice_morphisms,
     serialize_instance,
 )
-import dcl.randgen
 from dcl.randgen import (
     harness_signature,
-    random_declaration,
     random_graph,
     random_morphism_into,
     random_satax_triple,
@@ -154,17 +152,6 @@ class TestSatAxiom:
         # an empty domain admits no declaration, so drawing again would never end
         with pytest.raises(ValueError, match="max_nodes"):
             random_satax_triple(random.Random(0), harness_signature(), max_nodes=max_nodes)
-
-    def test_empty_carrier_runs_no_search_but_shuffles(self, monkeypatch):
-        # every harness arity has a node, so nothing embeds in the empty
-        # graph; the shuffle still draws, so later triples do not move
-        searches = []
-        monkeypatch.setattr(dcl.randgen, "iter_homomorphisms", lambda *a: searches.append(a))
-        sig = harness_signature()
-        rng, shuffled = random.Random(5), random.Random(5)
-        assert random_declaration(rng, Graph.empty(), sig) is None
-        shuffled.shuffle(list(sig.symbols))
-        assert searches == [] and rng.getstate() == shuffled.getstate()
 
     def test_fault_injection_detected(self):
         sig = harness_signature()

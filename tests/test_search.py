@@ -34,6 +34,7 @@ from dcl.instances import (
 from dcl.injlogic import semantic_entails
 from dcl.signature import (
     ConstraintSymbol,
+    Regular,
     check_injectivity,
     evaluate,
     regular_to_lifting,
@@ -422,7 +423,7 @@ class TestRegularLiftingAgreement:
         for symbol in (existence_symbol(), uniqueness_symbol()):
             formula = symbol.semantics.formula
             for t in iter_typed_instances(single_arrow_arity(), 2, 2):
-                verdict = check_injectivity(t, formula)
+                verdict = check_injectivity(t, Regular(formula))
                 expected = factorization_table(formula, t)
                 assert verdict.is_valid == (expected is not None)
                 if expected is not None:

@@ -274,11 +274,11 @@ class TestInjectivityCheck:
         iso = SliceMorphism(f.to, f.to, identity(f.to.carrier))
         for _ in range(10):
             t = random_typed_instance(rng, single_arrow_arity())
-            assert check_injectivity(t, iso).is_valid
+            assert check_injectivity(t, Regular(iso)).is_valid
 
     def test_existence_counterexample(self):
         t = arity_instance(["a"], [], {"a": "A"}, {})
-        v = check_injectivity(t, existence_formula())
+        v = check_injectivity(t, Regular(existence_formula()))
         assert v.status is Status.INVALID
 
     def test_unknown_on_limit(self):
@@ -288,7 +288,7 @@ class TestInjectivityCheck:
             {"a": "A", "b1": "B", "b2": "B"},
             {"l1": "r", "l2": "r"},
         )
-        v = check_injectivity(t, existence_formula(), limit=1)
+        v = check_injectivity(t, Regular(existence_formula(), 1))
         assert v.status is Status.UNKNOWN
         assert v.evidence is None
 
@@ -305,7 +305,7 @@ class TestLiftingCheck:
         lif = regular_to_lifting(single_arrow_arity(), reg)
         for _ in range(60):
             t = random_typed_instance(rng, single_arrow_arity())
-            a = check_injectivity(t, reg.formula)
+            a = check_injectivity(t, reg)
             b = check_lifting(t, lif.m, lif.n)
             assert a.status == b.status
 
@@ -314,9 +314,7 @@ class TestLiftingCheck:
         lif = regular_to_lifting(single_arrow_arity(), reg)
         _, back = lifting_to_regular(lif)
         for t in iter_typed_instances(single_arrow_arity(), 2, 2):
-            assert check_injectivity(t, reg.formula).status == check_injectivity(
-                t, back.formula
-            ).status
+            assert check_injectivity(t, reg).status == check_injectivity(t, back).status
 
     def test_empty_testing_object(self):
         # with W empty there is one testing map; validity = existence of a lift
