@@ -114,17 +114,17 @@ def semantic_entails(
     unknown: Optional[Verdict] = None
     for names, links, _ in _iter_classes(base, size_bound, max_parallel):
         try:
-            model, fibres = _canonical_numbered(names, links, base)
+            model = _canonical_numbered(names, links, base)
         except BoundExceeded as exc:
             unknown = unknown or Verdict(Status.UNKNOWN, detail=str(exc))
             continue
         for f in formulas:
-            verdict = f.decide(base, model, fibres)
+            verdict = f.decide(model)
             if verdict.status is not Status.VALID:
                 break
         else:
             checked += 1
-            verdict = wanted.decide(base, model, fibres)
+            verdict = wanted.decide(model)
             if verdict.status is Status.INVALID:
                 return SemanticResult("refuted", checked, model)
         if unknown is None and verdict.status is Status.UNKNOWN:

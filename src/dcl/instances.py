@@ -41,6 +41,15 @@ class TypedInstance:
     def schema(self) -> Graph:
         return self.typing.cod
 
+    _fibres = None  # set by `_canonical_numbered` only; equality and JSON ignore it
+
+    @property
+    def fibres(self) -> tuple[dict, dict]:
+        """(typing.node_fibres(), typing.arrow_fibres()): held if canonical, else grouped anew."""
+        if self._fibres is None:
+            return self.typing.node_fibres(), self.typing.arrow_fibres()
+        return self._fibres
+
     @classmethod
     def build(
         cls,
@@ -227,36 +236,22 @@ def restrict(t: TypedInstance, m: GraphMorphism) -> TypedInstance:
     return restrict_with_projection(t, m)[0]
 
 
-def canonical_restriction(
-    t: TypedInstance, m: Optional[GraphMorphism] = None, fibres: Optional[tuple] = None
-) -> TypedInstance:
+def canonical_restriction(t: TypedInstance, m: Optional[GraphMorphism] = None) -> TypedInstance:
     """The canonical form of `restrict(t, m)`, or of t itself without m: two
     instances over one schema have equal canonical forms iff they are
     isomorphic as slice objects.
 
-    The pullback's elements are numbered from the fibres, and only the
-    canonical result is named.  `fibres` is the pair
-    (t.typing.node_fibres(), t.typing.arrow_fibres()), for a caller that
-    restricts t along many maps.
+    The pullback's elements are numbered from t's fibres, and only the
+    canonical result is named; it holds its own fibres.
     """
-    return _canonical_with_fibres(t, m, fibres)[0]
+    return _canonical_numbered(*_numbered_restriction(t, m), t.schema if m is None else m.dom)
 
 
-def _canonical_with_fibres(
-    t: TypedInstance, m: Optional[GraphMorphism] = None, fibres: Optional[tuple] = None
-) -> tuple[TypedInstance, tuple[dict, dict]]:
-    """`canonical_restriction(t, m, fibres)` and its (node_fibres(), arrow_fibres())."""
-    arity = t.schema if m is None else m.dom
-    return _canonical_numbered(*_numbered_restriction(t, m, fibres), arity)
-
-
-def _canonical_numbered(
-    names: tuple, links: tuple, arity: Graph
-) -> tuple[TypedInstance, tuple[dict, dict]]:
+def _canonical_numbered(names: tuple, links: tuple, arity: Graph) -> TypedInstance:
     """The canonical instance over `arity` of the numbered instance (names, links),
-    as `_numbered_restriction` gives it, and its (node_fibres(), arrow_fibres()),
-    named in one pass over the canonical parts: element i is `n{i}`, link j `e{j}`,
-    and ids are visited in sorted order (`n10` before `n2`)."""
+    as `_numbered_restriction` gives it, named in one pass over the canonical
+    parts: element i is `n{i}`, link j `e{j}`, and ids are visited in sorted
+    order (`n10` before `n2`).  The instance holds the fibres of that pass."""
     colours, ranked = [], []
     for (_, part_colours, triples), _ in _canonical_order(names, links):
         ranked += [(len(colours) + x, len(colours) + y, k) for x, y, k in triples]
@@ -272,11 +267,12 @@ def _canonical_numbered(
         arrow_typing[f"e{j}"] = k
         arrow_fibres[k].append(Arrow(f"e{j}", nodes[x], nodes[y]))
     carrier = _trusted_graph(node_typing, [a for over in arrow_fibres.values() for a in over])
-    typing = _trusted_morphism(carrier, arity, node_typing, arrow_typing)
-    return TypedInstance(typing), (node_fibres, arrow_fibres)
+    out = TypedInstance(_trusted_morphism(carrier, arity, node_typing, arrow_typing))
+    object.__setattr__(out, "_fibres", (node_fibres, arrow_fibres))
+    return out
 
 
-def _numbered_restriction(t: TypedInstance, m: Optional[GraphMorphism], fibres=None) -> tuple:
+def _numbered_restriction(t: TypedInstance, m: Optional[GraphMorphism]) -> tuple:
     """(names, links) of `restrict(t, m)`: element i, numbered fibre by fibre
     (over m(h), for each node h of dom m in sorted order), lies over names[i];
     a link is a (source, arrow of dom m, target) triple."""
@@ -285,7 +281,7 @@ def _numbered_restriction(t: TypedInstance, m: Optional[GraphMorphism], fibres=N
     arity = t.schema if m is None else m.dom
     # without m, each node and arrow of the schema stands for itself
     node_of, arrow_of = ({}, {}) if m is None else (m.node_map, m.arrow_map)
-    node_fibres, arrow_fibres = fibres or (t.typing.node_fibres(), t.typing.arrow_fibres())
+    node_fibres, arrow_fibres = t.fibres
     names, number, links = [], {}, []
     for h in arity.sorted_nodes:
         number[h] = {x: len(names) + i for i, x in enumerate(node_fibres[node_of.get(h, h)])}
@@ -336,7 +332,7 @@ class IndexedSemantics:
 
 
 def to_indexed(t: TypedInstance) -> IndexedSemantics:
-    return IndexedSemantics(t.schema, t.typing.node_fibres(), t.typing.arrow_fibres())
+    return IndexedSemantics(t.schema, *t.fibres)
 
 
 def from_indexed(ix: IndexedSemantics) -> TypedInstance:

@@ -33,17 +33,12 @@ from dcl.sketch import (
 from dcl.verdicts import Evidence, Status, ValidationReport, Verdict
 
 
-def satisfies(
-    t: TypedInstance,
-    d: ConstraintDeclaration,
-    signature: Signature,
-    fibres: Optional[tuple[dict, dict]] = None,
-) -> Verdict:
-    """Decide the symbol on t restricted along the binding; `fibres` goes to `evaluate`."""
+def satisfies(t: TypedInstance, d: ConstraintDeclaration, signature: Signature) -> Verdict:
+    """Decide the symbol on t restricted along the binding, as `evaluate` does."""
     symbol = signature.symbols.get(d.label)
     if symbol is None:
         raise GraphError(f"satisfies: unknown symbol {d.label!r}")
-    return evaluate(symbol, t, d.binding, fibres).with_declaration(d.id)
+    return evaluate(symbol, t, d.binding).with_declaration(d.id)
 
 
 def validate_instance(
@@ -63,8 +58,7 @@ def validate_instance(
         raise SketchError(
             f"sketch {sketch.name!r} is not dependency-closed; missing: {missing}"
         )
-    fibres = (t.typing.node_fibres(), t.typing.arrow_fibres())
-    verdicts = tuple(satisfies(t, d, sketch.signature, fibres) for d in sketch.declarations)
+    verdicts = tuple(satisfies(t, d, sketch.signature) for d in sketch.declarations)
     return ValidationReport(sketch.name, instance_name, verdicts)
 
 

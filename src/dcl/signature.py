@@ -28,7 +28,6 @@ from dcl.instances import (
     SliceMorphism,
     TypedInstance,
     _canonical_numbered,
-    _canonical_with_fibres,
     _factorization_pins,
     _iter_classes,
     _numbered_restriction,
@@ -111,9 +110,9 @@ class Multiplicity:
     def admits(self, count: int) -> bool:
         return any(lo <= count and (hi is None or count <= hi) for lo, hi in self.intervals)
 
-    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
-        arrow = _single_arrow(arity)
-        node_fibres, arrow_fibres = fibres or (t.typing.node_fibres(), t.typing.arrow_fibres())
+    def decide(self, t: TypedInstance) -> Verdict:
+        arrow = _single_arrow(t.schema)
+        node_fibres, arrow_fibres = t.fibres
         counts = dict.fromkeys(node_fibres[arrow.src], 0)
         for link in arrow_fibres[arrow.id]:
             counts[link.src] += 1
@@ -127,13 +126,12 @@ class Multiplicity:
 class Key:
     kind = "key"
 
-    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
-        sources = {a.src for a in arity.arrows}
+    def decide(self, t: TypedInstance) -> Verdict:
+        sources = {a.src for a in t.schema.arrows}
         if len(sources) != 1:
             raise SignatureError("key arity must have a single common source node")
         (class_node,) = sources
-        attrs = [a.id for a in arity.sorted_arrows]
-        keys = _distinct_targets(t, fibres, class_node, attrs)
+        keys = _distinct_targets(t, class_node, [a.id for a in t.schema.sorted_arrows])
         if isinstance(keys, Verdict):
             return keys
         return Verdict(Status.VALID, Evidence(t, {"keys": keys}))
@@ -145,8 +143,8 @@ class Subset:
     first: str = "r1"
     second: str = "r2"
 
-    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
-        spans = fibres[1] if fibres else t.typing.arrow_fibres()
+    def decide(self, t: TypedInstance) -> Verdict:
+        spans = t.fibres[1]
         second_pairs = {(src, tgt): link for link, src, tgt in spans[self.second]}
         assignment = {}
         offenders = []
@@ -171,8 +169,8 @@ class CompositeSubset4:
     path1: tuple[str, str] = ("r1", "r2")
     path2: tuple[str, str] = ("s1", "s2")
 
-    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
-        spans = fibres[1] if fibres else t.typing.arrow_fibres()
+    def decide(self, t: TypedInstance) -> Verdict:
+        spans = t.fibres[1]
         r1, r2 = self.path1
         s1, s2 = self.path2
         s2_from = _links_from(spans[s2])
@@ -210,11 +208,11 @@ class JointlyMonic:
     first: str = "01"
     second: str = "02"
 
-    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
-        apex = arity.arrow_by_id[self.first].src
-        if arity.arrow_by_id[self.second].src != apex:
+    def decide(self, t: TypedInstance) -> Verdict:
+        apex = t.schema.arrow_by_id[self.first].src
+        if t.schema.arrow_by_id[self.second].src != apex:
             raise SignatureError("jointly-monic legs must share their source node")
-        pairs = _distinct_targets(t, fibres, apex, (self.first, self.second))
+        pairs = _distinct_targets(t, apex, (self.first, self.second))
         if isinstance(pairs, Verdict):
             return pairs
         return Verdict(Status.VALID, Evidence(t, pairs))
@@ -228,8 +226,8 @@ class Commutativity:
     path: tuple[str, str] = ("f", "g")
     direct: str = "h"
 
-    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
-        spans = fibres[1] if fibres else t.typing.arrow_fibres()
+    def decide(self, t: TypedInstance) -> Verdict:
+        spans = t.fibres[1]
         f, g = self.path
         g_from = _links_from(spans[g])
         composite = {(a, c) for _, a, b in spans[f] for _, c in g_from.get(b, ())}
@@ -255,8 +253,8 @@ class Regular:
         sides = (self.formula.from_, self.formula.to)
         object.__setattr__(self, "_plans", tuple(_pattern_plan(s.carrier, s.typing) for s in sides))
 
-    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
-        return check_injectivity(t, self, fibres)
+    def decide(self, t: TypedInstance) -> Verdict:
+        return check_injectivity(t, self)
 
 
 @dataclass(frozen=True)
@@ -274,11 +272,11 @@ class Lifting:
         # a translation of the fields, not a field: equality and JSON ignore it
         object.__setattr__(self, "_regular", lifting_to_regular(self)[1])
 
-    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
+    def decide(self, t: TypedInstance) -> Verdict:
         """Decided as the regular formula `lifting_to_regular` gives."""
-        if self.n.cod != arity:
+        if self.n.cod != t.schema:
             raise SignatureError("lifting pair does not target the arity")
-        return self._regular.decide(arity, t, fibres)
+        return self._regular.decide(t)
 
 
 @dataclass(frozen=True)
@@ -304,7 +302,7 @@ class Table:
             canonical.append((entry_id, instance))
         object.__setattr__(self, "entries", tuple(canonical))
 
-    def decide(self, arity: Graph, t: TypedInstance, fibres: Optional[tuple] = None) -> Verdict:
+    def decide(self, t: TypedInstance) -> Verdict:
         for entry_id, instance in self.entries:
             if instance == t:
                 return Verdict(Status.VALID, Evidence(t, {"entry": entry_id}))
@@ -340,12 +338,12 @@ def _links_from(span: Sequence[Arrow]) -> dict[str, list[tuple[str, str]]]:
 
 
 def _distinct_targets(
-    t: TypedInstance, fibres: Optional[tuple], node: str, arrows: Sequence[str]
+    t: TypedInstance, node: str, arrows: Sequence[str]
 ) -> Union[Verdict, dict[str, list]]:
     """Each element of `node`'s fibre, in sorted order, to the sorted targets
     of its links along each of `arrows`; or Invalid, naming the first
     element whose targets an earlier element shares."""
-    node_fibres, spans = fibres or (t.typing.node_fibres(), t.typing.arrow_fibres())
+    node_fibres, spans = t.fibres
     links = [_links_from(spans[a]) for a in arrows]
     seen: dict[tuple, str] = {}
     for e in node_fibres[node]:
@@ -360,9 +358,7 @@ def _distinct_targets(
 # Injectivity check
 
 
-def check_injectivity(
-    t: TypedInstance, spec: Regular, fibres: Optional[tuple[dict, dict]] = None
-) -> Verdict:
+def check_injectivity(t: TypedInstance, spec: Regular) -> Verdict:
     """Does every testing map from the spec's formula's domain factor through it?
 
     For each testing map x: S -> t, the first y: Q -> t that
@@ -372,15 +368,14 @@ def check_injectivity(
     bound.  Pinning enumerates fewer
     morphisms than filtering every y would, so a bound can turn Unknown
     into a definite verdict, never Valid into Invalid or back.  The searches
-    share one index of t and the spec's plan of each side of the formula; a
-    formula over another schema is refused.  `fibres`, t's (node_fibres(),
-    arrow_fibres()), are for a caller that holds them already.
+    share one index of t, read from `t.fibres`, and the spec's plan of each
+    side of the formula; a formula over another schema is refused.
     """
     formula = spec.formula
     if formula.from_.schema != t.schema:
         raise SignatureError("formula does not live over the schema of the instance")
     budget = Budget("injectivity-search", spec.search_limit)
-    target = _target_index(t.carrier, t.typing, fibres)
+    target = _target_index(t.carrier, t.typing, t.fibres)
     tests, factors = spec._plans
     table = []
     try:
@@ -442,30 +437,25 @@ class ConstraintSymbol:
 
 
 def evaluate(
-    symbol: ConstraintSymbol,
-    t: TypedInstance,
-    binding: Optional[GraphMorphism] = None,
-    fibres: Optional[tuple[dict, dict]] = None,
+    symbol: ConstraintSymbol, t: TypedInstance, binding: Optional[GraphMorphism] = None
 ) -> Verdict:
     """Run the symbol's decision procedure on t restricted along `binding`:
     arity -> schema(t), or on t, an instance over the arity, without one.
 
-    The procedure sees `canonical_restriction(t, binding, fibres)`, which
-    makes it iso-invariant by construction, together with that instance's
-    fibres from the same naming pass.  `decide(arity, t)` without them stays
-    public: the span-based procedures then compute them from t.  A canonical
-    form that spends its work bound gives an Unknown verdict whose detail
-    names the bound, its limit and the work spent.
+    The procedure sees `canonical_restriction(t, binding)`, which makes it
+    iso-invariant by construction and holds the fibres of its naming pass.
+    A canonical form that spends its work bound gives an Unknown verdict
+    whose detail names the bound, its limit and the work spent.
     """
     if (t.schema if binding is None else binding.dom) != symbol.arity:
         raise SignatureError(
             f"instance schema differs from the arity of {symbol.name!r}"
         )
     try:
-        canonical, canonical_fibres = _canonical_with_fibres(t, binding, fibres)
+        canonical = canonical_restriction(t, binding)
     except BoundExceeded as exc:
         return Verdict(Status.UNKNOWN, detail=str(exc))
-    return symbol.semantics.decide(symbol.arity, canonical, canonical_fibres)
+    return symbol.semantics.decide(canonical)
 
 
 @dataclass(frozen=True)
@@ -657,8 +647,8 @@ def verify_dependency_soundness(
 ) -> SoundnessReport:
     """Restriction of every small valid instance along every dependency must be valid.
 
-    One canonical instance per class, made from the class's numbering; the valid ones,
-    with their fibres, are found once per source symbol.  A target decides each numbered
+    One canonical instance per class, made from the class's numbering, holds its fibres;
+    the valid ones are found once per source symbol.  A target decides each numbered
     restriction once per call.  An Unknown verdict, on a class or on its restriction, is
     undecided, not a violation; a class whose canonical form spends its bound is Unknown,
     witnessed as enumerated: only then is its labelled instance built.
@@ -666,7 +656,7 @@ def verify_dependency_soundness(
     checked = 0
     violations = []
     undecided = []
-    kept: dict[str, list[tuple[TypedInstance, Verdict, tuple]]] = {}
+    kept: dict[str, list[tuple[TypedInstance, Verdict]]] = {}
     decided: dict[tuple, Verdict] = {}  # (target symbol, names, links) -> verdict
     for dep in sig.dependencies:
         source = sig.symbols[dep.source]
@@ -675,23 +665,22 @@ def verify_dependency_soundness(
             kept[dep.source] = []
             for names, links, labelled in _iter_classes(source.arity, size_bound, max_parallel):
                 try:
-                    t, fibres = _canonical_numbered(names, links, source.arity)
+                    t = _canonical_numbered(names, links, source.arity)
                 except BoundExceeded as exc:
-                    # an Unknown class is reported, never restricted, so needs no fibres
-                    t, fibres, verdict = labelled(), None, Verdict(Status.UNKNOWN, detail=str(exc))
+                    t, verdict = labelled(), Verdict(Status.UNKNOWN, detail=str(exc))
                 else:
                     # already canonical, so decided directly, not through `evaluate`
-                    verdict = source.semantics.decide(source.arity, t, fibres)
+                    verdict = source.semantics.decide(t)
                 if verdict.status is not Status.INVALID:
-                    kept[dep.source].append((t, verdict, fibres))
-        for t, source_verdict, fibres in kept[dep.source]:
+                    kept[dep.source].append((t, verdict))
+        for t, source_verdict in kept[dep.source]:
             if not source_verdict.is_valid:
                 undecided.append(SoundnessViolation(dep.id, t, source_verdict, "class"))
                 continue
             checked += 1
-            key = (dep.target, *_numbered_restriction(t, dep.arity_map, fibres))
+            key = (dep.target, *_numbered_restriction(t, dep.arity_map))
             if key not in decided:
-                decided[key] = evaluate(target, t, dep.arity_map, fibres)
+                decided[key] = evaluate(target, t, dep.arity_map)
             verdict = decided[key]
             if verdict.status is Status.UNKNOWN:
                 undecided.append(SoundnessViolation(dep.id, t, verdict, "restriction"))

@@ -777,8 +777,8 @@ class TestCanonicalRestriction:
         assert find_instance_isomorphism(restricted, fused) is not None
         assert serialize_instance(fused) == serialize_instance(canonical_restriction(restricted))
         assert canonical_restriction(t) == canonical_restriction(t, identity(t.schema))
-        fibres = (t.typing.node_fibres(), t.typing.arrow_fibres())
-        assert canonical_restriction(t, b, fibres) == fused
+        # a fresh instance with t's typing groups its fibres afresh
+        assert canonical_restriction(TypedInstance(t.typing), b) == fused
         # with a work limit of 2 units, any component of two or more
         # elements spends it; isolated elements, loops included, spend none
         symbol = ConstraintSymbol("[t]", b.dom, Table())

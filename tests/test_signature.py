@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,10 +9,13 @@ from dcl.graphs import Graph, GraphMorphism, identity, iter_homomorphisms
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
+    canonical_restriction,
     iter_typed_instances,
     to_indexed,
 )
+from dcl.io import load
 from dcl.randgen import random_typed_instance
+from dcl.satisfaction import validate_instance
 from dcl.signature import (
     ConstraintSymbol,
     Dependency,
@@ -45,7 +49,7 @@ from dcl.verdicts import Status, Verdict
 
 def check_lifting(t, m, n):
     """The verdict of the lifting pair (m, n) on t, as `Lifting.decide` gives it."""
-    return Lifting(m, n).decide(t.schema, t)
+    return Lifting(m, n).decide(t)
 
 
 def arity_instance(nodes, arrows, node_typing, arrow_typing, arity=None):
@@ -327,6 +331,12 @@ class TestLiftingCheck:
         assert check_lifting(empty_inst, m, n).status is Status.INVALID
         assert check_lifting(nonempty, m, n).is_valid
 
+    def test_pair_over_another_schema_refused(self):
+        lif = regular_to_lifting(single_arrow_arity(), Regular(existence_formula()))
+        t = TypedInstance.empty(parallel_pair_arity())
+        with pytest.raises(SignatureError, match="lifting pair does not target the arity"):
+            lif.decide(t)
+
 
 class TestTable:
     def test_match_and_miss(self):
@@ -400,8 +410,8 @@ class FibreSpy:
     def __init__(self):
         self.seen = []
 
-    def decide(self, arity, t, fibres=None):
-        self.seen.append((t, fibres))
+    def decide(self, t):
+        self.seen.append((t, t.fibres))
         return Verdict(Status.UNKNOWN, detail="recorded")
 
 
@@ -443,7 +453,7 @@ def twelve_links() -> tuple:
 
 
 class TestCanonicalFibres:
-    """`evaluate` hands each decision the canonical instance's own fibres."""
+    """`evaluate` hands each decision a canonical instance that holds its own fibres."""
 
     @given(bound_instances())
     @example(twelve_links())
@@ -453,13 +463,31 @@ class TestCanonicalFibres:
         spy = FibreSpy()
         evaluate(ConstraintSymbol("[spy]", symbol.arity, spy), t, b)
         ((canonical, fibres),) = spy.seen
+        assert canonical == canonical_restriction(t, b)
         node_fibres, arrow_fibres = canonical.typing.node_fibres(), canonical.typing.arrow_fibres()
-        # dict and list order included
-        assert list(fibres[0].items()) == list(node_fibres.items())
-        assert list(fibres[1].items()) == list(arrow_fibres.items())
-        given_fibres = symbol.semantics.decide(symbol.arity, canonical, fibres).to_json()
-        assert given_fibres == symbol.semantics.decide(symbol.arity, canonical).to_json()
+        for held in (fibres, canonical_restriction(t, b).fibres):
+            # dict and list order included
+            assert list(held[0].items()) == list(node_fibres.items())
+            assert list(held[1].items()) == list(arrow_fibres.items())
+        # a plain instance with the same typing holds none and groups afresh
+        plain = TypedInstance(canonical.typing)
+        assert "_fibres" not in vars(plain)
+        given_fibres = symbol.semantics.decide(canonical).to_json()
+        assert given_fibres == symbol.semantics.decide(plain).to_json()
         assert evaluate(symbol, t, b).to_json() == given_fibres
+
+    def test_loaded_instance_holds_no_fibres(self):
+        # a loaded instance keeps only its typing: fibres are grouped per call,
+        # never stored on it, however many declarations restrict it
+        data = resources.files("dcl") / "data"
+        sketch = load(str(data / "registry-sketch.json"))
+        t = load(str(data / "registry-valid.json"))
+        assert validate_instance(sketch, t).overall is Status.VALID
+        for d in sketch.declarations:
+            evaluate(sketch.signature.symbols[d.label], t, d.binding)
+        assert vars(t) == {"typing": t.typing}
+        assert t.fibres == (t.typing.node_fibres(), t.typing.arrow_fibres())
+        assert vars(t) == {"typing": t.typing}
 
 
 class TestSignatureStructure:
