@@ -41,11 +41,11 @@ class TypedInstance:
     def schema(self) -> Graph:
         return self.typing.cod
 
-    _fibres = None  # set by `_canonical_numbered` only; equality and JSON ignore it
+    _fibres = None  # set by `_canonical_numbered` and `validate_instance`; not a field
 
     @property
     def fibres(self) -> tuple[dict, dict]:
-        """(typing.node_fibres(), typing.arrow_fibres()): held if canonical, else grouped anew."""
+        """(typing.node_fibres(), typing.arrow_fibres()): held if set, else grouped anew."""
         if self._fibres is None:
             return self.typing.node_fibres(), self.typing.arrow_fibres()
         return self._fibres

@@ -1,7 +1,7 @@
 """Seeded pseudorandom graphs, morphisms, instances, and declarations.
 
 Morphisms are built constructively (domain elements pick their images up
-front), so generation never needs a hom search and always succeeds.
+front), so they need neither a hom search nor validation: generation always succeeds.
 """
 
 from __future__ import annotations
@@ -10,7 +10,15 @@ import itertools
 import random
 from typing import Optional
 
-from dcl.graphs import Graph, GraphMorphism, iter_homomorphisms
+from dcl.graphs import (
+    Arrow,
+    Graph,
+    GraphMorphism,
+    _run_search,
+    _target_index,
+    _trusted_graph,
+    _trusted_morphism,
+)
 from dcl.instances import TypedInstance
 from dcl.signature import (
     Signature,
@@ -31,8 +39,8 @@ def random_graph(
     arrows = []
     if n:
         for i in range(rng.randint(0, max_arrows)):
-            arrows.append((f"E{i}", rng.choice(nodes), rng.choice(nodes)))
-    return Graph.build(nodes, arrows)
+            arrows.append(Arrow(f"E{i}", rng.choice(nodes), rng.choice(nodes)))
+    return _trusted_graph(nodes, arrows)
 
 
 def random_morphism_into(
@@ -40,23 +48,21 @@ def random_morphism_into(
 ) -> GraphMorphism:
     """A random morphism with a freshly built domain mapping into cod."""
     if not cod.nodes:
-        return GraphMorphism(Graph.empty(), cod, {}, {})
+        return _trusted_morphism(Graph.empty(), cod, {}, {})
     n = rng.randint(0, max_nodes)
     node_map = {f"n{i}": rng.choice(cod.sorted_nodes) for i in range(n)}
-    arrows = []
-    arrow_map = {}
+    links: dict[Arrow, str] = {}  # each domain arrow to its image's id
     if cod.arrows and node_map:
+        over: dict[str, list[str]] = {}  # each image's preimage, in draw order
+        for u, img in node_map.items():
+            over.setdefault(img, []).append(u)
         for i in range(rng.randint(0, max_arrows)):
             e = rng.choice(cod.sorted_arrows)
-            srcs = [u for u, img in node_map.items() if img == e.src]
-            tgts = [v for v, img in node_map.items() if img == e.tgt]
-            if not srcs or not tgts:
-                continue
-            a = f"a{i}"
-            arrows.append((a, rng.choice(srcs), rng.choice(tgts)))
-            arrow_map[a] = e.id
-    dom = Graph.build(node_map.keys(), arrows)
-    return GraphMorphism(dom, cod, node_map, arrow_map)
+            if e.src in over and e.tgt in over:
+                links[Arrow(f"a{i}", rng.choice(over[e.src]), rng.choice(over[e.tgt]))] = e.id
+    dom = _trusted_graph(node_map, links)
+    arrow_map = {a.id: image for a, image in sorted(links.items())}
+    return _trusted_morphism(dom, cod, dict(sorted(node_map.items())), arrow_map)
 
 
 def random_typed_instance(
@@ -97,9 +103,12 @@ def random_declaration(
     """A random symbol bound into the carrier, or None if nothing embeds."""
     names = list(signature.symbols)
     rng.shuffle(names)
+    if not carrier.nodes:  # only an arity without nodes maps into the empty carrier
+        names = [name for name in names if not signature.symbols[name].arity.nodes]
+    target = _target_index(carrier)
     for name in names:
         symbol = signature.symbols[name]
-        homs = list(itertools.islice(iter_homomorphisms(symbol.arity, carrier), hom_limit))
+        homs = list(itertools.islice(_run_search(symbol._plan, target), hom_limit))
         if homs:
             binding = rng.choice(homs)
             return ConstraintDeclaration(decl_id, name, binding)

@@ -58,7 +58,10 @@ def validate_instance(
         raise SketchError(
             f"sketch {sketch.name!r} is not dependency-closed; missing: {missing}"
         )
-    verdicts = tuple(satisfies(t, d, sketch.signature) for d in sketch.declarations)
+    # every declaration restricts one grouping of t, held by a copy: t holds none
+    grouped = TypedInstance(t.typing)
+    object.__setattr__(grouped, "_fibres", t.fibres)
+    verdicts = tuple(satisfies(grouped, d, sketch.signature) for d in sketch.declarations)
     return ValidationReport(sketch.name, instance_name, verdicts)
 
 

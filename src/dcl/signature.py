@@ -9,6 +9,7 @@ together with the translation between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 from dcl.graphs import (
@@ -434,6 +435,11 @@ class ConstraintSymbol:
                 raise SignatureError(f"symbol {self.name!r}: {name!r} is not an arrow of its arity")
 
     __hash__ = None  # type: ignore[assignment]
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """The search plan of the arity, made on first use; not a field."""
+        return _pattern_plan(self.arity)
 
 
 def evaluate(

@@ -489,6 +489,17 @@ class TestCanonicalFibres:
         assert t.fibres == (t.typing.node_fibres(), t.typing.arrow_fibres())
         assert vars(t) == {"typing": t.typing}
 
+    def test_validation_groups_once(self, monkeypatch):
+        # the seven declarations restrict one grouping of the loaded instance
+        data = resources.files("dcl") / "data"
+        sketch = load(str(data / "registry-sketch.json"))
+        t = load(str(data / "registry-valid.json"))
+        grouped = []
+        real = GraphMorphism.node_fibres
+        monkeypatch.setattr(GraphMorphism, "node_fibres", lambda m: grouped.append(m) or real(m))
+        assert validate_instance(sketch, t).overall is Status.VALID
+        assert len(sketch.declarations) == 7 and grouped == [t.typing]
+
 
 class TestSignatureStructure:
     def test_cycle_rejected(self):
