@@ -7,12 +7,9 @@ inference calculus.
 
 from dcl.graphs import (
     Arrow,
-    CanonicalForm,
     Graph,
     GraphError,
     GraphMorphism,
-    canonical_bytes,
-    canonicalize,
     compose,
     find_isomorphism,
     identity,
@@ -24,6 +21,7 @@ from dcl.instances import (
     IndexedSemantics,
     SliceMorphism,
     TypedInstance,
+    canonical_bytes,
     compose_delta,
     delta_of,
     from_indexed,
@@ -38,7 +36,6 @@ from dcl.verdicts import Evidence, Status, ValidationReport, Verdict
 
 __all__ = [
     "Arrow",
-    "CanonicalForm",
     "ConstraintDeclaration",
     "ConstraintSymbol",
     "Delta",
@@ -57,7 +54,6 @@ __all__ = [
     "ValidationReport",
     "Verdict",
     "canonical_bytes",
-    "canonicalize",
     "close_sketch",
     "compose",
     "compose_delta",

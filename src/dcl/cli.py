@@ -15,9 +15,9 @@ import random
 import sys
 from typing import Optional
 
-from dcl.graphs import BoundExceeded, Graph, GraphError, GraphMorphism, canonicalize
+from dcl.graphs import BoundExceeded, Graph, GraphError, GraphMorphism
 from dcl.injlogic import InjTheory, bounded_entailment
-from dcl.instances import Delta, SliceMorphism, TypedInstance, canonical_restriction
+from dcl.instances import Delta, SliceMorphism, TypedInstance, as_slice, canonical_restriction
 from dcl.io import FormatError, _expect, _indented, dumps, load
 from dcl.randgen import harness_signature, random_satax_triple
 from dcl.satisfaction import (
@@ -176,7 +176,7 @@ def cmd_infer(args) -> int:
 def cmd_canon(args) -> int:
     obj = load(args.path)
     if isinstance(obj, Graph):
-        _print(dumps(canonicalize(obj).graph))
+        _print(dumps(canonical_restriction(as_slice(obj)).carrier))
     elif isinstance(obj, TypedInstance):
         _print(dumps(canonical_restriction(obj)))
     else:

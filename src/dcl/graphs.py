@@ -8,7 +8,6 @@ between threads.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -32,12 +31,18 @@ class Budget:
     def charge(self, units: int = 1) -> None:
         self.spent += units
         if self.spent > self.limit:
-            raise BoundExceeded(
-                f"{self.bound} bound exceeded: spent {self.spent} of {self.limit} units"
-            )
+            raise self.exceeded()
+
+    @property
+    def usage(self) -> str:
+        return f"spent {self.spent} of {self.limit} units"
+
+    def exceeded(self) -> BoundExceeded:
+        """The error of a spent bound: it names the bound, the work spent and the limit."""
+        return BoundExceeded(f"{self.bound} bound exceeded: {self.usage}")
 
 
-# Work units one `canonicalize` call may spend: a unit is one node or arrow
+# Work units one `_canonical_order` call may spend: a unit is one node or arrow
 # incidence of a component, per refinement call and per refinement round.
 CANONICAL_WORK_LIMIT = 2_000_000
 
@@ -402,11 +407,6 @@ def _distinct_product(options: list[list[str]]) -> Iterator[tuple[str, ...]]:
         yield ()
 
 
-def iter_homomorphisms(g: Graph, h: Graph) -> Iterator[GraphMorphism]:
-    """All incidence-preserving morphisms g -> h, in `search_morphisms` order."""
-    yield from search_morphisms(g, h)
-
-
 def find_isomorphism(g: Graph, h: Graph) -> Optional[GraphMorphism]:
     """The lexicographically least isomorphism g -> h, or None."""
     if len(g.nodes) != len(h.nodes) or len(g.arrows) != len(h.arrows):
@@ -574,20 +574,6 @@ def pushout(
 
 # ---------------------------------------------------------------------------
 # Canonical forms
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    graph: Graph
-    relabeling: GraphMorphism  # isomorphism input -> canonical graph
-
-    @cached_property
-    def bytes(self) -> bytes:
-        return serialize_graph(self.graph)
-
-
-def serialize_graph(g: Graph) -> bytes:
-    return json.dumps(g.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
 
 def _refine(cols: list, outs: list, ins: list, budget: Budget) -> list[int]:
@@ -812,10 +798,13 @@ def _canonical_component(
 
 def _canonical_order(names: list[str], arrows: list[tuple[int, str, int]]) -> list[tuple]:
     """The canonical parts of nodes 0..n-1, node x coloured `names[x]`, given the
-    arrows as (source, label, target) triples: the integer core of `canonicalize`.
-    A part is (encoding, members) of one component, members in canonical order,
-    encoded as (size, colours, sorted (source, target, label) triples over places
-    0..size-1).  Parts are sorted, so their members in turn are the canonical order."""
+    arrows as (source, label, target) triples, for `instances._canonical_numbered`
+    to name.  A part is (encoding, members) of one weakly connected component,
+    members in canonical order (by `_search` where refinement leaves a cell that
+    is not a twin class), encoded as (size, colours, sorted (source, target,
+    label) triples over places 0..size-1).  Parts are sorted, so their members
+    in turn are the canonical order.  Past CANONICAL_WORK_LIMIT units of
+    refinement work the call raises BoundExceeded."""
     outs: list[list[tuple[str, int]]] = [[] for _ in names]
     ins: list[list[tuple[str, int]]] = [[] for _ in names]
     for x, label, y in arrows:
@@ -826,46 +815,3 @@ def _canonical_order(names: list[str], arrows: list[tuple[int, str, int]]) -> li
         _canonical_component(members, outs, ins, names, budget)
         for members in _components(outs, ins)
     )
-
-
-def canonicalize(
-    g: Graph,
-    node_colors: Optional[Mapping[str, str]] = None,
-    arrow_labels: Optional[Mapping[str, str]] = None,
-) -> CanonicalForm:
-    """Deterministic canonical form: canonical bytes agree iff graphs are isomorphic.
-
-    The graph is split into weakly connected components.  Each component is
-    put in canonical order by colour refinement and, where refinement leaves
-    a cell of several nodes, an individualization-refinement search for the
-    least adjacency encoding, pruned by the automorphisms it finds (twin
-    swaps and maps between leaves with equal encodings).  Isolated nodes and
-    components that refinement orders up to twins take no search.  Components
-    follow one another in the order of their encodings.  Optional node
-    colors / arrow labels restrict the isomorphisms considered (used to
-    canonicalize typed instances); labels must be drawn from a shared
-    vocabulary for cross-graph byte comparison.  Refinement, in and below
-    the search, spends at most CANONICAL_WORK_LIMIT units of work; past it
-    the call raises BoundExceeded naming the canonical-form bound.
-    """
-    labels = arrow_labels if arrow_labels is not None else {a.id: "" for a in g.arrows}
-    nodes = g.sorted_nodes
-    names = [""] * len(nodes) if node_colors is None else [node_colors[n] for n in nodes]
-    position = {n: i for i, n in enumerate(nodes)}
-    arrows = [(position[a.src], labels[a.id], position[a.tgt]) for a in g.sorted_arrows]
-    order = [nodes[x] for _, members in _canonical_order(names, arrows) for x in members]
-    index = {n: i for i, n in enumerate(order)}
-    node_map = {n: f"n{index[n]}" for n in nodes}
-    arrow_order = sorted(
-        g.arrows, key=lambda a: (index[a.src], index[a.tgt], labels[a.id], a.id)
-    )
-    arrow_map = dict(sorted((a.id, f"e{i}") for i, a in enumerate(arrow_order)))
-    canonical = _trusted_graph(
-        node_map.values(),
-        [Arrow(arrow_map[a.id], node_map[a.src], node_map[a.tgt]) for a in g.arrows],
-    )
-    return CanonicalForm(canonical, _trusted_morphism(g, canonical, node_map, arrow_map))
-
-
-def canonical_bytes(g: Graph) -> bytes:
-    return canonicalize(g).bytes

@@ -39,27 +39,6 @@ from dcl.signature import DEFAULT_SEARCH_LIMIT, Regular
 from dcl.verdicts import Status, Verdict
 
 
-def terminal_graph() -> Graph:
-    return Graph.build(["pt"], [("loop", "pt", "pt")])
-
-
-def as_slice(g: Graph, base: Optional[Graph] = None) -> TypedInstance:
-    """View a plain graph as an object of the slice over the terminal graph."""
-    base = base if base is not None else terminal_graph()
-    if len(base.nodes) != 1 or len(base.arrows) != 1:
-        raise GraphError("as_slice expects the one-node one-loop base")
-    (node,) = base.nodes
-    (arrow,) = base.arrow_by_id
-    return TypedInstance.build(
-        base, g, {n: node for n in g.nodes}, {a: arrow for a in g.arrow_by_id}
-    )
-
-
-def as_slice_morphism(m: GraphMorphism, base: Optional[Graph] = None) -> SliceMorphism:
-    base = base if base is not None else terminal_graph()
-    return SliceMorphism(as_slice(m.dom, base), as_slice(m.cod, base), m)
-
-
 @dataclass(frozen=True)
 class InjTheory:
     base: Graph  # ambient = slice over this graph
@@ -114,7 +93,7 @@ def semantic_entails(
     unknown: Optional[Verdict] = None
     for names, links, _ in _iter_classes(base, size_bound, max_parallel):
         try:
-            model = _canonical_numbered(names, links, base)
+            model = _canonical_numbered(names, links, base)[0]
         except BoundExceeded as exc:
             unknown = unknown or Verdict(Status.UNKNOWN, detail=str(exc))
             continue
@@ -448,7 +427,6 @@ def bounded_entailment(
         return EntailmentResult("unknown", detail=str(exc))
     if proof is not None:
         return EntailmentResult("derivable", proof)
-    spent = f"spent {work.spent} of {work.limit} units"
     if work.spent > work.limit:
-        return EntailmentResult("unknown", detail=f"proof-search bound exceeded: {spent}")
-    return EntailmentResult("unknown", detail=f"depth bound {max_depth} reached: {spent}")
+        return EntailmentResult("unknown", detail=str(work.exceeded()))
+    return EntailmentResult("unknown", detail=f"depth bound {max_depth} reached: {work.usage}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional
@@ -21,7 +22,6 @@ from dcl.graphs import (
     _canonical_order,
     _trusted_graph,
     _trusted_morphism,
-    canonicalize,
     compose,
     identity,
     pullback,
@@ -85,8 +85,6 @@ class TypedInstance:
 
 
 def serialize_instance(t: TypedInstance) -> bytes:
-    import json
-
     return json.dumps(t.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -153,6 +151,21 @@ def _trusted_instance(
         carrier, schema, dict(sorted(node_typing.items())), dict(sorted(arrow_typing.items()))
     )
     return TypedInstance(typing)
+
+
+def terminal_graph() -> Graph:
+    return Graph.build(["pt"], [("loop", "pt", "pt")])
+
+
+def as_slice(g: Graph) -> TypedInstance:
+    """View a plain graph as an object of the slice over the terminal graph."""
+    return TypedInstance.build(
+        terminal_graph(), g, dict.fromkeys(g.nodes, "pt"), dict.fromkeys(g.arrow_by_id, "loop")
+    )
+
+
+def as_slice_morphism(m: GraphMorphism) -> SliceMorphism:
+    return SliceMorphism(as_slice(m.dom), as_slice(m.cod), m)
 
 
 def iter_slice_morphisms(
@@ -244,18 +257,27 @@ def canonical_restriction(t: TypedInstance, m: Optional[GraphMorphism] = None) -
     The pullback's elements are numbered from t's fibres, and only the
     canonical result is named; it holds its own fibres.
     """
-    return _canonical_numbered(*_numbered_restriction(t, m), t.schema if m is None else m.dom)
+    return _canonical_numbered(*_numbered_restriction(t, m), t.schema if m is None else m.dom)[0]
 
 
-def _canonical_numbered(names: tuple, links: tuple, arity: Graph) -> TypedInstance:
-    """The canonical instance over `arity` of the numbered instance (names, links),
-    as `_numbered_restriction` gives it, named in one pass over the canonical
-    parts: element i is `n{i}`, link j `e{j}`, and ids are visited in sorted
-    order (`n10` before `n2`).  The instance holds the fibres of that pass."""
-    colours, ranked = [], []
-    for (_, part_colours, triples), _ in _canonical_order(names, links):
+def canonical_bytes(g: Graph) -> bytes:
+    """Bytes equal for two graphs iff they are isomorphic: the carrier of the
+    canonical form of g in the slice over the terminal graph."""
+    carrier = canonical_restriction(as_slice(g)).carrier
+    return json.dumps(carrier.to_json(), sort_keys=True, separators=(",", ":")).encode()
+
+
+def _canonical_numbered(names: tuple, links: tuple, arity: Graph) -> tuple[TypedInstance, list]:
+    """(canonical instance, order) over `arity` of the numbered instance (names,
+    links), as `_numbered_restriction` gives it, named in one pass over the
+    canonical parts: the element at place i is `n{i}` and is numbered `order[i]`
+    in the input, link j `e{j}`, and ids are visited in sorted order (`n10`
+    before `n2`).  The instance holds the fibres of that pass."""
+    colours, ranked, order = [], [], []
+    for (_, part_colours, triples), members in _canonical_order(names, links):
         ranked += [(len(colours) + x, len(colours) + y, k) for x, y, k in triples]
         colours += part_colours
+        order += members
     nodes = [f"n{i}" for i in range(len(colours))]
     node_typing, node_fibres = {}, {h: [] for h in arity.sorted_nodes}
     for i in sorted(range(len(nodes)), key=str):
@@ -269,7 +291,7 @@ def _canonical_numbered(names: tuple, links: tuple, arity: Graph) -> TypedInstan
     carrier = _trusted_graph(node_typing, [a for over in arrow_fibres.values() for a in over])
     out = TypedInstance(_trusted_morphism(carrier, arity, node_typing, arrow_typing))
     object.__setattr__(out, "_fibres", (node_fibres, arrow_fibres))
-    return out
+    return out, order
 
 
 def _numbered_restriction(t: TypedInstance, m: Optional[GraphMorphism]) -> tuple:
@@ -413,16 +435,25 @@ def delta_of(f: SliceMorphism, direction: str = "forward") -> Delta:
 
 
 def _canonical_delta(d: Delta) -> Delta:
-    typing = d.apex.typing
-    inv = canonicalize(d.apex.carrier, typing.node_map, typing.arrow_map).relabeling.inverse()
-    apex = TypedInstance(compose(inv, typing))
-    return Delta(
-        d.source,
-        d.target,
-        apex,
-        SliceMorphism(apex, d.source, compose(inv, d.left.map)),
-        SliceMorphism(apex, d.target, compose(inv, d.right.map)),
+    """d with its apex renamed to its canonical form.  The apex is numbered in
+    sorted-id order, and link `e{j}` is renamed from the j-th apex arrow in
+    (source place, target place, arrow) order, ties in id order."""
+    typing, carrier = d.apex.typing, d.apex.carrier
+    nodes, arrows = carrier.sorted_nodes, carrier.sorted_arrows
+    number = {n: x for x, n in enumerate(nodes)}
+    names = tuple(typing.node_map[n] for n in nodes)
+    links = tuple((number[a.src], typing.arrow_map[a.id], number[a.tgt]) for a in arrows)
+    apex, order = _canonical_numbered(names, links, d.apex.schema)
+    place = {nodes[x]: i for i, x in enumerate(order)}
+    ranked = sorted(arrows, key=lambda a: (place[a.src], place[a.tgt], typing.arrow_map[a.id]))
+    back = GraphMorphism(
+        apex.carrier,
+        carrier,
+        {f"n{i}": nodes[x] for i, x in enumerate(order)},
+        {f"e{j}": a.id for j, a in enumerate(ranked)},
     )
+    left, right = (SliceMorphism(apex, leg.to, compose(back, leg.map)) for leg in (d.left, d.right))
+    return Delta(d.source, d.target, apex, left, right)
 
 
 def compose_delta(d1: Delta, d2: Delta) -> Delta:

@@ -14,8 +14,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Union
 
 from dcl.graphs import Graph, GraphError, GraphMorphism
-from dcl.injlogic import InjTheory, as_slice_morphism, terminal_graph
-from dcl.instances import Delta, SliceMorphism, TypedInstance
+from dcl.injlogic import InjTheory
+from dcl.instances import Delta, SliceMorphism, TypedInstance, as_slice_morphism, terminal_graph
 from dcl.signature import (
     DEFAULT_SEARCH_LIMIT,
     Commutativity,

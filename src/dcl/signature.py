@@ -433,6 +433,14 @@ class ConstraintSymbol:
         for name in names + [name for path in paths for name in path]:
             if not isinstance(name, str) or name not in self.arity.arrow_by_id:
                 raise SignatureError(f"symbol {self.name!r}: {name!r} is not an arrow of its arity")
+        # a table entry, a formula and a lifting pair must live over the arity
+        overs = [t.schema for _, t in fields.get("entries", ())]
+        if "formula" in fields:
+            overs.append(self.semantics.formula.from_.schema)
+        if "n" in fields:
+            overs.append(self.semantics.n.cod)
+        if any(over != self.arity for over in overs):
+            raise SignatureError(f"symbol {self.name!r}: its semantics lives over another graph")
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -671,7 +679,7 @@ def verify_dependency_soundness(
             kept[dep.source] = []
             for names, links, labelled in _iter_classes(source.arity, size_bound, max_parallel):
                 try:
-                    t = _canonical_numbered(names, links, source.arity)
+                    t = _canonical_numbered(names, links, source.arity)[0]
                 except BoundExceeded as exc:
                     t, verdict = labelled(), Verdict(Status.UNKNOWN, detail=str(exc))
                 else:

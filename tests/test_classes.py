@@ -10,28 +10,32 @@ import itertools
 import json
 from importlib import resources
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dcl.fixtures import edge_pair_theory, outgoing_edge_theory
 import dcl.graphs
-from dcl.graphs import Graph, GraphMorphism, canonicalize
+from dcl.graphs import Graph, GraphMorphism
 from dcl.injlogic import (
     SemanticResult,
     axiom,
     coproduct_macro,
     semantic_entails,
-    terminal_graph,
 )
 import dcl.instances
 from dcl.instances import (
+    _canonical_delta,
+    _canonical_numbered,
     _iter_classes,
     _numbered_restriction,
     canonical_restriction,
+    identity_delta,
     iter_instance_classes,
     iter_typed_instances,
     restrict,
     serialize_instance,
+    terminal_graph,
 )
 from dcl.io import load
 from dcl.signature import (
@@ -189,13 +193,14 @@ class TestInstanceClasses:
 
     @given(small_schemas(), st.integers(0, 2), st.integers(0, 2))
     def test_built_as_the_validating_constructor_builds(self, schema, max_per_node, max_parallel):
-        # instances, canonical forms and the typed relabeling `_canonical_delta`
-        # takes are built trusted: their maps must be valid and keyed in
-        # sorted order, as GraphMorphism would leave them
+        # instances, canonical forms and the canonical apex of a delta are
+        # built trusted, and so is the renaming onto that apex: their maps
+        # must be valid and keyed in sorted order, as GraphMorphism would
+        # leave them
         assume(labelled_count(schema, max_per_node, max_parallel) <= 2000)
         for t in iter_instance_classes(schema, max_per_node, max_parallel):
-            cf = canonicalize(t.carrier, t.typing.node_map, t.typing.arrow_map)
-            for m in (t.typing, canonical_restriction(t).typing, cf.relabeling):
+            d = _canonical_delta(identity_delta(t))
+            for m in (t.typing, canonical_restriction(t).typing, d.apex.typing, d.left.map):
                 checked = GraphMorphism(m.dom, m.cod, m.node_map, m.arrow_map)
                 assert checked == m
                 assert list(m.node_map) == list(checked.node_map)
@@ -219,6 +224,18 @@ class TestInstanceClasses:
         assume(labelled_count(schema, max_per_node, max_parallel) <= 2000)
         for names, links, labelled in _iter_classes(schema, max_per_node, max_parallel):
             assert (names, links) == _numbered_restriction(labelled(), None)
+
+    @pytest.mark.parametrize("size,classes", [(2, 13), (3, 117), (4, 3161)])
+    def test_census_over_the_terminal_graph(self, size, classes):
+        # digraphs with loops on at most `size` nodes: one class each, all
+        # canonical forms distinct; OEIS A000595 gives 1, 2, 10, 104, 3044
+        # on 0 to 4 nodes
+        base = terminal_graph()
+        forms = [
+            serialize_instance(_canonical_numbered(names, links, base)[0])
+            for names, links, _ in _iter_classes(base, size, 1)
+        ]
+        assert len(forms) == len(set(forms)) == classes
 
     def test_terminal_base_class_count(self):
         assert sum(1 for _ in iter_instance_classes(terminal_graph(), 3, 1)) == 117

@@ -21,8 +21,8 @@ import dcl.cli
 import dcl.graphs
 from dcl.cli import main
 from dcl.io import _indented, dumps, load, save
-from dcl.graphs import Graph
-from dcl.instances import Delta, SliceMorphism, iter_slice_morphisms
+from dcl.graphs import Graph, identity
+from dcl.instances import Delta, SliceMorphism, TypedInstance, identity_delta, iter_slice_morphisms
 from dcl.randgen import random_graph, random_morphism_into, random_typed_instance
 
 
@@ -296,6 +296,40 @@ class TestTranslate:
         assert main(["translate", str(tmp_path / "lifted.json"), "--to", "regular"]) == 0
         assert capsys.readouterr().out == out["regular"]
 
+    @pytest.mark.parametrize("kind", ["lifting", "table"])
+    def test_semantics_over_another_graph_refused(self, capsys, tmp_path, kind):
+        # a lifting pair that targets, or a table entry that lives over, another
+        # graph than the arity is refused on load: translated, the pair would
+        # replace the arity, and the table would find every instance Invalid
+        from dcl.fixtures import uniqueness_symbol
+        from dcl.signature import (
+            ConstraintSymbol,
+            Signature,
+            parallel_pair_arity,
+            regular_to_lifting,
+        )
+
+        unique = uniqueness_symbol()
+        lifting = regular_to_lifting(unique.arity, unique.semantics)
+        data = json.loads(dumps(Signature({"[s]": ConstraintSymbol("[s]", unique.arity, lifting)})))
+        if kind == "lifting":
+            data["symbols"][0]["arity"] = parallel_pair_arity().to_json()
+        else:
+            entry = {
+                "schema": {"nodes": ["X"], "arrows": []},
+                "carrier": {"nodes": ["x"], "arrows": []},
+                "typing": {"nodes": {"x": "X"}, "arrows": {}},
+            }
+            table = {"kind": "table", "entries": [{"id": "row", "instance": entry}]}
+            data["symbols"][0]["semantics"] = table
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(data))
+        assert main(["translate", str(path), "--to", "regular"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = "symbol '[s]': its semantics lives over another graph"
+        assert captured.err == f"error: {path}: {reason}\n"
+
 
 class TestSatax:
     def test_clean_run(self, capsys):
@@ -342,7 +376,7 @@ class TestInfer:
     def test_unknown_goal(self, capsys, tmp_path):
         goal = tmp_path / "goal.json"
         from dcl.graphs import GraphMorphism
-        from dcl.injlogic import as_slice_morphism
+        from dcl.instances import as_slice_morphism
         from dcl.io import formula_to_json
 
         s = Graph.build(["A"])
@@ -367,7 +401,7 @@ class TestInfer:
     )
     def test_unknown_prints_the_bound(self, capsys, tmp_path, theory, depth, detail):
         from dcl.graphs import GraphMorphism
-        from dcl.injlogic import as_slice_morphism
+        from dcl.instances import as_slice_morphism
 
         # every node has a loop: derivable from neither theory
         s, q = Graph.build(["A"]), Graph.build(["A"], [("l", "A", "A")])
@@ -874,27 +908,93 @@ class TestHashSeedIndependence:
     def test_canonical_relabelings(self):
         code = (
             "import hashlib, json, random\n"
-            "from dcl.graphs import canonicalize\n"
+            "from dcl.instances import _canonical_delta, as_slice, identity_delta\n"
             "from dcl.randgen import random_graph\n"
             "rng, digest = random.Random(0), hashlib.sha256()\n"
             "for _ in range(3000):\n"
-            "    r = canonicalize(random_graph(rng, 6, 8)).relabeling\n"
+            "    r = _canonical_delta(identity_delta(as_slice(random_graph(rng, 6, 8)))).left.map\n"
             "    digest.update(json.dumps([r.node_map, r.arrow_map]).encode())\n"
             "print(digest.hexdigest())\n"
         )
         assert len({run_with_hash_seed(["-c", code], seed) for seed in (1, 2, 3)}) == 1
 
     def test_migrate_delta_stdout(self, tmp_path):
-        # seed 329 draws an apex with automorphisms: which one its canonical
-        # relabeling picks decides the printed legs
-        rng = random.Random(329)
-        schema = random_graph(rng, 2, 2)
-        f = random_morphism_into(rng, schema, 3, 4)
-        apex = random_typed_instance(rng, schema, 3, 8)
-        target = random_typed_instance(rng, schema, 2, 3)
-        leg = next(iter_slice_morphisms(apex, target))
-        paths = [str(tmp_path / "map.json"), str(tmp_path / "delta.json")]
-        save(f, paths[0])
-        save(Delta(apex, target, apex, SliceMorphism.identity(apex), leg), paths[1])
+        paths = automorphic_delta_files(tmp_path)
         argv = ["-m", "dcl.cli", "migrate", *paths, "--direction", "pull"]
         assert len({run_with_hash_seed(argv, seed) for seed in (1, 2, 3)}) == 1
+
+
+def automorphic_delta_files(tmp_path) -> list[str]:
+    """Paths of a schema map and a delta to pull back along it.  Seed 329
+    draws an apex with automorphisms: which one the canonical renaming of
+    the pulled-back apex picks decides the printed legs."""
+    rng = random.Random(329)
+    schema = random_graph(rng, 2, 2)
+    f = random_morphism_into(rng, schema, 3, 4)
+    apex = random_typed_instance(rng, schema, 3, 8)
+    target = random_typed_instance(rng, schema, 2, 3)
+    leg = next(iter_slice_morphisms(apex, target))
+    paths = [str(tmp_path / "map.json"), str(tmp_path / "delta.json")]
+    save(f, paths[0])
+    save(Delta(apex, target, apex, SliceMorphism.identity(apex), leg), paths[1])
+    return paths
+
+
+def cycles_delta_files(tmp_path) -> list[str]:
+    """Paths of the identity map of a two-node schema and the identity delta
+    of a 4-cycle and a 2-cycle that alternate between its nodes.  The ids
+    interleave the two fibres, and refinement leaves both cycles to the
+    search: an apex numbered fibre by fibre, not in sorted-id order, takes
+    other automorphisms and prints other legs."""
+    schema = Graph.build(["A", "B"], [("f", "A", "B"), ("g", "B", "A")])
+    cycles = [["v637", "v261", "v759", "v367"], ["v814", "v707"]]
+    steps = [(v, c[(i + 1) % len(c)], i % 2) for c in cycles for i, v in enumerate(c)]
+    carrier = Graph.build([v for c in cycles for v in c], [(f"a{v}", v, w) for v, w, _ in steps])
+    node_typing = {v: "AB"[odd] for v, _, odd in steps}
+    t = TypedInstance.build(schema, carrier, node_typing, {f"a{v}": "fg"[odd] for v, _, odd in steps})
+    paths = [str(tmp_path / "map.json"), str(tmp_path / "delta.json")]
+    save(identity(schema), paths[0])
+    save(identity_delta(t), paths[1])
+    return paths
+
+
+class TestCanonicalDigests:
+    """Stdout digests of canonical forms that no shipped file reaches: any
+    change to how a canonical order is named shows here."""
+
+    @pytest.mark.parametrize(
+        "files,expected",
+        [
+            (
+                automorphic_delta_files,
+                "aa40dd0e3eb73645d322eb9909a2c104ac33872eae2ee2a632661be7fa1790f0",
+            ),
+            (
+                cycles_delta_files,
+                "6aa10c56279574fcb1040178070317d14631dee6a7314ad7f0f895480bc9f6b1",
+            ),
+        ],
+        ids=["seed-329", "cycles"],
+    )
+    def test_migrate_pull_on_automorphic_apex(self, capsys, tmp_path, files, expected):
+        assert main(["migrate", *files(tmp_path), "--direction", "pull"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+    def test_canon_on_random_graphs(self, capsys, tmp_path):
+        rng, digest = random.Random(0), hashlib.sha256()
+        for i in range(50):
+            path = tmp_path / f"g{i}.json"
+            save(random_graph(rng, 7, 10), str(path))
+            assert main(["canon", str(path)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        expected = "a0297f5d905cd52209335e8cdb7f900fa0bcdc4f80b7483405c5e2bb83b480a0"
+        assert digest.hexdigest() == expected
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        assert len(set(dcl.__all__)) == len(dcl.__all__)
+        assert [name for name in dcl.__all__ if not hasattr(dcl, name)] == []
+        namespace: dict = {}
+        exec("from dcl import *", namespace)
+        assert set(dcl.__all__) <= set(namespace)

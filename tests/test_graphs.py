@@ -20,20 +20,22 @@ from dcl.graphs import (
     _refine,
     _search,
     _twin_classes,
-    canonical_bytes,
-    canonicalize,
     compose,
     find_isomorphism,
     identity,
-    iter_homomorphisms,
     pair_id,
     pullback,
     pushout,
+    search_morphisms,
 )
 from dcl.instances import (
     TypedInstance,
+    _canonical_delta,
+    as_slice,
+    canonical_bytes,
     canonical_restriction,
     find_instance_isomorphism,
+    identity_delta,
     iter_instance_classes,
     iter_typed_instances,
     restrict,
@@ -127,25 +129,25 @@ class TestHomSearch:
         # arrow forced when endpoints differ
         chain = Graph.build(["a", "b"], [("e", "a", "b")])
         k2 = Graph.build(["x", "y"], [("xy", "x", "y"), ("yx", "y", "x")])
-        homs = list(iter_homomorphisms(chain, k2))
+        homs = list(search_morphisms(chain, k2))
         assert len(homs) == 2
 
     def test_deterministic_order(self):
         chain = Graph.build(["a", "b"], [("e", "a", "b")])
         k2 = Graph.build(["x", "y"], [("xy", "x", "y"), ("yx", "y", "x")])
-        first = [m.node_map for m in iter_homomorphisms(chain, k2)]
-        second = [m.node_map for m in iter_homomorphisms(chain, k2)]
+        first = [m.node_map for m in search_morphisms(chain, k2)]
+        second = [m.node_map for m in search_morphisms(chain, k2)]
         assert first == second
 
     def test_empty_domain_has_unique_hom(self):
-        assert len(list(iter_homomorphisms(Graph.empty(), triangle()))) == 1
+        assert len(list(search_morphisms(Graph.empty(), triangle()))) == 1
 
     def test_no_homs_into_empty(self):
-        assert list(iter_homomorphisms(triangle(), Graph.empty())) == []
+        assert list(search_morphisms(triangle(), Graph.empty())) == []
 
     def test_parallel_arrows_multiply(self):
         par = Graph.build(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
-        homs = list(iter_homomorphisms(par, par))
+        homs = list(search_morphisms(par, par))
         # node map a->a,b->b gives 2*2 arrow choices; no other node maps
         # admit arrows between the images
         assert len(homs) == 4
@@ -254,12 +256,12 @@ class TestPullback:
             z = random_morphism_into(rng, f.dom, 3, 3)
             w_node = {n: g.node_map for n in ()}
             # build a competitor by pairing z with a compatible map into g.dom
-            for h in iter_homomorphisms(z.dom, g.dom):
+            for h in search_morphisms(z.dom, g.dom):
                 if compose(z, f) != compose(h, g):
                     continue
                 mediators = [
                     u
-                    for u in iter_homomorphisms(z.dom, p_graph)
+                    for u in search_morphisms(z.dom, p_graph)
                     if compose(u, p) == z and compose(u, q) == h
                 ]
                 assert len(mediators) == 1
@@ -317,8 +319,8 @@ class TestPushout:
             dom = random_graph(rng, 3, 3, min_nodes=0)
             codl = random_graph(rng, 4, 5)
             codr = random_graph(rng, 4, 5)
-            homl = list(itertools.islice(iter_homomorphisms(dom, codl), 5))
-            homr = list(itertools.islice(iter_homomorphisms(dom, codr), 5))
+            homl = list(itertools.islice(search_morphisms(dom, codl), 5))
+            homr = list(itertools.islice(search_morphisms(dom, codr), 5))
             if not homl or not homr:
                 continue
             checked += 1
@@ -342,7 +344,7 @@ class TestPushout:
         zr = GraphMorphism(codr, z, {"u": "z"}, {})
         mediators = [
             u
-            for u in iter_homomorphisms(p_graph, z)
+            for u in search_morphisms(p_graph, z)
             if compose(il, u) == zl and compose(ir, u) == zr
         ]
         assert len(mediators) == 1
@@ -379,6 +381,17 @@ class TestPushout:
         assert len(p_graph.nodes) == 2 and len(p_graph.arrows) == 1
 
 
+def canonical_graph(g: Graph) -> Graph:
+    """The canonical form of a plain graph: the carrier of its canonical
+    form in the slice over the terminal graph."""
+    return canonical_restriction(as_slice(g)).carrier
+
+
+def renaming(g: Graph) -> GraphMorphism:
+    """The isomorphism canonical_graph(g) -> g that canonical delta apexes take."""
+    return _canonical_delta(identity_delta(as_slice(g))).left.map
+
+
 class TestCanonicalForms:
     def test_iso_invariance(self):
         rng = random.Random(5)
@@ -401,15 +414,29 @@ class TestCanonicalForms:
         rng = random.Random(6)
         for _ in range(20):
             g = random_graph(rng, 5, 6)
-            c1 = canonicalize(g).graph
-            c2 = canonicalize(c1).graph
+            c1 = canonical_graph(g)
+            c2 = canonical_graph(c1)
             assert c1 == c2
 
     def test_relabeling_is_iso(self):
         g = triangle()
-        cf = canonicalize(g)
-        assert cf.relabeling.is_bijective
-        assert cf.relabeling.dom == g and cf.relabeling.cod == cf.graph
+        back = renaming(g)
+        assert back.is_bijective
+        assert back.dom == canonical_graph(g) and back.cod == g
+
+    @pytest.mark.parametrize(
+        "nodes,loops,classes", [(3, False, 16), (3, True, 104), (4, False, 218)]
+    )
+    def test_census_of_simple_digraphs(self, nodes, loops, classes):
+        # every labelled simple digraph on `nodes` nodes gives one canonical
+        # form per isomorphism class: OEIS A000273 without loops, A000595 with
+        names = [f"v{i}" for i in range(nodes)]
+        pairs = [(s, t) for s in names for t in names if loops or s != t]
+        forms = set()
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            arrows = [(f"{s}>{t}", s, t) for (s, t), on in zip(pairs, chosen) if on]
+            forms.add(canonical_bytes(Graph.build(names, arrows)))
+        assert len(forms) == classes
 
     def test_regular_graph_needs_individualization(self):
         # two directed 3-cycles vs a directed 6-cycle: same degree sequence
@@ -430,22 +457,22 @@ class TestCanonicalForms:
         # costs 3 nodes + 6 incidences, and its round as much again
         monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 10)
         with pytest.raises(BoundExceeded) as hit:
-            canonicalize(triangle())
+            canonical_bytes(triangle())
         assert str(hit.value) == "canonical-form bound exceeded: spent 18 of 10 units"
         assert not isinstance(hit.value, GraphError)
         # isolated nodes take no refinement, so size alone never hits it
-        assert canonicalize(Graph.build([f"n{i}" for i in range(100)])).graph is not None
+        assert canonical_bytes(Graph.build([f"n{i}" for i in range(100)]))
 
     def test_size_guard_env(self, monkeypatch):
         # the old node-count variable is no longer read; the work limit is
         # read on every call, and a triangle spends 54 units
         monkeypatch.setenv("DCL_SIZE_GUARD", "2")
-        canonicalize(triangle())
+        canonical_bytes(triangle())
         monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 53)
         with pytest.raises(BoundExceeded):
-            canonicalize(triangle())
+            canonical_bytes(triangle())
         monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 54)
-        canonicalize(triangle())
+        canonical_bytes(triangle())
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +579,7 @@ def out_regular_graphs(draw, max_nodes=6):
 
 @st.composite
 def coloured_lists(draw, max_nodes=7, max_arrows=6):
-    """(names, outs, ins) as `canonicalize` builds them, for a graph whose
+    """(names, outs, ins) as `_canonical_order` builds them, for a graph whose
     node colours and arrow labels come from "AB", or are all blank."""
     n = draw(st.integers(1, max_nodes))
     colour = st.sampled_from(draw(st.sampled_from([[""], ["A", "B"]])))
@@ -666,9 +693,8 @@ class TestCanonicalSearch:
         # a hub of isomorphic branches and a union of isomorphic components
         # have factorially many automorphisms; pruning must keep them cheap
         h = relabelled(g, random.Random(11))
-        cf = canonicalize(g)
-        assert cf.relabeling.is_bijective
-        assert cf.bytes == canonicalize(h).bytes
+        assert renaming(g).is_bijective
+        assert canonical_bytes(g) == canonical_bytes(h)
 
     @given(coloured_lists())
     @settings(max_examples=300, deadline=None)
@@ -692,7 +718,7 @@ class TestCanonicalSearch:
             gc.collect()
             gc.disable()
             try:
-                canonicalize(g)
+                canonical_bytes(g)
                 assert gc.collect() == 0
             finally:
                 gc.enable()

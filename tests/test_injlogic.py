@@ -13,8 +13,6 @@ from dcl.injlogic import (
     DerivationError,
     FormulaSet,
     InjTheory,
-    as_slice,
-    as_slice_morphism,
     axiom,
     bounded_entailment,
     cancel_derivation,
@@ -25,10 +23,16 @@ from dcl.injlogic import (
     pushout_derivation,
     semantic_entails,
     slice_pushout,
-    terminal_graph,
     verify_derivation,
 )
-from dcl.instances import SliceMorphism, TypedInstance, iter_slice_morphisms
+from dcl.instances import (
+    SliceMorphism,
+    TypedInstance,
+    as_slice,
+    as_slice_morphism,
+    iter_slice_morphisms,
+    terminal_graph,
+)
 from dcl.io import load
 from dcl.signature import Regular, SignatureError, check_injectivity
 from dcl.verdicts import Status

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from dcl.graphs import Graph, GraphError, GraphMorphism, canonicalize, compose, identity
+from dcl.graphs import Graph, GraphError, GraphMorphism, compose, identity
 from dcl.instances import (
     Delta,
     IndexedSemantics,
     SliceMorphism,
     TypedInstance,
+    _canonical_delta,
     canonical_restriction,
     cod_lift,
     compose_delta,
@@ -79,10 +80,11 @@ class TestCanonicalInstance:
         assert canonical_restriction(t1) != canonical_restriction(t2)
 
     def test_relabeling_commutes_with_typing(self):
-        # the typed relabeling `_canonical_delta` takes onto the canonical instance
+        # the renaming `_canonical_delta` takes from the canonical instance
         t = small_instance()
-        relabeling = canonicalize(t.carrier, t.typing.node_map, t.typing.arrow_map).relabeling
-        assert compose(relabeling, canonical_restriction(t).typing) == t.typing
+        back = _canonical_delta(identity_delta(t)).left.map
+        assert back.is_bijective and back.dom == canonical_restriction(t).carrier
+        assert compose(back, t.typing) == canonical_restriction(t).typing
 
     def test_random_relabel_same_bytes(self):
         rng = random.Random(11)

@@ -128,7 +128,7 @@ class TestTrustedData:
 class TestDeclarationSetUp:
     def test_plan_per_symbol_index_per_call(self, monkeypatch):
         # every module that names the plan or index functions, so that a
-        # search through `iter_homomorphisms` would be counted as well
+        # search through `search_morphisms` would be counted as well
         planned, indexed, calls = [], [], []
         real_plan, real_index = dcl.graphs._pattern_plan, dcl.graphs._target_index
         for module in (dcl.graphs, dcl.signature, dcl.randgen):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcl.graphs import Graph, GraphMorphism, identity, iter_homomorphisms
+from dcl.graphs import Graph, GraphMorphism, identity, search_morphisms
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
@@ -356,6 +356,32 @@ class TestTable:
             Table((("r1", entry), ("r2", other)))
 
 
+class TestSemanticsOverArity:
+    """A semantics that lives over another graph than the symbol's arity is
+    refused when the symbol is built."""
+
+    def test_table_entry_over_another_schema(self):
+        other = TypedInstance.build(Graph.build(["X"]), Graph.build(["x"]), {"x": "X"}, {})
+        with pytest.raises(SignatureError, match="semantics lives over another graph"):
+            ConstraintSymbol("[t]", single_arrow_arity(), Table((("row", other),)))
+
+    def test_formula_over_another_arity(self):
+        with pytest.raises(SignatureError, match="semantics lives over another graph"):
+            ConstraintSymbol("[r]", parallel_pair_arity(), Regular(existence_formula()))
+
+    def test_lifting_pair_targets_another_graph(self):
+        lifting = regular_to_lifting(single_arrow_arity(), Regular(existence_formula()))
+        with pytest.raises(SignatureError, match="semantics lives over another graph"):
+            ConstraintSymbol("[l]", parallel_pair_arity(), lifting)
+
+    def test_each_kind_over_its_arity_builds(self):
+        arity = single_arrow_arity()
+        entry = arity_instance(["a"], [], {"a": "A"}, {})
+        regular = Regular(existence_formula())
+        for semantics in (Table((("row", entry),)), regular, regular_to_lifting(arity, regular)):
+            assert ConstraintSymbol("[c]", arity, semantics).semantics is semantics
+
+
 class TestIsoInvariance:
     def test_all_builtin_kinds(self):
         rng = random.Random(23)
@@ -426,7 +452,7 @@ def bound_instances(draw):
         st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=3)
     )
     schema = Graph.build(nodes, [(f"R{k}", s, t) for k, (s, t) in enumerate(ends)])
-    b = draw(st.sampled_from(list(iter_homomorphisms(symbol.arity, schema))))
+    b = draw(st.sampled_from(list(search_morphisms(symbol.arity, schema))))
     types = draw(st.lists(st.sampled_from(nodes), max_size=16))
     elements = {f"x{i}": h for i, h in enumerate(types)}
     links, link_typing = [], {}
