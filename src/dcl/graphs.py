@@ -796,10 +796,11 @@ def _canonical_component(
     return encoding, [members[x] for x in order]
 
 
-def _canonical_order(names: list[str], arrows: list[tuple[int, str, int]]) -> list[tuple]:
-    """The canonical parts of nodes 0..n-1, node x coloured `names[x]`, given the
-    arrows as (source, label, target) triples, for `instances._canonical_numbered`
-    to name.  A part is (encoding, members) of one weakly connected component,
+def _canonical_order(names: list, arrows: list[tuple[int, str, int]]) -> list[tuple]:
+    """The canonical parts of nodes 0..n-1, node x coloured `names[x]` (colours
+    sort together), given the arrows as (source, label, target) triples, for
+    `instances._canonical_numbered` to name and `instances._diagram_key` to
+    compare.  A part is (encoding, members) of one weakly connected component,
     members in canonical order (by `_search` where refinement leaves a cell that
     is not a twin class), encoded as (size, colours, sorted (source, target,
     label) triples over places 0..size-1).  Parts are sorted, so their members

@@ -20,7 +20,6 @@ from dcl.graphs import (
     Graph,
     GraphError,
     GraphMorphism,
-    compose,
     identity,
     pushout,
 )
@@ -28,10 +27,10 @@ from dcl.instances import (
     SliceMorphism,
     TypedInstance,
     _canonical_numbered,
+    _diagram_key,
     _iter_classes,
     canonical_restriction,
     iter_factorizations,
-    iter_instance_isomorphisms,
     iter_slice_morphisms,
     serialize_instance,
 )
@@ -278,43 +277,19 @@ class EntailmentResult:
         return self.status == "derivable"
 
 
+def _formula_key(f: SliceMorphism) -> tuple:
+    """The diagram key of f: S -> Q, equal for two formulas over one base
+    exactly when they are isomorphic.  S, Q and f are canonicalized as one
+    graph: an earlier key took the map between canonical forms of S and Q
+    found apart, and was not invariant, as their relabelings can differ by
+    an automorphism."""
+    return _diagram_key([(f.from_, False), (f.to, False)], [(0, 1, f.map)])
+
+
 def formulas_isomorphic(f: SliceMorphism, g: SliceMorphism) -> bool:
     """Same arrow up to isomorphisms of both endpoints commuting with the maps.
-
-    For each isomorphism a of the domains, an isomorphism b of the
-    codomains with f;b == a;g is an injective factorization of a;g through
-    f between codomains of one size.
-    """
-    if f.from_.schema != g.from_.schema:
-        return False
-    q, r = f.to.carrier, g.to.carrier
-    if len(q.nodes) != len(r.nodes) or len(q.arrows) != len(r.arrows):
-        return False
-    return any(
-        next(iter_factorizations(f, compose(a.map, g.map), g.to, injective=True), None)
-        is not None
-        for a in iter_instance_isomorphisms(f.from_, g.from_)
-    )
-
-
-class FormulaSet:
-    """Formulas up to isomorphism.
-
-    Formulas are bucketed by the canonical bytes of both endpoints, which
-    isomorphic formulas share; within a bucket `formulas_isomorphic` decides.
-    """
-
-    def __init__(self) -> None:
-        self._buckets: dict[tuple[bytes, bytes], list[SliceMorphism]] = {}
-
-    def add(self, f: SliceMorphism) -> bool:
-        """Add f unless an isomorphic formula is in already; True if added."""
-        key = tuple(serialize_instance(canonical_restriction(t)) for t in (f.from_, f.to))
-        bucket = self._buckets.setdefault(key, [])
-        if any(formulas_isomorphic(f, g) for g in bucket):
-            return False
-        bucket.append(f)
-        return True
+    Raises BoundExceeded where `_diagram_key` does."""
+    return f.from_.schema == g.from_.schema and _formula_key(f) == _formula_key(g)
 
 
 def _one_step(
@@ -379,7 +354,7 @@ def bounded_entailment(
     ) * 2
 
     derived: list[Derivation] = []
-    conclusions = FormulaSet()
+    conclusions: set[tuple] = set()  # formula keys
     frontier: list[Derivation] = []
     work = Budget("proof-search", budget)
     objects: dict[bytes, TypedInstance] = {}  # by canonical bytes, first come
@@ -395,17 +370,20 @@ def bounded_entailment(
             work.spent += 1  # counted, never refused: see the docstring
             if len(d.conclusion.to.carrier.nodes) > max_carrier:
                 continue
-            if not conclusions.add(d.conclusion):
+            key = _formula_key(d.conclusion)
+            if key in conclusions:
                 continue
+            conclusions.add(key)
             derived.append(d)
             frontier.append(d)
-            if formulas_isomorphic(d.conclusion, goal):
+            if key == goal_key:
                 verify_derivation(d, theory)
                 return d
         return None
 
     axioms = [axiom(theory, name) for name in theory.formulas]
     try:
+        goal_key = _formula_key(goal)
         proof = proof_among(axioms)
         if proof is None:
             admit_objects(t for f in [*theory.formulas.values(), goal] for t in (f.from_, f.to))

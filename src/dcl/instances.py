@@ -187,19 +187,19 @@ def iter_slice_morphisms(
 
 
 def iter_factorizations(
-    f: SliceMorphism, x: GraphMorphism, t: TypedInstance, injective: bool = False
+    f: SliceMorphism, x: GraphMorphism, t: TypedInstance
 ) -> Iterator[SliceMorphism]:
     """The y: cod f -> t with f;y == x, in `search_morphisms` order.
 
     The search is pinned on the image of f to what x forces, so it
     enumerates only factorizations; there are none when x sends two
-    elements with one f-image apart.  `injective` is passed to the search.
+    elements with one f-image apart.
     """
     if x.dom != f.map.dom or x.cod != t.carrier:
         raise GraphError("a factorization of x needs x: dom f -> carrier of t")
     pins = _factorization_pins(f.map, x)
     if pins is not None:
-        yield from iter_slice_morphisms(f.to, t, pins, injective)
+        yield from iter_slice_morphisms(f.to, t, pins)
 
 
 def _factorization_pins(f: GraphMorphism, x: GraphMorphism) -> Optional[tuple[dict, dict]]:
@@ -212,19 +212,15 @@ def _factorization_pins(f: GraphMorphism, x: GraphMorphism) -> Optional[tuple[di
     return pins
 
 
-def iter_instance_isomorphisms(s: TypedInstance, t: TypedInstance) -> Iterator[SliceMorphism]:
-    """The typing-preserving isomorphisms s -> t."""
-    if len(s.carrier.nodes) != len(t.carrier.nodes) or len(s.carrier.arrows) != len(
-        t.carrier.arrows
-    ):
-        return
-    yield from iter_slice_morphisms(s, t, injective=True)
-
-
 def find_instance_isomorphism(
     s: TypedInstance, t: TypedInstance
 ) -> Optional[SliceMorphism]:
-    return next(iter_instance_isomorphisms(s, t), None)
+    """A typing-preserving isomorphism s -> t by search, or None."""
+    if len(s.carrier.nodes) != len(t.carrier.nodes) or len(s.carrier.arrows) != len(
+        t.carrier.arrows
+    ):
+        return None
+    return next(iter_slice_morphisms(s, t, injective=True), None)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +288,32 @@ def _canonical_numbered(names: tuple, links: tuple, arity: Graph) -> tuple[Typed
     out = TypedInstance(_trusted_morphism(carrier, arity, node_typing, arrow_typing))
     object.__setattr__(out, "_fibres", (node_fibres, arrow_fibres))
     return out, order
+
+
+def _diagram_key(objects: list, maps: list) -> tuple:
+    """Equal for two diagrams of one shape exactly when isomorphisms of their
+    objects exist that are the identity on the fixed ones and commute with
+    every map.  `objects` are (instance, fixed) pairs; a map (i, j, m) sends
+    the carrier of object i to that of object j.  The diagram is canonicalized
+    as one graph: each element or link x of object i is a node coloured
+    (i, "node" or "link", the type of x, or x if fixed), a link has arrows
+    "src" and "tgt" to its ends, and map k an arrow str(k) from each x to its
+    image.  Past CANONICAL_WORK_LIMIT the call raises BoundExceeded."""
+    names, links, numbers = [], [], []
+    for i, (t, fixed) in enumerate(objects):
+        numbers.append(({}, {}))
+        typings = (t.typing.node_map, t.typing.arrow_map)
+        for kind, number, typing in zip(("node", "link"), numbers[i], typings):
+            for x, h in typing.items():
+                number[x] = len(names)
+                names.append((i, kind, x if fixed else h))
+        nodes, arrows = numbers[i]
+        for a in t.carrier.sorted_arrows:
+            links += [(arrows[a.id], "src", nodes[a.src]), (arrows[a.id], "tgt", nodes[a.tgt])]
+    for k, (i, j, m) in enumerate(maps):
+        for number, images, pairs in zip(numbers[i], numbers[j], (m.node_map, m.arrow_map)):
+            links += [(number[x], str(k), images[y]) for x, y in pairs.items()]
+    return tuple(encoding for encoding, _ in _canonical_order(names, links))
 
 
 def _numbered_restriction(t: TypedInstance, m: Optional[GraphMorphism]) -> tuple:
@@ -467,16 +489,17 @@ def compose_delta(d1: Delta, d2: Delta) -> Delta:
 
 
 def deltas_equivalent(d1: Delta, d2: Delta) -> bool:
-    """Equality up to apex isomorphism commuting with both legs."""
+    """Equality up to apex isomorphism commuting with both legs, by diagram
+    key with the endpoints held fixed; past CANONICAL_WORK_LIMIT it raises
+    BoundExceeded."""
     if d1.source != d2.source or d1.target != d2.target:
         return False
-    for iso in iter_instance_isomorphisms(d1.apex, d2.apex):
-        if (
-            compose(iso.map, d2.left.map) == d1.left.map
-            and compose(iso.map, d2.right.map) == d1.right.map
-        ):
-            return True
-    return False
+    ends = [(d1.source, True), (d1.target, True)]
+    key1, key2 = (
+        _diagram_key([(d.apex, False), *ends], [(0, 1, d.left.map), (0, 2, d.right.map)])
+        for d in (d1, d2)
+    )
+    return key1 == key2
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from dcl.signature import (
 )
 from dcl.sketch import ConstraintDeclaration
 
+HOM_LIMIT = 200  # a random binding is drawn from the first HOM_LIMIT homomorphisms
+
 
 def random_graph(
     rng: random.Random, max_nodes: int = 5, max_arrows: int = 6, min_nodes: int = 1
@@ -94,13 +96,10 @@ def harness_signature() -> Signature:
 
 
 def random_declaration(
-    rng: random.Random,
-    carrier: Graph,
-    signature: Signature,
-    decl_id: str = "rnd",
-    hom_limit: int = 200,
+    rng: random.Random, carrier: Graph, signature: Signature
 ) -> Optional[ConstraintDeclaration]:
-    """A random symbol bound into the carrier, or None if nothing embeds."""
+    """A random symbol bound into the carrier as declaration "rnd", or None if
+    nothing embeds."""
     names = list(signature.symbols)
     rng.shuffle(names)
     if not carrier.nodes:  # only an arity without nodes maps into the empty carrier
@@ -108,10 +107,10 @@ def random_declaration(
     target = _target_index(carrier)
     for name in names:
         symbol = signature.symbols[name]
-        homs = list(itertools.islice(_run_search(symbol._plan, target), hom_limit))
+        homs = list(itertools.islice(_run_search(symbol._plan, target), HOM_LIMIT))
         if homs:
             binding = rng.choice(homs)
-            return ConstraintDeclaration(decl_id, name, binding)
+            return ConstraintDeclaration("rnd", name, binding)
     return None
 
 

@@ -8,6 +8,7 @@ together with the translation between them.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
@@ -502,6 +503,7 @@ class Signature:
         ids = [d.id for d in self.dependencies]
         if len(ids) != len(set(ids)):
             raise SignatureError("duplicate dependency ids")
+        dependency_graph = graphlib.TopologicalSorter()
         for d in self.dependencies:
             if d.source not in self.symbols or d.target not in self.symbols:
                 raise SignatureError(f"dependency {d.id!r} names unknown symbols")
@@ -511,31 +513,12 @@ class Signature:
                 raise SignatureError(f"dependency {d.id!r}: bad arity map codomain")
             if d.source == d.target and not d.is_identity:
                 raise SignatureError(f"dependency {d.id!r}: non-identity self-loop")
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        edges: dict[str, list[str]] = {}
-        for d in self.dependencies:
-            if not d.is_identity:
-                edges.setdefault(d.source, []).append(d.target)
-        state: dict[str, int] = {}  # 1 on the depth-first path, 2 when done
-        for root in self.symbols:
-            if root in state:
-                continue
-            state[root] = 1
-            path = [(root, iter(edges.get(root, ())))]
-            while path:
-                n, targets = path[-1]
-                for m in targets:
-                    if state.get(m) == 1:
-                        raise SignatureError("dependency graph has a cycle")
-                    if m not in state:
-                        state[m] = 1
-                        path.append((m, iter(edges.get(m, ()))))
-                        break
-                else:
-                    state[n] = 2
-                    path.pop()
+            if d.source != d.target:  # identity self-loops are no cycle
+                dependency_graph.add(d.target, d.source)
+        try:
+            dependency_graph.prepare()
+        except graphlib.CycleError:
+            raise SignatureError("dependency graph has a cycle")
 
     def dependencies_of(self, symbol_name: str) -> tuple[Dependency, ...]:
         return tuple(d for d in self.dependencies if d.source == symbol_name)

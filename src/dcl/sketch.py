@@ -110,11 +110,11 @@ def translate_declaration(
     return ConstraintDeclaration(new_id if new_id is not None else d.id, d.label, compose(d.binding, f))
 
 
-def translate_sketch(f: GraphMorphism, sketch: Sketch, name: Optional[str] = None) -> Sketch:
+def translate_sketch(f: GraphMorphism, sketch: Sketch) -> Sketch:
     if sketch.carrier != f.dom:
         raise SketchError("translate_sketch: carrier is not f's domain")
     return Sketch(
-        name if name is not None else sketch.name,
+        sketch.name,
         f.cod,
         sketch.signature,
         tuple(translate_declaration(f, d) for d in sketch.declarations),

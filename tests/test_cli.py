@@ -21,9 +21,20 @@ import dcl.cli
 import dcl.graphs
 from dcl.cli import main
 from dcl.io import _indented, dumps, load, save
-from dcl.graphs import Graph, identity
-from dcl.instances import Delta, SliceMorphism, TypedInstance, identity_delta, iter_slice_morphisms
+from dcl.graphs import Graph, GraphMorphism, identity
+from dcl.injlogic import InjTheory
+from dcl.instances import (
+    Delta,
+    SliceMorphism,
+    TypedInstance,
+    as_slice_morphism,
+    identity_delta,
+    iter_slice_morphisms,
+    terminal_graph,
+)
+from dcl.io import formula_to_json, theory_to_json
 from dcl.randgen import random_graph, random_morphism_into, random_typed_instance
+from test_search import within_seconds
 
 
 DATA = resources.files("dcl").joinpath("data")
@@ -370,7 +381,28 @@ class TestInfer:
     def test_canonical_form_bound_prints_unknown(self, capsys, monkeypatch):
         monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
         assert main(["infer", OUT_THEORY, GOAL]) == 2
-        detail = "canonical-form bound exceeded: spent 4 of 2 units"
+        # the goal's key is the first canonical form computed; its first
+        # component has 4 elements and links, and 6 incidences
+        detail = "canonical-form bound exceeded: spent 10 of 2 units"
+        assert json.loads(capsys.readouterr().out) == {"status": "unknown", "detail": detail}
+
+    def test_symmetric_goal_ends_within_the_guard(self, capsys, tmp_path):
+        # domains of 10 bare nodes sent onto 5 nodes, in fibres 2,2,2,2,2 and
+        # 3,1,2,2,2: equal endpoints but not isomorphic; a search over the
+        # 10! domain isomorphisms ran for more than a minute
+        def fibred(sizes):
+            dom = [f"a{i}" for i in range(sum(sizes))]
+            owner = [f"b{j}" for j, k in enumerate(sizes) for _ in range(k)]
+            s, q = Graph.build(dom), Graph.build(set(owner))
+            return as_slice_morphism(GraphMorphism(s, q, dict(zip(dom, owner)), {}))
+
+        theory, goal = tmp_path / "theory.json", tmp_path / "goal.json"
+        pairs = InjTheory(terminal_graph(), {"pairs": fibred([2] * 5)})
+        theory.write_text(json.dumps(theory_to_json(pairs)))
+        goal.write_text(json.dumps(formula_to_json(fibred([3, 1, 2, 2, 2]), plain=True)))
+        argv = ["infer", str(theory), str(goal), "--depth", "1", "--size", "1"]
+        assert within_seconds(10, lambda: main(argv)) == 2
+        detail = "depth bound 1 reached: spent 10 of 4000 units"
         assert json.loads(capsys.readouterr().out) == {"status": "unknown", "detail": detail}
 
     def test_unknown_goal(self, capsys, tmp_path):

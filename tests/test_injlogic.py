@@ -11,8 +11,8 @@ from dcl.graphs import Graph, GraphError, GraphMorphism, compose, identity
 from dcl.injlogic import (
     Derivation,
     DerivationError,
-    FormulaSet,
     InjTheory,
+    _formula_key,
     axiom,
     bounded_entailment,
     cancel_derivation,
@@ -323,8 +323,7 @@ class TestBoundedEntailment:
         to_b1 = SliceMorphism(dom, cod, GraphMorphism(dom.carrier, cod.carrier, {"a": "b1"}, {}))
         to_b2 = SliceMorphism(dom, cod, GraphMorphism(dom.carrier, cod.carrier, {"a": "b2"}, {}))
         assert formulas_isomorphic(to_b1, to_b2)
-        seen = FormulaSet()
-        assert seen.add(to_b1) and not seen.add(to_b2)
+        assert _formula_key(to_b1) == _formula_key(to_b2)
 
     def test_formula_set_tells_apart_equal_endpoints(self):
         # same endpoints, but a lands on the source of the edge in one
@@ -334,8 +333,7 @@ class TestBoundedEntailment:
         to_src = as_slice_morphism(GraphMorphism(s, q, {"a": "b1"}, {}))
         to_tgt = as_slice_morphism(GraphMorphism(s, q, {"a": "b2"}, {}))
         assert not formulas_isomorphic(to_src, to_tgt)
-        seen = FormulaSet()
-        assert seen.add(to_src) and seen.add(to_tgt) and not seen.add(to_src)
+        assert _formula_key(to_src) != _formula_key(to_tgt)
 
     def test_isomorphic_endpoints_maps_differ(self):
         # both endpoints are two bare nodes, but only one map is injective:

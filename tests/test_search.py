@@ -3,12 +3,14 @@
 `reference_homomorphisms` is a copy of the hom search as it was before the
 indexed search: it fixes the order of the results, on which seeded
 generation (`randgen` picks homomorphisms by index) depends.
+`reference_formulas_isomorphic` and `reference_deltas_equivalent` are the
+isomorphism searches that the diagram keys replaced.
 """
 
 import itertools
 import signal
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dcl.signature
@@ -24,13 +26,15 @@ from dcl.graphs import (
     search_morphisms,
 )
 from dcl.instances import (
+    Delta,
     SliceMorphism,
     TypedInstance,
+    deltas_equivalent,
     iter_factorizations,
     iter_slice_morphisms,
     iter_typed_instances,
 )
-from dcl.injlogic import semantic_entails
+from dcl.injlogic import formulas_isomorphic, semantic_entails
 from dcl.signature import (
     ConstraintSymbol,
     Regular,
@@ -120,9 +124,16 @@ SCHEMA = Graph.build(["A", "B"], [("r", "A", "B"), ("s", "A", "A"), ("t", "B", "
 
 
 @st.composite
-def typed_instances(draw, max_nodes=4, max_arrows=5):
+def typed_instances(draw, max_nodes=4, max_arrows=5, min_nodes=0):
     """Instances over SCHEMA, with ids drawn as in `graphs`."""
-    nodes = draw(st.lists(st.text("abc", min_size=1, max_size=2), unique=True, max_size=max_nodes))
+    nodes = draw(
+        st.lists(
+            st.text("abc", min_size=1, max_size=2),
+            unique=True,
+            min_size=min_nodes,
+            max_size=max_nodes,
+        )
+    )
     types = {n: draw(st.sampled_from(["A", "B"])) for n in nodes}
     arrows, arrow_types = [], {}
     for k, label in enumerate(draw(st.lists(st.sampled_from(SCHEMA.sorted_arrows), max_size=max_arrows))):
@@ -325,9 +336,6 @@ class TestSliceSearch:
             y.map for y in iter_slice_morphisms(f.to, t) if compose(f.map, y.map) == x
         ]
         assert maps(y.map for y in iter_factorizations(f, x, t)) == maps(expected)
-        assert maps(y.map for y in iter_factorizations(f, x, t, injective=True)) == maps(
-            m for m in expected if is_monic(m)
-        )
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -343,6 +351,176 @@ class TestSliceSearch:
             assert maps(_run_search(plan, index, pins, injective)) == maps(
                 search_morphisms(s.carrier, t.carrier, typings, pins, injective)
             )
+
+
+def same_size(s: TypedInstance, t: TypedInstance) -> bool:
+    return len(s.carrier.nodes) == len(t.carrier.nodes) and len(s.carrier.arrows) == len(
+        t.carrier.arrows
+    )
+
+
+def instance_isomorphisms(s: TypedInstance, t: TypedInstance):
+    """The typing-preserving isomorphisms s -> t, by search."""
+    return iter_slice_morphisms(s, t, injective=True) if same_size(s, t) else iter(())
+
+
+def reference_formulas_isomorphic(f: SliceMorphism, g: SliceMorphism) -> bool:
+    """The search that decided formula isomorphism before the diagram key:
+    for each isomorphism a of the domains, an isomorphism of the codomains
+    with f;b == a;g is an injective map between codomains of one size,
+    pinned on the image of f to what a;g forces."""
+    if f.from_.schema != g.from_.schema or not same_size(f.to, g.to):
+        return False
+    for a in instance_isomorphisms(f.from_, g.from_):
+        x = compose(a.map, g.map)
+        pins: tuple[dict, dict] = ({}, {})
+        forced = all(
+            pinned.setdefault(image, x_map[e]) == x_map[e]
+            for pinned, f_map, x_map in zip(
+                pins, (f.map.node_map, f.map.arrow_map), (x.node_map, x.arrow_map)
+            )
+            for e, image in f_map.items()
+        )
+        if forced and next(iter_slice_morphisms(f.to, g.to, pins, injective=True), None):
+            return True
+    return False
+
+
+def reference_deltas_equivalent(d1: Delta, d2: Delta) -> bool:
+    """The search that decided delta equivalence before the diagram key: an
+    isomorphism of the apexes that commutes with both legs."""
+    if d1.source != d2.source or d1.target != d2.target:
+        return False
+    return any(
+        compose(iso.map, d2.left.map) == d1.left.map
+        and compose(iso.map, d2.right.map) == d1.right.map
+        for iso in instance_isomorphisms(d1.apex, d2.apex)
+    )
+
+
+@st.composite
+def relabelled(draw, t: TypedInstance):
+    """(a copy of t with fresh ids in a drawn order, the isomorphism t -> copy)."""
+    nodes, arrows = t.carrier.sorted_nodes, t.carrier.sorted_arrows
+    node_map = dict(zip(nodes, draw(st.permutations([f"m{i}" for i in range(len(nodes))]))))
+    arrow_ids = draw(st.permutations([f"k{i}" for i in range(len(arrows))]))
+    arrow_map = {a.id: k for a, k in zip(arrows, arrow_ids)}
+    carrier = Graph.build(
+        node_map.values(), [(arrow_map[a.id], node_map[a.src], node_map[a.tgt]) for a in arrows]
+    )
+    copy = TypedInstance.build(
+        SCHEMA,
+        carrier,
+        {node_map[n]: h for n, h in t.typing.node_map.items()},
+        {arrow_map[a]: k for a, k in t.typing.arrow_map.items()},
+    )
+    return copy, GraphMorphism(t.carrier, carrier, node_map, arrow_map)
+
+
+@st.composite
+def sub_instances(draw, t: TypedInstance) -> TypedInstance:
+    nodes = draw(st.sets(st.sampled_from(t.carrier.sorted_nodes), min_size=1)) if t.carrier.nodes else ()
+    arrows = draw(st.sets(st.sampled_from(t.carrier.sorted_arrows))) if t.carrier.arrows else ()
+    return sub_instance(t, nodes, arrows)
+
+
+def first_maps(s: TypedInstance, t: TypedInstance) -> list[SliceMorphism]:
+    """Up to 50 of the slice morphisms s -> t: twinned links multiply them."""
+    return list(itertools.islice(iter_slice_morphisms(s, t), 50))
+
+
+@st.composite
+def formula_pairs(draw):
+    """(f, g): g is f carried to relabelled copies of its endpoints, or
+    another map between those copies, isomorphic to f only through an
+    automorphism.  The codomain's links are twinned at times, so that its
+    automorphisms move the image of f."""
+    q = draw(typed_instances(max_arrows=3, min_nodes=2))
+    s = draw(sub_instances(q))
+    q = with_twins(q) if draw(st.booleans()) else q
+    fs = first_maps(s, q)
+    assume(fs)
+    f = draw(st.sampled_from(fs))
+    (s2, a), (q2, b) = draw(relabelled(s)), draw(relabelled(q))
+    carried = SliceMorphism(s2, q2, compose(compose(a.inverse(), f.map), b))
+    others = [g for g in first_maps(s2, q2) if g.map != carried.map]
+    return f, draw(st.sampled_from(others)) if others and draw(st.integers(0, 2)) else carried
+
+
+@st.composite
+def delta_pairs(draw):
+    """(d1, d2) with equal endpoints: d2's apex is a relabelled copy of d1's,
+    each leg carried over to it or drawn afresh.  The apex is part of the
+    source, whose links are twinned at times."""
+    source = draw(typed_instances(max_arrows=3))
+    apex = draw(sub_instances(source))
+    source = with_twins(source) if draw(st.booleans()) else source
+    target = draw(st.one_of(st.just(source), typed_instances(max_arrows=3)))
+    rights = first_maps(apex, target)
+    assume(rights)
+    d1 = Delta(
+        source,
+        target,
+        apex,
+        draw(st.sampled_from(first_maps(apex, source))),
+        draw(st.sampled_from(rights)),
+    )
+    copy, a = draw(relabelled(apex))
+    legs = [
+        SliceMorphism(copy, leg.to, compose(a.inverse(), leg.map))
+        if draw(st.booleans())
+        else draw(st.sampled_from(first_maps(copy, leg.to)))
+        for leg in (d1.left, d1.right)
+    ]
+    return d1, Delta(source, target, copy, *legs)
+
+
+def bare_nodes(*nodes: str) -> TypedInstance:
+    return TypedInstance.build(SCHEMA, Graph.build(nodes), dict.fromkeys(nodes, "A"), {})
+
+
+def onto(s: TypedInstance, t: TypedInstance, node_map) -> SliceMorphism:
+    return SliceMorphism(s, t, GraphMorphism(s.carrier, t.carrier, node_map, {}))
+
+
+# a -> b1 and a -> b2 differ by the automorphism that swaps b1 and b2
+INTO_TWINS = tuple(onto(bare_nodes("a"), bare_nodes("b1", "b2"), {"a": b}) for b in ("b1", "b2"))
+
+
+class TestIsomorphismKeysMatchSearch:
+    """Formula and delta isomorphism by diagram key, against the searches
+    they replaced."""
+
+    @given(formula_pairs())
+    @example(INTO_TWINS)
+    @settings(max_examples=300, deadline=None)
+    def test_formulas(self, pair):
+        f, g = pair
+        assert formulas_isomorphic(f, g) == reference_formulas_isomorphic(f, g)
+        assert formulas_isomorphic(g, f) == formulas_isomorphic(f, g)
+
+    @given(delta_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_deltas(self, pair):
+        d1, d2 = pair
+        assert deltas_equivalent(d1, d2) == reference_deltas_equivalent(d1, d2)
+
+    def test_symmetric_apex_ends_within_the_guard(self):
+        # apexes of 10 bare nodes over 5 source nodes, in fibres 2,2,2,2,2
+        # and 3,1,2,2,2: a search over the 10! apex isomorphisms ran past
+        # the guard
+        apex = bare_nodes(*(f"a{i}" for i in range(10)))
+        source, target = bare_nodes(*(f"b{j}" for j in range(5))), bare_nodes("c")
+        right = onto(apex, target, dict.fromkeys(apex.carrier.nodes, "c"))
+
+        def delta(sizes):
+            owner = [f"b{j}" for j, k in enumerate(sizes) for _ in range(k)]
+            left = onto(apex, source, dict(zip(apex.carrier.sorted_nodes, owner)))
+            return Delta(source, target, apex, left, right)
+
+        pairs = delta([2, 2, 2, 2, 2])
+        assert not within_seconds(10, lambda: deltas_equivalent(pairs, delta([3, 1, 2, 2, 2])))
+        assert within_seconds(10, lambda: deltas_equivalent(pairs, delta([2, 2, 2, 2, 2])))
 
 
 def factorization_table(formula, t):

@@ -538,6 +538,18 @@ class TestSignatureStructure:
                 (Dependency("d1", "x", "y", i), Dependency("d2", "y", "x", i)),
             )
 
+    def test_three_cycle_rejected_and_diamond_accepted(self):
+        symbols = {n: multiplicity_symbol([(1, 1)], name=n) for n in "wxyz"}
+        i = identity(symbols["w"].arity)
+
+        def deps(*edges):
+            return tuple(Dependency(f"{s}{t}", s, t, i) for s, t in edges)
+
+        with pytest.raises(SignatureError, match="dependency graph has a cycle"):
+            Signature(symbols, deps(("x", "y"), ("y", "z"), ("z", "x")))
+        diamond = deps(("w", "x"), ("w", "y"), ("x", "z"), ("y", "z"))
+        assert Signature(symbols, diamond).dependencies == diamond
+
     def test_identity_self_dependency_allowed(self):
         a = multiplicity_symbol([(1, 1)], name="x")
         Signature({"x": a}, (Dependency("d", "x", "x", identity(a.arity)),))
