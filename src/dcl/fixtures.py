@@ -15,13 +15,7 @@ from dcl.graphs import Graph, GraphMorphism
 from dcl.injlogic import InjTheory
 from dcl.instances import SliceMorphism, TypedInstance
 from dcl.io import load
-from dcl.signature import (
-    ConstraintSymbol,
-    Regular,
-    Signature,
-    jointly_monic_signature,
-    single_arrow_arity,
-)
+from dcl.signature import ConstraintSymbol, Regular, single_arrow_arity
 from dcl.sketch import Sketch
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -40,10 +34,6 @@ def vehicle_registry_sketch() -> Sketch:
 
 def vehicle_registry_carrier() -> Graph:
     return vehicle_registry_sketch().carrier
-
-
-def vehicle_registry_signature() -> Signature:
-    return vehicle_registry_sketch().signature
 
 
 def vehicle_registry_instance() -> TypedInstance:
@@ -120,10 +110,6 @@ def existence_symbol() -> ConstraintSymbol:
 
 def uniqueness_symbol() -> ConstraintSymbol:
     return ConstraintSymbol("[unique]", single_arrow_arity(), Regular(uniqueness_formula()))
-
-
-# span with both legs single-valued: re-export for convenience
-span_single_valued_signature = jointly_monic_signature
 
 
 # ---------------------------------------------------------------------------

@@ -174,16 +174,6 @@ class GraphMorphism:
             out[self.arrow_map[a.id]].append(a)
         return out
 
-    def inverse(self) -> "GraphMorphism":
-        if not self.is_bijective:
-            raise GraphError("morphism is not an isomorphism")
-        return GraphMorphism(
-            self.cod,
-            self.dom,
-            {v: k for k, v in self.node_map.items()},
-            {v: k for k, v in self.arrow_map.items()},
-        )
-
     def to_json(self, inline: bool = True) -> dict:
         out: dict = {"nodes": dict(self.node_map), "arrows": dict(self.arrow_map)}
         if inline:

@@ -126,9 +126,6 @@ class Derivation:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
-
     def rules_used(self) -> tuple[str, ...]:
         out = [self.rule]
         for p in self.premises:
@@ -152,14 +149,11 @@ def slice_pushout(
     p_graph, into_left, into_right = pushout(f.map, g.map)
     node_typing: dict[str, str] = {}
     arrow_typing: dict[str, str] = {}
-    for n, cls in into_left.node_map.items():
-        node_typing[cls] = f.to.typing.node_map[n]
-    for n, cls in into_right.node_map.items():
-        node_typing[cls] = g.to.typing.node_map[n]
-    for a, cls in into_left.arrow_map.items():
-        arrow_typing[cls] = f.to.typing.arrow_map[a]
-    for a, cls in into_right.arrow_map.items():
-        arrow_typing[cls] = g.to.typing.arrow_map[a]
+    for into, leg in ((into_left, f), (into_right, g)):
+        for n, cls in into.node_map.items():
+            node_typing[cls] = leg.to.typing.node_map[n]
+        for a, cls in into.arrow_map.items():
+            arrow_typing[cls] = leg.to.typing.arrow_map[a]
     apex = TypedInstance.build(f.from_.schema, p_graph, node_typing, arrow_typing)
     return (
         apex,

@@ -106,7 +106,12 @@ def semantics_from_json(data: Mapping) -> SemanticsSpec:
         return Lifting(m, n, data.get("search_limit", DEFAULT_SEARCH_LIMIT))
     if kind == "table":
         entries = _expect(data["entries"], list, "entries")
-        return Table(tuple((e["id"], TypedInstance.from_json(e["instance"])) for e in entries))
+        return Table(
+            tuple(
+                (_expect(e["id"], str, "entry id"), TypedInstance.from_json(e["instance"]))
+                for e in entries
+            )
+        )
     raise FormatError(f"unknown semantics kind {kind!r}")
 
 
@@ -140,16 +145,15 @@ def signature_to_json(sig: Signature) -> dict:
 def signature_from_json(data: Mapping) -> Signature:
     symbols = {}
     for s in _expect(data["symbols"], list, "symbols"):
+        name = _expect(s["name"], str, "symbol name")
         arity = Graph.from_json(s["arity"])
-        symbols[s["name"]] = ConstraintSymbol(
-            s["name"], arity, semantics_from_json(s["semantics"])
-        )
+        symbols[name] = ConstraintSymbol(name, arity, semantics_from_json(s["semantics"]))
     dependencies = []
     for d in _expect(data.get("dependencies", []), list, "dependencies"):
         src, tgt = d["from"], d["to"]
         dependencies.append(
             Dependency(
-                d["id"],
+                _expect(d["id"], str, "dependency id"),
                 src,
                 tgt,
                 GraphMorphism.from_json(
@@ -184,12 +188,13 @@ def sketch_from_json(data: Mapping) -> Sketch:
             raise FormatError(f"declaration {d['id']!r} names unknown symbol {d['label']!r}")
         declarations.append(
             ConstraintDeclaration(
-                d["id"],
+                _expect(d["id"], str, "declaration id"),
                 d["label"],
                 GraphMorphism.from_json(d["binding"], dom=symbol.arity, cod=carrier),
             )
         )
-    return Sketch(data.get("name", "sketch"), carrier, sig, tuple(declarations))
+    name = _expect(data.get("name", "sketch"), str, "sketch name")
+    return Sketch(name, carrier, sig, tuple(declarations))
 
 
 def sketch_morphism_to_json(f: SketchMorphism) -> dict:
@@ -208,7 +213,10 @@ def sketch_morphism_from_json(data: Mapping) -> SketchMorphism:
     graph_map = GraphMorphism.from_json(
         data["graph_map"], dom=from_.carrier, cod=to.carrier
     )
-    return SketchMorphism(from_, to, graph_map, _expect(data["decls"], dict, "decls"))
+    decls = _expect(data["decls"], dict, "decls")
+    for image in decls.values():
+        _expect(image, str, "decls value")
+    return SketchMorphism(from_, to, graph_map, decls)
 
 
 def theory_to_json(theory: InjTheory) -> dict:
@@ -244,8 +252,8 @@ def theory_from_json(data: Mapping) -> InjTheory:
     return InjTheory(base, formulas)
 
 
-def formula_to_json(f: SliceMorphism, plain: bool = False) -> dict:
-    if plain:
+def formula_to_json(f: SliceMorphism) -> dict:
+    if f.from_.schema == terminal_graph():
         return {"kind": "formula", "ambient": {"kind": "graph"}, "map": f.map.to_json()}
     return {"kind": "formula", "ambient": {"kind": "slice"}, **f.to_json()}
 
@@ -260,25 +268,29 @@ def formula_from_json(data: Mapping) -> SliceMorphism:
 # Top-level dispatch
 
 
+def _tagged(kind: str, cls: type) -> tuple:
+    """The entry of a class that writes and reads its own fields."""
+    return cls, lambda obj: {"kind": kind, **obj.to_json()}, cls.from_json
+
+
+# (class, writer, reader) per file kind: `to_json` and `from_json` both read this table
+_KINDS = {
+    "graph": _tagged("graph", Graph),
+    "morphism": _tagged("morphism", GraphMorphism),
+    "instance": _tagged("instance", TypedInstance),
+    "delta": _tagged("delta", Delta),
+    "signature": (Signature, signature_to_json, signature_from_json),
+    "sketch": (Sketch, sketch_to_json, sketch_from_json),
+    "sketch_morphism": (SketchMorphism, sketch_morphism_to_json, sketch_morphism_from_json),
+    "theory": (InjTheory, theory_to_json, theory_from_json),
+    "formula": (SliceMorphism, formula_to_json, formula_from_json),
+}
+
+
 def to_json(obj: Any) -> dict:
-    if isinstance(obj, Graph):
-        return {"kind": "graph", **obj.to_json()}
-    if isinstance(obj, GraphMorphism):
-        return {"kind": "morphism", **obj.to_json()}
-    if isinstance(obj, TypedInstance):
-        return {"kind": "instance", **obj.to_json()}
-    if isinstance(obj, Delta):
-        return {"kind": "delta", **obj.to_json()}
-    if isinstance(obj, Signature):
-        return signature_to_json(obj)
-    if isinstance(obj, Sketch):
-        return sketch_to_json(obj)
-    if isinstance(obj, SketchMorphism):
-        return sketch_morphism_to_json(obj)
-    if isinstance(obj, InjTheory):
-        return theory_to_json(obj)
-    if isinstance(obj, SliceMorphism):
-        return formula_to_json(obj)
+    for cls, writer, _ in _KINDS.values():
+        if isinstance(obj, cls):
+            return writer(obj)
     raise FormatError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -286,25 +298,10 @@ def from_json(data: Mapping) -> Any:
     if not isinstance(data, Mapping):
         raise FormatError("top-level JSON value must be an object")
     kind = data.get("kind")
-    if kind == "graph":
-        return Graph.from_json(data)
-    if kind == "morphism":
-        return GraphMorphism.from_json(data)
-    if kind == "instance":
-        return TypedInstance.from_json(data)
-    if kind == "delta":
-        return Delta.from_json(data)
-    if kind == "signature":
-        return signature_from_json(data)
-    if kind == "sketch":
-        return sketch_from_json(data)
-    if kind == "sketch_morphism":
-        return sketch_morphism_from_json(data)
-    if kind == "theory":
-        return theory_from_json(data)
-    if kind == "formula":
-        return formula_from_json(data)
-    raise FormatError(f"unknown kind {kind!r}")
+    # a kind that is not a string, such as [] or {}, is unknown, not unhashable
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise FormatError(f"unknown kind {kind!r}")
+    return _KINDS[kind][2](data)
 
 
 def _indented(value: Any, newline: str = "\n") -> str:

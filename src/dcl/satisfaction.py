@@ -81,14 +81,6 @@ class SatAxiomResult:
     translated_side: Verdict  # t against f-pushed d
     detail: Optional[str] = None
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "reduct_side": self.reduct_side.to_json(),
-            "translated_side": self.translated_side.to_json(),
-            "detail": self.detail,
-        }
-
 
 def verify_sat_axiom(
     f: GraphMorphism,

@@ -9,7 +9,7 @@ sketch morphisms (graph map + explicit declaration map).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from dcl.graphs import Graph, GraphError, GraphMorphism, compose
 from dcl.signature import (
@@ -101,13 +101,11 @@ def close_sketch(sketch: Sketch) -> Sketch:
 # Covariant translation
 
 
-def translate_declaration(
-    f: GraphMorphism, d: ConstraintDeclaration, new_id: Optional[str] = None
-) -> ConstraintDeclaration:
+def translate_declaration(f: GraphMorphism, d: ConstraintDeclaration) -> ConstraintDeclaration:
     """Push a declaration forward along a carrier morphism: compose the binding."""
     if d.binding.cod != f.dom:
         raise SketchError("translate_declaration: binding does not land in f's domain")
-    return ConstraintDeclaration(new_id if new_id is not None else d.id, d.label, compose(d.binding, f))
+    return ConstraintDeclaration(d.id, d.label, compose(d.binding, f))
 
 
 def translate_sketch(f: GraphMorphism, sketch: Sketch) -> Sketch:
@@ -199,7 +197,6 @@ def check_sketch_morphism(f: SketchMorphism) -> SketchMorphismReport:
 
 DEFAULT_ASSOCIATION = multiplicity_symbol([(1, None)])  # [1..*]
 DEFAULT_ATTRIBUTE = multiplicity_symbol([(1, 1)])  # [1]
-UNCONSTRAINED = multiplicity_symbol([(0, None)])  # [0..*]
 
 
 def elaborate_defaults(

@@ -6,8 +6,11 @@ walk every labelled instance and keep the first of each canonical form.
 The sweeps over classes must report exactly what these report.
 """
 
+import collections
 import itertools
 import json
+import math
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -50,10 +53,56 @@ from dcl.signature import (
     jointly_monic_symbol,
     key_symbol,
     multiplicity_symbol,
+    parallel_pair_arity,
     single_arrow_arity,
+    span_arity,
+    square_arity,
+    triangle_arity,
     verify_dependency_soundness,
 )
 from dcl.verdicts import Status
+
+
+def partitions(k: int, largest: int):
+    """The partitions of k into parts of at most `largest`, largest part first."""
+    if k == 0:
+        yield ()
+    for part in range(min(k, largest), 0, -1):
+        for rest in partitions(k - part, part):
+            yield (part, *rest)
+
+
+def burnside_classes(schema: Graph, max_per_node: int, max_parallel: int) -> int:
+    """The number of instance classes that `_iter_classes` yields, counted by
+    Burnside's lemma and not by the generator.
+
+    Per size vector, the classes are the orbits of the permutations within
+    fibres on the count vectors, one count in 0..max_parallel per slot (an
+    arrow and a source and target element).  A permutation fixes
+    (max_parallel + 1) ** cells count vectors, `cells` being its cycles on
+    the slots: an arrow whose end fibres have cycles of lengths i and j has
+    gcd(i, j) cycles on their pairs.  It depends on the cycle types alone, so
+    the mean is over cycle types, each weighted by its share 1 / prod(i**m * m!)
+    of the permutations of its fibre, m cycles having length i.
+    """
+    nodes = schema.sorted_nodes
+    total = Fraction(0)
+    for size in itertools.product(range(max_per_node + 1), repeat=len(nodes)):
+        for types in itertools.product(*(partitions(k, k) for k in size)):
+            cycles = dict(zip(nodes, types))
+            share = Fraction(1)
+            for cycle_type in types:
+                for i, m in collections.Counter(cycle_type).items():
+                    share /= i**m * math.factorial(m)
+            cells = sum(
+                math.gcd(i, j)
+                for a in schema.arrows
+                for i in cycles[a.src]
+                for j in cycles[a.tgt]
+            )
+            total += share * (max_parallel + 1) ** cells
+    assert total.denominator == 1
+    return int(total)
 
 
 def reference_semantic_entails(theory, goal, size_bound, max_parallel=2, limit=20_000):
@@ -236,6 +285,27 @@ class TestInstanceClasses:
             for names, links, _ in _iter_classes(base, size, 1)
         ]
         assert len(forms) == len(set(forms)) == classes
+
+    @pytest.mark.parametrize(
+        "schema,max_per_node,max_parallel,classes",
+        [
+            (terminal_graph(), 2, 1, 13),
+            (terminal_graph(), 3, 1, 117),
+            (terminal_graph(), 4, 1, 3161),
+            (single_arrow_arity(), 3, 2, 991),
+            (span_arity(), 2, 2, 1706),
+            (span_arity(), 2, 1, 182),
+            (parallel_pair_arity(), 2, 2, 1805),
+            (square_arity(), 2, 1, 10057),
+            (triangle_arity(), 2, 1, 1012),
+        ],
+        ids=lambda v: ",".join(sorted(v.arrow_by_id)) if isinstance(v, Graph) else str(v),
+    )
+    def test_census_of_typed_schemas(self, schema, max_per_node, max_parallel, classes):
+        # typed schemas have no published sequence: Burnside's lemma counts
+        # their classes apart from the generator and its minimality filter
+        assert burnside_classes(schema, max_per_node, max_parallel) == classes
+        assert sum(1 for _ in _iter_classes(schema, max_per_node, max_parallel)) == classes
 
     def test_terminal_base_class_count(self):
         assert sum(1 for _ in iter_instance_classes(terminal_graph(), 3, 1)) == 117

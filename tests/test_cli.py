@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 import dcl
 import dcl.cli
 import dcl.graphs
+import dcl.io
 from dcl.cli import main
-from dcl.io import _indented, dumps, load, save
+from dcl.io import FormatError, _indented, dumps, from_json, load, save, to_json
 from dcl.graphs import Graph, GraphMorphism, identity
 from dcl.injlogic import InjTheory
 from dcl.instances import (
@@ -399,7 +400,7 @@ class TestInfer:
         theory, goal = tmp_path / "theory.json", tmp_path / "goal.json"
         pairs = InjTheory(terminal_graph(), {"pairs": fibred([2] * 5)})
         theory.write_text(json.dumps(theory_to_json(pairs)))
-        goal.write_text(json.dumps(formula_to_json(fibred([3, 1, 2, 2, 2]), plain=True)))
+        goal.write_text(json.dumps(formula_to_json(fibred([3, 1, 2, 2, 2]))))
         argv = ["infer", str(theory), str(goal), "--depth", "1", "--size", "1"]
         assert within_seconds(10, lambda: main(argv)) == 2
         detail = "depth bound 1 reached: spent 10 of 4000 units"
@@ -416,7 +417,7 @@ class TestInfer:
             ["A", "B"], [("r1", "A", "B"), ("r2", "A", "B"), ("r3", "B", "B")]
         )
         f = as_slice_morphism(GraphMorphism(s, q, {"A": "A"}, {}))
-        goal.write_text(json.dumps(formula_to_json(f, plain=True)))
+        goal.write_text(json.dumps(formula_to_json(f)))
         assert main(["infer", OUT_THEORY, str(goal), "--depth", "1"]) == 2
 
     @pytest.mark.parametrize(
@@ -485,11 +486,11 @@ class TestCanonClose:
         assert "Traceback" not in captured.err
 
     def test_close_adds_consequences(self, capsys, tmp_path):
-        from dcl.fixtures import span_single_valued_signature
         from dcl.graphs import GraphMorphism
+        from dcl.signature import jointly_monic_signature
         from dcl.sketch import ConstraintDeclaration, Sketch
 
-        sig = span_single_valued_signature()
+        sig = jointly_monic_signature()
         carrier = Graph.build(["L", "V", "T"], [("a", "L", "V"), ("b", "L", "T")])
         binding = GraphMorphism(
             sig.symbols["[jm]"].arity,
@@ -609,6 +610,26 @@ def commutativity_signature() -> dict:
     return one_symbol_signature(commutativity_symbol())
 
 
+def table_signature() -> dict:
+    """One table symbol over the single arrow, with the entry "row"."""
+    from dcl.signature import ConstraintSymbol, Table, single_arrow_arity
+
+    arity = single_arrow_arity()
+    carrier = Graph.build(["a1", "b1"], [("l1", "a1", "b1")])
+    entry = TypedInstance.build(arity, carrier, {"a1": "A", "b1": "B"}, {"l1": "r"})
+    return one_symbol_signature(ConstraintSymbol("[t]", arity, Table((("row", entry),))))
+
+
+def set_at(document, path: tuple, value):
+    """A copy of `document` with the value at the key and index `path` set to `value`."""
+    document = copy.deepcopy(document)
+    holder = document
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return document
+
+
 # the payload file takes this place in the command, or comes last
 PAYLOAD = "<payload>"
 SKETCH_FILE = "registry-sketch.json"
@@ -651,6 +672,23 @@ class TestMalformedInput:
             (["canon"], {"kind": "graph", "nodes": "ab", "arrows": []}),
             (["canon"], {"kind": "graph", "nodes": {"a": 1}, "arrows": []}),
             (["canon"], {"kind": "graph", "nodes": ["a"], "arrows": {}}),
+            # ids and names that are not strings
+            (CHECK_SKETCH, set_at(shipped(SKETCH_FILE), ("declarations", 0, "id"), True)),
+            (
+                ["close"],
+                set_at(
+                    set_at(shipped(SKETCH_FILE), ("declarations", 0, "id"), 1),
+                    ("declarations", 1, "id"),
+                    "1",
+                ),
+            ),
+            (CHECK_SKETCH, set_at(shipped(SKETCH_FILE), ("name",), 1.5)),
+            (TO_LIFTING, set_at(shipped("span-signature.json"), ("dependencies", 0, "id"), True)),
+            (TO_LIFTING, set_at(regular_signature(), ("symbols", 0, "name"), 7)),
+            (
+                ["deps-check"],
+                set_at(table_signature(), ("symbols", 0, "semantics", "entries", 0, "id"), 1),
+            ),
         ],
     )
     def test_exit_three_with_message(self, capsys, tmp_path, command, payload):
@@ -661,6 +699,16 @@ class TestMalformedInput:
         assert main([str(path) if arg == PAYLOAD else arg for arg in command]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_sketch_morphism_decls_value_not_a_string(self, tmp_path):
+        from dcl.sketch import SketchMorphism
+
+        data = json.loads(dumps(SketchMorphism.identity(load(SKETCH))))
+        data["decls"][sorted(data["decls"])[0]] = 1
+        path = tmp_path / "sketch-morphism.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError, match="decls value: expected a str, got int"):
+            load(path)
 
     def test_deeply_nested_json_exit_three(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -860,6 +908,55 @@ class TestRoundtrips:
         again = tmp_path / name
         again.write_text(text)
         assert dumps(load(str(again))) == text
+
+
+def kind_samples() -> list:
+    """(kind, object) pairs covering every file kind, from the shipped files
+    where one holds that kind; formulas both plain and over a schema."""
+    from dcl.fixtures import existence_formula
+    from dcl.sketch import SketchMorphism
+
+    sketch, t = load(SKETCH), load(VALID)
+    return [
+        ("graph", t.carrier),
+        ("morphism", load(FRAGMENT)),
+        ("instance", t),
+        ("delta", identity_delta(t)),
+        ("signature", load(SPAN_SIG)),
+        ("sketch", sketch),
+        ("sketch_morphism", SketchMorphism.identity(sketch)),
+        ("theory", load(OUT_THEORY)),
+        ("formula", load(GOAL)),
+        ("formula", existence_formula()),
+    ]
+
+
+class TestKindsTable:
+    def test_samples_cover_every_kind(self):
+        assert {kind for kind, _ in kind_samples()} == set(dcl.io._KINDS)
+
+    @pytest.mark.parametrize("kind,obj", kind_samples())
+    def test_write_read_write(self, kind, obj):
+        data = to_json(obj)
+        assert data["kind"] == kind
+        assert to_json(from_json(data)) == data
+
+    def test_plain_formula_keeps_its_ambient(self):
+        # written as read: {"kind": "graph"}, not a slice ambient without its base
+        assert json.loads(dumps(load(GOAL))) == shipped("coproduct-goal.json")
+
+    @pytest.mark.parametrize("obj", [object(), 3, {"kind": "graph"}])
+    def test_unsupported_object(self, obj):
+        with pytest.raises(FormatError, match="cannot serialize"):
+            to_json(obj)
+
+    @pytest.mark.parametrize("kind", [{}, ["graph"]])
+    def test_kind_not_a_string_exit_three(self, capsys, tmp_path, kind):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"kind": kind, "nodes": [], "arrows": []}))
+        assert main(["canon", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown kind" in err and "Traceback" not in err
 
 
 # Hashes of stdout for commands on the shipped data, run from `dcl/data`.

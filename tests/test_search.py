@@ -400,7 +400,8 @@ def reference_deltas_equivalent(d1: Delta, d2: Delta) -> bool:
 
 @st.composite
 def relabelled(draw, t: TypedInstance):
-    """(a copy of t with fresh ids in a drawn order, the isomorphism t -> copy)."""
+    """(a copy of t with fresh ids in a drawn order, the isomorphisms t -> copy
+    and copy -> t)."""
     nodes, arrows = t.carrier.sorted_nodes, t.carrier.sorted_arrows
     node_map = dict(zip(nodes, draw(st.permutations([f"m{i}" for i in range(len(nodes))]))))
     arrow_ids = draw(st.permutations([f"k{i}" for i in range(len(arrows))]))
@@ -414,7 +415,13 @@ def relabelled(draw, t: TypedInstance):
         {node_map[n]: h for n, h in t.typing.node_map.items()},
         {arrow_map[a]: k for a, k in t.typing.arrow_map.items()},
     )
-    return copy, GraphMorphism(t.carrier, carrier, node_map, arrow_map)
+    back = GraphMorphism(
+        carrier,
+        t.carrier,
+        {v: k for k, v in node_map.items()},
+        {v: k for k, v in arrow_map.items()},
+    )
+    return copy, GraphMorphism(t.carrier, carrier, node_map, arrow_map), back
 
 
 @st.composite
@@ -441,8 +448,8 @@ def formula_pairs(draw):
     fs = first_maps(s, q)
     assume(fs)
     f = draw(st.sampled_from(fs))
-    (s2, a), (q2, b) = draw(relabelled(s)), draw(relabelled(q))
-    carried = SliceMorphism(s2, q2, compose(compose(a.inverse(), f.map), b))
+    (s2, _, back), (q2, b, _) = draw(relabelled(s)), draw(relabelled(q))
+    carried = SliceMorphism(s2, q2, compose(compose(back, f.map), b))
     others = [g for g in first_maps(s2, q2) if g.map != carried.map]
     return f, draw(st.sampled_from(others)) if others and draw(st.integers(0, 2)) else carried
 
@@ -465,9 +472,9 @@ def delta_pairs(draw):
         draw(st.sampled_from(first_maps(apex, source))),
         draw(st.sampled_from(rights)),
     )
-    copy, a = draw(relabelled(apex))
+    copy, _, back = draw(relabelled(apex))
     legs = [
-        SliceMorphism(copy, leg.to, compose(a.inverse(), leg.map))
+        SliceMorphism(copy, leg.to, compose(back, leg.map))
         if draw(st.booleans())
         else draw(st.sampled_from(first_maps(copy, leg.to)))
         for leg in (d1.left, d1.right)

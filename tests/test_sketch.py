@@ -125,8 +125,8 @@ class TestTranslation:
     def test_identity_translation(self):
         s = span_sketch()
         d = s.declarations[0]
-        out = translate_declaration(identity(s.carrier), d, new_id="fresh")
-        assert out.label == d.label and out.binding == d.binding and out.id == "fresh"
+        out = translate_declaration(identity(s.carrier), d)
+        assert out.label == d.label and out.binding == d.binding and out.id == d.id
 
     def test_functorial_in_f(self):
         s = vehicle_registry_sketch()
