@@ -47,6 +47,18 @@ class Budget:
 CANONICAL_WORK_LIMIT = 2_000_000
 
 
+def _trusted(cls, **fields):
+    """A frozen `cls` made from `fields` without `__post_init__`, for a value the
+    library built valid: maps keyed in sorted order, as the checks would leave
+    them.  A held extra that is not a field, such as an instance's `_fibres`,
+    is set with the fields.  Each is set in turn, not by `__dict__.update`,
+    so that instances of one class keep sharing their dict keys."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
 class Arrow(NamedTuple):
     id: str
     src: str
@@ -79,7 +91,7 @@ class Graph:
 
     @classmethod
     def empty(cls) -> "Graph":
-        return cls(frozenset(), frozenset())
+        return _trusted(cls, nodes=frozenset(), arrows=frozenset())
 
     @cached_property
     def arrow_by_id(self) -> dict[str, Arrow]:
@@ -203,12 +215,9 @@ class GraphMorphism:
 
 
 def identity(graph: Graph) -> GraphMorphism:
-    return GraphMorphism(
-        graph,
-        graph,
-        {n: n for n in graph.nodes},
-        {a.id: a.id for a in graph.arrows},
-    )
+    nodes, arrows = graph.sorted_nodes, [a.id for a in graph.sorted_arrows]
+    node_map, arrow_map = dict(zip(nodes, nodes)), dict(zip(arrows, arrows))
+    return _trusted(GraphMorphism, dom=graph, cod=graph, node_map=node_map, arrow_map=arrow_map)
 
 
 def compose(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism:
@@ -216,41 +225,13 @@ def compose(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism:
         raise GraphError(
             f"cannot compose: codomain {f.cod!r} differs from domain {g.dom!r}"
         )
-    return _trusted_morphism(
-        f.dom,
-        g.cod,
-        {n: g.node_map[v] for n, v in f.node_map.items()},
-        {a: g.arrow_map[v] for a, v in f.arrow_map.items()},
-    )
+    node_map = {n: g.node_map[v] for n, v in f.node_map.items()}
+    arrow_map = {a: g.arrow_map[v] for a, v in f.arrow_map.items()}
+    return _trusted(GraphMorphism, dom=f.dom, cod=g.cod, node_map=node_map, arrow_map=arrow_map)
 
 
 # ---------------------------------------------------------------------------
 # Morphism search
-
-
-def _trusted_morphism(
-    dom: Graph, cod: Graph, node_map: dict[str, str], arrow_map: dict[str, str]
-) -> GraphMorphism:
-    """A morphism built without validation, for maps the library made valid.
-
-    The maps must be total, incidence-preserving and listed in sorted key
-    order, as `GraphMorphism.__post_init__` would leave them.
-    """
-    m = object.__new__(GraphMorphism)
-    object.__setattr__(m, "dom", dom)
-    object.__setattr__(m, "cod", cod)
-    object.__setattr__(m, "node_map", node_map)
-    object.__setattr__(m, "arrow_map", arrow_map)
-    return m
-
-
-def _trusted_graph(nodes: Iterable[str], arrows: Iterable[Arrow]) -> Graph:
-    """A graph built without validation: arrow ids must be distinct and not
-    node ids, and endpoints nodes, as `Graph.__post_init__` would check."""
-    g = object.__new__(Graph)
-    object.__setattr__(g, "nodes", frozenset(nodes))
-    object.__setattr__(g, "arrows", frozenset(arrows))
-    return g
 
 
 def search_morphisms(
@@ -349,9 +330,8 @@ def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Itera
             found = index[(label, image[s], image[t])]
             options.append(found if pinned is None else [x for x in found if x == pinned])
         for images in _distinct_product(options) if injective else itertools.product(*options):
-            yield _trusted_morphism(
-                g, h, dict(zip(nodes, image)), dict(zip(arrow_ids, images))
-            )
+            node_map, arrow_map = dict(zip(nodes, image)), dict(zip(arrow_ids, images))
+            yield _trusted(GraphMorphism, dom=g, cod=h, node_map=node_map, arrow_map=arrow_map)
 
     if not nodes:
         yield from complete([])
@@ -464,18 +444,13 @@ def pullback(
             arrows.append(Arrow(pid, pair_id(x.src, y.src), pair_id(x.tgt, y.tgt)))
             arrow_p[pid] = x.id
             arrow_q[pid] = y.id
-    p_graph = _trusted_graph(nodes, arrows)
+    p_graph = _trusted(Graph, nodes=frozenset(nodes), arrows=frozenset(arrows))
 
     def projection(cod: Graph, node_map: dict, arrow_map: dict) -> GraphMorphism:
-        return _trusted_morphism(
-            p_graph, cod, dict(sorted(node_map.items())), dict(sorted(arrow_map.items()))
-        )
+        node_map, arrow_map = dict(sorted(node_map.items())), dict(sorted(arrow_map.items()))
+        return _trusted(GraphMorphism, dom=p_graph, cod=cod, node_map=node_map, arrow_map=arrow_map)
 
-    return (
-        p_graph,
-        projection(f.dom, node_p, arrow_p),
-        projection(g.dom, node_q, arrow_q),
-    )
+    return p_graph, projection(f.dom, node_p, arrow_p), projection(g.dom, node_q, arrow_q)
 
 
 def _find(parent, x):
@@ -549,15 +524,12 @@ def pushout(
         Arrow(arrow_id[root], node_class(ends[root][0]), node_class(ends[root][1]))
         for root in arrow_id
     ]
-    p_graph = _trusted_graph(node_id.values(), arrows)
+    p_graph = _trusted(Graph, nodes=frozenset(node_id.values()), arrows=frozenset(arrows))
 
-    def into(side: str, graph: Graph) -> GraphMorphism:
-        return _trusted_morphism(
-            graph,
-            p_graph,
-            {n: node_class(_side_tag(side, n)) for n in graph.sorted_nodes},
-            {a.id: arrow_class(_side_tag(side, a.id)) for a in graph.sorted_arrows},
-        )
+    def into(side: str, dom: Graph) -> GraphMorphism:
+        node_map = {n: node_class(_side_tag(side, n)) for n in dom.sorted_nodes}
+        arrow_map = {a.id: arrow_class(_side_tag(side, a.id)) for a in dom.sorted_arrows}
+        return _trusted(GraphMorphism, dom=dom, cod=p_graph, node_map=node_map, arrow_map=arrow_map)
 
     return p_graph, into("L", f.cod), into("R", g.cod)
 

@@ -19,16 +19,16 @@ from dcl.graphs import (
     Budget,
     Graph,
     GraphError,
-    GraphMorphism,
+    _trusted,
     identity,
     pushout,
 )
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
-    _canonical_numbered,
+    _canonical_classes,
     _diagram_key,
-    _iter_classes,
+    _trusted_instance,
     canonical_restriction,
     iter_factorizations,
     iter_slice_morphisms,
@@ -76,9 +76,8 @@ def semantic_entails(
     """Every small model of the theory must be injective w.r.t. the goal.
 
     Exhaustive over instances with at most size_bound elements per base
-    node and max_parallel parallel links, one per isomorphism class
-    (`iter_instance_classes`), each checked in canonical form, made from
-    the class's numbering with no labelled instance built.  Each formula and
+    node and max_parallel parallel links, one per isomorphism class, each
+    checked in the canonical form `_canonical_classes` streams.  Each formula and
     the goal are checked as `Regular` specs, planned once per sweep.  A class
     whose canonical form spends its bound is Unknown, as an Unknown verdict is.
     A goal over another base is refused, as `bounded_entailment` refuses it.
@@ -90,11 +89,9 @@ def semantic_entails(
     wanted = Regular(goal, limit)
     checked = 0
     unknown: Optional[Verdict] = None
-    for names, links, _ in _iter_classes(base, size_bound, max_parallel):
-        try:
-            model = _canonical_numbered(names, links, base)[0]
-        except BoundExceeded as exc:
-            unknown = unknown or Verdict(Status.UNKNOWN, detail=str(exc))
+    for model, exceeded in _canonical_classes(base, size_bound, max_parallel):
+        if exceeded is not None:
+            unknown = unknown or Verdict(Status.UNKNOWN, detail=str(exceeded))
             continue
         for f in formulas:
             verdict = f.decide(model)
@@ -154,11 +151,11 @@ def slice_pushout(
             node_typing[cls] = leg.to.typing.node_map[n]
         for a, cls in into.arrow_map.items():
             arrow_typing[cls] = leg.to.typing.arrow_map[a]
-    apex = TypedInstance.build(f.from_.schema, p_graph, node_typing, arrow_typing)
+    apex = _trusted_instance(f.from_.schema, node_typing, p_graph.arrows, arrow_typing)
     return (
         apex,
-        SliceMorphism(f.to, apex, into_left),
-        SliceMorphism(g.to, apex, into_right),
+        _trusted(SliceMorphism, from_=f.to, to=apex, map=into_left),
+        _trusted(SliceMorphism, from_=g.to, to=apex, map=into_right),
     )
 
 
@@ -197,10 +194,9 @@ def coproduct_macro(d1: Derivation, d2: Derivation) -> Derivation:
     composes the two pushout legs.
     """
     f1, f2 = d1.conclusion, d2.conclusion
-    base = f1.from_.schema
-    empty = TypedInstance.empty(base)
-    bang1 = SliceMorphism(empty, f1.from_, GraphMorphism(Graph.empty(), f1.from_.carrier, {}, {}))
-    bang2 = SliceMorphism(empty, f2.from_, GraphMorphism(Graph.empty(), f2.from_.carrier, {}, {}))
+    empty = TypedInstance.empty(f1.from_.schema)
+    # the one map out of the empty instance into each domain
+    bang1, bang2 = (next(iter_slice_morphisms(empty, f.from_)) for f in (f1, f2))
     _, inj1, inj2 = slice_pushout(bang1, bang2)  # A1 + A2
     step1 = pushout_derivation(d1, inj1)  # A1+A2 -> B1+A2
     # the A2 summand sits inside B1+A2 via the step-1 pushout leg

@@ -16,12 +16,12 @@ from typing import Callable, Iterator, Mapping, Optional
 
 from dcl.graphs import (
     Arrow,
+    BoundExceeded,
     Graph,
     GraphError,
     GraphMorphism,
     _canonical_order,
-    _trusted_graph,
-    _trusted_morphism,
+    _trusted,
     compose,
     identity,
     pullback,
@@ -41,7 +41,7 @@ class TypedInstance:
     def schema(self) -> Graph:
         return self.typing.cod
 
-    _fibres = None  # set by `_canonical_numbered` and `validate_instance`; not a field
+    _fibres = None  # held by some `_trusted` builds; not a field
 
     @property
     def fibres(self) -> tuple[dict, dict]:
@@ -62,7 +62,7 @@ class TypedInstance:
 
     @classmethod
     def empty(cls, schema: Graph) -> "TypedInstance":
-        return cls(GraphMorphism(Graph.empty(), schema, {}, {}))
+        return _trusted_instance(schema, {}, (), {})
 
     def to_json(self) -> dict:
         return {
@@ -107,11 +107,12 @@ class SliceMorphism:
     def then(self, other: "SliceMorphism") -> "SliceMorphism":
         if self.to != other.from_:
             raise GraphError("cannot compose slice morphisms: endpoints differ")
-        return SliceMorphism(self.from_, other.to, compose(self.map, other.map))
+        composite = compose(self.map, other.map)
+        return _trusted(SliceMorphism, from_=self.from_, to=other.to, map=composite)
 
     @classmethod
     def identity(cls, t: TypedInstance) -> "SliceMorphism":
-        return cls(t, t, identity(t.carrier))
+        return _trusted(cls, from_=t, to=t, map=identity(t.carrier))
 
     def to_json(self) -> dict:
         return {
@@ -128,29 +129,18 @@ class SliceMorphism:
         return cls(dom, cod, m)
 
 
-def _trusted_slice(
-    s: TypedInstance, t: TypedInstance, m: GraphMorphism
-) -> SliceMorphism:
-    """A slice morphism built without validation, for a map that commutes
-    with the typings by construction."""
-    out = object.__new__(SliceMorphism)
-    object.__setattr__(out, "from_", s)
-    object.__setattr__(out, "to", t)
-    object.__setattr__(out, "map", m)
-    return out
-
-
 def _trusted_instance(
     schema: Graph, node_typing: dict, arrows: list, arrow_typing: dict
 ) -> TypedInstance:
     """An instance built without validation: `arrows` are (link, src, tgt)
     triples over the elements `node_typing` types, all ids distinct, and
     the typing preserves incidence."""
-    carrier = _trusted_graph(node_typing, map(Arrow._make, arrows))
-    typing = _trusted_morphism(
-        carrier, schema, dict(sorted(node_typing.items())), dict(sorted(arrow_typing.items()))
+    arrows = frozenset(map(Arrow._make, arrows))
+    carrier = _trusted(Graph, nodes=frozenset(node_typing), arrows=arrows)
+    node_map, arrow_map = dict(sorted(node_typing.items())), dict(sorted(arrow_typing.items()))
+    return TypedInstance(
+        _trusted(GraphMorphism, dom=carrier, cod=schema, node_map=node_map, arrow_map=arrow_map)
     )
-    return TypedInstance(typing)
 
 
 def terminal_graph() -> Graph:
@@ -183,7 +173,7 @@ def iter_slice_morphisms(
         return
     typings = (s.typing, t.typing)
     for m in search_morphisms(s.carrier, t.carrier, typings, pins, injective):
-        yield _trusted_slice(s, t, m)
+        yield _trusted(SliceMorphism, from_=s, to=t, map=m)
 
 
 def iter_factorizations(
@@ -263,31 +253,33 @@ def canonical_bytes(g: Graph) -> bytes:
     return json.dumps(carrier.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
 
-def _canonical_numbered(names: tuple, links: tuple, arity: Graph) -> tuple[TypedInstance, list]:
-    """(canonical instance, order) over `arity` of the numbered instance (names,
+def _canonical_numbered(names: tuple, links: tuple, arity: Graph) -> tuple[TypedInstance, dict]:
+    """(canonical instance, named) over `arity` of the numbered instance (names,
     links), as `_numbered_restriction` gives it, named in one pass over the
-    canonical parts: the element at place i is `n{i}` and is numbered `order[i]`
-    in the input, link j `e{j}`, and ids are visited in sorted order (`n10`
-    before `n2`).  The instance holds the fibres of that pass."""
+    canonical parts: the element at place i is `n{i}`, link j `e{j}`, and ids
+    are visited in sorted order (`n10` before `n2`).  `named` maps each element
+    name, in place order, to its number in the input.  The instance holds the
+    fibres of that pass."""
     colours, ranked, order = [], [], []
     for (_, part_colours, triples), members in _canonical_order(names, links):
         ranked += [(len(colours) + x, len(colours) + y, k) for x, y, k in triples]
         colours += part_colours
         order += members
     nodes = [f"n{i}" for i in range(len(colours))]
-    node_typing, node_fibres = {}, {h: [] for h in arity.sorted_nodes}
+    node_map, node_fibres = {}, {h: [] for h in arity.sorted_nodes}
     for i in sorted(range(len(nodes)), key=str):
-        node_typing[nodes[i]] = colours[i]
+        node_map[nodes[i]] = colours[i]
         node_fibres[colours[i]].append(nodes[i])
-    arrow_typing, arrow_fibres = {}, {k.id: [] for k in arity.sorted_arrows}
+    arrow_map, arrow_fibres = {}, {k.id: [] for k in arity.sorted_arrows}
     for j in sorted(range(len(ranked)), key=str):
         x, y, k = ranked[j]
-        arrow_typing[f"e{j}"] = k
+        arrow_map[f"e{j}"] = k
         arrow_fibres[k].append(Arrow(f"e{j}", nodes[x], nodes[y]))
-    carrier = _trusted_graph(node_typing, [a for over in arrow_fibres.values() for a in over])
-    out = TypedInstance(_trusted_morphism(carrier, arity, node_typing, arrow_typing))
-    object.__setattr__(out, "_fibres", (node_fibres, arrow_fibres))
-    return out, order
+    arrows = frozenset(itertools.chain.from_iterable(arrow_fibres.values()))
+    carrier = _trusted(Graph, nodes=frozenset(node_map), arrows=arrows)
+    typing = _trusted(GraphMorphism, dom=carrier, cod=arity, node_map=node_map, arrow_map=arrow_map)
+    out = _trusted(TypedInstance, typing=typing, _fibres=(node_fibres, arrow_fibres))
+    return out, dict(zip(nodes, order))
 
 
 def _diagram_key(objects: list, maps: list) -> tuple:
@@ -428,32 +420,23 @@ class Delta:
         source = TypedInstance.from_json(data["source"])
         target = TypedInstance.from_json(data["target"], schema=source.schema)
         apex = TypedInstance.from_json(data["apex"], schema=source.schema)
-        left = GraphMorphism.from_json(
-            data["left"], dom=apex.carrier, cod=source.carrier
-        )
-        right = GraphMorphism.from_json(
-            data["right"], dom=apex.carrier, cod=target.carrier
-        )
-        return cls(
-            source,
-            target,
-            apex,
-            SliceMorphism(apex, source, left),
-            SliceMorphism(apex, target, right),
-        )
+        left = GraphMorphism.from_json(data["left"], dom=apex.carrier, cod=source.carrier)
+        right = GraphMorphism.from_json(data["right"], dom=apex.carrier, cod=target.carrier)
+        legs = (SliceMorphism(apex, source, left), SliceMorphism(apex, target, right))
+        return cls(source, target, apex, *legs)
 
 
 def identity_delta(t: TypedInstance) -> Delta:
     i = SliceMorphism.identity(t)
-    return Delta(t, t, t, i, i)
+    return _trusted(Delta, source=t, target=t, apex=t, left=i, right=i)
 
 
 def delta_of(f: SliceMorphism, direction: str = "forward") -> Delta:
-    if direction == "forward":
-        return Delta(f.from_, f.to, f.from_, SliceMorphism.identity(f.from_), f)
-    if direction == "backward":
-        return Delta(f.to, f.from_, f.from_, f, SliceMorphism.identity(f.from_))
-    raise GraphError(f"unknown delta direction: {direction!r}")
+    if direction not in ("forward", "backward"):
+        raise GraphError(f"unknown delta direction: {direction!r}")
+    i = SliceMorphism.identity(f.from_)
+    left, right = (i, f) if direction == "forward" else (f, i)
+    return _trusted(Delta, source=left.to, target=right.to, apex=f.from_, left=left, right=right)
 
 
 def _canonical_delta(d: Delta) -> Delta:
@@ -465,17 +448,19 @@ def _canonical_delta(d: Delta) -> Delta:
     number = {n: x for x, n in enumerate(nodes)}
     names = tuple(typing.node_map[n] for n in nodes)
     links = tuple((number[a.src], typing.arrow_map[a.id], number[a.tgt]) for a in arrows)
-    apex, order = _canonical_numbered(names, links, d.apex.schema)
-    place = {nodes[x]: i for i, x in enumerate(order)}
+    apex, named = _canonical_numbered(names, links, d.apex.schema)
+    place = {nodes[x]: i for i, x in enumerate(named.values())}
     ranked = sorted(arrows, key=lambda a: (place[a.src], place[a.tgt], typing.arrow_map[a.id]))
-    back = GraphMorphism(
-        apex.carrier,
-        carrier,
-        {f"n{i}": nodes[x] for i, x in enumerate(order)},
-        {f"e{j}": a.id for j, a in enumerate(ranked)},
+    node_map = {n: nodes[named[n]] for n in apex.typing.node_map}
+    arrow_map = dict(sorted((f"e{j}", a.id) for j, a in enumerate(ranked)))
+    back = _trusted(
+        GraphMorphism, dom=apex.carrier, cod=carrier, node_map=node_map, arrow_map=arrow_map
     )
-    left, right = (SliceMorphism(apex, leg.to, compose(back, leg.map)) for leg in (d.left, d.right))
-    return Delta(d.source, d.target, apex, left, right)
+    left, right = (
+        _trusted(SliceMorphism, from_=apex, to=leg.to, map=compose(back, leg.map))
+        for leg in (d.left, d.right)
+    )
+    return _trusted(Delta, source=d.source, target=d.target, apex=apex, left=left, right=right)
 
 
 def compose_delta(d1: Delta, d2: Delta) -> Delta:
@@ -483,9 +468,10 @@ def compose_delta(d1: Delta, d2: Delta) -> Delta:
         raise GraphError("cannot compose deltas: endpoints differ")
     _, p, q = pullback(d1.right.map, d2.left.map)
     apex = TypedInstance(compose(p, d1.apex.typing))
-    left = SliceMorphism(apex, d1.source, compose(p, d1.left.map))
-    right = SliceMorphism(apex, d2.target, compose(q, d2.right.map))
-    return _canonical_delta(Delta(d1.source, d2.target, apex, left, right))
+    left = _trusted(SliceMorphism, from_=apex, to=d1.source, map=compose(p, d1.left.map))
+    right = _trusted(SliceMorphism, from_=apex, to=d2.target, map=compose(q, d2.right.map))
+    d = _trusted(Delta, source=d1.source, target=d2.target, apex=apex, left=left, right=right)
+    return _canonical_delta(d)
 
 
 def deltas_equivalent(d1: Delta, d2: Delta) -> bool:
@@ -525,8 +511,7 @@ def cod_lift(t: TypedInstance, q: GraphMorphism) -> CodLift:
 def dom_lift(t: TypedInstance, p: GraphMorphism) -> SliceMorphism:
     if p.cod != t.carrier:
         raise GraphError("dom_lift: morphism codomain differs from the carrier")
-    sub = TypedInstance(compose(p, t.typing))
-    return SliceMorphism(sub, t, p)
+    return _trusted(SliceMorphism, from_=TypedInstance(compose(p, t.typing)), to=t, map=p)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +580,22 @@ def iter_instance_classes(
     the first member of the class in that enumeration, in the same order."""
     for _, _, labelled in _iter_classes(schema, max_per_node, max_parallel):
         yield labelled()
+
+
+def _canonical_classes(
+    schema: Graph, max_per_node: int, max_parallel: int = 2
+) -> Iterator[tuple[TypedInstance, Optional[BoundExceeded]]]:
+    """(canonical instance, None) per class of `iter_instance_classes`, in its
+    order, made from the class's numbering; for a class whose canonical form
+    spends its bound, (labelled instance, the error): only then is the labelled
+    instance built."""
+    for names, links, labelled in _iter_classes(schema, max_per_node, max_parallel):
+        try:
+            canonical = _canonical_numbered(names, links, schema)[0]
+        except BoundExceeded as exc:
+            yield labelled(), exc
+        else:
+            yield canonical, None
 
 
 def _iter_classes(

@@ -51,68 +51,77 @@ def _expect(value: Any, cls: type, what: str):
 # Semantics specs
 
 
-# semantics whose JSON is their fields: arrow names, and paths of them as lists
-_FIELD_SEMANTICS = {s.kind: s for s in (Key, Subset, CompositeSubset4, JointlyMonic, Commutativity)}
+def _fields_to_json(spec: SemanticsSpec) -> dict:
+    """A spec's fields: a tuple (a path, intervals) as a list, a morphism by its writer."""
+
+    def value(v: Any) -> Any:
+        if isinstance(v, tuple):
+            return [value(x) for x in v]
+        return v.to_json() if hasattr(v, "to_json") else v
+
+    return {f.name: value(getattr(spec, f.name)) for f in fields(spec)}
+
+
+def _fields_reader(cls: type):
+    """The reader of a semantics whose fields are arrow names, and paths of them
+    as lists: a list is read as a path; any other value is left for the symbol
+    to reject."""
+
+    def read(data: Mapping) -> SemanticsSpec:
+        named = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in named.items()})
+
+    return read
+
+
+def _lifting_from_json(data: Mapping) -> Lifting:
+    m = GraphMorphism.from_json(data["m"])
+    n = GraphMorphism.from_json(data["n"], dom=m.cod)
+    return Lifting(m, n, data.get("search_limit", DEFAULT_SEARCH_LIMIT))
+
+
+# (writer, reader) per semantics kind; a spec is written under its `kind`
+_SEMANTICS = {
+    "multiplicity": (
+        _fields_to_json,
+        lambda data: Multiplicity(_expect(data["intervals"], list, "intervals")),
+    ),
+    **{
+        cls.kind: (_fields_to_json, _fields_reader(cls))
+        for cls in (Key, Subset, CompositeSubset4, JointlyMonic, Commutativity)
+    },
+    "regular": (
+        _fields_to_json,
+        lambda data: Regular(
+            SliceMorphism.from_json(data["formula"]), data.get("search_limit", DEFAULT_SEARCH_LIMIT)
+        ),
+    ),
+    "lifting": (_fields_to_json, _lifting_from_json),
+    "table": (
+        lambda spec: {"entries": [{"id": i, "instance": t.to_json()} for i, t in spec.entries]},
+        lambda data: Table(
+            tuple(
+                (_expect(e["id"], str, "entry id"), TypedInstance.from_json(e["instance"]))
+                for e in _expect(data["entries"], list, "entries")
+            )
+        ),
+    ),
+}
 
 
 def semantics_to_json(spec: SemanticsSpec) -> dict:
-    if isinstance(spec, Multiplicity):
-        return {"kind": "multiplicity", "intervals": [list(iv) for iv in spec.intervals]}
-    if type(spec) in _FIELD_SEMANTICS.values():
-        named = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(spec).items()}
-        return {"kind": spec.kind, **named}
-    if isinstance(spec, Regular):
-        return {
-            "kind": "regular",
-            "formula": spec.formula.to_json(),
-            "search_limit": spec.search_limit,
-        }
-    if isinstance(spec, Lifting):
-        return {
-            "kind": "lifting",
-            "m": spec.m.to_json(),
-            "n": spec.n.to_json(),
-            "search_limit": spec.search_limit,
-        }
-    if isinstance(spec, Table):
-        return {
-            "kind": "table",
-            "entries": [
-                {"id": entry_id, "instance": inst.to_json()}
-                for entry_id, inst in spec.entries
-            ],
-        }
-    raise FormatError(f"unknown semantics spec {type(spec).__name__}")
+    kind = getattr(spec, "kind", None)
+    if kind not in _SEMANTICS:
+        raise FormatError(f"unknown semantics spec {type(spec).__name__}")
+    return {"kind": kind, **_SEMANTICS[kind][0](spec)}
 
 
 def semantics_from_json(data: Mapping) -> SemanticsSpec:
     kind = data.get("kind")
-    if kind == "multiplicity":
-        intervals = _expect(data["intervals"], list, "intervals")
-        return Multiplicity(tuple((lo, hi) for lo, hi in intervals))
-    if kind in _FIELD_SEMANTICS:
-        spec = _FIELD_SEMANTICS[kind]
-        named = {f.name: data[f.name] for f in fields(spec) if f.name in data}
-        # a list is a path; any other value is left for the symbol to reject
-        return spec(**{k: tuple(v) if isinstance(v, list) else v for k, v in named.items()})
-    if kind == "regular":
-        return Regular(
-            SliceMorphism.from_json(data["formula"]),
-            data.get("search_limit", DEFAULT_SEARCH_LIMIT),
-        )
-    if kind == "lifting":
-        m = GraphMorphism.from_json(data["m"])
-        n = GraphMorphism.from_json(data["n"], dom=m.cod)
-        return Lifting(m, n, data.get("search_limit", DEFAULT_SEARCH_LIMIT))
-    if kind == "table":
-        entries = _expect(data["entries"], list, "entries")
-        return Table(
-            tuple(
-                (_expect(e["id"], str, "entry id"), TypedInstance.from_json(e["instance"]))
-                for e in entries
-            )
-        )
-    raise FormatError(f"unknown semantics kind {kind!r}")
+    # a kind that is not a string, such as [] or {}, is unknown, not unhashable
+    if not isinstance(kind, str) or kind not in _SEMANTICS:
+        raise FormatError(f"unknown semantics kind {kind!r}")
+    return _SEMANTICS[kind][1](data)
 
 
 # ---------------------------------------------------------------------------

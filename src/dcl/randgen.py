@@ -16,8 +16,7 @@ from dcl.graphs import (
     GraphMorphism,
     _run_search,
     _target_index,
-    _trusted_graph,
-    _trusted_morphism,
+    _trusted,
 )
 from dcl.instances import TypedInstance
 from dcl.signature import (
@@ -42,7 +41,7 @@ def random_graph(
     if n:
         for i in range(rng.randint(0, max_arrows)):
             arrows.append(Arrow(f"E{i}", rng.choice(nodes), rng.choice(nodes)))
-    return _trusted_graph(nodes, arrows)
+    return _trusted(Graph, nodes=frozenset(nodes), arrows=frozenset(arrows))
 
 
 def random_morphism_into(
@@ -50,7 +49,7 @@ def random_morphism_into(
 ) -> GraphMorphism:
     """A random morphism with a freshly built domain mapping into cod."""
     if not cod.nodes:
-        return _trusted_morphism(Graph.empty(), cod, {}, {})
+        return _trusted(GraphMorphism, dom=Graph.empty(), cod=cod, node_map={}, arrow_map={})
     n = rng.randint(0, max_nodes)
     node_map = {f"n{i}": rng.choice(cod.sorted_nodes) for i in range(n)}
     links: dict[Arrow, str] = {}  # each domain arrow to its image's id
@@ -62,9 +61,10 @@ def random_morphism_into(
             e = rng.choice(cod.sorted_arrows)
             if e.src in over and e.tgt in over:
                 links[Arrow(f"a{i}", rng.choice(over[e.src]), rng.choice(over[e.tgt]))] = e.id
-    dom = _trusted_graph(node_map, links)
+    dom = _trusted(Graph, nodes=frozenset(node_map), arrows=frozenset(links))
+    node_map = dict(sorted(node_map.items()))
     arrow_map = {a.id: image for a, image in sorted(links.items())}
-    return _trusted_morphism(dom, cod, dict(sorted(node_map.items())), arrow_map)
+    return _trusted(GraphMorphism, dom=dom, cod=cod, node_map=node_map, arrow_map=arrow_map)
 
 
 def random_typed_instance(

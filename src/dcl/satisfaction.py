@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from dcl.graphs import GraphError, GraphMorphism, pair_id
+from dcl.graphs import GraphError, GraphMorphism, _trusted, pair_id
 from dcl.instances import (
     Delta,
     SliceMorphism,
@@ -27,7 +27,6 @@ from dcl.sketch import (
     SketchError,
     SketchMorphism,
     close_sketch,
-    is_closed,
     translate_declaration,
 )
 from dcl.verdicts import Evidence, Status, ValidationReport, Verdict
@@ -50,17 +49,12 @@ def validate_instance(
     """Evaluate every declaration; overall is the Unknown-poisoning conjunction."""
     if t.schema != sketch.carrier:
         raise GraphError("validate_instance: instance schema is not the sketch carrier")
-    if not allow_unclosed and not is_closed(sketch):
-        closed = close_sketch(sketch)
-        missing = sorted(
-            d.id for d in closed.declarations[len(sketch.declarations) :]
-        )
-        raise SketchError(
-            f"sketch {sketch.name!r} is not dependency-closed; missing: {missing}"
-        )
+    added = [] if allow_unclosed else close_sketch(sketch).declarations[len(sketch.declarations) :]
+    if added:
+        missing = sorted(d.id for d in added)
+        raise SketchError(f"sketch {sketch.name!r} is not dependency-closed; missing: {missing}")
     # every declaration restricts one grouping of t, held by a copy: t holds none
-    grouped = TypedInstance(t.typing)
-    object.__setattr__(grouped, "_fibres", t.fibres)
+    grouped = _trusted(TypedInstance, typing=t.typing, _fibres=t.fibres)
     verdicts = tuple(satisfies(grouped, d, sketch.signature) for d in sketch.declarations)
     return ValidationReport(sketch.name, instance_name, verdicts)
 
@@ -179,18 +173,21 @@ def pullback_delta(f: GraphMorphism, d: Delta) -> Delta:
     target = restrict(d.target, f)
     apex, projection = restrict_with_projection(d.apex, f)
 
-    def induced(leg_map: GraphMorphism, into: TypedInstance) -> GraphMorphism:
+    def induced(leg: SliceMorphism, end: TypedInstance) -> SliceMorphism:
         # a pair (x|g) of the apex projects to x and is typed by g
         node_map = {
-            pair: pair_id(leg_map.node_map[x], apex.typing.node_map[pair])
+            pair: pair_id(leg.map.node_map[x], apex.typing.node_map[pair])
             for pair, x in projection.node_map.items()
         }
         arrow_map = {
-            pair: pair_id(leg_map.arrow_map[x], apex.typing.arrow_map[pair])
+            pair: pair_id(leg.map.arrow_map[x], apex.typing.arrow_map[pair])
             for pair, x in projection.arrow_map.items()
         }
-        return GraphMorphism(apex.carrier, into.carrier, node_map, arrow_map)
+        m = _trusted(
+            GraphMorphism, dom=apex.carrier, cod=end.carrier, node_map=node_map, arrow_map=arrow_map
+        )
+        return _trusted(SliceMorphism, from_=apex, to=end, map=m)
 
-    left = SliceMorphism(apex, source, induced(d.left.map, source))
-    right = SliceMorphism(apex, target, induced(d.right.map, target))
-    return _canonical_delta(Delta(source, target, apex, left, right))
+    left, right = induced(d.left, source), induced(d.right, target)
+    pulled = _trusted(Delta, source=source, target=target, apex=apex, left=left, right=right)
+    return _canonical_delta(pulled)

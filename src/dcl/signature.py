@@ -23,15 +23,15 @@ from dcl.graphs import (
     _pattern_plan,
     _run_search,
     _target_index,
+    _trusted,
     compose,
     identity,
 )
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
-    _canonical_numbered,
+    _canonical_classes,
     _factorization_pins,
-    _iter_classes,
     _numbered_restriction,
     canonical_restriction,
     serialize_instance,
@@ -409,7 +409,7 @@ def lifting_to_regular(spec: Lifting) -> tuple[Graph, Regular]:
     schema = spec.n.cod
     w_instance = TypedInstance(compose(spec.m, spec.n))
     r_instance = TypedInstance(spec.n)
-    formula = SliceMorphism(w_instance, r_instance, spec.m)
+    formula = _trusted(SliceMorphism, from_=w_instance, to=r_instance, map=spec.m)
     return schema, Regular(formula=formula, search_limit=spec.search_limit)
 
 
@@ -644,43 +644,38 @@ def verify_dependency_soundness(
 ) -> SoundnessReport:
     """Restriction of every small valid instance along every dependency must be valid.
 
-    One canonical instance per class, made from the class's numbering, holds its fibres;
-    the valid ones are found once per source symbol.  A target decides each numbered
-    restriction once per call.  An Unknown verdict, on a class or on its restriction, is
-    undecided, not a violation; a class whose canonical form spends its bound is Unknown,
-    witnessed as enumerated: only then is its labelled instance built.
+    The classes of each source symbol are walked once, as `_canonical_classes` streams
+    them, and each class runs all of that symbol's dependencies.  A target decides each
+    numbered restriction once per call.  An Unknown verdict, on a class or on its
+    restriction, is undecided, not a violation; a class whose canonical form spends its
+    bound is Unknown, witnessed as enumerated.  Results are listed dependency by dependency.
     """
     checked = 0
-    violations = []
-    undecided = []
-    kept: dict[str, list[tuple[TypedInstance, Verdict]]] = {}
+    found = {d.id: ([], []) for d in sig.dependencies}  # (violations, undecided) per dependency
     decided: dict[tuple, Verdict] = {}  # (target symbol, names, links) -> verdict
-    for dep in sig.dependencies:
-        source = sig.symbols[dep.source]
-        target = sig.symbols[dep.target]
-        if dep.source not in kept:
-            kept[dep.source] = []
-            for names, links, labelled in _iter_classes(source.arity, size_bound, max_parallel):
-                try:
-                    t = _canonical_numbered(names, links, source.arity)[0]
-                except BoundExceeded as exc:
-                    t, verdict = labelled(), Verdict(Status.UNKNOWN, detail=str(exc))
-                else:
-                    # already canonical, so decided directly, not through `evaluate`
-                    verdict = source.semantics.decide(t)
-                if verdict.status is not Status.INVALID:
-                    kept[dep.source].append((t, verdict))
-        for t, source_verdict in kept[dep.source]:
-            if not source_verdict.is_valid:
-                undecided.append(SoundnessViolation(dep.id, t, source_verdict, "class"))
+    for name in dict.fromkeys(d.source for d in sig.dependencies):
+        source, deps = sig.symbols[name], sig.dependencies_of(name)
+        for t, exceeded in _canonical_classes(source.arity, size_bound, max_parallel):
+            if exceeded is not None:
+                source_verdict = Verdict(Status.UNKNOWN, detail=str(exceeded))
+            else:  # already canonical, so decided directly, not through `evaluate`
+                source_verdict = source.semantics.decide(t)
+            if source_verdict.status is Status.INVALID:
                 continue
-            checked += 1
-            key = (dep.target, *_numbered_restriction(t, dep.arity_map))
-            if key not in decided:
-                decided[key] = evaluate(target, t, dep.arity_map)
-            verdict = decided[key]
-            if verdict.status is Status.UNKNOWN:
-                undecided.append(SoundnessViolation(dep.id, t, verdict, "restriction"))
-            elif not verdict.is_valid:
-                violations.append(SoundnessViolation(dep.id, t, verdict))
-    return SoundnessReport(checked, tuple(violations), tuple(undecided))
+            for dep in deps:
+                violations, undecided = found[dep.id]
+                if not source_verdict.is_valid:
+                    undecided.append(SoundnessViolation(dep.id, t, source_verdict, "class"))
+                    continue
+                checked += 1
+                key = (dep.target, *_numbered_restriction(t, dep.arity_map))
+                if key not in decided:
+                    decided[key] = evaluate(sig.symbols[dep.target], t, dep.arity_map)
+                verdict = decided[key]
+                if verdict.status is Status.UNKNOWN:
+                    undecided.append(SoundnessViolation(dep.id, t, verdict, "restriction"))
+                elif not verdict.is_valid:
+                    violations.append(SoundnessViolation(dep.id, t, verdict))
+    violations = tuple(v for listed, _ in found.values() for v in listed)
+    undecided = tuple(v for _, listed in found.values() for v in listed)
+    return SoundnessReport(checked, violations, undecided)

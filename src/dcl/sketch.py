@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from dcl.graphs import Graph, GraphError, GraphMorphism, compose
+from dcl.graphs import Graph, GraphError, GraphMorphism, _trusted, compose
 from dcl.signature import (
     Multiplicity,
     Signature,
@@ -238,11 +238,9 @@ def elaborate_defaults(
         if arrow.id in constrained:
             continue
         symbol = DEFAULT_ASSOCIATION if arrow.id in associations else DEFAULT_ATTRIBUTE
-        binding = GraphMorphism(
-            symbol.arity,
-            sketch.carrier,
-            {"A": arrow.src, "B": arrow.tgt},
-            {"r": arrow.id},
+        ends, link = {"A": arrow.src, "B": arrow.tgt}, {"r": arrow.id}
+        binding = _trusted(
+            GraphMorphism, dom=symbol.arity, cod=sketch.carrier, node_map=ends, arrow_map=link
         )
         declarations.append(
             ConstraintDeclaration(f"default/{arrow.id}", symbol.name, binding)

@@ -7,6 +7,7 @@ The sweeps over classes must report exactly what these report.
 """
 
 import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -14,25 +15,33 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcl.fixtures import edge_pair_theory, outgoing_edge_theory
 import dcl.graphs
-from dcl.graphs import Graph, GraphMorphism
+from dcl.graphs import Graph, GraphMorphism, identity
 from dcl.injlogic import (
     SemanticResult,
     axiom,
     coproduct_macro,
+    identity_formula,
     semantic_entails,
+    slice_pushout,
 )
 import dcl.instances
 from dcl.instances import (
+    Delta,
+    SliceMorphism,
+    TypedInstance,
     _canonical_delta,
     _canonical_numbered,
     _iter_classes,
     _numbered_restriction,
     canonical_restriction,
+    compose_delta,
+    delta_of,
+    dom_lift,
     identity_delta,
     iter_instance_classes,
     iter_typed_instances,
@@ -41,8 +50,10 @@ from dcl.instances import (
     terminal_graph,
 )
 from dcl.io import load
+from dcl.satisfaction import pullback_delta
 from dcl.signature import (
     Dependency,
+    Lifting,
     Multiplicity,
     Regular,
     Signature,
@@ -52,6 +63,7 @@ from dcl.signature import (
     evaluate,
     jointly_monic_symbol,
     key_symbol,
+    lifting_to_regular,
     multiplicity_symbol,
     parallel_pair_arity,
     single_arrow_arity,
@@ -204,6 +216,20 @@ def criterion_06_goals():
     return [(th, goal) for th in (out_theory, pair_theory) for goal in goals]
 
 
+def assert_as_validated(x) -> None:
+    """x equals what its validating constructor builds from its fields, its maps
+    keyed in sorted order, as GraphMorphism would leave them; and so does each
+    graph, morphism, instance, slice morphism or delta inside it."""
+    if isinstance(x, GraphMorphism):
+        assert list(x.node_map) == sorted(x.node_map)
+        assert list(x.arrow_map) == sorted(x.arrow_map)
+    parts = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    assert type(x)(*parts) == x
+    for part in parts:
+        if isinstance(part, (Graph, GraphMorphism, TypedInstance, SliceMorphism, Delta)):
+            assert_as_validated(part)
+
+
 def report_bytes(report: SoundnessReport) -> str:
     return json.dumps(report.to_json(), sort_keys=True)
 
@@ -240,20 +266,34 @@ class TestInstanceClasses:
         got = [serialize_instance(canonical_restriction(t)) for t in classes]
         assert got == first_seen_classes(schema, max_per_node, max_parallel)
 
+    @settings(deadline=None)
     @given(small_schemas(), st.integers(0, 2), st.integers(0, 2))
     def test_built_as_the_validating_constructor_builds(self, schema, max_per_node, max_parallel):
-        # instances, canonical forms and the canonical apex of a delta are
-        # built trusted, and so is the renaming onto that apex: their maps
-        # must be valid and keyed in sorted order, as GraphMorphism would
-        # leave them
+        # instances, canonical forms, identities, composites, pushouts, lifts
+        # and deltas are built trusted: each must equal what the validating
+        # constructors build, maps keyed in sorted order
         assume(labelled_count(schema, max_per_node, max_parallel) <= 2000)
         for t in iter_instance_classes(schema, max_per_node, max_parallel):
+            i = SliceMorphism.identity(t)
             d = _canonical_delta(identity_delta(t))
-            for m in (t.typing, canonical_restriction(t).typing, d.apex.typing, d.left.map):
-                checked = GraphMorphism(m.dom, m.cod, m.node_map, m.arrow_map)
-                assert checked == m
-                assert list(m.node_map) == list(checked.node_map)
-                assert list(m.arrow_map) == list(checked.arrow_map)
+            built = [
+                t,
+                canonical_restriction(t),
+                d,
+                identity(t.carrier),
+                i.then(i),
+                TypedInstance.empty(t.schema),
+                *slice_pushout(i, i),
+                coproduct_macro(identity_formula(t), identity_formula(t)).conclusion,
+                lifting_to_regular(Lifting(identity(t.carrier), t.typing))[1].formula,
+                delta_of(i, "forward"),
+                delta_of(i, "backward"),
+                compose_delta(d, d),
+                pullback_delta(identity(t.schema), d),
+                dom_lift(t, identity(t.carrier)),
+            ]
+            for x in built:
+                assert_as_validated(x)
 
     def test_numbering_is_the_labelled_instances_numbering(self):
         # ids reach two digits, where "X#10" sorts before "X#2" and link "r#10"

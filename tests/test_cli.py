@@ -700,6 +700,15 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", [[], {}, 7, None])
+    def test_semantics_kind_not_a_string(self, capsys, tmp_path, kind):
+        # read as unknown, as a file kind is, not as an unhashable dict key
+        path = tmp_path / "input.json"
+        semantics = {"kind": kind, "first": "01", "second": "02"}
+        path.write_text(json.dumps(replaced(shipped("span-signature.json"), "semantics", semantics)))
+        assert main(["deps-check", str(path)]) == 3
+        assert f"unknown semantics kind {kind!r}" in capsys.readouterr().err
+
     def test_sketch_morphism_decls_value_not_a_string(self, tmp_path):
         from dcl.sketch import SketchMorphism
 
