@@ -95,8 +95,8 @@ def cmd_translate(args) -> int:
                 name, symbol.arity, regular_to_lifting(symbol.arity, symbol.semantics)
             )
         elif args.to == "regular" and isinstance(symbol.semantics, Lifting):
-            arity, spec = lifting_to_regular(symbol.semantics)
-            symbols[name] = ConstraintSymbol(name, arity, spec)
+            regular = lifting_to_regular(symbol.semantics)
+            symbols[name] = ConstraintSymbol(name, symbol.arity, regular)
         else:
             symbols[name] = symbol
     _print(dumps(Signature(symbols, sig.dependencies)))

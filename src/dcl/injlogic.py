@@ -89,19 +89,17 @@ def semantic_entails(
     wanted = Regular(goal, limit)
     checked = 0
     unknown: Optional[Verdict] = None
-    for model, exceeded in _canonical_classes(base, size_bound, max_parallel):
-        if exceeded is not None:
-            unknown = unknown or Verdict(Status.UNKNOWN, detail=str(exceeded))
-            continue
-        for f in formulas:
-            verdict = f.decide(model)
-            if verdict.status is not Status.VALID:
-                break
-        else:
-            checked += 1
-            verdict = wanted.decide(model)
-            if verdict.status is Status.INVALID:
-                return SemanticResult("refuted", checked, model)
+    for model, verdict in _canonical_classes(base, size_bound, max_parallel):
+        if verdict is None:  # else the class's canonical form spent its bound
+            for f in formulas:
+                verdict = f.decide(model)
+                if verdict.status is not Status.VALID:
+                    break
+            else:
+                checked += 1
+                verdict = wanted.decide(model)
+                if verdict.status is Status.INVALID:
+                    return SemanticResult("refuted", checked, model)
         if unknown is None and verdict.status is Status.UNKNOWN:
             unknown = verdict
     if unknown is not None:

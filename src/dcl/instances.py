@@ -27,6 +27,7 @@ from dcl.graphs import (
     pullback,
     search_morphisms,
 )
+from dcl.verdicts import Verdict
 
 
 @dataclass(frozen=True)
@@ -390,21 +391,29 @@ def from_indexed(ix: IndexedSemantics) -> TypedInstance:
 
 @dataclass(frozen=True)
 class Delta:
-    source: TypedInstance
-    target: TypedInstance
-    apex: TypedInstance
+    """A span source <-left- apex -right-> target of slice morphisms: the legs
+    hold the endpoints, and as slice morphisms they share one schema."""
+
     left: SliceMorphism
     right: SliceMorphism
 
     def __post_init__(self) -> None:
-        if self.source.schema != self.target.schema:
-            raise GraphError("delta endpoints live over different schemas")
-        if self.left.from_ != self.apex or self.left.to != self.source:
-            raise GraphError("delta left leg has wrong endpoints")
-        if self.right.from_ != self.apex or self.right.to != self.target:
-            raise GraphError("delta right leg has wrong endpoints")
+        if self.left.from_ != self.right.from_:
+            raise GraphError("delta legs start at different apexes")
 
     __hash__ = None  # type: ignore[assignment]
+
+    @property
+    def source(self) -> TypedInstance:
+        return self.left.to
+
+    @property
+    def target(self) -> TypedInstance:
+        return self.right.to
+
+    @property
+    def apex(self) -> TypedInstance:
+        return self.left.from_
 
     def to_json(self) -> dict:
         return {
@@ -422,13 +431,12 @@ class Delta:
         apex = TypedInstance.from_json(data["apex"], schema=source.schema)
         left = GraphMorphism.from_json(data["left"], dom=apex.carrier, cod=source.carrier)
         right = GraphMorphism.from_json(data["right"], dom=apex.carrier, cod=target.carrier)
-        legs = (SliceMorphism(apex, source, left), SliceMorphism(apex, target, right))
-        return cls(source, target, apex, *legs)
+        return cls(SliceMorphism(apex, source, left), SliceMorphism(apex, target, right))
 
 
 def identity_delta(t: TypedInstance) -> Delta:
     i = SliceMorphism.identity(t)
-    return _trusted(Delta, source=t, target=t, apex=t, left=i, right=i)
+    return _trusted(Delta, left=i, right=i)
 
 
 def delta_of(f: SliceMorphism, direction: str = "forward") -> Delta:
@@ -436,7 +444,7 @@ def delta_of(f: SliceMorphism, direction: str = "forward") -> Delta:
         raise GraphError(f"unknown delta direction: {direction!r}")
     i = SliceMorphism.identity(f.from_)
     left, right = (i, f) if direction == "forward" else (f, i)
-    return _trusted(Delta, source=left.to, target=right.to, apex=f.from_, left=left, right=right)
+    return _trusted(Delta, left=left, right=right)
 
 
 def _canonical_delta(d: Delta) -> Delta:
@@ -460,7 +468,7 @@ def _canonical_delta(d: Delta) -> Delta:
         _trusted(SliceMorphism, from_=apex, to=leg.to, map=compose(back, leg.map))
         for leg in (d.left, d.right)
     )
-    return _trusted(Delta, source=d.source, target=d.target, apex=apex, left=left, right=right)
+    return _trusted(Delta, left=left, right=right)
 
 
 def compose_delta(d1: Delta, d2: Delta) -> Delta:
@@ -470,8 +478,7 @@ def compose_delta(d1: Delta, d2: Delta) -> Delta:
     apex = TypedInstance(compose(p, d1.apex.typing))
     left = _trusted(SliceMorphism, from_=apex, to=d1.source, map=compose(p, d1.left.map))
     right = _trusted(SliceMorphism, from_=apex, to=d2.target, map=compose(q, d2.right.map))
-    d = _trusted(Delta, source=d1.source, target=d2.target, apex=apex, left=left, right=right)
-    return _canonical_delta(d)
+    return _canonical_delta(_trusted(Delta, left=left, right=right))
 
 
 def deltas_equivalent(d1: Delta, d2: Delta) -> bool:
@@ -584,16 +591,16 @@ def iter_instance_classes(
 
 def _canonical_classes(
     schema: Graph, max_per_node: int, max_parallel: int = 2
-) -> Iterator[tuple[TypedInstance, Optional[BoundExceeded]]]:
+) -> Iterator[tuple[TypedInstance, Optional[Verdict]]]:
     """(canonical instance, None) per class of `iter_instance_classes`, in its
     order, made from the class's numbering; for a class whose canonical form
-    spends its bound, (labelled instance, the error): only then is the labelled
-    instance built."""
+    spends its bound, (labelled instance, an Unknown verdict naming the bound):
+    only then is the labelled instance built."""
     for names, links, labelled in _iter_classes(schema, max_per_node, max_parallel):
         try:
             canonical = _canonical_numbered(names, links, schema)[0]
         except BoundExceeded as exc:
-            yield labelled(), exc
+            yield labelled(), Verdict(detail=str(exc))
         else:
             yield canonical, None
 

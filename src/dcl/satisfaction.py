@@ -29,7 +29,7 @@ from dcl.sketch import (
     close_sketch,
     translate_declaration,
 )
-from dcl.verdicts import Evidence, Status, ValidationReport, Verdict
+from dcl.verdicts import Status, ValidationReport, Verdict
 
 
 def satisfies(t: TypedInstance, d: ConstraintDeclaration, signature: Signature) -> Verdict:
@@ -146,14 +146,7 @@ def reduct_sketch_instance(
         image_id = f.decl_map.get(d.id)
         if image_id is None:
             raise GraphError(f"reduct_sketch_instance: no image for {d.id!r}")
-        source = report.verdict_for(image_id)
-        verdicts.append(
-            Verdict(
-                source.status,
-                Evidence(source.evidence.restricted, source.evidence.witness, d.id),
-                declaration=d.id,
-            )
-        )
+        verdicts.append(Verdict(report.verdict_for(image_id).evidence, declaration=d.id))
     return reduct, ValidationReport(f.from_.name, report.instance, tuple(verdicts))
 
 
@@ -169,11 +162,10 @@ def pullback_delta(f: GraphMorphism, d: Delta) -> Delta:
     """
     if d.source.schema != f.cod:
         raise GraphError("pullback_delta: delta lives over a different schema")
-    source = restrict(d.source, f)
-    target = restrict(d.target, f)
     apex, projection = restrict_with_projection(d.apex, f)
 
-    def induced(leg: SliceMorphism, end: TypedInstance) -> SliceMorphism:
+    def induced(leg: SliceMorphism) -> SliceMorphism:
+        end = restrict(leg.to, f)
         # a pair (x|g) of the apex projects to x and is typed by g
         node_map = {
             pair: pair_id(leg.map.node_map[x], apex.typing.node_map[pair])
@@ -188,6 +180,4 @@ def pullback_delta(f: GraphMorphism, d: Delta) -> Delta:
         )
         return _trusted(SliceMorphism, from_=apex, to=end, map=m)
 
-    left, right = induced(d.left, source), induced(d.right, target)
-    pulled = _trusted(Delta, source=source, target=target, apex=apex, left=left, right=right)
-    return _canonical_delta(pulled)
+    return _canonical_delta(_trusted(Delta, left=induced(d.left), right=induced(d.right)))

@@ -9,7 +9,7 @@ together with the translation between them.
 from __future__ import annotations
 
 import graphlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
@@ -39,6 +39,8 @@ from dcl.instances import (
 from dcl.verdicts import Counterexample, Evidence, Status, Verdict
 
 DEFAULT_SEARCH_LIMIT = 20_000
+# violations, and likewise undecided entries, that a dependency sweep lists per dependency
+SWEEP_WITNESS_LIMIT = 2_000
 
 
 class SignatureError(GraphError):
@@ -120,8 +122,8 @@ class Multiplicity:
             counts[link.src] += 1
         offenders = tuple(sorted(a for a, c in counts.items() if not self.admits(c)))
         if offenders:
-            return Verdict(Status.INVALID, counterexample=Counterexample(t, offenders))
-        return Verdict(Status.VALID, Evidence(t, {"counts": counts}))
+            return Verdict(counterexample=Counterexample(t, offenders))
+        return Verdict(Evidence(t, {"counts": counts}))
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ class Key:
         keys = _distinct_targets(t, class_node, [a.id for a in t.schema.sorted_arrows])
         if isinstance(keys, Verdict):
             return keys
-        return Verdict(Status.VALID, Evidence(t, {"keys": keys}))
+        return Verdict(Evidence(t, {"keys": keys}))
 
 
 @dataclass(frozen=True)
@@ -157,10 +159,8 @@ class Subset:
             else:
                 assignment[link] = match
         if offenders:
-            return Verdict(
-                Status.INVALID, counterexample=Counterexample(t, tuple(offenders))
-            )
-        return Verdict(Status.VALID, Evidence(t, {"inclusion": assignment}))
+            return Verdict(counterexample=Counterexample(t, tuple(offenders)))
+        return Verdict(Evidence(t, {"inclusion": assignment}))
 
 
 @dataclass(frozen=True)
@@ -191,10 +191,8 @@ class CompositeSubset4:
                 else:
                     assignment[f"{l1}.{l2}"] = list(cover)
         if offenders:
-            return Verdict(
-                Status.INVALID, counterexample=Counterexample(t, tuple(offenders))
-            )
-        return Verdict(Status.VALID, Evidence(t, {"covers": assignment}))
+            return Verdict(counterexample=Counterexample(t, tuple(offenders)))
+        return Verdict(Evidence(t, {"covers": assignment}))
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,7 @@ class JointlyMonic:
         pairs = _distinct_targets(t, apex, (self.first, self.second))
         if isinstance(pairs, Verdict):
             return pairs
-        return Verdict(Status.VALID, Evidence(t, pairs))
+        return Verdict(Evidence(t, pairs))
 
 
 @dataclass(frozen=True)
@@ -236,8 +234,8 @@ class Commutativity:
         direct = {(a, c) for _, a, c in spans[self.direct]}
         if composite != direct:
             diff = tuple(sorted(composite ^ direct))
-            return Verdict(Status.INVALID, counterexample=Counterexample(t, diff))
-        return Verdict(Status.VALID, Evidence(t, {"pairs": sorted(map(list, direct))}))
+            return Verdict(counterexample=Counterexample(t, diff))
+        return Verdict(Evidence(t, {"pairs": sorted(map(list, direct))}))
 
 
 @dataclass(frozen=True)
@@ -272,7 +270,7 @@ class Lifting:
         if self.m.cod != self.n.dom:
             raise SignatureError("lifting pair does not compose")
         # a translation of the fields, not a field: equality and JSON ignore it
-        object.__setattr__(self, "_regular", lifting_to_regular(self)[1])
+        object.__setattr__(self, "_regular", lifting_to_regular(self))
 
     def decide(self, t: TypedInstance) -> Verdict:
         """Decided as the regular formula `lifting_to_regular` gives."""
@@ -307,8 +305,8 @@ class Table:
     def decide(self, t: TypedInstance) -> Verdict:
         for entry_id, instance in self.entries:
             if instance == t:
-                return Verdict(Status.VALID, Evidence(t, {"entry": entry_id}))
-        return Verdict(Status.INVALID, counterexample=Counterexample(t, ()))
+                return Verdict(Evidence(t, {"entry": entry_id}))
+        return Verdict(counterexample=Counterexample(t, ()))
 
 
 SemanticsSpec = Union[
@@ -351,7 +349,7 @@ def _distinct_targets(
     for e in node_fibres[node]:
         key = tuple(tuple(sorted(tgt for _, tgt in by_src.get(e, ()))) for by_src in links)
         if key in seen:
-            return Verdict(Status.INVALID, counterexample=Counterexample(t, (seen[key], e)))
+            return Verdict(counterexample=Counterexample(t, (seen[key], e)))
         seen[key] = e
     return {e: [list(v) for v in key] for key, e in seen.items()}
 
@@ -386,15 +384,12 @@ def check_injectivity(t: TypedInstance, spec: Regular) -> Verdict:
             pins = _factorization_pins(formula.map, x)
             y = None if pins is None else next(_run_search(factors, target, pins), None)
             if y is None:
-                return Verdict(
-                    Status.INVALID,
-                    counterexample=Counterexample(t, (x.to_json(inline=False),)),
-                )
+                return Verdict(counterexample=Counterexample(t, (x.to_json(inline=False),)))
             budget.charge()
             table.append({"x": x.to_json(inline=False), "y": y.to_json(inline=False)})
     except BoundExceeded as exc:
-        return Verdict(Status.UNKNOWN, detail=str(exc))
-    return Verdict(Status.VALID, Evidence(t, {"factorizations": table}))
+        return Verdict(detail=str(exc))
+    return Verdict(Evidence(t, {"factorizations": table}))
 
 
 def regular_to_lifting(arity: Graph, spec: Regular) -> Lifting:
@@ -404,13 +399,12 @@ def regular_to_lifting(arity: Graph, spec: Regular) -> Lifting:
     )
 
 
-def lifting_to_regular(spec: Lifting) -> tuple[Graph, Regular]:
+def lifting_to_regular(spec: Lifting) -> Regular:
     """Lifting pair over schema S becomes the formula m viewed in the slice over S."""
-    schema = spec.n.cod
     w_instance = TypedInstance(compose(spec.m, spec.n))
     r_instance = TypedInstance(spec.n)
     formula = _trusted(SliceMorphism, from_=w_instance, to=r_instance, map=spec.m)
-    return schema, Regular(formula=formula, search_limit=spec.search_limit)
+    return Regular(formula=formula, search_limit=spec.search_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +463,7 @@ def evaluate(
     try:
         canonical = canonical_restriction(t, binding)
     except BoundExceeded as exc:
-        return Verdict(Status.UNKNOWN, detail=str(exc))
+        return Verdict(detail=str(exc))
     return symbol.semantics.decide(canonical)
 
 
@@ -543,6 +537,9 @@ class SoundnessReport:
     checked: int
     violations: tuple[SoundnessViolation, ...]  # Invalid restrictions
     undecided: tuple[SoundnessViolation, ...] = ()  # Unknown, on a class or its restriction
+    # dependency -> {"violations": n, "undecided": m} past SWEEP_WITNESS_LIMIT, if any
+    dropped: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
+    stopped: tuple[str, ...] = ()  # source symbols whose sweep ended once settled Invalid
 
     @property
     def ok(self) -> bool:
@@ -569,6 +566,10 @@ class SoundnessReport:
             out["undecided"] = [
                 {**entry(v), "detail": v.verdict.detail, "on": v.on} for v in self.undecided
             ]
+        if self.dropped:  # likewise only past the cap
+            out["dropped"] = self.dropped
+        if self.stopped:
+            out["stopped"] = list(self.stopped)
         return out
 
 
@@ -648,34 +649,44 @@ def verify_dependency_soundness(
     them, and each class runs all of that symbol's dependencies.  A target decides each
     numbered restriction once per call.  An Unknown verdict, on a class or on its
     restriction, is undecided, not a violation; a class whose canonical form spends its
-    bound is Unknown, witnessed as enumerated.  Results are listed dependency by dependency.
+    bound is Unknown, witnessed as enumerated.  Results are listed dependency by dependency,
+    at most SWEEP_WITNESS_LIMIT violations and as many undecided per dependency; the rest
+    are counted.  Once every dependency of a source symbol has dropped a violation, the
+    symbol's result is settled Invalid and its sweep stops.
     """
     checked = 0
-    found = {d.id: ([], []) for d in sig.dependencies}  # (violations, undecided) per dependency
+    found = {d.id: {"violations": [], "undecided": []} for d in sig.dependencies}
+    dropped = {d.id: {"violations": 0, "undecided": 0} for d in sig.dependencies}
+    stopped = []
     decided: dict[tuple, Verdict] = {}  # (target symbol, names, links) -> verdict
     for name in dict.fromkeys(d.source for d in sig.dependencies):
         source, deps = sig.symbols[name], sig.dependencies_of(name)
-        for t, exceeded in _canonical_classes(source.arity, size_bound, max_parallel):
-            if exceeded is not None:
-                source_verdict = Verdict(Status.UNKNOWN, detail=str(exceeded))
-            else:  # already canonical, so decided directly, not through `evaluate`
-                source_verdict = source.semantics.decide(t)
+        for t, unknown in _canonical_classes(source.arity, size_bound, max_parallel):
+            # already canonical, so decided directly, not through `evaluate`
+            source_verdict = unknown or source.semantics.decide(t)
             if source_verdict.status is Status.INVALID:
                 continue
             for dep in deps:
-                violations, undecided = found[dep.id]
-                if not source_verdict.is_valid:
-                    undecided.append(SoundnessViolation(dep.id, t, source_verdict, "class"))
+                verdict, on = source_verdict, "class"
+                if source_verdict.is_valid:
+                    checked += 1
+                    key = (dep.target, *_numbered_restriction(t, dep.arity_map))
+                    if key not in decided:
+                        decided[key] = evaluate(sig.symbols[dep.target], t, dep.arity_map)
+                    verdict = decided[key]
+                    on = "restriction" if verdict.status is Status.UNKNOWN else None
+                if verdict.is_valid:
                     continue
-                checked += 1
-                key = (dep.target, *_numbered_restriction(t, dep.arity_map))
-                if key not in decided:
-                    decided[key] = evaluate(sig.symbols[dep.target], t, dep.arity_map)
-                verdict = decided[key]
-                if verdict.status is Status.UNKNOWN:
-                    undecided.append(SoundnessViolation(dep.id, t, verdict, "restriction"))
-                elif not verdict.is_valid:
-                    violations.append(SoundnessViolation(dep.id, t, verdict))
-    violations = tuple(v for listed, _ in found.values() for v in listed)
-    undecided = tuple(v for _, listed in found.values() for v in listed)
-    return SoundnessReport(checked, violations, undecided)
+                kind = "undecided" if on else "violations"
+                listed = found[dep.id][kind]
+                if len(listed) < SWEEP_WITNESS_LIMIT:
+                    listed.append(SoundnessViolation(dep.id, t, verdict, on))
+                else:
+                    dropped[dep.id][kind] += 1
+            if all(dropped[dep.id]["violations"] for dep in deps):
+                stopped.append(name)
+                break
+    violations = tuple(v for listed in found.values() for v in listed["violations"])
+    undecided = tuple(v for listed in found.values() for v in listed["undecided"])
+    dropped = {d: counts for d, counts in dropped.items() if any(counts.values())}
+    return SoundnessReport(checked, violations, undecided, dropped, tuple(stopped))

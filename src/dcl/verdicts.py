@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from dcl.instances import TypedInstance
+if TYPE_CHECKING:  # instances builds Unknown verdicts, so no import at run time
+    from dcl.instances import TypedInstance
 
 
 class Status(enum.Enum):
@@ -26,14 +27,9 @@ class Evidence:
 
     restricted: TypedInstance
     witness: Any
-    declaration: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "declaration": self.declaration,
-            "restricted": self.restricted.to_json(),
-            "witness": self.witness,
-        }
+        return {"restricted": self.restricted.to_json(), "witness": self.witness}
 
 
 @dataclass(frozen=True)
@@ -50,38 +46,34 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class Verdict:
-    status: Status
+    """Valid with evidence, Invalid with a counterexample, else Unknown: the
+    status is read from the certificate held, so none is reported without one."""
+
     evidence: Optional[Evidence] = None
     counterexample: Optional[Counterexample] = None
     declaration: Optional[str] = None
     detail: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.status is Status.VALID and self.evidence is None:
-            raise ValueError("Valid verdict requires evidence")
-        if self.status is Status.INVALID and self.counterexample is None:
-            raise ValueError("Invalid verdict requires a counterexample")
+    @property
+    def status(self) -> Status:
+        if self.evidence is not None:
+            return Status.VALID
+        return Status.UNKNOWN if self.counterexample is None else Status.INVALID
 
     @property
     def is_valid(self) -> bool:
-        return self.status is Status.VALID
+        return self.evidence is not None
 
     def with_declaration(self, declaration_id: str) -> "Verdict":
-        evidence = self.evidence
-        if evidence is not None:
-            evidence = Evidence(evidence.restricted, evidence.witness, declaration_id)
-        return Verdict(
-            self.status, evidence, self.counterexample, declaration_id, self.detail
-        )
+        return Verdict(self.evidence, self.counterexample, declaration_id, self.detail)
 
     def to_json(self) -> dict:
+        evidence, counterexample = self.evidence, self.counterexample
         return {
             "id": self.declaration,
             "status": self.status.value,
-            "evidence": self.evidence.to_json() if self.evidence else None,
-            "counterexample": (
-                self.counterexample.to_json() if self.counterexample else None
-            ),
+            "evidence": evidence and {**evidence.to_json(), "declaration": self.declaration},
+            "counterexample": counterexample and counterexample.to_json(),
             "detail": self.detail,
         }
 

@@ -232,8 +232,9 @@ def test_criterion_05_regular_lifting_equivalence():
                 symbol.arity,
                 regular_to_lifting(symbol.arity, symbol.semantics),
             )
-            arity, spec = lifting_to_regular(as_lifting.semantics)
-            roundtrip = ConstraintSymbol(symbol.name, arity, spec)
+            roundtrip = ConstraintSymbol(
+                symbol.name, symbol.arity, lifting_to_regular(as_lifting.semantics)
+            )
             for t in iter_typed_instances(single_arrow_arity(), 3, 2):
                 original = evaluate(symbol, t).status
                 assert original is not Status.UNKNOWN
@@ -374,7 +375,7 @@ def test_criterion_09_delta_algebra():
             if not legs:
                 return None
             leg = legs[rng.randrange(len(legs))]
-            return Delta(source, target, source, SliceMorphism.identity(source), leg)
+            return Delta(SliceMorphism.identity(source), leg)
 
         checked = 0
         while checked < 100:

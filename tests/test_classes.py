@@ -285,7 +285,7 @@ class TestInstanceClasses:
                 TypedInstance.empty(t.schema),
                 *slice_pushout(i, i),
                 coproduct_macro(identity_formula(t), identity_formula(t)).conclusion,
-                lifting_to_regular(Lifting(identity(t.carrier), t.typing))[1].formula,
+                lifting_to_regular(Lifting(identity(t.carrier), t.typing)).formula,
                 delta_of(i, "forward"),
                 delta_of(i, "backward"),
                 compose_delta(d, d),

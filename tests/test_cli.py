@@ -20,6 +20,7 @@ import dcl
 import dcl.cli
 import dcl.graphs
 import dcl.io
+import dcl.signature
 from dcl.cli import main
 from dcl.io import FormatError, _indented, dumps, from_json, load, save, to_json
 from dcl.graphs import Graph, GraphMorphism, identity
@@ -559,6 +560,44 @@ class TestDepsCheck:
         assert all(u["on"] == side for u in out["undecided"])
         assert captured.err == f"unknown: {detail}\n"
 
+    def test_witness_cap_ends_size_three(self, capsys):
+        # the whole size-3 report would list millions of violations: the sweep
+        # keeps the cap per leg and stops once both legs have dropped one
+        code = within_seconds(30, lambda: main(["deps-check", SPAN_SIG, "--size", "3"]))
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1 and out["stopped"] == ["[jm]"]
+        assert len(out["violations"]) == 2 * dcl.signature.SWEEP_WITNESS_LIMIT
+        assert set(out["dropped"]) == {"d1", "d2"}
+        assert all(c["violations"] > 0 and c["undecided"] == 0 for c in out["dropped"].values())
+
+    def test_witness_cap_at_size_two(self, capsys, monkeypatch):
+        # both legs reach their 1,495th violation at the last class but one, and
+        # the last is not [jm]-valid: a cap of 1,495 drops nothing, and one of
+        # 1,494 drops one per leg and stops, having checked as many
+        main(["deps-check", SPAN_SIG, "--size", "2"])
+        full = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(dcl.signature, "SWEEP_WITNESS_LIMIT", 1495)
+        main(["deps-check", SPAN_SIG, "--size", "2"])
+        assert json.loads(capsys.readouterr().out) == full
+        monkeypatch.setattr(dcl.signature, "SWEEP_WITNESS_LIMIT", 1494)
+        assert main(["deps-check", SPAN_SIG, "--size", "2"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        by_leg = [[v for v in full["violations"] if v["dependency"] == d] for d in ("d1", "d2")]
+        assert out["violations"] == by_leg[0][:1494] + by_leg[1][:1494]
+        assert out["dropped"] == {d: {"violations": 1, "undecided": 0} for d in ("d1", "d2")}
+        assert out["stopped"] == ["[jm]"] and out["checked"] == full["checked"]
+
+    def test_witness_cap_counts_undecided(self, capsys, monkeypatch):
+        # at size 1 with a canonical-form bound of 2, each leg has 4 violations
+        # and 12 undecided classes, and its 4th violation comes last
+        monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
+        monkeypatch.setattr(dcl.signature, "SWEEP_WITNESS_LIMIT", 3)
+        assert main(["deps-check", SPAN_SIG, "--size", "1"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["violations"]) == len(out["undecided"]) == 6
+        assert out["dropped"] == {d: {"violations": 1, "undecided": 1} for d in ("d1", "d2")}
+        assert out["stopped"] == ["[jm]"]
+
     def test_canonical_form_bound_on_a_class_is_undecided(self, capsys, monkeypatch):
         # a class whose canonical form spends the bound is reported, witnessed
         # as enumerated, not an abort of the whole sweep
@@ -1074,7 +1113,7 @@ def automorphic_delta_files(tmp_path) -> list[str]:
     leg = next(iter_slice_morphisms(apex, target))
     paths = [str(tmp_path / "map.json"), str(tmp_path / "delta.json")]
     save(f, paths[0])
-    save(Delta(apex, target, apex, SliceMorphism.identity(apex), leg), paths[1])
+    save(Delta(SliceMorphism.identity(apex), leg), paths[1])
     return paths
 
 

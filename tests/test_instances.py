@@ -203,7 +203,7 @@ class TestDeltas:
         legs_to_tgt = list(iter_slice_morphisms(apex, tgt))
         if not legs_to_tgt:
             return None
-        return Delta(src, tgt, apex, SliceMorphism.identity(apex), legs_to_tgt[0])
+        return Delta(SliceMorphism.identity(apex), legs_to_tgt[0])
 
     def test_identity_units(self):
         rng = random.Random(14)
@@ -233,14 +233,14 @@ class TestDeltas:
                 legs = list(iter_slice_morphisms(apex, tgt))
                 if not legs:
                     continue
-                d2 = Delta(apex, tgt, apex, SliceMorphism.identity(apex), legs[0])
+                d2 = Delta(SliceMorphism.identity(apex), legs[0])
             d3 = self._random_delta(rng, s, target=None)
             apex = d2.target
             tgt = random_typed_instance(rng, s, 2, 3)
             legs = list(iter_slice_morphisms(apex, tgt))
             if not legs:
                 continue
-            d3 = Delta(apex, tgt, apex, SliceMorphism.identity(apex), legs[0])
+            d3 = Delta(SliceMorphism.identity(apex), legs[0])
             left = compose_delta(compose_delta(d1, d2), d3)
             right = compose_delta(d1, compose_delta(d2, d3))
             assert deltas_equivalent(left, right)
@@ -259,6 +259,20 @@ class TestDeltas:
         t = small_instance()
         d = identity_delta(t)
         assert deltas_equivalent(Delta.from_json(d.to_json()), d)
+
+    def test_endpoints_are_read_from_the_legs(self):
+        t = small_instance()
+        single = TypedInstance.build(schema(), Graph.build(["a"]), {"a": "A"}, {})
+        f = next(iter_slice_morphisms(single, t))
+        d = Delta(SliceMorphism.identity(single), f)
+        assert (d.apex, d.source, d.target) == (single, single, t)
+
+    def test_legs_from_different_apexes_refused(self):
+        t = small_instance()
+        single = TypedInstance.build(schema(), Graph.build(["a"]), {"a": "A"}, {})
+        f = next(iter_slice_morphisms(single, t))
+        with pytest.raises(GraphError, match="different apexes"):
+            Delta(SliceMorphism.identity(t), f)
 
 
 class TestLifts:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -46,7 +47,7 @@ from dcl.sketch import (
     close_sketch,
     translate_declaration,
 )
-from dcl.verdicts import Status
+from dcl.verdicts import Counterexample, Status, Verdict
 
 
 class TestSatisfies:
@@ -56,7 +57,18 @@ class TestSatisfies:
         for d in sketch.declarations:
             v = satisfies(t, d, sketch.signature)
             assert v.is_valid, d.id
-            assert v.evidence.declaration == d.id
+            assert v.declaration == d.id
+
+    def test_status_is_read_from_the_certificate(self):
+        sketch = vehicle_registry_sketch()
+        d = sketch.declarations[0]
+        v = satisfies(vehicle_registry_instance(), d, sketch.signature)
+        out = v.to_json()
+        assert out["status"] == "valid" and out["id"] == out["evidence"]["declaration"] == d.id
+        invalid = Verdict(counterexample=Counterexample(v.evidence.restricted, ()))
+        assert invalid.status is Status.INVALID and Verdict().status is Status.UNKNOWN
+        names = [f.name for f in dataclasses.fields(Verdict)]
+        assert names == ["evidence", "counterexample", "declaration", "detail"]
 
     def test_schema_mismatch(self):
         sketch = vehicle_registry_sketch()
@@ -364,12 +376,12 @@ class TestPullbackDelta:
             legs1 = list(iter_slice_morphisms(apex1, mid))
             if not legs1:
                 continue
-            d1 = Delta(apex1, mid, apex1, SliceMorphism.identity(apex1), legs1[0])
+            d1 = Delta(SliceMorphism.identity(apex1), legs1[0])
             tgt = random_typed_instance(rng, g2, 2, 2)
             legs2 = list(iter_slice_morphisms(mid, tgt))
             if not legs2:
                 continue
-            d2 = Delta(mid, tgt, mid, SliceMorphism.identity(mid), legs2[0])
+            d2 = Delta(SliceMorphism.identity(mid), legs2[0])
             left = pullback_delta(f, compose_delta(d1, d2))
             right = compose_delta(pullback_delta(f, d1), pullback_delta(f, d2))
             assert deltas_equivalent(left, right)

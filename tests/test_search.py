@@ -465,13 +465,7 @@ def delta_pairs(draw):
     target = draw(st.one_of(st.just(source), typed_instances(max_arrows=3)))
     rights = first_maps(apex, target)
     assume(rights)
-    d1 = Delta(
-        source,
-        target,
-        apex,
-        draw(st.sampled_from(first_maps(apex, source))),
-        draw(st.sampled_from(rights)),
-    )
+    d1 = Delta(draw(st.sampled_from(first_maps(apex, source))), draw(st.sampled_from(rights)))
     copy, _, back = draw(relabelled(apex))
     legs = [
         SliceMorphism(copy, leg.to, compose(back, leg.map))
@@ -479,7 +473,7 @@ def delta_pairs(draw):
         else draw(st.sampled_from(first_maps(copy, leg.to)))
         for leg in (d1.left, d1.right)
     ]
-    return d1, Delta(source, target, copy, *legs)
+    return d1, Delta(*legs)
 
 
 def bare_nodes(*nodes: str) -> TypedInstance:
@@ -523,7 +517,7 @@ class TestIsomorphismKeysMatchSearch:
         def delta(sizes):
             owner = [f"b{j}" for j, k in enumerate(sizes) for _ in range(k)]
             left = onto(apex, source, dict(zip(apex.carrier.sorted_nodes, owner)))
-            return Delta(source, target, apex, left, right)
+            return Delta(left, right)
 
         pairs = delta([2, 2, 2, 2, 2])
         assert not within_seconds(10, lambda: deltas_equivalent(pairs, delta([3, 1, 2, 2, 2])))

@@ -316,7 +316,7 @@ class TestLiftingCheck:
     def test_roundtrip_preserves_verdicts(self):
         reg = Regular(existence_formula())
         lif = regular_to_lifting(single_arrow_arity(), reg)
-        _, back = lifting_to_regular(lif)
+        back = lifting_to_regular(lif)
         for t in iter_typed_instances(single_arrow_arity(), 2, 2):
             assert check_injectivity(t, reg).status == check_injectivity(t, back).status
 
@@ -438,7 +438,7 @@ class FibreSpy:
 
     def decide(self, t):
         self.seen.append((t, t.fibres))
-        return Verdict(Status.UNKNOWN, detail="recorded")
+        return Verdict(detail="recorded")
 
 
 @st.composite

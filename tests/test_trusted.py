@@ -98,7 +98,7 @@ class TestNoRevalidation:
         g = Graph.build(["a"], [("e", "a", "a")])
         t = as_slice(g)
         i = SliceMorphism(t, t, GraphMorphism(g, g, {"a": "a"}, {"e": "e"}))
-        Delta(t, t, t, i, i)
+        Delta(i, i)
         assert set(validations) == {"Graph", "GraphMorphism", "SliceMorphism", "Delta"}
         with pytest.raises(GraphError, match="maps outside the codomain"):
             GraphMorphism(g, g, {"a": "b"}, {"e": "e"})
