@@ -15,7 +15,7 @@ from dcl.graphs import Graph, GraphMorphism
 from dcl.injlogic import InjTheory
 from dcl.instances import SliceMorphism, TypedInstance
 from dcl.io import load
-from dcl.signature import ConstraintSymbol, Regular, single_arrow_arity
+from dcl.signature import ConstraintSymbol, Regular, Signature, single_arrow_arity
 from dcl.sketch import Sketch
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -63,7 +63,7 @@ def mutation_unlicensed_drive() -> TypedInstance:
 
 
 # ---------------------------------------------------------------------------
-# Formula constraints over the single-arrow arity
+# Constraint symbols: formulas over the single-arrow arity, and [jm] on a span
 
 
 def existence_formula() -> SliceMorphism:
@@ -110,6 +110,11 @@ def existence_symbol() -> ConstraintSymbol:
 
 def uniqueness_symbol() -> ConstraintSymbol:
     return ConstraintSymbol("[unique]", single_arrow_arity(), Regular(uniqueness_formula()))
+
+
+def span_signature() -> Signature:
+    """[jm] on a span, with its two dependencies onto [1], one per span leg."""
+    return load(DATA / "span-signature.json")
 
 
 # ---------------------------------------------------------------------------

@@ -482,53 +482,39 @@ def pushout(
 
     Returns (P, into_left: cod(f) -> P, into_right: cod(g) -> P): the
     quotient of the disjoint union of cod(f) and cod(g) by the equivalence
-    generated by f(c) ~ g(c), on nodes and arrows separately.  A class is
-    named by its members, tagged "L:" or "R:" by side, sorted and joined
-    by "~".
+    generated by f(c) ~ g(c), in one union-find over nodes and arrows: no
+    node shares an id with an arrow, and the span glues nodes to nodes and
+    arrows to arrows.  A class is named by its members, tagged "L:" or "R:"
+    by side, sorted and joined by "~".
     """
     if f.dom != g.dom:
         raise GraphError("pushout requires a span: domains differ")
-    node_parent: dict[str, str] = {}  # union-find parents of tagged ids
-    arrow_parent: dict[str, str] = {}
-    ends: dict[str, tuple[str, str]] = {}
+    parent: dict[str, str] = {}  # union-find parents of tagged ids
+    ends: dict[str, tuple[str, str]] = {}  # tagged arrow -> its tagged ends
     for side, graph in (("L", f.cod), ("R", g.cod)):
-        for n in graph.nodes:
-            tagged = _side_tag(side, n)
-            node_parent[tagged] = tagged
+        for x in itertools.chain(graph.nodes, graph.arrow_by_id):
+            tagged = _side_tag(side, x)
+            parent[tagged] = tagged
         for a in graph.arrows:
-            tagged = _side_tag(side, a.id)
-            arrow_parent[tagged] = tagged
-            ends[tagged] = (_side_tag(side, a.src), _side_tag(side, a.tgt))
-    for c in f.dom.nodes:
-        _union(node_parent, _side_tag("L", f.node_map[c]), _side_tag("R", g.node_map[c]))
-    for c in f.dom.arrow_by_id:
-        _union(arrow_parent, _side_tag("L", f.arrow_map[c]), _side_tag("R", g.arrow_map[c]))
+            ends[_side_tag(side, a.id)] = (_side_tag(side, a.src), _side_tag(side, a.tgt))
+    for f_map, g_map in ((f.node_map, g.node_map), (f.arrow_map, g.arrow_map)):
+        for c, x in f_map.items():
+            _union(parent, _side_tag("L", x), _side_tag("R", g_map[c]))
+    members: dict[str, list[str]] = {}  # each root, the least member of its class
+    for x in parent:
+        members.setdefault(_find(parent, x), []).append(x)
+    class_id = {root: "~".join(sorted(ms)) for root, ms in members.items()}
 
-    def class_ids(parent: dict[str, str]) -> dict[str, str]:
-        """Each root, the least member of its class, to the class id."""
-        members: dict[str, list[str]] = {}
-        for x in parent:
-            members.setdefault(_find(parent, x), []).append(x)
-        return {root: "~".join(sorted(ms)) for root, ms in members.items()}
+    def cls(tagged: str) -> str:
+        return class_id[_find(parent, tagged)]
 
-    node_id = class_ids(node_parent)
-    arrow_id = class_ids(arrow_parent)
-
-    def node_class(tagged: str) -> str:
-        return node_id[_find(node_parent, tagged)]
-
-    def arrow_class(tagged: str) -> str:
-        return arrow_id[_find(arrow_parent, tagged)]
-
-    arrows = [
-        Arrow(arrow_id[root], node_class(ends[root][0]), node_class(ends[root][1]))
-        for root in arrow_id
-    ]
-    p_graph = _trusted(Graph, nodes=frozenset(node_id.values()), arrows=frozenset(arrows))
+    nodes = [i for root, i in class_id.items() if root not in ends]
+    arrows = [Arrow(i, cls(ends[r][0]), cls(ends[r][1])) for r, i in class_id.items() if r in ends]
+    p_graph = _trusted(Graph, nodes=frozenset(nodes), arrows=frozenset(arrows))
 
     def into(side: str, dom: Graph) -> GraphMorphism:
-        node_map = {n: node_class(_side_tag(side, n)) for n in dom.sorted_nodes}
-        arrow_map = {a.id: arrow_class(_side_tag(side, a.id)) for a in dom.sorted_arrows}
+        node_map = {n: cls(_side_tag(side, n)) for n in dom.sorted_nodes}
+        arrow_map = {a.id: cls(_side_tag(side, a.id)) for a in dom.sorted_arrows}
         return _trusted(GraphMorphism, dom=dom, cod=p_graph, node_map=node_map, arrow_map=arrow_map)
 
     return p_graph, into("L", f.cod), into("R", g.cod)

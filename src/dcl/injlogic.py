@@ -29,13 +29,14 @@ from dcl.instances import (
     _canonical_classes,
     _diagram_key,
     _trusted_instance,
-    canonical_restriction,
     iter_factorizations,
     iter_slice_morphisms,
-    serialize_instance,
 )
 from dcl.signature import DEFAULT_SEARCH_LIMIT, Regular
 from dcl.verdicts import Status, Verdict
+
+# units one `bounded_entailment` call may spend: formulas considered, maps and factorizations
+PROOF_SEARCH_LIMIT = 4_000
 
 
 @dataclass(frozen=True)
@@ -268,9 +269,8 @@ class EntailmentResult:
 def _formula_key(f: SliceMorphism) -> tuple:
     """The diagram key of f: S -> Q, equal for two formulas over one base
     exactly when they are isomorphic.  S, Q and f are canonicalized as one
-    graph: an earlier key took the map between canonical forms of S and Q
-    found apart, and was not invariant, as their relabelings can differ by
-    an automorphism."""
+    graph, as canonical forms of S and Q found apart can differ by an
+    automorphism."""
     return _diagram_key([(f.from_, False), (f.to, False)], [(0, 1, f.map)])
 
 
@@ -323,15 +323,14 @@ def bounded_entailment(
     goal: SliceMorphism,
     max_depth: int = 3,
     size_bound: int = 6,
-    budget: int = 4_000,
 ) -> EntailmentResult:
     """Breadth-first proof search; returns Derivable with a verified proof,
     or Unknown with a detail naming the bound that ended the search: its own
     budget, its depth, or the canonical form of a formula or object.  Never
     claims refutation: Pushout generates unboundedly many consequences, so
-    exhausting the bound proves nothing negative.  `budget` counts admitted
-    formulas and the work of each step (see `_one_step`); what is found
-    within it is still admitted, then the search stops.
+    exhausting the bound proves nothing negative.  PROOF_SEARCH_LIMIT counts
+    admitted formulas and the work of each step (see `_one_step`); what is
+    found within it is still admitted, then the search stops.
     """
     if goal.from_.schema != theory.base:
         raise GraphError("goal lives over a different base")
@@ -344,12 +343,12 @@ def bounded_entailment(
     derived: list[Derivation] = []
     conclusions: set[tuple] = set()  # formula keys
     frontier: list[Derivation] = []
-    work = Budget("proof-search", budget)
-    objects: dict[bytes, TypedInstance] = {}  # by canonical bytes, first come
+    work = Budget("proof-search", PROOF_SEARCH_LIMIT)
+    objects: dict[tuple, TypedInstance] = {}  # by diagram key, first come
 
     def admit_objects(ts: Iterable[TypedInstance]) -> None:
         for t in ts:
-            objects.setdefault(serialize_instance(canonical_restriction(t)), t)
+            objects.setdefault(_diagram_key([(t, False)], []), t)
 
     def proof_among(candidates: Iterable[Derivation]) -> Optional[Derivation]:
         """Admit the candidates in order; the first admitted one that

@@ -11,7 +11,7 @@ import json
 import pathlib
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping, Union
+from typing import Any, Callable, Mapping, Union
 
 from dcl.graphs import Graph, GraphError, GraphMorphism
 from dcl.injlogic import InjTheory
@@ -160,6 +160,9 @@ def signature_from_json(data: Mapping) -> Signature:
     dependencies = []
     for d in _expect(data.get("dependencies", []), list, "dependencies"):
         src, tgt = d["from"], d["to"]
+        for name in (src, tgt):
+            if name not in symbols:
+                raise FormatError(f"dependency {d['id']!r} names unknown symbol {name!r}")
         dependencies.append(
             Dependency(
                 _expect(d["id"], str, "dependency id"),
@@ -228,49 +231,50 @@ def sketch_morphism_from_json(data: Mapping) -> SketchMorphism:
     return SketchMorphism(from_, to, graph_map, decls)
 
 
+def _ambient_to_json(base: Graph) -> tuple[dict, Callable[[SliceMorphism], dict]]:
+    """The ambient of formulas over `base` and their writer: plain graphs, the
+    slice over the terminal graph, hold graph morphisms; the slice over any
+    other base holds slice morphisms."""
+    if base == terminal_graph():
+        return {"kind": "graph"}, lambda f: f.map.to_json()
+    return {"kind": "slice", "over": base.to_json()}, SliceMorphism.to_json
+
+
+def _ambient_from_json(ambient: Any) -> tuple[Callable[[], Graph], Callable[[Any], SliceMorphism]]:
+    """The reader of the base of `ambient`, as `_ambient_to_json` writes it,
+    and the reader of its formulas."""
+    kind = _expect(ambient, dict, "ambient").get("kind")
+    if kind == "graph":
+        return terminal_graph, lambda m: as_slice_morphism(GraphMorphism.from_json(m))
+    if kind == "slice":
+        return lambda: Graph.from_json(ambient["over"]), SliceMorphism.from_json
+    raise FormatError(f"unknown ambient kind {kind!r}")
+
+
 def theory_to_json(theory: InjTheory) -> dict:
-    plain = theory.base == terminal_graph()
-    formulas = {}
-    for name, f in theory.formulas.items():
-        if plain:
-            formulas[name] = f.map.to_json()
-        else:
-            formulas[name] = f.to_json()
-    return {
-        "kind": "theory",
-        "ambient": {"kind": "graph"} if plain else {"kind": "slice", "over": theory.base.to_json()},
-        "formulas": formulas,
-    }
+    ambient, write = _ambient_to_json(theory.base)
+    formulas = {name: write(f) for name, f in theory.formulas.items()}
+    return {"kind": "theory", "ambient": ambient, "formulas": formulas}
 
 
 def theory_from_json(data: Mapping) -> InjTheory:
-    ambient = data["ambient"]
-    if ambient["kind"] == "graph":
-        base = terminal_graph()
-        formulas = {
-            name: as_slice_morphism(GraphMorphism.from_json(m))
-            for name, m in data["formulas"].items()
-        }
-    elif ambient["kind"] == "slice":
-        base = Graph.from_json(ambient["over"])
-        formulas = {
-            name: SliceMorphism.from_json(m) for name, m in data["formulas"].items()
-        }
-    else:
-        raise FormatError(f"unknown ambient kind {ambient.get('kind')!r}")
-    return InjTheory(base, formulas)
+    base, read = _ambient_from_json(data["ambient"])
+    formulas = _expect(data["formulas"], dict, "formulas")
+    return InjTheory(base(), {name: read(m) for name, m in formulas.items()})
 
 
 def formula_to_json(f: SliceMorphism) -> dict:
-    if f.from_.schema == terminal_graph():
-        return {"kind": "formula", "ambient": {"kind": "graph"}, "map": f.map.to_json()}
-    return {"kind": "formula", "ambient": {"kind": "slice"}, **f.to_json()}
+    """A formula file names the kind of its ambient, not its base: a slice
+    formula's objects carry their base; a plain formula's map sits under "map"."""
+    ambient, write = _ambient_to_json(f.from_.schema)
+    kind, body = ambient["kind"], write(f)
+    body = {"map": body} if kind == "graph" else body
+    return {"kind": "formula", "ambient": {"kind": kind}, **body}
 
 
 def formula_from_json(data: Mapping) -> SliceMorphism:
-    if data.get("ambient", {}).get("kind") == "graph":
-        return as_slice_morphism(GraphMorphism.from_json(data["map"]))
-    return SliceMorphism.from_json(data)
+    _, read = _ambient_from_json(data["ambient"])
+    return read(data["map"] if data["ambient"]["kind"] == "graph" else data)
 
 
 # ---------------------------------------------------------------------------

@@ -620,26 +620,6 @@ def commutativity_symbol(name: str = "[comm]") -> ConstraintSymbol:
     return ConstraintSymbol(name, triangle_arity(), Commutativity())
 
 
-def jointly_monic_signature() -> Signature:
-    """[jm] with its two dependencies onto [1], one per span leg."""
-    jm = jointly_monic_symbol()
-    one = multiplicity_symbol([(1, 1)])
-    arity = single_arrow_arity()
-    d1 = Dependency(
-        "d1",
-        jm.name,
-        one.name,
-        GraphMorphism(arity, jm.arity, {"A": "0", "B": "1"}, {"r": "01"}),
-    )
-    d2 = Dependency(
-        "d2",
-        jm.name,
-        one.name,
-        GraphMorphism(arity, jm.arity, {"A": "0", "B": "2"}, {"r": "02"}),
-    )
-    return Signature({jm.name: jm, one.name: one}, (d1, d2))
-
-
 def verify_dependency_soundness(
     sig: Signature, size_bound: int, max_parallel: int = 2
 ) -> SoundnessReport:

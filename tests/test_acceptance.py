@@ -25,7 +25,7 @@ from dcl.injlogic import (
     semantic_entails,
     verify_derivation,
 )
-from dcl.fixtures import edge_pair_theory, outgoing_edge_theory
+from dcl.fixtures import edge_pair_theory, outgoing_edge_theory, span_signature
 from dcl.instances import (
     Delta,
     SliceMorphism,
@@ -61,7 +61,6 @@ from dcl.signature import (
     ConstraintSymbol,
     Signature,
     evaluate,
-    jointly_monic_signature,
     lifting_to_regular,
     multiplicity_symbol,
     parallel_pair_arity,
@@ -299,7 +298,7 @@ def test_criterion_06_injectivity_logic_soundness():
 
 def test_criterion_07_dependency_closure():
     with criterion(7, "jm closure adds leg constraints and changes the verdict"):
-        sig = jointly_monic_signature()
+        sig = span_signature()
         carrier = Graph.build(["L", "V", "T"], [("f", "L", "V"), ("g", "L", "T")])
         binding = GraphMorphism(
             sig.symbols["[jm]"].arity,

@@ -258,6 +258,7 @@ def span_key_signature() -> Signature:
 
 
 class TestInstanceClasses:
+    @settings(deadline=None)
     @given(small_schemas(), st.integers(0, 2), st.integers(0, 2))
     def test_equals_first_seen_dedup(self, schema, max_per_node, max_parallel):
         # the labelled reference canonicalizes every instance, so keep it small
@@ -308,6 +309,7 @@ class TestInstanceClasses:
                 wide += len(names) > 10 or len(links) > 10
             assert wide > 0
 
+    @settings(deadline=None)
     @given(small_schemas(), st.integers(0, 2), st.integers(0, 2))
     def test_numbering_on_small_schemas(self, schema, max_per_node, max_parallel):
         assume(labelled_count(schema, max_per_node, max_parallel) <= 2000)

@@ -488,10 +488,10 @@ class TestCanonClose:
 
     def test_close_adds_consequences(self, capsys, tmp_path):
         from dcl.graphs import GraphMorphism
-        from dcl.signature import jointly_monic_signature
+        from dcl.fixtures import span_signature
         from dcl.sketch import ConstraintDeclaration, Sketch
 
-        sig = jointly_monic_signature()
+        sig = span_signature()
         carrier = Graph.build(["L", "V", "T"], [("a", "L", "V"), ("b", "L", "T")])
         binding = GraphMorphism(
             sig.symbols["[jm]"].arity,
@@ -738,6 +738,35 @@ class TestMalformedInput:
         assert main([str(path) if arg == PAYLOAD else arg for arg in command]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command,payload,message",
+        [
+            (
+                TO_LIFTING,
+                set_at(shipped("span-signature.json"), ("dependencies", 1, "to"), "nosuch"),
+                "dependency 'd2' names unknown symbol 'nosuch'",
+            ),
+            (
+                ["infer", PAYLOAD, GOAL],
+                set_at(shipped("out-edge-theory.json"), ("formulas",), []),
+                "formulas: expected a dict, got list",
+            ),
+            (
+                ["infer", PAYLOAD, GOAL],
+                set_at(shipped("out-edge-theory.json"), ("ambient",), "graph"),
+                "ambient: expected a dict, got str",
+            ),
+        ],
+        ids=["unknown-symbol", "formulas-list", "ambient-string"],
+    )
+    def test_exit_three_names_what_is_wrong(self, capsys, tmp_path, command, payload, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        if PAYLOAD not in command:
+            command = command + [PAYLOAD]
+        assert main([str(path) if arg == PAYLOAD else arg for arg in command]) == 3
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("kind", [[], {}, 7, None])
     def test_semantics_kind_not_a_string(self, capsys, tmp_path, kind):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcl.graphs
+from dcl.fixtures import span_signature
 from dcl.graphs import (
     BoundExceeded,
     Budget,
@@ -50,7 +51,6 @@ from dcl.signature import (
     Signature,
     Table,
     evaluate,
-    jointly_monic_signature,
     verify_dependency_soundness,
 )
 from dcl.verdicts import Status
@@ -214,8 +214,10 @@ def spans(draw):
     return GraphMorphism(c, left, maps[0], maps[2]), GraphMorphism(c, right, maps[1], maps[3])
 
 
-def count_classes(elements: list, glue: list) -> int:
-    """Number of classes of the equivalence on `elements` generated by `glue`."""
+def class_ids(elements: list, glue: list) -> dict:
+    """Each (side, id) of `elements` to the id of its class under the
+    equivalence generated by `glue`: the members, tagged "L:" or "R:" with
+    backslash and "~" escaped, sorted and joined by "~"."""
     parent = {x: x for x in elements}
 
     def root(x):
@@ -225,7 +227,11 @@ def count_classes(elements: list, glue: list) -> int:
 
     for x, y in glue:
         parent[root(x)] = root(y)
-    return len({root(x) for x in elements})
+    members: dict = {}
+    for side, raw in elements:
+        escaped = raw.replace("\\", "\\\\").replace("~", "\\~")
+        members.setdefault(root((side, raw)), []).append(f"{side}:{escaped}")
+    return {x: "~".join(sorted(members[root(x)])) for x in elements}
 
 
 class TestPullback:
@@ -359,10 +365,19 @@ class TestPushout:
         assert compose(f, into_left) == compose(g, into_right)
         nodes = [("L", n) for n in f.cod.nodes] + [("R", n) for n in g.cod.nodes]
         glue = [(("L", f.node_map[c]), ("R", g.node_map[c])) for c in f.dom.nodes]
-        assert len(p_graph.nodes) == count_classes(nodes, glue)
+        node_ids = class_ids(nodes, glue)
+        assert p_graph.nodes == set(node_ids.values())
         arrows = [("L", a) for a in f.cod.arrow_by_id] + [("R", a) for a in g.cod.arrow_by_id]
         glue = [(("L", f.arrow_map[c]), ("R", g.arrow_map[c])) for c in f.dom.arrow_by_id]
-        assert len(p_graph.arrows) == count_classes(arrows, glue)
+        arrow_ids = class_ids(arrows, glue)
+        assert set(p_graph.arrow_by_id) == set(arrow_ids.values())
+        assert p_graph.nodes.isdisjoint(p_graph.arrow_by_id)
+        for side, into in (("L", into_left), ("R", into_right)):
+            assert all(node_ids[side, n] == m for n, m in into.node_map.items())
+            assert all(arrow_ids[side, a] == m for a, m in into.arrow_map.items())
+            for a in into.dom.arrows:
+                image = p_graph.arrow_by_id[arrow_ids[side, a.id]]
+                assert (image.src, image.tgt) == (node_ids[side, a.src], node_ids[side, a.tgt])
 
     def test_pushout_over_empty_is_disjoint_union(self):
         empty = Graph.empty()
@@ -750,7 +765,7 @@ def moved_bytes(instances, iso=None) -> list[bytes]:
 
 
 def renamed_jm_signature(ids: list[str]) -> tuple[Signature, GraphMorphism]:
-    """`jointly_monic_signature` with arity ids `ids` in place of 0, 1, 2, 01,
+    """`span_signature` with arity ids `ids` in place of 0, 1, 2, 01,
     02, and the iso from its span arity onto the plain one."""
     n0, n1, n2, e01, e02 = ids
     span = Graph.build([n0, n1, n2], [(e01, n0, n1), (e02, n0, n2)])
@@ -761,7 +776,7 @@ def renamed_jm_signature(ids: list[str]) -> tuple[Signature, GraphMorphism]:
         Dependency("d1", "[jm]", "[1]", GraphMorphism(leg, span, {n0: n0, n1: n1}, {e01: e01})),
         Dependency("d2", "[jm]", "[1]", GraphMorphism(leg, span, {n0: n0, n1: n2}, {e01: e02})),
     )
-    plain = jointly_monic_signature().symbols["[jm]"].arity
+    plain = span_signature().symbols["[jm]"].arity
     iso = GraphMorphism(
         span, plain, {n0: "0", n1: "1", n2: "2"}, {e01: "01", e02: "02"}
     )
@@ -880,7 +895,7 @@ class TestEnumerationOverAdversarialIds:
     def test_dependency_sweep_matches_plain_ids(self, ids):
         sig, iso = renamed_jm_signature(ids)
         odd = verify_dependency_soundness(sig, 1)
-        plain = verify_dependency_soundness(jointly_monic_signature(), 1)
+        plain = verify_dependency_soundness(span_signature(), 1)
         assert odd.checked == plain.checked > 0
 
         def violations(report, iso=None):

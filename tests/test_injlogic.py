@@ -258,15 +258,50 @@ ENTAILMENT_GRID = [
 ]
 
 
+def criterion_06_goal(name: str):
+    """The goals of acceptance criterion 06: each axiom of each theory, the
+    coproduct of out-edge with itself, and the edge-pair composite."""
+    out, pair = outgoing_edge_theory(), edge_pair_theory()
+    return {
+        "out-edge": (out, out.formulas["out-edge"]),
+        "pair out-edge": (pair, pair.formulas["out-edge"]),
+        "close-cycle": (pair, pair.formulas["close-cycle"]),
+        "coproduct": (
+            out, coproduct_macro(axiom(out, "out-edge"), axiom(out, "out-edge")).conclusion
+        ),
+        "edge-pair composite": entailment_case("edge-pair composite"),
+    }[name]
+
+
+# sha256 of the proof's sorted JSON at depth 4, as the search gave when it
+# keyed objects by their canonical bytes
+CRITERION_06_PROOFS = [
+    ("out-edge", "470258900a05fe3ca6ddee5048328c60351f36a5466e1b9d73c26e916890f65d"),
+    ("pair out-edge", "470258900a05fe3ca6ddee5048328c60351f36a5466e1b9d73c26e916890f65d"),
+    ("close-cycle", "4979fd87e2ec6649b28fab34f94f70bdcb6fca6b2da93af43ac94d5272249ea2"),
+    ("coproduct", "bee016ab07e15e009645cad7df030d385545a7494ad443473c44160380d07e26"),
+    ("edge-pair composite", "1adb7c0e3039a35fd88695a3e048d462be0989963fe5754f0c6c50b95bfe1942"),
+]
+
+
 class TestBoundedEntailment:
+    @pytest.mark.parametrize(
+        "name,digest", CRITERION_06_PROOFS, ids=[case[0] for case in CRITERION_06_PROOFS]
+    )
+    def test_criterion_06_proofs_pinned(self, name, digest):
+        res = bounded_entailment(*criterion_06_goal(name), max_depth=4)
+        proof = json.dumps(res.derivation.to_json(), sort_keys=True)
+        assert hashlib.sha256(proof.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "name,status,digest", ENTAILMENT_GRID, ids=[case[0] for case in ENTAILMENT_GRID]
     )
-    def test_stops_at_first_overrun_with_same_result(self, name, status, digest):
+    def test_stops_at_first_overrun_with_same_result(self, name, status, digest, monkeypatch):
         theory, goal = entailment_case(name)
         for depth in (1, 2, 3):
             for budget in (20, 50, 200, 1000):
-                res = bounded_entailment(theory, goal, max_depth=depth, budget=budget)
+                monkeypatch.setattr(injlogic, "PROOF_SEARCH_LIMIT", budget)
+                res = bounded_entailment(theory, goal, max_depth=depth)
                 assert res.status == status, (depth, budget)
                 if digest is not None:
                     proof = json.dumps(res.derivation.to_json(), sort_keys=True)
@@ -295,15 +330,17 @@ class TestBoundedEntailment:
         assert len(kept) == 9
         assert len(enumerated) + len(kept) < 138
 
-    def test_unknown_names_the_depth_bound(self):
+    def test_unknown_names_the_depth_bound(self, monkeypatch):
         theory, goal = entailment_case("loop, out-edge")
-        res = bounded_entailment(theory, goal, max_depth=1, budget=4000)
+        monkeypatch.setattr(injlogic, "PROOF_SEARCH_LIMIT", 4000)
+        res = bounded_entailment(theory, goal, max_depth=1)
         assert res.status == "unknown"
         assert res.detail == "depth bound 1 reached: spent 73 of 4000 units"
 
-    def test_unknown_names_the_budget(self):
+    def test_unknown_names_the_budget(self, monkeypatch):
         theory, goal = entailment_case("loop, out-edge")
-        res = bounded_entailment(theory, goal, max_depth=4, budget=200)
+        monkeypatch.setattr(injlogic, "PROOF_SEARCH_LIMIT", 200)
+        res = bounded_entailment(theory, goal, max_depth=4)
         assert res.status == "unknown"
         assert res.detail == "proof-search bound exceeded: spent 341 of 200 units"
 
@@ -371,7 +408,7 @@ class TestBoundedEntailment:
         assert res.derivable
         verify_derivation(res.derivation, th)
 
-    def test_unreachable_goal_unknown(self):
+    def test_unreachable_goal_unknown(self, monkeypatch):
         th = outgoing_edge_theory()
         # a three-way parallel expansion that no bounded script produces
         s = Graph.build(["A"])
@@ -380,7 +417,8 @@ class TestBoundedEntailment:
             [("r1", "A", "B"), ("r2", "A", "B"), ("r3", "B", "B")],
         )
         goal = as_slice_morphism(GraphMorphism(s, q, {"A": "A"}, {}))
-        res = bounded_entailment(th, goal, max_depth=1, budget=300)
+        monkeypatch.setattr(injlogic, "PROOF_SEARCH_LIMIT", 300)
+        res = bounded_entailment(th, goal, max_depth=1)
         assert res.status == "unknown" and res.derivation is None
 
     def test_wrong_base_rejected(self):

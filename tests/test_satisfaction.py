@@ -7,6 +7,7 @@ from dcl.fixtures import (
     mutation_duplicate_identity,
     mutation_five_wheels,
     mutation_unlicensed_drive,
+    span_signature,
     vehicle_registry_carrier,
     vehicle_registry_instance,
     vehicle_registry_sketch,
@@ -38,7 +39,7 @@ from dcl.satisfaction import (
     validate_instance,
     verify_sat_axiom,
 )
-from dcl.signature import jointly_monic_signature, multiplicity_symbol, Signature
+from dcl.signature import multiplicity_symbol, Signature
 from dcl.sketch import (
     ConstraintDeclaration,
     Sketch,
@@ -96,7 +97,7 @@ class TestValidateInstance:
             assert bad == [target]
 
     def test_unclosed_rejected_with_names(self):
-        sig = jointly_monic_signature()
+        sig = span_signature()
         carrier = Graph.build(["L", "V", "T"], [("a", "L", "V"), ("b", "L", "T")])
         binding = GraphMorphism(
             sig.symbols["[jm]"].arity,
@@ -212,7 +213,7 @@ class TestSatAxiom:
 
 class TestPropagation:
     def _jm_setup(self):
-        sig = jointly_monic_signature()
+        sig = span_signature()
         carrier = Graph.build(["L", "V", "T"], [("a", "L", "V"), ("b", "L", "T")])
         binding = GraphMorphism(
             sig.symbols["[jm]"].arity,

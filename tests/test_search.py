@@ -4,7 +4,8 @@
 indexed search: it fixes the order of the results, on which seeded
 generation (`randgen` picks homomorphisms by index) depends.
 `reference_formulas_isomorphic` and `reference_deltas_equivalent` are the
-isomorphism searches that the diagram keys replaced.
+isomorphism searches that the diagram keys replaced; the proof search keys
+its objects by diagram key, where it once took their canonical bytes.
 """
 
 import itertools
@@ -29,10 +30,13 @@ from dcl.instances import (
     Delta,
     SliceMorphism,
     TypedInstance,
+    _diagram_key,
+    canonical_restriction,
     deltas_equivalent,
     iter_factorizations,
     iter_slice_morphisms,
     iter_typed_instances,
+    serialize_instance,
 )
 from dcl.injlogic import formulas_isomorphic, semantic_entails
 from dcl.signature import (
@@ -522,6 +526,31 @@ class TestIsomorphismKeysMatchSearch:
         pairs = delta([2, 2, 2, 2, 2])
         assert not within_seconds(10, lambda: deltas_equivalent(pairs, delta([3, 1, 2, 2, 2])))
         assert within_seconds(10, lambda: deltas_equivalent(pairs, delta([2, 2, 2, 2, 2])))
+
+
+@st.composite
+def instance_pairs(draw):
+    """(t, u): u is a relabelled copy of t, of t with twinned links, of a part
+    of t, or of an instance drawn afresh."""
+    t = draw(typed_instances(max_arrows=4))
+    u = draw(
+        st.one_of(
+            st.just(t), st.just(with_twins(t)), sub_instances(t), typed_instances(max_arrows=4)
+        )
+    )
+    return t, draw(relabelled(u))[0]
+
+
+class TestObjectKeyMatchesCanonicalBytes:
+    @given(instance_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_single_object_keys(self, pair):
+        t, u = pair
+        same_key = _diagram_key([(t, False)], []) == _diagram_key([(u, False)], [])
+        same_bytes = serialize_instance(canonical_restriction(t)) == serialize_instance(
+            canonical_restriction(u)
+        )
+        assert same_key == same_bytes
 
 
 def factorization_table(formula, t):

@@ -31,7 +31,6 @@ from dcl.signature import (
     composite_subset_symbol,
     evaluate,
     format_intervals,
-    jointly_monic_signature,
     jointly_monic_symbol,
     key_symbol,
     lifting_to_regular,
@@ -43,7 +42,13 @@ from dcl.signature import (
     subset_symbol,
     verify_dependency_soundness,
 )
-from dcl.fixtures import existence_formula, existence_symbol, uniqueness_formula, uniqueness_symbol
+from dcl.fixtures import (
+    existence_formula,
+    existence_symbol,
+    span_signature,
+    uniqueness_formula,
+    uniqueness_symbol,
+)
 from dcl.verdicts import Status, Verdict
 
 
@@ -578,7 +583,7 @@ class TestDependencySoundness:
         # [jm] alone tolerates non-functional legs, so its dependency onto
         # [1] is an obligation the closure must discharge, and the soundness
         # sweep reports the gap with a witness
-        report = verify_dependency_soundness(jointly_monic_signature(), 2)
+        report = verify_dependency_soundness(span_signature(), 2)
         assert not report.ok
         v = report.violations[0]
         assert v.dependency in ("d1", "d2")

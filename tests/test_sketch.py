@@ -1,12 +1,11 @@
 import pytest
 
 from dcl.graphs import Graph, GraphMorphism, compose, identity
-from dcl.fixtures import vehicle_registry_sketch
+from dcl.fixtures import span_signature, vehicle_registry_sketch
 from dcl.signature import (
     Dependency,
     Multiplicity,
     Signature,
-    jointly_monic_signature,
     multiplicity_symbol,
 )
 from dcl.sketch import (
@@ -24,7 +23,7 @@ from dcl.sketch import (
 
 
 def span_sketch():
-    sig = jointly_monic_signature()
+    sig = span_signature()
     carrier = Graph.build(
         ["L", "V", "T"], [("lcdBy", "L", "V"), ("covers", "L", "T")]
     )
@@ -242,7 +241,7 @@ class TestDefaults:
         assert "default/covers" in {d.id for d in out.declarations}
 
     def test_empty_sketch_unchanged(self):
-        sig = jointly_monic_signature()
+        sig = span_signature()
         s = Sketch("empty", Graph.build(["X"]), sig, ())
         out = elaborate_defaults(s, [], [])
         assert out.declarations == ()
