@@ -195,7 +195,8 @@ def cmd_deps_check(args) -> int:
     report = verify_dependency_soundness(sig, args.size)
     _print(report.to_json())
     if report.status is Status.UNKNOWN:
-        sys.stderr.write(f"unknown: {report.undecided[0].verdict.detail}\n")
+        detail = report.bound or report.undecided[0].verdict.detail
+        sys.stderr.write(f"unknown: {detail}\n")
     return _STATUS_EXIT[report.status]
 
 

@@ -7,6 +7,7 @@ between threads.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,16 +48,32 @@ class Budget:
 CANONICAL_WORK_LIMIT = 2_000_000
 
 
-def _trusted(cls, **fields):
-    """A frozen `cls` made from `fields` without `__post_init__`, for a value the
-    library built valid: maps keyed in sorted order, as the checks would leave
-    them.  A held extra that is not a field, such as an instance's `_fibres`,
-    is set with the fields.  Each is set in turn, not by `__dict__.update`,
-    so that instances of one class keep sharing their dict keys."""
+def _trusted(cls, *values):
+    """A frozen `cls` made from `values` without `__post_init__`, for a value the
+    library built valid: its fields in declaration order, maps keyed in sorted
+    order as the checks would leave them, then the extras the class holds (its
+    `_held` names, such as an instance's `_fibres`).  `_FILLERS` sets each in
+    turn, not by `__dict__.update`, so that instances of one class keep sharing
+    their dict keys."""
     out = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(out, name, value)
+    _FILLERS[cls](out, *values)
     return out
+
+
+class _Fillers(dict):
+    """`cls` -> the positional setter of its fields and held extras, made on first
+    use as `dataclasses` makes `__init__`: one `object.__setattr__` per name."""
+
+    def __missing__(self, cls):
+        names = [f.name for f in dataclasses.fields(cls)] + list(getattr(cls, "_held", ()))
+        body = "".join(f"    setattr(out, {name!r}, {name})\n" for name in names)
+        scope = {"setattr": object.__setattr__}
+        exec(f"def fill(out, {', '.join(names)}):\n{body}", scope)
+        fill = self[cls] = scope["fill"]
+        return fill
+
+
+_FILLERS = _Fillers()
 
 
 class Arrow(NamedTuple):
@@ -83,6 +100,14 @@ class Graph:
             if a.src not in self.nodes or a.tgt not in self.nodes:
                 raise GraphError(f"arrow {a.id!r} has endpoint outside the node set")
 
+    def __eq__(self, other) -> bool:
+        # a graph is most often compared with itself, by the guards of every restriction
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nodes == other.nodes and self.arrows == other.arrows
+
     @classmethod
     def build(
         cls, nodes: Iterable[str], arrows: Iterable[tuple[str, str, str]] = ()
@@ -91,7 +116,7 @@ class Graph:
 
     @classmethod
     def empty(cls) -> "Graph":
-        return _trusted(cls, nodes=frozenset(), arrows=frozenset())
+        return _trusted(cls, frozenset(), frozenset())
 
     @cached_property
     def arrow_by_id(self) -> dict[str, Arrow]:
@@ -217,7 +242,7 @@ class GraphMorphism:
 def identity(graph: Graph) -> GraphMorphism:
     nodes, arrows = graph.sorted_nodes, [a.id for a in graph.sorted_arrows]
     node_map, arrow_map = dict(zip(nodes, nodes)), dict(zip(arrows, arrows))
-    return _trusted(GraphMorphism, dom=graph, cod=graph, node_map=node_map, arrow_map=arrow_map)
+    return _trusted(GraphMorphism, graph, graph, node_map, arrow_map)
 
 
 def compose(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism:
@@ -227,7 +252,7 @@ def compose(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism:
         )
     node_map = {n: g.node_map[v] for n, v in f.node_map.items()}
     arrow_map = {a: g.arrow_map[v] for a, v in f.arrow_map.items()}
-    return _trusted(GraphMorphism, dom=f.dom, cod=g.cod, node_map=node_map, arrow_map=arrow_map)
+    return _trusted(GraphMorphism, f.dom, g.cod, node_map, arrow_map)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +356,7 @@ def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Itera
             options.append(found if pinned is None else [x for x in found if x == pinned])
         for images in _distinct_product(options) if injective else itertools.product(*options):
             node_map, arrow_map = dict(zip(nodes, image)), dict(zip(arrow_ids, images))
-            yield _trusted(GraphMorphism, dom=g, cod=h, node_map=node_map, arrow_map=arrow_map)
+            yield _trusted(GraphMorphism, g, h, node_map, arrow_map)
 
     if not nodes:
         yield from complete([])
@@ -424,33 +449,47 @@ def pullback(
     """
     if f.cod != g.cod:
         raise GraphError("pullback requires a cospan: codomains differ")
-    nodes = []
-    node_p: dict[str, str] = {}
-    node_q: dict[str, str] = {}
-    g_nodes = g.node_fibres()
-    for a in f.dom.sorted_nodes:
-        for b in g_nodes[f.node_map[a]]:
-            pid = pair_id(a, b)
-            nodes.append(pid)
-            node_p[pid] = a
-            node_q[pid] = b
-    arrows = []
-    arrow_p: dict[str, str] = {}
-    arrow_q: dict[str, str] = {}
-    g_arrows = g.arrow_fibres()
-    for x in f.dom.sorted_arrows:
-        for y in g_arrows[f.arrow_map[x.id]]:
+    q, _, p_maps = _pullback(f, g)
+    return q.dom, _projection(q, f.dom, p_maps), q
+
+
+def _pullback(f: GraphMorphism, g: GraphMorphism, fibres: Optional[tuple] = None) -> tuple:
+    """(q, q's fibres, p's maps) of `pullback(f, g)`, made fibre by fibre over B.
+    The fibres are (q.node_fibres(), q.arrow_fibres()) as those give them: sorted
+    by pair id, which need not be the order of the A sides.  p is left to
+    `_projection`, as not every caller needs it.  `fibres`, f's (node_fibres(),
+    arrow_fibres()) if the caller holds them, are read instead of grouping f."""
+    f_nodes, f_arrows = fibres or (f.node_fibres(), f.arrow_fibres())
+    node_fibres, node_p, node_q, pids = {}, {}, {}, {}  # pids: b -> a -> pair id
+    for b in g.dom.sorted_nodes:
+        fibre = node_fibres[b] = []
+        over = pids[b] = {}
+        for a in f_nodes[g.node_map[b]]:
+            over[a] = pid = pair_id(a, b)
+            node_p[pid], node_q[pid] = a, b
+            fibre.append(pid)
+        fibre.sort()
+    arrow_fibres, arrow_p, arrow_q = {}, {}, {}
+    for y in g.dom.sorted_arrows:
+        fibre = arrow_fibres[y.id] = []
+        srcs, tgts = pids[y.src], pids[y.tgt]
+        for x in f_arrows[g.arrow_map[y.id]]:
             pid = pair_id(x.id, y.id)
-            arrows.append(Arrow(pid, pair_id(x.src, y.src), pair_id(x.tgt, y.tgt)))
-            arrow_p[pid] = x.id
-            arrow_q[pid] = y.id
-    p_graph = _trusted(Graph, nodes=frozenset(nodes), arrows=frozenset(arrows))
+            arrow_p[pid], arrow_q[pid] = x.id, y.id
+            fibre.append(Arrow(pid, srcs[x.src], tgts[x.tgt]))
+        fibre.sort()
+    p_graph = _trusted(Graph, frozenset(node_q), frozenset(itertools.chain(*arrow_fibres.values())))
+    node_map = {x: node_q[x] for x in sorted(node_q)}
+    arrow_map = {x: arrow_q[x] for x in sorted(arrow_q)}
+    q = _trusted(GraphMorphism, p_graph, g.dom, node_map, arrow_map)
+    return q, (node_fibres, arrow_fibres), (node_p, arrow_p)
 
-    def projection(cod: Graph, node_map: dict, arrow_map: dict) -> GraphMorphism:
-        node_map, arrow_map = dict(sorted(node_map.items())), dict(sorted(arrow_map.items()))
-        return _trusted(GraphMorphism, dom=p_graph, cod=cod, node_map=node_map, arrow_map=arrow_map)
 
-    return p_graph, projection(f.dom, node_p, arrow_p), projection(g.dom, node_q, arrow_q)
+def _projection(q: GraphMorphism, cod: Graph, p_maps: tuple) -> GraphMorphism:
+    """The leg p: P -> cod of a `_pullback`, from its maps, keyed in q's order."""
+    node_p, arrow_p = p_maps
+    node_map, arrow_map = {x: node_p[x] for x in q.node_map}, {x: arrow_p[x] for x in q.arrow_map}
+    return _trusted(GraphMorphism, q.dom, cod, node_map, arrow_map)
 
 
 def _find(parent, x):
@@ -510,12 +549,12 @@ def pushout(
 
     nodes = [i for root, i in class_id.items() if root not in ends]
     arrows = [Arrow(i, cls(ends[r][0]), cls(ends[r][1])) for r, i in class_id.items() if r in ends]
-    p_graph = _trusted(Graph, nodes=frozenset(nodes), arrows=frozenset(arrows))
+    p_graph = _trusted(Graph, frozenset(nodes), frozenset(arrows))
 
     def into(side: str, dom: Graph) -> GraphMorphism:
         node_map = {n: cls(_side_tag(side, n)) for n in dom.sorted_nodes}
         arrow_map = {a.id: cls(_side_tag(side, a.id)) for a in dom.sorted_arrows}
-        return _trusted(GraphMorphism, dom=dom, cod=p_graph, node_map=node_map, arrow_map=arrow_map)
+        return _trusted(GraphMorphism, dom, p_graph, node_map, arrow_map)
 
     return p_graph, into("L", f.cod), into("R", g.cod)
 
@@ -527,8 +566,9 @@ def pushout(
 def _refine(cols: list, outs: list, ins: list, budget: Budget) -> list[int]:
     """Colour refinement to the coarsest equitable partition finer than `cols`.
 
-    `outs[x]` / `ins[x]` list (arrow label, neighbour) pairs of node x.  The
-    result renumbers the cells 0, 1, ... in the order of the input colours:
+    `outs[x]` / `ins[x]` list (arrow label, neighbour) pairs of node x, each
+    arrow once in each: a round reads the arrows from `outs`.  The result
+    renumbers the cells 0, 1, ... in the order of the input colours:
     refinement splits cells but never reorders them, so a node individualized
     at the front of its cell keeps that place in every leaf below it.  The
     call and each round charge `budget` one unit per node and incidence.
@@ -542,16 +582,17 @@ def _refine(cols: list, outs: list, ins: list, budget: Budget) -> list[int]:
         return [rank[c] for c in cols]
     while True:
         budget.charge(work)
-        sigs = [
-            (
-                c,
-                tuple(sorted([(label, cols[y]) for label, y in out])),
-                tuple(sorted([(label, cols[y]) for label, y in into])),
-            )
-            for c, out, into in zip(cols, outs, ins)
-        ]
-        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
-        cols = [rank[sig] for sig in sigs]
+        out_sigs: list[list] = [[] for _ in cols]
+        in_sigs: list[list] = [[] for _ in cols]
+        for x, out in enumerate(outs):
+            for label, y in out:
+                out_sigs[x].append((label, cols[y]))
+                in_sigs[y].append((label, cols[x]))
+        for sig in itertools.chain(out_sigs, in_sigs):
+            sig.sort()
+        sigs = list(zip(cols, map(tuple, out_sigs), map(tuple, in_sigs)))
+        rank = dict(zip(sorted(set(sigs)), itertools.count()))
+        cols = list(map(rank.__getitem__, sigs))
         if len(rank) == cells or len(rank) == n:
             return cols
         cells = len(rank)
@@ -580,7 +621,7 @@ def _encode(order: list[int], outs: list, names: list[str]) -> tuple:
         pos[x] = i
     return (
         len(order),
-        tuple(names[x] for x in order),
+        tuple(map(names.__getitem__, order)),
         tuple(
             sorted(
                 (pos[x], pos[y], label)
@@ -698,50 +739,45 @@ def _search(root: list[int], outs: list, ins: list, names: list[str], budget: Bu
     return best[0], best[1]
 
 
-def _components(outs: list, ins: list) -> list[list[int]]:
-    """Weakly connected components, each listed from its least node."""
-    seen = [False] * len(outs)
-    components = []
-    for start in range(len(outs)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        members = [start]
-        for x in members:
-            for _, y in outs[x] + ins[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    members.append(y)
-        components.append(members)
-    return components
-
-
 def _canonical_component(
     members: list[int], outs: list, ins: list, names: list[str], budget: Budget
 ) -> tuple[tuple, list[int]]:
-    """(encoding, members in canonical order) of one weakly connected component."""
+    """(encoding, members in canonical order) of one weakly connected component.
+
+    A single element is its own order and charges nothing.  Members of distinct
+    colours are ordered by colour and charge the one pass of `_refine`, which
+    would find every cell a single member."""
     if len(members) == 1:
         x = members[0]
         loops = tuple(sorted((0, 0, label) for label, _ in outs[x]))
         return (1, (names[x],), loops), members
+    colours = list(map(names.__getitem__, members))
+    if len(set(colours)) == len(members):
+        budget.charge(len(members) + 2 * sum(map(len, map(outs.__getitem__, members))))
+        order = sorted(members, key=names.__getitem__)
+        place = dict(zip(order, itertools.count()))
+        triples = sorted((place[x], place[y], label) for x in order for label, y in outs[x])
+        return (len(order), tuple(sorted(colours)), tuple(triples)), order
     if len(members) == len(outs):
-        members = list(range(len(outs)))
-        c_outs, c_ins, c_names = outs, ins, names
+        members, colours = range(len(outs)), names
+        c_outs, c_ins = outs, ins
     else:
-        local = {x: i for i, x in enumerate(members)}
-        c_outs = [[(label, local[y]) for label, y in outs[x]] for x in members]
-        c_ins = [[(label, local[y]) for label, y in ins[x]] for x in members]
-        c_names = [names[x] for x in members]
-    cols = _refine(c_names, c_outs, c_ins, budget)
+        local = dict(zip(members, itertools.count()))
+        c_outs, c_ins = [[] for _ in members], [[] for _ in members]
+        for x, i in local.items():
+            for label, y in outs[x]:
+                c_outs[i].append((label, local[y]))
+                c_ins[local[y]].append((label, i))
+    cols = _refine(colours, c_outs, c_ins, budget)
     cells = len(set(cols))
     if cells == len(cols) or cells == len(_twin_classes(cols, c_outs, c_ins)):
         # every cell is one class of twins: individualizing a twin splits only
         # its own cell, so `_search` would return its first leaf, this order
-        order = sorted(range(len(cols)), key=lambda x: (cols[x], x))
-        encoding = _encode(order, c_outs, c_names)
+        order = sorted(range(len(cols)), key=cols.__getitem__)
+        encoding = _encode(order, c_outs, colours)
     else:
-        encoding, order = _search(cols, c_outs, c_ins, c_names, budget)
-    return encoding, [members[x] for x in order]
+        encoding, order = _search(cols, c_outs, c_ins, colours, budget)
+    return encoding, list(map(members.__getitem__, order))
 
 
 def _canonical_order(names: list, arrows: list[tuple[int, str, int]]) -> list[tuple]:
@@ -752,15 +788,30 @@ def _canonical_order(names: list, arrows: list[tuple[int, str, int]]) -> list[tu
     members in canonical order (by `_search` where refinement leaves a cell that
     is not a twin class), encoded as (size, colours, sorted (source, target,
     label) triples over places 0..size-1).  Parts are sorted, so their members
-    in turn are the canonical order.  Past CANONICAL_WORK_LIMIT units of
-    refinement work the call raises BoundExceeded."""
+    in turn are the canonical order.  Components are found from their least
+    node; a node on no arrow is a part at once.  Past CANONICAL_WORK_LIMIT
+    units of refinement work the call raises BoundExceeded."""
     outs: list[list[tuple[str, int]]] = [[] for _ in names]
     ins: list[list[tuple[str, int]]] = [[] for _ in names]
     for x, label, y in arrows:
         outs[x].append((label, y))
         ins[y].append((label, x))
     budget = Budget("canonical-form", CANONICAL_WORK_LIMIT)
-    return sorted(
-        _canonical_component(members, outs, ins, names, budget)
-        for members in _components(outs, ins)
-    )
+    parts = []
+    seen = [False] * len(names)
+    for start, colour in enumerate(names):
+        if seen[start]:
+            continue
+        if not outs[start] and not ins[start]:
+            parts.append(((1, (colour,), ()), [start]))
+            continue
+        seen[start] = True
+        members = [start]
+        for x in members:
+            for _, y in outs[x] + ins[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    members.append(y)
+        parts.append(_canonical_component(members, outs, ins, names, budget))
+    parts.sort()
+    return parts

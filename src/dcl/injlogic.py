@@ -32,7 +32,7 @@ from dcl.instances import (
     iter_factorizations,
     iter_slice_morphisms,
 )
-from dcl.signature import DEFAULT_SEARCH_LIMIT, Regular
+from dcl.signature import DEFAULT_SEARCH_LIMIT, MODEL_SWEEP_LIMIT, Regular
 from dcl.verdicts import Status, Verdict
 
 # units one `bounded_entailment` call may spend: formulas considered, maps and factorizations
@@ -80,8 +80,10 @@ def semantic_entails(
     node and max_parallel parallel links, one per isomorphism class, each
     checked in the canonical form `_canonical_classes` streams.  Each formula and
     the goal are checked as `Regular` specs, planned once per sweep.  A class
-    whose canonical form spends its bound is Unknown, as an Unknown verdict is.
-    A goal over another base is refused, as `bounded_entailment` refuses it.
+    whose canonical form spends its bound is Unknown, as an Unknown verdict is.  The
+    sweep spends a `model-sweep` budget of MODEL_SWEEP_LIMIT units, a unit per count
+    vector visited and per class decided; past it the result is Unknown, naming the
+    bound.  A goal over another base is refused, as `bounded_entailment` refuses it.
     """
     if goal.from_.schema != theory.base:
         raise GraphError("goal lives over a different base")
@@ -90,19 +92,24 @@ def semantic_entails(
     wanted = Regular(goal, limit)
     checked = 0
     unknown: Optional[Verdict] = None
-    for model, verdict in _canonical_classes(base, size_bound, max_parallel):
-        if verdict is None:  # else the class's canonical form spent its bound
-            for f in formulas:
-                verdict = f.decide(model)
-                if verdict.status is not Status.VALID:
-                    break
-            else:
-                checked += 1
-                verdict = wanted.decide(model)
-                if verdict.status is Status.INVALID:
-                    return SemanticResult("refuted", checked, model)
-        if unknown is None and verdict.status is Status.UNKNOWN:
-            unknown = verdict
+    budget = Budget("model-sweep", MODEL_SWEEP_LIMIT)
+    try:
+        for model, verdict in _canonical_classes(base, size_bound, max_parallel, budget):
+            budget.charge()
+            if verdict is None:  # else the class's canonical form spent its bound
+                for f in formulas:
+                    verdict = f.decide(model)
+                    if verdict.status is not Status.VALID:
+                        break
+                else:
+                    checked += 1
+                    verdict = wanted.decide(model)
+                    if verdict.status is Status.INVALID:
+                        return SemanticResult("refuted", checked, model)
+            if unknown is None and verdict.status is Status.UNKNOWN:
+                unknown = verdict
+    except BoundExceeded as exc:  # only the sweep's own bound escapes a decision
+        return SemanticResult("unknown", checked, detail=str(exc))
     if unknown is not None:
         return SemanticResult("unknown", checked, detail=unknown.detail)
     return SemanticResult("entailed", checked)
@@ -153,8 +160,8 @@ def slice_pushout(
     apex = _trusted_instance(f.from_.schema, node_typing, p_graph.arrows, arrow_typing)
     return (
         apex,
-        _trusted(SliceMorphism, from_=f.to, to=apex, map=into_left),
-        _trusted(SliceMorphism, from_=g.to, to=apex, map=into_right),
+        _trusted(SliceMorphism, f.to, apex, into_left),
+        _trusted(SliceMorphism, g.to, apex, into_right),
     )
 
 

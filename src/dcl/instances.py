@@ -12,15 +12,18 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from dcl.graphs import (
     Arrow,
     BoundExceeded,
+    Budget,
     Graph,
     GraphError,
     GraphMorphism,
     _canonical_order,
+    _projection,
+    _pullback,
     _trusted,
     compose,
     identity,
@@ -42,7 +45,8 @@ class TypedInstance:
     def schema(self) -> Graph:
         return self.typing.cod
 
-    _fibres = None  # held by some `_trusted` builds; not a field
+    _fibres = None  # held by `_trusted` builds, after the typing; not a field
+    _held = ("_fibres",)
 
     @property
     def fibres(self) -> tuple[dict, dict]:
@@ -109,11 +113,11 @@ class SliceMorphism:
         if self.to != other.from_:
             raise GraphError("cannot compose slice morphisms: endpoints differ")
         composite = compose(self.map, other.map)
-        return _trusted(SliceMorphism, from_=self.from_, to=other.to, map=composite)
+        return _trusted(SliceMorphism, self.from_, other.to, composite)
 
     @classmethod
     def identity(cls, t: TypedInstance) -> "SliceMorphism":
-        return _trusted(cls, from_=t, to=t, map=identity(t.carrier))
+        return _trusted(cls, t, t, identity(t.carrier))
 
     def to_json(self) -> dict:
         return {
@@ -137,10 +141,10 @@ def _trusted_instance(
     triples over the elements `node_typing` types, all ids distinct, and
     the typing preserves incidence."""
     arrows = frozenset(map(Arrow._make, arrows))
-    carrier = _trusted(Graph, nodes=frozenset(node_typing), arrows=arrows)
+    carrier = _trusted(Graph, frozenset(node_typing), arrows)
     node_map, arrow_map = dict(sorted(node_typing.items())), dict(sorted(arrow_typing.items()))
     return TypedInstance(
-        _trusted(GraphMorphism, dom=carrier, cod=schema, node_map=node_map, arrow_map=arrow_map)
+        _trusted(GraphMorphism, carrier, schema, node_map, arrow_map)
     )
 
 
@@ -174,7 +178,7 @@ def iter_slice_morphisms(
         return
     typings = (s.typing, t.typing)
     for m in search_morphisms(s.carrier, t.carrier, typings, pins, injective):
-        yield _trusted(SliceMorphism, from_=s, to=t, map=m)
+        yield _trusted(SliceMorphism, s, t, m)
 
 
 def iter_factorizations(
@@ -223,17 +227,24 @@ def restrict_with_projection(
 ) -> tuple[TypedInstance, GraphMorphism]:
     """Pull t back along m: H -> schema(t).
 
-    Returns the restricted instance over H together with the projection
-    from its carrier to the original carrier.
+    Returns the restricted instance over H, holding the fibres the pullback
+    grouped, together with the projection from its carrier to the original
+    carrier.
     """
-    if t.schema != m.cod:
-        raise GraphError("restriction: morphism codomain differs from the schema")
-    _, p, q = pullback(t.typing, m)
-    return TypedInstance(q), p
+    q, fibres, p_maps = _restriction(t, m)
+    return _trusted(TypedInstance, q, fibres), _projection(q, t.carrier, p_maps)
 
 
 def restrict(t: TypedInstance, m: GraphMorphism) -> TypedInstance:
-    return restrict_with_projection(t, m)[0]
+    q, fibres, _ = _restriction(t, m)
+    return _trusted(TypedInstance, q, fibres)
+
+
+def _restriction(t: TypedInstance, m: GraphMorphism) -> tuple:
+    """`_pullback(t.typing, m)`, read from t's fibres."""
+    if t.schema != m.cod:
+        raise GraphError("restriction: morphism codomain differs from the schema")
+    return _pullback(t.typing, m, t.fibres)
 
 
 def canonical_restriction(t: TypedInstance, m: Optional[GraphMorphism] = None) -> TypedInstance:
@@ -254,33 +265,56 @@ def canonical_bytes(g: Graph) -> bytes:
     return json.dumps(carrier.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
 
+# Names by place, elements `n{i}` and links `e{j}`: a table is replaced by one
+# twice as long when an instance outgrows it, never changed in place.
+_PLACE_NAMES: dict[str, tuple[str, ...]] = {"n": (), "e": ()}
+
+
+def _place_names(prefix: str, count: int) -> tuple[tuple[str, ...], Iterable[int]]:
+    """The names of `count` places, read from the `prefix` table, and the places
+    in the sorted order of their names: the place order below 11 places, from
+    there on by `str` (`n10` before `n2`)."""
+    names = _PLACE_NAMES[prefix]
+    if len(names) < count:
+        names = tuple(f"{prefix}{i}" for i in range(max(count, 2 * len(names))))
+        _PLACE_NAMES[prefix] = names
+    return names, range(count) if count < 11 else sorted(range(count), key=str)
+
+
 def _canonical_numbered(names: tuple, links: tuple, arity: Graph) -> tuple[TypedInstance, dict]:
     """(canonical instance, named) over `arity` of the numbered instance (names,
     links), as `_numbered_restriction` gives it, named in one pass over the
     canonical parts: the element at place i is `n{i}`, link j `e{j}`, and ids
-    are visited in sorted order (`n10` before `n2`).  `named` maps each element
+    are visited in sorted order (`_place_names`).  `named` maps each element
     name, in place order, to its number in the input.  The instance holds the
     fibres of that pass."""
-    colours, ranked, order = [], [], []
-    for (_, part_colours, triples), members in _canonical_order(names, links):
-        ranked += [(len(colours) + x, len(colours) + y, k) for x, y, k in triples]
-        colours += part_colours
-        order += members
-    nodes = [f"n{i}" for i in range(len(colours))]
+    if links:
+        colours, ranked, order = [], [], []
+        for (_, part_colours, triples), members in _canonical_order(names, links):
+            if triples:
+                base = len(colours)
+                ranked += [(base + x, base + y, k) for x, y, k in triples]
+            colours += part_colours
+            order += members
+    else:  # every element is a part alone, as `_canonical_order` sorts them
+        order = sorted(range(len(names)), key=names.__getitem__)
+        colours, ranked = list(map(names.__getitem__, order)), ()
+    element_names, element_order = _place_names("n", len(colours))
+    link_names, link_order = _place_names("e", len(ranked))
     node_map, node_fibres = {}, {h: [] for h in arity.sorted_nodes}
-    for i in sorted(range(len(nodes)), key=str):
-        node_map[nodes[i]] = colours[i]
-        node_fibres[colours[i]].append(nodes[i])
-    arrow_map, arrow_fibres = {}, {k.id: [] for k in arity.sorted_arrows}
-    for j in sorted(range(len(ranked)), key=str):
+    for i in element_order:
+        node_map[element_names[i]] = colours[i]
+        node_fibres[colours[i]].append(element_names[i])
+    arrow_map, arrow_fibres, arrows = {}, {k.id: [] for k in arity.sorted_arrows}, []
+    for j in link_order:
         x, y, k = ranked[j]
-        arrow_map[f"e{j}"] = k
-        arrow_fibres[k].append(Arrow(f"e{j}", nodes[x], nodes[y]))
-    arrows = frozenset(itertools.chain.from_iterable(arrow_fibres.values()))
-    carrier = _trusted(Graph, nodes=frozenset(node_map), arrows=arrows)
-    typing = _trusted(GraphMorphism, dom=carrier, cod=arity, node_map=node_map, arrow_map=arrow_map)
-    out = _trusted(TypedInstance, typing=typing, _fibres=(node_fibres, arrow_fibres))
-    return out, dict(zip(nodes, order))
+        arrow_map[link_names[j]] = k
+        arrows.append(Arrow(link_names[j], element_names[x], element_names[y]))
+        arrow_fibres[k].append(arrows[-1])
+    carrier = _trusted(Graph, frozenset(node_map), frozenset(arrows))
+    typing = _trusted(GraphMorphism, carrier, arity, node_map, arrow_map)
+    out = _trusted(TypedInstance, typing, (node_fibres, arrow_fibres))
+    return out, dict(zip(element_names, order))
 
 
 def _diagram_key(objects: list, maps: list) -> tuple:
@@ -321,12 +355,15 @@ def _numbered_restriction(t: TypedInstance, m: Optional[GraphMorphism]) -> tuple
     node_fibres, arrow_fibres = t.fibres
     names, number, links = [], {}, []
     for h in arity.sorted_nodes:
-        number[h] = {x: len(names) + i for i, x in enumerate(node_fibres[node_of.get(h, h)])}
-        names += [h] * len(number[h])
+        fibre = node_fibres[node_of.get(h, h)]
+        if fibre:
+            number[h] = dict(zip(fibre, itertools.count(len(names))))
+            names += [h] * len(fibre)
     for k in arity.sorted_arrows:
-        srcs, tgts = number[k.src], number[k.tgt]
         over = arrow_fibres[arrow_of.get(k.id, k.id)]
-        links += [(srcs[a.src], k.id, tgts[a.tgt]) for a in over]
+        if over:  # then so are the fibres at its ends
+            srcs, tgts = number[k.src], number[k.tgt]
+            links += [(srcs[a.src], k.id, tgts[a.tgt]) for a in over]
     return tuple(names), tuple(links)
 
 
@@ -436,7 +473,7 @@ class Delta:
 
 def identity_delta(t: TypedInstance) -> Delta:
     i = SliceMorphism.identity(t)
-    return _trusted(Delta, left=i, right=i)
+    return _trusted(Delta, i, i)
 
 
 def delta_of(f: SliceMorphism, direction: str = "forward") -> Delta:
@@ -444,7 +481,7 @@ def delta_of(f: SliceMorphism, direction: str = "forward") -> Delta:
         raise GraphError(f"unknown delta direction: {direction!r}")
     i = SliceMorphism.identity(f.from_)
     left, right = (i, f) if direction == "forward" else (f, i)
-    return _trusted(Delta, left=left, right=right)
+    return _trusted(Delta, left, right)
 
 
 def _canonical_delta(d: Delta) -> Delta:
@@ -460,15 +497,14 @@ def _canonical_delta(d: Delta) -> Delta:
     place = {nodes[x]: i for i, x in enumerate(named.values())}
     ranked = sorted(arrows, key=lambda a: (place[a.src], place[a.tgt], typing.arrow_map[a.id]))
     node_map = {n: nodes[named[n]] for n in apex.typing.node_map}
-    arrow_map = dict(sorted((f"e{j}", a.id) for j, a in enumerate(ranked)))
-    back = _trusted(
-        GraphMorphism, dom=apex.carrier, cod=carrier, node_map=node_map, arrow_map=arrow_map
-    )
+    link_names, link_order = _place_names("e", len(ranked))
+    arrow_map = {link_names[j]: ranked[j].id for j in link_order}
+    back = _trusted(GraphMorphism, apex.carrier, carrier, node_map, arrow_map)
     left, right = (
-        _trusted(SliceMorphism, from_=apex, to=leg.to, map=compose(back, leg.map))
+        _trusted(SliceMorphism, apex, leg.to, compose(back, leg.map))
         for leg in (d.left, d.right)
     )
-    return _trusted(Delta, left=left, right=right)
+    return _trusted(Delta, left, right)
 
 
 def compose_delta(d1: Delta, d2: Delta) -> Delta:
@@ -476,9 +512,9 @@ def compose_delta(d1: Delta, d2: Delta) -> Delta:
         raise GraphError("cannot compose deltas: endpoints differ")
     _, p, q = pullback(d1.right.map, d2.left.map)
     apex = TypedInstance(compose(p, d1.apex.typing))
-    left = _trusted(SliceMorphism, from_=apex, to=d1.source, map=compose(p, d1.left.map))
-    right = _trusted(SliceMorphism, from_=apex, to=d2.target, map=compose(q, d2.right.map))
-    return _canonical_delta(_trusted(Delta, left=left, right=right))
+    left = _trusted(SliceMorphism, apex, d1.source, compose(p, d1.left.map))
+    right = _trusted(SliceMorphism, apex, d2.target, compose(q, d2.right.map))
+    return _canonical_delta(_trusted(Delta, left, right))
 
 
 def deltas_equivalent(d1: Delta, d2: Delta) -> bool:
@@ -518,7 +554,7 @@ def cod_lift(t: TypedInstance, q: GraphMorphism) -> CodLift:
 def dom_lift(t: TypedInstance, p: GraphMorphism) -> SliceMorphism:
     if p.cod != t.carrier:
         raise GraphError("dom_lift: morphism codomain differs from the carrier")
-    return _trusted(SliceMorphism, from_=TypedInstance(compose(p, t.typing)), to=t, map=p)
+    return _trusted(SliceMorphism, TypedInstance(compose(p, t.typing)), t, p)
 
 
 # ---------------------------------------------------------------------------
@@ -590,13 +626,13 @@ def iter_instance_classes(
 
 
 def _canonical_classes(
-    schema: Graph, max_per_node: int, max_parallel: int = 2
+    schema: Graph, max_per_node: int, max_parallel: int = 2, budget: Optional[Budget] = None
 ) -> Iterator[tuple[TypedInstance, Optional[Verdict]]]:
     """(canonical instance, None) per class of `iter_instance_classes`, in its
     order, made from the class's numbering; for a class whose canonical form
     spends its bound, (labelled instance, an Unknown verdict naming the bound):
-    only then is the labelled instance built."""
-    for names, links, labelled in _iter_classes(schema, max_per_node, max_parallel):
+    only then is the labelled instance built.  `budget` is `_iter_classes`'s."""
+    for names, links, labelled in _iter_classes(schema, max_per_node, max_parallel, budget):
         try:
             canonical = _canonical_numbered(names, links, schema)[0]
         except BoundExceeded as exc:
@@ -606,7 +642,7 @@ def _canonical_classes(
 
 
 def _iter_classes(
-    schema: Graph, max_per_node: int, max_parallel: int = 2
+    schema: Graph, max_per_node: int, max_parallel: int = 2, budget: Optional[Budget] = None
 ) -> Iterator[tuple[tuple, tuple, Callable[[], TypedInstance]]]:
     """(names, links, labelled) per class of `iter_instance_classes`, in its
     order: `labelled()` builds that class's instance, and (names, links) is
@@ -618,6 +654,7 @@ def _iter_classes(
     of different size vectors never are.  `itertools.product` yields count
     vectors in lexicographic order, so a vector is the first of its class
     exactly when no such permutation makes it lexicographically smaller.
+    `budget`, if given, is charged a unit per count vector visited, kept or not.
     """
     for fibers, slots in _families(schema, max_per_node):
         perms = _slot_permutations(fibers, slots)
@@ -631,6 +668,8 @@ def _iter_classes(
         widths = [len(fibers[a.src]) * len(fibers[a.tgt]) for a in schema.sorted_arrows]
         spans = list(itertools.pairwise(itertools.accumulate(widths, initial=0)))
         for counts in itertools.product(range(max_parallel + 1), repeat=len(slots)):
+            if budget is not None:
+                budget.charge()
             if any(p(counts) < counts for p in perms):
                 continue
             links = list(itertools.chain.from_iterable(map(operator.mul, singles, counts)))

@@ -41,7 +41,7 @@ def random_graph(
     if n:
         for i in range(rng.randint(0, max_arrows)):
             arrows.append(Arrow(f"E{i}", rng.choice(nodes), rng.choice(nodes)))
-    return _trusted(Graph, nodes=frozenset(nodes), arrows=frozenset(arrows))
+    return _trusted(Graph, frozenset(nodes), frozenset(arrows))
 
 
 def random_morphism_into(
@@ -49,7 +49,7 @@ def random_morphism_into(
 ) -> GraphMorphism:
     """A random morphism with a freshly built domain mapping into cod."""
     if not cod.nodes:
-        return _trusted(GraphMorphism, dom=Graph.empty(), cod=cod, node_map={}, arrow_map={})
+        return _trusted(GraphMorphism, Graph.empty(), cod, {}, {})
     n = rng.randint(0, max_nodes)
     node_map = {f"n{i}": rng.choice(cod.sorted_nodes) for i in range(n)}
     links: dict[Arrow, str] = {}  # each domain arrow to its image's id
@@ -61,10 +61,10 @@ def random_morphism_into(
             e = rng.choice(cod.sorted_arrows)
             if e.src in over and e.tgt in over:
                 links[Arrow(f"a{i}", rng.choice(over[e.src]), rng.choice(over[e.tgt]))] = e.id
-    dom = _trusted(Graph, nodes=frozenset(node_map), arrows=frozenset(links))
+    dom = _trusted(Graph, frozenset(node_map), frozenset(links))
     node_map = dict(sorted(node_map.items()))
     arrow_map = {a.id: image for a, image in sorted(links.items())}
-    return _trusted(GraphMorphism, dom=dom, cod=cod, node_map=node_map, arrow_map=arrow_map)
+    return _trusted(GraphMorphism, dom, cod, node_map, arrow_map)
 
 
 def random_typed_instance(

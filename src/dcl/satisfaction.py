@@ -54,7 +54,7 @@ def validate_instance(
         missing = sorted(d.id for d in added)
         raise SketchError(f"sketch {sketch.name!r} is not dependency-closed; missing: {missing}")
     # every declaration restricts one grouping of t, held by a copy: t holds none
-    grouped = _trusted(TypedInstance, typing=t.typing, _fibres=t.fibres)
+    grouped = _trusted(TypedInstance, t.typing, t.fibres)
     verdicts = tuple(satisfies(grouped, d, sketch.signature) for d in sketch.declarations)
     return ValidationReport(sketch.name, instance_name, verdicts)
 
@@ -92,8 +92,10 @@ def verify_sat_axiom(
     """
     if d.binding.cod != f.dom or t.schema != f.cod:
         raise GraphError("verify_sat_axiom: triple endpoints do not match")
-    reduct_side = satisfies(migrate_instance(f, t), d, signature)
-    translated_side = satisfies(t, translate(f, d), signature)
+    # both sides restrict one grouping of t, held by a copy: t holds none
+    grouped = _trusted(TypedInstance, t.typing, t.fibres)
+    reduct_side = satisfies(migrate_instance(f, grouped), d, signature)
+    translated_side = satisfies(grouped, translate(f, d), signature)
     if reduct_side.status != translated_side.status:
         return SatAxiomResult(
             False, reduct_side, translated_side, "verdict statuses differ"
@@ -175,9 +177,7 @@ def pullback_delta(f: GraphMorphism, d: Delta) -> Delta:
             pair: pair_id(leg.map.arrow_map[x], apex.typing.arrow_map[pair])
             for pair, x in projection.arrow_map.items()
         }
-        m = _trusted(
-            GraphMorphism, dom=apex.carrier, cod=end.carrier, node_map=node_map, arrow_map=arrow_map
-        )
-        return _trusted(SliceMorphism, from_=apex, to=end, map=m)
+        m = _trusted(GraphMorphism, apex.carrier, end.carrier, node_map, arrow_map)
+        return _trusted(SliceMorphism, apex, end, m)
 
-    return _canonical_delta(_trusted(Delta, left=induced(d.left), right=induced(d.right)))
+    return _canonical_delta(_trusted(Delta, induced(d.left), induced(d.right)))

@@ -41,6 +41,8 @@ from dcl.verdicts import Counterexample, Evidence, Status, Verdict
 DEFAULT_SEARCH_LIMIT = 20_000
 # violations, and likewise undecided entries, that a dependency sweep lists per dependency
 SWEEP_WITNESS_LIMIT = 2_000
+# units a dependency sweep or a model sweep may spend: count vectors visited and classes decided
+MODEL_SWEEP_LIMIT = 1_000_000
 
 
 class SignatureError(GraphError):
@@ -403,7 +405,7 @@ def lifting_to_regular(spec: Lifting) -> Regular:
     """Lifting pair over schema S becomes the formula m viewed in the slice over S."""
     w_instance = TypedInstance(compose(spec.m, spec.n))
     r_instance = TypedInstance(spec.n)
-    formula = _trusted(SliceMorphism, from_=w_instance, to=r_instance, map=spec.m)
+    formula = _trusted(SliceMorphism, w_instance, r_instance, spec.m)
     return Regular(formula=formula, search_limit=spec.search_limit)
 
 
@@ -540,17 +542,19 @@ class SoundnessReport:
     # dependency -> {"violations": n, "undecided": m} past SWEEP_WITNESS_LIMIT, if any
     dropped: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
     stopped: tuple[str, ...] = ()  # source symbols whose sweep ended once settled Invalid
+    bound: Optional[str] = None  # the spent model-sweep bound, if the sweep ended there
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.undecided
+        return not self.violations and not self.undecided and self.bound is None
 
     @property
     def status(self) -> Status:
-        """Invalid on any violation, else Unknown while anything is undecided."""
+        """Invalid on any violation, else Unknown while anything is undecided
+        or the sweep spent its bound."""
         if self.violations:
             return Status.INVALID
-        return Status.UNKNOWN if self.undecided else Status.VALID
+        return Status.VALID if self.ok else Status.UNKNOWN
 
     def to_json(self) -> dict:
         def entry(v: SoundnessViolation) -> dict:
@@ -570,6 +574,8 @@ class SoundnessReport:
             out["dropped"] = self.dropped
         if self.stopped:
             out["stopped"] = list(self.stopped)
+        if self.bound is not None:
+            out["bound"] = self.bound
         return out
 
 
@@ -632,41 +638,48 @@ def verify_dependency_soundness(
     bound is Unknown, witnessed as enumerated.  Results are listed dependency by dependency,
     at most SWEEP_WITNESS_LIMIT violations and as many undecided per dependency; the rest
     are counted.  Once every dependency of a source symbol has dropped a violation, the
-    symbol's result is settled Invalid and its sweep stops.
+    symbol's result is settled Invalid and its sweep stops.  The whole call spends one
+    `model-sweep` budget of MODEL_SWEEP_LIMIT units, a unit per count vector visited and
+    per class decided; past it the sweep ends, and the report names the bound.
     """
     checked = 0
     found = {d.id: {"violations": [], "undecided": []} for d in sig.dependencies}
     dropped = {d.id: {"violations": 0, "undecided": 0} for d in sig.dependencies}
     stopped = []
     decided: dict[tuple, Verdict] = {}  # (target symbol, names, links) -> verdict
-    for name in dict.fromkeys(d.source for d in sig.dependencies):
-        source, deps = sig.symbols[name], sig.dependencies_of(name)
-        for t, unknown in _canonical_classes(source.arity, size_bound, max_parallel):
-            # already canonical, so decided directly, not through `evaluate`
-            source_verdict = unknown or source.semantics.decide(t)
-            if source_verdict.status is Status.INVALID:
-                continue
-            for dep in deps:
-                verdict, on = source_verdict, "class"
-                if source_verdict.is_valid:
-                    checked += 1
-                    key = (dep.target, *_numbered_restriction(t, dep.arity_map))
-                    if key not in decided:
-                        decided[key] = evaluate(sig.symbols[dep.target], t, dep.arity_map)
-                    verdict = decided[key]
-                    on = "restriction" if verdict.status is Status.UNKNOWN else None
-                if verdict.is_valid:
+    budget, bound = Budget("model-sweep", MODEL_SWEEP_LIMIT), None
+    try:
+        for name in dict.fromkeys(d.source for d in sig.dependencies):
+            source, deps = sig.symbols[name], sig.dependencies_of(name)
+            for t, unknown in _canonical_classes(source.arity, size_bound, max_parallel, budget):
+                budget.charge()
+                # already canonical, so decided directly, not through `evaluate`
+                source_verdict = unknown or source.semantics.decide(t)
+                if source_verdict.status is Status.INVALID:
                     continue
-                kind = "undecided" if on else "violations"
-                listed = found[dep.id][kind]
-                if len(listed) < SWEEP_WITNESS_LIMIT:
-                    listed.append(SoundnessViolation(dep.id, t, verdict, on))
-                else:
-                    dropped[dep.id][kind] += 1
-            if all(dropped[dep.id]["violations"] for dep in deps):
-                stopped.append(name)
-                break
+                for dep in deps:
+                    verdict, on = source_verdict, "class"
+                    if source_verdict.is_valid:
+                        checked += 1
+                        key = (dep.target, *_numbered_restriction(t, dep.arity_map))
+                        if key not in decided:
+                            decided[key] = evaluate(sig.symbols[dep.target], t, dep.arity_map)
+                        verdict = decided[key]
+                        on = "restriction" if verdict.status is Status.UNKNOWN else None
+                    if verdict.is_valid:
+                        continue
+                    kind = "undecided" if on else "violations"
+                    listed = found[dep.id][kind]
+                    if len(listed) < SWEEP_WITNESS_LIMIT:
+                        listed.append(SoundnessViolation(dep.id, t, verdict, on))
+                    else:
+                        dropped[dep.id][kind] += 1
+                if all(dropped[dep.id]["violations"] for dep in deps):
+                    stopped.append(name)
+                    break
+    except BoundExceeded as exc:  # only the sweep's own bound escapes a decision
+        bound = str(exc)
     violations = tuple(v for listed in found.values() for v in listed["violations"])
     undecided = tuple(v for listed in found.values() for v in listed["undecided"])
     dropped = {d: counts for d, counts in dropped.items() if any(counts.values())}
-    return SoundnessReport(checked, violations, undecided, dropped, tuple(stopped))
+    return SoundnessReport(checked, violations, undecided, dropped, tuple(stopped), bound)

@@ -239,9 +239,7 @@ def elaborate_defaults(
             continue
         symbol = DEFAULT_ASSOCIATION if arrow.id in associations else DEFAULT_ATTRIBUTE
         ends, link = {"A": arrow.src, "B": arrow.tgt}, {"r": arrow.id}
-        binding = _trusted(
-            GraphMorphism, dom=symbol.arity, cod=sketch.carrier, node_map=ends, arrow_map=link
-        )
+        binding = _trusted(GraphMorphism, symbol.arity, sketch.carrier, ends, link)
         declarations.append(
             ConstraintDeclaration(f"default/{arrow.id}", symbol.name, binding)
         )

@@ -598,6 +598,38 @@ class TestDepsCheck:
         assert out["dropped"] == {d: {"violations": 1, "undecided": 1} for d in ("d1", "d2")}
         assert out["stopped"] == ["[jm]"]
 
+    def test_model_sweep_bound_ends_size_three(self, capsys, tmp_path):
+        # [jm] onto [0..*] along 01 never violates, so neither the cap nor the
+        # stop ends its size-3 sweep of millions of classes: the bound does
+        from dcl.fixtures import span_signature
+        from dcl.signature import Dependency, Signature, multiplicity_symbol
+        from dcl.signature import single_arrow_arity
+
+        jm = span_signature().symbols["[jm]"]
+        anything = multiplicity_symbol([(0, None)])
+        along = GraphMorphism(single_arrow_arity(), jm.arity, {"A": "0", "B": "1"}, {"r": "01"})
+        sig = Signature(
+            {jm.name: jm, anything.name: anything},
+            (Dependency("d", jm.name, anything.name, along),),
+        )
+        path = tmp_path / "sig.json"
+        path.write_text(dumps(sig))
+        code = within_seconds(60, lambda: main(["deps-check", str(path), "--size", "3"]))
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        limit = dcl.signature.MODEL_SWEEP_LIMIT
+        detail = f"model-sweep bound exceeded: spent {limit + 1} of {limit} units"
+        assert code == 2 and not out["ok"] and out["bound"] == detail
+        assert out["violations"] == [] and "undecided" not in out and out["checked"] > 0
+        assert captured.err == f"unknown: {detail}\n"
+
+    def test_model_sweep_bound_after_a_violation_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(dcl.signature, "MODEL_SWEEP_LIMIT", 100)
+        assert main(["deps-check", SPAN_SIG, "--size", "2"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["violations"] and out["checked"] > 0
+        assert out["bound"] == "model-sweep bound exceeded: spent 101 of 100 units"
+
     def test_canonical_form_bound_on_a_class_is_undecided(self, capsys, monkeypatch):
         # a class whose canonical form spends the bound is reported, witnessed
         # as enumerated, not an abort of the whole sweep

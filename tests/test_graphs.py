@@ -6,7 +6,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dcl.graphs
@@ -40,6 +40,7 @@ from dcl.instances import (
     iter_instance_classes,
     iter_typed_instances,
     restrict,
+    restrict_with_projection,
     serialize_instance,
 )
 from dcl.randgen import random_graph, random_morphism_into
@@ -866,6 +867,51 @@ class TestCanonicalRestriction:
         m = GraphMorphism(Graph.build(["X"]), Graph.build(["X"]), {"X": "X"}, {})
         with pytest.raises(GraphError):
             canonical_restriction(self.two_links(), m)
+
+
+def prefixed_case() -> tuple[TypedInstance, GraphMorphism]:
+    """(t, b) whose pair ids sort otherwise than their elements: "(x1|h)" comes
+    before "(x|h)", and `( \\ |` are escaped inside pair ids."""
+    schema = Graph.build(["s"], [("r", "s", "s")])
+    carrier = Graph.build(
+        ["x", "x1", "x(", "x\\"], [("y", "x", "x1"), ("y1", "x1", "x"), ("y|", "x(", "x\\")]
+    )
+    t = TypedInstance.build(
+        schema, carrier, dict.fromkeys(carrier.nodes, "s"), dict.fromkeys(carrier.arrow_by_id, "r")
+    )
+    h = Graph.build(["h", "h1"], [("k", "h", "h1"), ("k1", "h1", "h")])
+    return t, GraphMorphism(h, schema, {"h": "s", "h1": "s"}, {"k": "r", "k1": "r"})
+
+
+class TestRestrictionFibres:
+    """A restriction holds the fibres its pullback grouped, as its typing groups them."""
+
+    @given(restriction_cases(ADVERSARIAL_IDS))
+    @example(prefixed_case())
+    @settings(deadline=None)
+    def test_held_fibres_are_the_typings(self, case):
+        t, b = case
+        for held_by in (t, TypedInstance(t.typing)):  # t's own fibres, or none held
+            for restricted in (restrict(held_by, b), restrict_with_projection(held_by, b)[0]):
+                typing = restricted.typing
+                grouped = (typing.node_fibres(), typing.arrow_fibres())
+                # dict and list order included
+                held = vars(restricted)["_fibres"]
+                assert [list(f.items()) for f in held] == [list(f.items()) for f in grouped]
+
+    def test_pair_ids_sort_otherwise_than_elements(self):
+        t, b = prefixed_case()
+        held = vars(restrict(t, b))["_fibres"][0]["h"]
+        assert held == sorted(held)
+        assert held != [pair_id(x, "h") for x in t.carrier.sorted_nodes]
+
+    def test_projection_is_keyed_as_the_restriction(self):
+        t, b = prefixed_case()
+        restricted, p = restrict_with_projection(t, b)
+        _, p_plain, q_plain = pullback(t.typing, b)
+        assert restricted.typing == q_plain and p == p_plain
+        assert list(p.node_map) == list(restricted.typing.node_map)
+        assert list(p.arrow_map) == list(restricted.typing.arrow_map)
 
 
 class TestEnumerationOverAdversarialIds:

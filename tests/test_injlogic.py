@@ -115,6 +115,16 @@ class TestSemanticEntailment:
         assert res.status == "unknown" and res.counterexample is None
         assert re.fullmatch(r"canonical-form bound exceeded: spent \d+ of 2 units", res.detail)
 
+    def test_model_sweep_bound_is_unknown(self, monkeypatch):
+        # a point is injective w.r.t. its identity in every model, so only the
+        # bound ends the sweep, with the detail a dependency sweep reports
+        monkeypatch.setattr(dcl.injlogic, "MODEL_SWEEP_LIMIT", 50)
+        point = identity_formula(as_slice(Graph.build(["p"], []))).conclusion
+        res = semantic_entails(InjTheory(terminal_graph(), {}), point, 3)
+        assert res.status == "unknown" and res.counterexample is None
+        assert res.detail == "model-sweep bound exceeded: spent 51 of 50 units"
+        assert res.models_checked > 0
+
     def test_goal_over_another_base_refused(self):
         # as bounded_entailment refuses it; the sweep used to say "entailed"
         th = outgoing_edge_theory()

@@ -10,16 +10,18 @@ import ast
 import collections
 import pathlib
 import random
+import sys
 
 import pytest
 
 import dcl
 from dcl.fixtures import edge_pair_theory, outgoing_edge_theory, vehicle_registry_instance
-from dcl.graphs import Graph, GraphError, GraphMorphism, identity
+from dcl.graphs import Graph, GraphError, GraphMorphism, _trusted, identity
 from dcl.injlogic import axiom, bounded_entailment, coproduct_macro
 from dcl.instances import (
     Delta,
     SliceMorphism,
+    TypedInstance,
     as_slice,
     compose_delta,
     delta_of,
@@ -146,3 +148,22 @@ class TestOneTrustedConstructor:
             )
 
         assert [(p.name, found) for p in SOURCES if (found := calls_in(p, sets_fibres))] == []
+
+
+class TestPositionalBuilders:
+    def test_dicts_are_as_the_constructors_make_them(self):
+        # a builder sets each field in turn, as the constructor does, so the
+        # instances of a class share their dict keys; `__dict__.update` on a
+        # fresh value would make a dict of its own, of another size
+        g = Graph.build(["a", "b"], [("e", "a", "b")])
+        maps = ({"a": "a", "b": "b"}, {"e": "e"})
+        m = identity(g)
+        pairs = [
+            (Graph.build(["a"]), _trusted(Graph, frozenset(["a"]), frozenset())),
+            (GraphMorphism(g, g, *maps), _trusted(GraphMorphism, g, g, *maps)),
+            (TypedInstance(m), _trusted(TypedInstance, m, (m.node_fibres(), m.arrow_fibres()))),
+        ]
+        for built, trusted in pairs:
+            assert type(trusted) is type(built) and trusted == built
+            assert sys.getsizeof(vars(trusted)) == sys.getsizeof(vars(built))
+        assert list(vars(pairs[2][1])) == ["typing", "_fibres"]
