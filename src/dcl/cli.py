@@ -17,15 +17,17 @@ from typing import Optional
 
 from dcl.graphs import BoundExceeded, Graph, GraphError, GraphMorphism
 from dcl.injlogic import InjTheory, bounded_entailment
-from dcl.instances import Delta, SliceMorphism, TypedInstance, as_slice, canonical_restriction
+from dcl.instances import (
+    Delta,
+    SliceMorphism,
+    TypedInstance,
+    as_slice,
+    canonical_restriction,
+    restrict,
+)
 from dcl.io import FormatError, _expect, _indented, dumps, load
 from dcl.randgen import harness_signature, random_satax_triple
-from dcl.satisfaction import (
-    migrate_instance,
-    pullback_delta,
-    validate_instance,
-    verify_sat_axiom,
-)
+from dcl.satisfaction import pullback_delta, validate_instance, verify_sat_axiom
 from dcl.signature import (
     ConstraintSymbol,
     Lifting,
@@ -74,7 +76,7 @@ def cmd_migrate(args) -> int:
     payload = load(args.payload)
     if args.direction == "pull":
         if isinstance(payload, TypedInstance):
-            out = migrate_instance(f, payload)
+            out = restrict(payload, f)
         elif isinstance(payload, Delta):
             out = pullback_delta(f, payload)
         else:

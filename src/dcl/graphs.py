@@ -608,13 +608,6 @@ def _target_cell(cols: list[int]) -> Optional[list[int]]:
     return members[min(c for c, m in members.items() if len(m) > 1)]
 
 
-def _leaf_order(cols: list[int]) -> list[int]:
-    order = [0] * len(cols)
-    for x, c in enumerate(cols):
-        order[c] = x
-    return order
-
-
 def _encode(order: list[int], outs: list, names: list[str]) -> tuple:
     pos = [0] * len(order)
     for i, x in enumerate(order):
@@ -720,7 +713,7 @@ def _search(root: list[int], outs: list, ins: list, names: list[str], budget: Bu
         if cell is not None:
             stack.append(_Level(cols, cell))
             continue
-        order = _leaf_order(cols)
+        order = sorted(range(len(cols)), key=cols.__getitem__)
         encoding = _encode(order, outs, names)
         if first is None:
             first = best = (encoding, order, list(path))

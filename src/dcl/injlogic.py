@@ -95,7 +95,6 @@ def semantic_entails(
     budget = Budget("model-sweep", MODEL_SWEEP_LIMIT)
     try:
         for model, verdict in _canonical_classes(base, size_bound, max_parallel, budget):
-            budget.charge()
             if verdict is None:  # else the class's canonical form spent its bound
                 for f in formulas:
                     verdict = f.decide(model)

@@ -545,8 +545,6 @@ class CodLift:
 
 
 def cod_lift(t: TypedInstance, q: GraphMorphism) -> CodLift:
-    if q.cod != t.schema:
-        raise GraphError("cod_lift: morphism codomain differs from the schema")
     lifted, proj = restrict_with_projection(t, q)
     return CodLift(lifted, proj, q)
 
@@ -566,26 +564,32 @@ def _families(schema: Graph, max_per_node: int) -> Iterator[tuple[dict, list]]:
     (schema arrow, source element, target element) holds a link count."""
     nodes = schema.sorted_nodes
     for size in itertools.product(range(max_per_node + 1), repeat=len(nodes)):
-        fibers = {n: [f"{n}#{i}" for i in range(k)] for n, k in zip(nodes, size)}
+        fibers = {n: _numbered(n, k) for n, k in zip(nodes, size)}
         pairs = [(a.id, fibers[a.src], fibers[a.tgt]) for a in schema.sorted_arrows]
         yield fibers, [(a, s, t) for a, srcs, tgts in pairs for s in srcs for t in tgts]
+
+
+def _numbered(prefix: str, count: int) -> list[str]:
+    """`prefix#i` for i < count, i zero-padded to one width: sorted as numbered."""
+    width = len(str(count - 1))
+    return [f"{prefix}#{str(i).zfill(width)}" for i in range(count)]
 
 
 def _instance(schema: Graph, fibers: dict, slots: list, counts: tuple) -> TypedInstance:
     """`counts[i]` parallel links on slot i; the typing is valid by construction.
 
     Elements are named "node#i" and links "arrow#k", k counting the links
-    of one schema arrow.  Splitting at the last "#" recovers the schema id,
-    and schema node and arrow ids are distinct, so no two names collide
-    whatever characters the schema ids contain.
+    of one schema arrow, as `_numbered` pads them.  Splitting at the last "#"
+    recovers the schema id, and schema node and arrow ids are distinct, so no
+    two names collide whatever characters the schema ids contain.
     """
     node_typing = {e: n for n, fiber in fibers.items() for e in fiber}
-    arrows, arrow_typing = [], {}
-    links = dict.fromkeys(schema.arrow_by_id, 0)
+    ends = {a: [] for a in schema.arrow_by_id}
     for (a, s, t), k in zip(slots, counts):
-        for _ in range(k):
-            link = f"{a}#{links[a]}"
-            links[a] += 1
+        ends[a] += [(s, t)] * k
+    arrows, arrow_typing = [], {}
+    for a, pairs in ends.items():
+        for link, (s, t) in zip(_numbered(a, len(pairs)), pairs):
             arrows.append((link, s, t))
             arrow_typing[link] = a
     return _trusted_instance(schema, node_typing, arrows, arrow_typing)
@@ -626,13 +630,15 @@ def iter_instance_classes(
 
 
 def _canonical_classes(
-    schema: Graph, max_per_node: int, max_parallel: int = 2, budget: Optional[Budget] = None
+    schema: Graph, max_per_node: int, max_parallel: int, budget: Budget
 ) -> Iterator[tuple[TypedInstance, Optional[Verdict]]]:
     """(canonical instance, None) per class of `iter_instance_classes`, in its
     order, made from the class's numbering; for a class whose canonical form
     spends its bound, (labelled instance, an Unknown verdict naming the bound):
-    only then is the labelled instance built.  `budget` is `_iter_classes`'s."""
+    only then is the labelled instance built.  `budget` is charged as by
+    `_iter_classes`, and a unit per class before its canonical form is made."""
     for names, links, labelled in _iter_classes(schema, max_per_node, max_parallel, budget):
+        budget.charge()
         try:
             canonical = _canonical_numbered(names, links, schema)[0]
         except BoundExceeded as exc:
@@ -658,25 +664,14 @@ def _iter_classes(
     """
     for fibers, slots in _families(schema, max_per_node):
         perms = _slot_permutations(fibers, slots)
-        # element "h#i" is numbered by the rank of "h#i" among its fibre's ids
-        number: dict[str, int] = {}
-        for fiber in fibers.values():
-            ranked = enumerate(sorted(range(len(fiber)), key=str), len(number))
-            number.update((fiber[i], x) for x, i in ranked)
+        # ids sort as they are enumerated, so element "h#i" is numbered in that order
+        number = {e: x for x, e in enumerate(itertools.chain(*fibers.values()))}
         names = tuple(h for h, fiber in fibers.items() for _ in fiber)
         singles = [((number[s], a, number[t]),) for a, s, t in slots]
-        widths = [len(fibers[a.src]) * len(fibers[a.tgt]) for a in schema.sorted_arrows]
-        spans = list(itertools.pairwise(itertools.accumulate(widths, initial=0)))
         for counts in itertools.product(range(max_parallel + 1), repeat=len(slots)):
             if budget is not None:
                 budget.charge()
             if any(p(counts) < counts for p in perms):
                 continue
-            links = list(itertools.chain.from_iterable(map(operator.mul, singles, counts)))
-            # each schema arrow's links in id order: "r#10" before "r#2"
-            start = 0
-            for lo, hi in spans:
-                n = sum(counts[lo:hi])
-                links[start : start + n] = [links[start + k] for k in sorted(range(n), key=str)]
-                start += n
-            yield names, tuple(links), functools.partial(_instance, schema, fibers, slots, counts)
+            links = tuple(itertools.chain.from_iterable(map(operator.mul, singles, counts)))
+            yield names, links, functools.partial(_instance, schema, fibers, slots, counts)

@@ -360,6 +360,8 @@ def load(path: Union[str, pathlib.Path]) -> Any:
         data = json.loads(p.read_text())
     except FileNotFoundError:
         raise FormatError(f"{p}: file not found")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes that are no text
+        raise FormatError(f"{p}: unreadable: {getattr(exc, 'strerror', None) or exc}")
     except json.JSONDecodeError as exc:
         raise FormatError(f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}")
     except RecursionError:

@@ -59,11 +59,6 @@ def validate_instance(
     return ValidationReport(sketch.name, instance_name, verdicts)
 
 
-def migrate_instance(f: GraphMorphism, t: TypedInstance) -> TypedInstance:
-    """Model reduct: pull the instance back along the schema morphism."""
-    return restrict(t, f)
-
-
 # ---------------------------------------------------------------------------
 # Sat-axiom harness
 
@@ -94,7 +89,7 @@ def verify_sat_axiom(
         raise GraphError("verify_sat_axiom: triple endpoints do not match")
     # both sides restrict one grouping of t, held by a copy: t holds none
     grouped = _trusted(TypedInstance, t.typing, t.fibres)
-    reduct_side = satisfies(migrate_instance(f, grouped), d, signature)
+    reduct_side = satisfies(restrict(grouped, f), d, signature)
     translated_side = satisfies(grouped, translate(f, d), signature)
     if reduct_side.status != translated_side.status:
         return SatAxiomResult(
@@ -118,7 +113,9 @@ def propagate_evidence(
     """Lift a Valid verdict for (c, b) to the contributed (c', arity_map;b).
 
     The evidence instance is restricted along the dependency's arity map and
-    the witness re-extracted; the underlying instance is untouched.
+    the witness re-extracted; the underlying instance is untouched.  The
+    verdict's id is "<declaration>/<dependency>", the id `close_sketch`
+    gives the declaration it adds unless another holds it (then primed).
     """
     if not v.is_valid:
         raise GraphError("propagate_evidence: nothing to lift from a non-Valid verdict")
@@ -142,7 +139,7 @@ def reduct_sketch_instance(
     """
     if report.overall is not Status.VALID:
         raise GraphError("reduct_sketch_instance: target report is not all-Valid")
-    reduct = migrate_instance(f.graph_map, t)
+    reduct = restrict(t, f.graph_map)
     verdicts = []
     for d in f.from_.declarations:
         image_id = f.decl_map.get(d.id)

@@ -117,7 +117,7 @@ class Multiplicity:
         return any(lo <= count and (hi is None or count <= hi) for lo, hi in self.intervals)
 
     def decide(self, t: TypedInstance) -> Verdict:
-        arrow = _single_arrow(t.schema)
+        arrow = t.schema.sorted_arrows[0]  # the only one, as the symbol checks
         node_fibres, arrow_fibres = t.fibres
         counts = dict.fromkeys(node_fibres[arrow.src], 0)
         for link in arrow_fibres[arrow.id]:
@@ -133,11 +133,8 @@ class Key:
     kind = "key"
 
     def decide(self, t: TypedInstance) -> Verdict:
-        sources = {a.src for a in t.schema.arrows}
-        if len(sources) != 1:
-            raise SignatureError("key arity must have a single common source node")
-        (class_node,) = sources
-        keys = _distinct_targets(t, class_node, [a.id for a in t.schema.sorted_arrows])
+        arrows = t.schema.sorted_arrows  # leaving one node, as the symbol checks
+        keys = _distinct_targets(t, arrows[0].src, [a.id for a in arrows])
         if isinstance(keys, Verdict):
             return keys
         return Verdict(Evidence(t, {"keys": keys}))
@@ -211,9 +208,7 @@ class JointlyMonic:
     second: str = "02"
 
     def decide(self, t: TypedInstance) -> Verdict:
-        apex = t.schema.arrow_by_id[self.first].src
-        if t.schema.arrow_by_id[self.second].src != apex:
-            raise SignatureError("jointly-monic legs must share their source node")
+        apex = t.schema.arrow_by_id[self.first].src  # the legs', as the symbol checks
         pairs = _distinct_targets(t, apex, (self.first, self.second))
         if isinstance(pairs, Verdict):
             return pairs
@@ -324,12 +319,6 @@ SemanticsSpec = Union[
 ]
 
 
-def _single_arrow(arity: Graph):
-    if len(arity.arrows) != 1:
-        raise SignatureError("expected an arity with exactly one arrow")
-    return arity.sorted_arrows[0]
-
-
 def _links_from(span: Sequence[Arrow]) -> dict[str, list[tuple[str, str]]]:
     """Each source element of a sorted arrow fibre to its (link, target) pairs,
     in link order."""
@@ -430,6 +419,13 @@ class ConstraintSymbol:
         for name in names + [name for path in paths for name in path]:
             if not isinstance(name, str) or name not in self.arity.arrow_by_id:
                 raise SignatureError(f"symbol {self.name!r}: {name!r} is not an arrow of its arity")
+        # the arity shapes that multiplicities, keys and [jm] read unchecked
+        arrows, kind = self.arity.arrow_by_id, self.semantics.kind
+        if kind == "multiplicity" and len(arrows) != 1:
+            raise SignatureError(f"symbol {self.name!r}: a multiplicity needs exactly one arrow")
+        legs = {"key": list(arrows), "jointly_monic": names}.get(kind)
+        if legs is not None and len({arrows[a].src for a in legs}) != 1:
+            raise SignatureError(f"symbol {self.name!r}: a {kind} needs arrows, all from one node")
         # a table entry, a formula and a lifting pair must live over the arity
         overs = [t.schema for _, t in fields.get("entries", ())]
         if "formula" in fields:
@@ -652,7 +648,6 @@ def verify_dependency_soundness(
         for name in dict.fromkeys(d.source for d in sig.dependencies):
             source, deps = sig.symbols[name], sig.dependencies_of(name)
             for t, unknown in _canonical_classes(source.arity, size_bound, max_parallel, budget):
-                budget.charge()
                 # already canonical, so decided directly, not through `evaluate`
                 source_verdict = unknown or source.semantics.decide(t)
                 if source_verdict.status is Status.INVALID:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from dcl.graphs import Graph, GraphError, GraphMorphism, _trusted, compose
+from dcl.graphs import Graph, GraphError, GraphMorphism, _trusted, compose, identity
 from dcl.signature import (
     Multiplicity,
     Signature,
@@ -77,7 +77,8 @@ def is_closed(sketch: Sketch) -> bool:
 def close_sketch(sketch: Sketch) -> Sketch:
     """Least extension of the declarations closed under all dependencies.
 
-    New ids are "<parent-id>/<dependency-id>".  Terminates because the
+    New ids are "<parent-id>/<dependency-id>", with a prime (') appended
+    while a declaration already holds the id.  Terminates because the
     dependency graph on symbols is acyclic; idempotent because dependency
     consequences already present are never re-added.
     """
@@ -91,7 +92,10 @@ def close_sketch(sketch: Sketch) -> Sketch:
             binding = compose(dep.arity_map, d.binding)
             if _has_declaration(declarations, dep.target, binding):
                 continue
-            new = ConstraintDeclaration(f"{d.id}/{dep.id}", dep.target, binding)
+            new_id = f"{d.id}/{dep.id}"
+            while any(x.id == new_id for x in declarations):
+                new_id += "'"
+            new = ConstraintDeclaration(new_id, dep.target, binding)
             declarations.append(new)
             frontier.append(new)
     return Sketch(sketch.name, sketch.carrier, sketch.signature, tuple(declarations))
@@ -149,14 +153,8 @@ class SketchMorphism:
 
     @classmethod
     def identity(cls, sketch: Sketch) -> "SketchMorphism":
-        from dcl.graphs import identity as graph_identity
-
-        return cls(
-            sketch,
-            sketch,
-            graph_identity(sketch.carrier),
-            {d.id: d.id for d in sketch.declarations},
-        )
+        ids = {d.id: d.id for d in sketch.declarations}
+        return cls(sketch, sketch, identity(sketch.carrier), ids)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from dcl.instances import (
     identity_delta,
     iter_slice_morphisms,
     iter_typed_instances,
+    restrict,
     serialize_instance,
     to_indexed,
 )
@@ -51,7 +52,6 @@ from dcl.randgen import (
     random_typed_instance,
 )
 from dcl.satisfaction import (
-    migrate_instance,
     propagate_evidence,
     satisfies,
     validate_instance,
@@ -206,8 +206,8 @@ def test_criterion_04_institution_functoriality():
                 continue
             t = random_typed_instance(rng, top)
 
-            once = migrate_instance(compose(f1, f2), t)
-            twice = migrate_instance(f1, migrate_instance(f2, t))
+            once = restrict(t, compose(f1, f2))
+            twice = restrict(restrict(t, f2), f1)
             # canonical bytes agree iff a typing-commuting iso exists; the
             # explicit search runs where it stays cheap
             assert canonical_restriction(once) == canonical_restriction(twice)

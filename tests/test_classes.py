@@ -36,6 +36,8 @@ from dcl.instances import (
     TypedInstance,
     _canonical_delta,
     _canonical_numbered,
+    _families,
+    _instance,
     _iter_classes,
     _numbered_restriction,
     canonical_restriction,
@@ -308,6 +310,22 @@ class TestInstanceClasses:
                 assert (names, links) == _numbered_restriction(labelled(), None)
                 wide += len(names) > 10 or len(links) > 10
             assert wide > 0
+
+    def test_enumerated_ids_sort_in_enumeration_order(self):
+        # ids are padded to the width of their fibre or arrow, so at 12
+        # elements and 18 links they still sort as they are enumerated
+        schema = single_arrow_arity()
+        fibers, slots = next(
+            (fibers, slots)
+            for fibers, slots in _families(schema, 12)
+            if (len(fibers["A"]), len(fibers["B"])) == (12, 1)
+        )
+        counts = (2,) * 6 + (1,) * 6
+        t = _instance(schema, fibers, slots, counts)
+        assert fibers["A"] == [f"A#{i:02}" for i in range(12)] == t.typing.node_fibres()["A"]
+        assert [a.id for a in t.carrier.sorted_arrows] == [f"r#{k:02}" for k in range(18)]
+        links = tuple((i, "r", 12) for i, k in enumerate(counts) for _ in range(k))
+        assert _numbered_restriction(t, None) == (("A",) * 12 + ("B",), links)
 
     @settings(deadline=None)
     @given(small_schemas(), st.integers(0, 2), st.integers(0, 2))

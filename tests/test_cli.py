@@ -182,6 +182,18 @@ class TestCheck:
         bad.write_text("{not json")
         assert main(["check", SKETCH, str(bad)]) == 3
 
+    def test_undecodable_file_exit_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00{")
+        assert main(["canon", str(bad)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}: unreadable: ")
+
+    def test_directory_exit_three(self, tmp_path, capsys):
+        folder = tmp_path / "folder.json"
+        folder.mkdir()
+        assert main(["canon", str(folder)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {folder}: unreadable: ")
+
     def test_wrong_kind_exit_three(self, capsys):
         assert main(["check", SKETCH, SPAN_SIG]) == 3
 
@@ -505,6 +517,38 @@ class TestCanonClose:
         assert main(["close", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert [d["id"] for d in out["declarations"]] == ["jm", "jm/d1", "jm/d2"]
+
+    def test_close_and_check_prime_a_taken_id(self, capsys, tmp_path):
+        # "x/d1" declares [1] on g, so the [1] on f that closure adds along d1
+        # is "x/d1'", not a second "x/d1"
+        from dcl.graphs import GraphMorphism
+        from dcl.fixtures import span_signature
+        from dcl.sketch import ConstraintDeclaration, Sketch
+
+        sig = span_signature()
+        carrier = Graph.build(["A", "B", "C"], [("f", "A", "B"), ("g", "A", "C")])
+        ends = {"0": "A", "1": "B", "2": "C"}
+        jm = GraphMorphism(sig.symbols["[jm]"].arity, carrier, ends, {"01": "f", "02": "g"})
+        one = GraphMorphism(sig.symbols["[1]"].arity, carrier, {"A": "A", "B": "C"}, {"r": "g"})
+        declarations = (
+            ConstraintDeclaration("x", "[jm]", jm),
+            ConstraintDeclaration("x/d1", "[1]", one),
+        )
+        path = tmp_path / "s.json"
+        path.write_text(dumps(Sketch("s", carrier, sig, declarations)))
+        assert main(["close", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        closed = [(d["id"], d["binding"]["arrows"]) for d in out["declarations"]]
+        assert closed == [
+            ("x", {"01": "f", "02": "g"}),
+            ("x/d1", {"r": "g"}),
+            ("x/d1'", {"r": "f"}),
+        ]
+        empty = tmp_path / "empty.json"
+        empty.write_text(dumps(TypedInstance.empty(carrier)))
+        assert main(["check", "--close", str(path), str(empty)]) == 0
+        ids = [d["id"] for d in json.loads(capsys.readouterr().out)["declarations"]]
+        assert ids == ["x", "x/d1", "x/d1'"]
 
 
 class TestDepsCheck:
@@ -860,6 +904,49 @@ class TestMalformedInput:
         monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
         assert main(["deps-check", str(path)]) == 2
         assert "canonical-form bound exceeded" in capsys.readouterr().err
+
+
+class TestArityShapeAtLoad:
+    """A symbol whose arity has another shape than its semantics reads is
+    refused when its signature is loaded, under every command that reads it."""
+
+    SHAPES = {
+        "multiplicity": (
+            {"nodes": ["A", "B"], "arrows": [["r1", "A", "B"], ["r2", "A", "B"]]},
+            {"kind": "multiplicity", "intervals": [[1, 1]]},
+        ),
+        "key": (
+            {"nodes": ["C", "V", "W"], "arrows": [["k1", "C", "V"], ["k2", "V", "W"]]},
+            {"kind": "key"},
+        ),
+        "jointly_monic": (
+            {"nodes": ["0", "1", "2"], "arrows": [["01", "0", "1"], ["02", "1", "2"]]},
+            {"kind": "jointly_monic", "first": "01", "second": "02"},
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", SHAPES)
+    @pytest.mark.parametrize(
+        "command",
+        [TO_LIFTING, ["deps-check"], ["close"], CHECK_SKETCH],
+        ids=["translate", "deps-check", "close", "check"],
+    )
+    def test_exit_three_naming_the_symbol(self, capsys, tmp_path, kind, command):
+        nodes, arrows = self.SHAPES[kind][0].values()
+        arity = {"nodes": nodes, "arrows": [dict(zip(("id", "src", "tgt"), a)) for a in arrows]}
+        symbol = {"name": "[s]", "arity": arity, "semantics": self.SHAPES[kind][1]}
+        payload = {"kind": "signature", "symbols": [symbol]}
+        if command[0] in ("close", "check"):
+            empty = {"nodes": [], "arrows": []}
+            payload = {"kind": "sketch", "carrier": empty, "signature": payload, "declarations": []}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        if PAYLOAD not in command:
+            command = command + [PAYLOAD]
+        assert main([str(path) if arg == PAYLOAD else arg for arg in command]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: symbol '[s]': a {kind} needs ")
 
 
 # Each shipped file with the cheap commands that read it.

@@ -21,6 +21,7 @@ from dcl.instances import (
     deltas_equivalent,
     identity_delta,
     iter_slice_morphisms,
+    restrict,
     serialize_instance,
 )
 from dcl.randgen import (
@@ -31,7 +32,6 @@ from dcl.randgen import (
     random_typed_instance,
 )
 from dcl.satisfaction import (
-    migrate_instance,
     propagate_evidence,
     pullback_delta,
     reduct_sketch_instance,
@@ -123,14 +123,14 @@ class TestValidateInstance:
 class TestMigration:
     def test_identity_reduct_is_iso(self):
         t = vehicle_registry_instance()
-        out = migrate_instance(identity(t.schema), t)
+        out = restrict(t, identity(t.schema))
         assert canonical_restriction(out) == canonical_restriction(t)
 
     def test_fragment_keeps_only_fiber(self):
         t = vehicle_registry_instance()
         frag = Graph.build(["Vehicle"])
         inc = GraphMorphism(frag, t.schema, {"Vehicle": "Vehicle"}, {})
-        out = migrate_instance(inc, t)
+        out = restrict(t, inc)
         assert len(out.carrier.nodes) == 1 and not out.carrier.arrows
 
     def test_composite_reduct(self):
@@ -140,8 +140,8 @@ class TestMigration:
             f2 = random_morphism_into(rng, g2, 3, 3)
             f1 = random_morphism_into(rng, f2.dom, 3, 3)
             t = random_typed_instance(rng, g2)
-            once = migrate_instance(compose(f1, f2), t)
-            twice = migrate_instance(f1, migrate_instance(f2, t))
+            once = restrict(t, compose(f1, f2))
+            twice = restrict(restrict(t, f2), f1)
             assert canonical_restriction(once) == canonical_restriction(twice)
 
 

@@ -20,6 +20,7 @@ from dcl.signature import (
     ConstraintSymbol,
     Dependency,
     JointlyMonic,
+    Key,
     Lifting,
     Multiplicity,
     Regular,
@@ -40,6 +41,7 @@ from dcl.signature import (
     single_arrow_arity,
     span_arity,
     subset_symbol,
+    triangle_arity,
     verify_dependency_soundness,
 )
 from dcl.fixtures import (
@@ -385,6 +387,29 @@ class TestSemanticsOverArity:
         regular = Regular(existence_formula())
         for semantics in (Table((("row", entry),)), regular, regular_to_lifting(arity, regular)):
             assert ConstraintSymbol("[c]", arity, semantics).semantics is semantics
+
+
+class TestArityShape:
+    """Multiplicities, keys and [jm] decide without checking the shape of
+    their arity, so a symbol of another shape is refused when it is built."""
+
+    @pytest.mark.parametrize(
+        "arity,semantics,message",
+        [
+            (parallel_pair_arity(), Multiplicity(((1, 1),)), "a multiplicity needs exactly one"),
+            (Graph.build(["C"]), Key(), "a key needs arrows, all from one node"),
+            (triangle_arity(), Key(), "a key needs arrows, all from one node"),
+            (
+                Graph.build(["0", "1", "2"], [("01", "0", "1"), ("02", "1", "2")]),
+                JointlyMonic(),
+                "a jointly_monic needs arrows, all from one node",
+            ),
+        ],
+        ids=["multiplicity-two-arrows", "key-no-arrow", "key-two-sources", "jm-two-sources"],
+    )
+    def test_refused_when_built(self, arity, semantics, message):
+        with pytest.raises(SignatureError, match=rf"^symbol '\[s\]': {message}"):
+            ConstraintSymbol("[s]", arity, semantics)
 
 
 class TestIsoInvariance:

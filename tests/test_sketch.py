@@ -119,6 +119,17 @@ class TestClosure:
         assert len(labels) == len(set((l, tuple(sorted(b.node_map.items()))) for l, b in labels))
         assert len(closed.declarations) == 3
 
+    def test_taken_id_is_primed(self):
+        # "jm1/d1" already declares [1] on the second leg, so the [1] on the
+        # first leg that closure adds along d1 takes the next free id
+        s = span_sketch()
+        second = compose(s.signature.dependency("d2").arity_map, s.declarations[0].binding)
+        taken = ConstraintDeclaration("jm1/d1", "[1]", second)
+        closed = close_sketch(Sketch("span", s.carrier, s.signature, (s.declarations[0], taken)))
+        assert [d.id for d in closed.declarations] == ["jm1", "jm1/d1", "jm1/d1'"]
+        assert closed.declaration("jm1/d1'").binding.arrow_map == {"r": "lcdBy"}
+        assert close_sketch(closed).declarations == closed.declarations
+
 
 class TestTranslation:
     def test_identity_translation(self):
