@@ -282,18 +282,18 @@ def search_morphisms(
     pins, in the same order.  `injective` keeps only injective morphisms,
     which between graphs of equal size are the isomorphisms; an arrow image
     already taken is not tried, nor, for an isomorphism, a node whose arrow
-    ends differ.
+    ends differ.  A pattern with an arrow label that h lacks is refused at once.
     """
-    if g.nodes and not h.nodes:  # no morphism into the empty graph: skip planning
-        return iter(())
     g_typing, h_typing = typings or (None, None)
-    return _run_search(_pattern_plan(g, g_typing), _target_index(h, h_typing), pins, injective)
+    plan = _pattern_plan(g, g_typing)
+    found = _run_search(plan, _target_index(h, h_typing), pins, injective)
+    return (_morphism(plan, h, images) for images in found)
 
 
 def _pattern_plan(g: Graph, typing: Optional[GraphMorphism] = None) -> tuple:
     """What the search needs of a pattern, whatever the target: (g, arrow labels,
-    sorted nodes, their colours, each node's forward checks, arrow ids, and arrow
-    ends as (label, source position, target position, pin None))."""
+    sorted nodes, their colours, each node's forward checks, arrow ids, arrow ends
+    as (label, source position, target position, pin None), and the labels used)."""
     label = typing.arrow_map if typing else dict.fromkeys(g.arrow_by_id)
     nodes = g.sorted_nodes
     colours = [typing.node_map[n] for n in nodes] if typing else [None] * len(nodes)
@@ -304,14 +304,15 @@ def _pattern_plan(g: Graph, typing: Optional[GraphMorphism] = None) -> tuple:
         s, t = position[a.src], position[a.tgt]
         checks[max(s, t)].append((label[a.id], s, t))
         ends.append((label[a.id], s, t, None))
-    return g, label, nodes, colours, checks, [a.id for a in g.sorted_arrows], ends
+    used = {end[0] for end in ends}
+    return g, label, nodes, colours, checks, [a.id for a in g.sorted_arrows], ends, used
 
 
 def _target_index(
     h: Graph, typing: Optional[GraphMorphism] = None, fibres: Optional[tuple] = None
 ) -> tuple:
     """What the search needs of a target, whatever the pattern: (h, its arrow
-    labels, its nodes by colour, its arrow ids by (label, src, tgt)), sorted.
+    labels, its nodes by colour, its arrow ids by (label, src, tgt), sorted, labels used).
     `fibres`, typing's (node_fibres(), arrow_fibres()) if the caller has them,
     are read instead of grouping and sorting h again."""
     label = typing.arrow_map if typing else dict.fromkeys(h.arrow_by_id)
@@ -323,13 +324,16 @@ def _target_index(
     index: dict[tuple, list[str]] = {}
     for a in arrows:
         index.setdefault((label[a.id], a.src, a.tgt), []).append(a.id)
-    return h, label, by_colour, index
+    return h, label, by_colour, index, {key[0] for key in index}
 
 
-def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Iterator[GraphMorphism]:
-    """`search_morphisms` of a planned pattern into an indexed target."""
-    g, arrow_label, nodes, colours, checks, arrow_ids, ends = plan
-    h, cod_label, by_colour, index = target
+def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Iterator[tuple]:
+    """`search_morphisms` of a planned pattern into an indexed target, as (node images,
+    arrow images) in plan order; none, at once, if the pattern uses a label h lacks."""
+    g, arrow_label, nodes, colours, checks, arrow_ids, ends, used = plan
+    h, cod_label, by_colour, index, cod_used = target
+    if not used <= cod_used:
+        return
     node_pins, arrow_pins = pins if pins is not None else ({}, {})
     # an isomorphism keeps each node's arrow ends, by label and direction
     iso = injective and len(g.nodes) == len(h.nodes) and len(g.arrows) == len(h.arrows)
@@ -349,14 +353,14 @@ def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Itera
     if arrow_pins:
         ends = [(*end[:3], arrow_pins.get(a)) for a, end in zip(arrow_ids, ends)]
 
-    def complete(image: list[str]) -> Iterator[GraphMorphism]:
+    def complete(image: list[str]) -> Iterator[tuple]:
         options = []
         for label, s, t, pinned in ends:
             found = index[(label, image[s], image[t])]
             options.append(found if pinned is None else [x for x in found if x == pinned])
+        node_images = tuple(image)  # a copy: the backtracking reuses `image`
         for images in _distinct_product(options) if injective else itertools.product(*options):
-            node_map, arrow_map = dict(zip(nodes, image)), dict(zip(arrow_ids, images))
-            yield _trusted(GraphMorphism, g, h, node_map, arrow_map)
+            yield node_images, images
 
     if not nodes:
         yield from complete([])
@@ -381,6 +385,12 @@ def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Itera
             pending.append(iter(candidates[depth + 1]))
         else:
             yield from complete(image)
+
+
+def _morphism(plan: tuple, h: Graph, images: tuple) -> GraphMorphism:
+    """The morphism to h that `_run_search` of the plan yields as `images`."""
+    node_map, arrow_map = dict(zip(plan[2], images[0])), dict(zip(plan[5], images[1]))
+    return _trusted(GraphMorphism, plan[0], h, node_map, arrow_map)
 
 
 def _distinct_product(options: list[list[str]]) -> Iterator[tuple[str, ...]]:

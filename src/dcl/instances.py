@@ -192,17 +192,17 @@ def iter_factorizations(
     """
     if x.dom != f.map.dom or x.cod != t.carrier:
         raise GraphError("a factorization of x needs x: dom f -> carrier of t")
-    pins = _factorization_pins(f.map, x)
+    pins = _factorization_pins(f.map, (x.node_map.values(), x.arrow_map.values()))
     if pins is not None:
         yield from iter_slice_morphisms(f.to, t, pins)
 
 
-def _factorization_pins(f: GraphMorphism, x: GraphMorphism) -> Optional[tuple[dict, dict]]:
-    """The pins on cod f that f;y == x forces, or None if x parts an f-fibre."""
+def _factorization_pins(f: GraphMorphism, x: tuple) -> Optional[tuple[dict, dict]]:
+    """Pins on cod f forced by f;y == x (x's images in f's key order); None if x parts a fibre."""
     pins: tuple[dict[str, str], dict[str, str]] = ({}, {})
-    for pinned, f_map, x_map in zip(pins, (f.node_map, f.arrow_map), (x.node_map, x.arrow_map)):
-        for element, image in f_map.items():
-            if pinned.setdefault(image, x_map[element]) != x_map[element]:
+    for pinned, f_map, x_images in zip(pins, (f.node_map, f.arrow_map), x):
+        for image, x_image in zip(f_map.values(), x_images):
+            if pinned.setdefault(image, x_image) != x_image:
                 return None
     return pins
 

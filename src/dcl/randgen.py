@@ -1,7 +1,7 @@
 """Seeded pseudorandom graphs, morphisms, instances, and declarations.
 
-Morphisms are built constructively (domain elements pick their images up
-front), so they need neither a hom search nor validation: generation always succeeds.
+Morphisms pick their images up front, so they need no validation.  A declaration's
+binding is drawn from the results of a hom search, and only the drawn one is built.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dcl.graphs import (
     Arrow,
     Graph,
     GraphMorphism,
+    _morphism,
     _run_search,
     _target_index,
     _trusted,
@@ -107,9 +108,9 @@ def random_declaration(
     target = _target_index(carrier)
     for name in names:
         symbol = signature.symbols[name]
-        homs = list(itertools.islice(_run_search(symbol._plan, target), HOM_LIMIT))
-        if homs:
-            binding = rng.choice(homs)
+        found = list(itertools.islice(_run_search(symbol._plan, target), HOM_LIMIT))
+        if found:
+            binding = _morphism(symbol._plan, carrier, rng.choice(found))
             return ConstraintDeclaration("rnd", name, binding)
     return None
 

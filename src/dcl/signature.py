@@ -352,15 +352,16 @@ def _distinct_targets(
 def check_injectivity(t: TypedInstance, spec: Regular) -> Verdict:
     """Does every testing map from the spec's formula's domain factor through it?
 
-    For each testing map x: S -> t, the first y: Q -> t that
-    `iter_factorizations` yields is the least one with f;y == x.  The spec's
-    `search_limit` bounds the morphisms the searches enumerate, testing maps
-    and factorizations together; past it the verdict is Unknown, naming the
-    bound.  Pinning enumerates fewer
-    morphisms than filtering every y would, so a bound can turn Unknown
-    into a definite verdict, never Valid into Invalid or back.  The searches
-    share one index of t, read from `t.fibres`, and the spec's plan of each
-    side of the formula; a formula over another schema is refused.
+    For each testing map x: S -> t, the first y: Q -> t that `iter_factorizations`
+    yields is the least one with f;y == x.  The spec's `search_limit` bounds the
+    morphisms the searches enumerate, testing maps and factorizations together;
+    past it the verdict is Unknown, naming the bound.  Pinning enumerates fewer
+    morphisms than filtering every y would, so a bound can turn Unknown into a
+    definite verdict, never Valid into Invalid or back.  The searches share one
+    index of t, read from `t.fibres`, and the spec's plan of each side of the
+    formula; a formula over another schema is refused, and a side using a link type
+    t lacks yields nothing, up front.  No morphism is built: x and y are written
+    from the searches' images, as their morphisms' `to_json(inline=False)` would.
     """
     formula = spec.formula
     if formula.from_.schema != t.schema:
@@ -369,15 +370,19 @@ def check_injectivity(t: TypedInstance, spec: Regular) -> Verdict:
     target = _target_index(t.carrier, t.typing, t.fibres)
     tests, factors = spec._plans
     table = []
+
+    def maps(plan: tuple, images: tuple) -> dict:
+        return {"nodes": dict(zip(plan[2], images[0])), "arrows": dict(zip(plan[5], images[1]))}
+
     try:
         for x in _run_search(tests, target):
             budget.charge()
             pins = _factorization_pins(formula.map, x)
             y = None if pins is None else next(_run_search(factors, target, pins), None)
             if y is None:
-                return Verdict(counterexample=Counterexample(t, (x.to_json(inline=False),)))
+                return Verdict(counterexample=Counterexample(t, (maps(tests, x),)))
             budget.charge()
-            table.append({"x": x.to_json(inline=False), "y": y.to_json(inline=False)})
+            table.append({"x": maps(tests, x), "y": maps(factors, y)})
     except BoundExceeded as exc:
         return Verdict(detail=str(exc))
     return Verdict(Evidence(t, {"factorizations": table}))

@@ -155,6 +155,28 @@ class TestDeclarationSetUp:
         assert [id(h) for h in indexed] == [id(c) for c in calls]
         assert sum(not c.nodes for c in calls) > 0  # empty carriers are drawn too
 
+    def test_one_morphism_built_per_declaration(self, monkeypatch):
+        # the search yields images; only the drawn binding is built, and a
+        # carrier that nothing embeds into builds none
+        built = []
+        real = dcl.graphs._trusted
+        monkeypatch.setattr(
+            dcl.graphs,
+            "_trusted",
+            lambda cls, *a: (cls is GraphMorphism and built.append(a)) or real(cls, *a),
+        )
+        sig, rng = harness_signature(), random.Random(1)
+        returned = []
+        for _ in range(400):
+            carrier = random_graph(rng, 4, 4, min_nodes=0)
+            before = len(built)
+            d = random_declaration(rng, carrier, sig)
+            assert len(built) - before == (d is not None)
+            returned.append(d is not None)
+            if d is not None:
+                assert built[-1][2:] == (d.binding.node_map, d.binding.arrow_map)
+        assert 0 < sum(returned) < len(returned)
+
     def test_plan_held_outside_equality_and_json(self):
         symbol = harness_signature().symbols["[1..*]"]
         copy = ConstraintSymbol(symbol.name, symbol.arity, symbol.semantics)

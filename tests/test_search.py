@@ -9,6 +9,7 @@ its objects by diagram key, where it once took their canonical bytes.
 """
 
 import itertools
+import json
 import signal
 
 from hypothesis import assume, example, given, settings
@@ -19,6 +20,7 @@ from dcl.fixtures import existence_symbol, outgoing_edge_theory, uniqueness_symb
 from dcl.graphs import (
     Graph,
     GraphMorphism,
+    _morphism,
     _pattern_plan,
     _run_search,
     _target_index,
@@ -44,10 +46,11 @@ from dcl.signature import (
     Regular,
     check_injectivity,
     evaluate,
+    parallel_pair_arity,
     regular_to_lifting,
     single_arrow_arity,
 )
-from dcl.verdicts import Status
+from dcl.verdicts import Counterexample, Evidence, Status, Verdict
 
 
 def reference_homomorphisms(g: Graph, h: Graph):
@@ -128,8 +131,8 @@ SCHEMA = Graph.build(["A", "B"], [("r", "A", "B"), ("s", "A", "A"), ("t", "B", "
 
 
 @st.composite
-def typed_instances(draw, max_nodes=4, max_arrows=5, min_nodes=0):
-    """Instances over SCHEMA, with ids drawn as in `graphs`."""
+def typed_instances(draw, max_nodes=4, max_arrows=5, min_nodes=0, schema=SCHEMA):
+    """Instances over `schema`, with ids drawn as in `graphs`."""
     nodes = draw(
         st.lists(
             st.text("abc", min_size=1, max_size=2),
@@ -138,22 +141,22 @@ def typed_instances(draw, max_nodes=4, max_arrows=5, min_nodes=0):
             max_size=max_nodes,
         )
     )
-    types = {n: draw(st.sampled_from(["A", "B"])) for n in nodes}
+    types = {n: draw(st.sampled_from(schema.sorted_nodes)) for n in nodes}
     arrows, arrow_types = [], {}
-    for k, label in enumerate(draw(st.lists(st.sampled_from(SCHEMA.sorted_arrows), max_size=max_arrows))):
+    for k, label in enumerate(draw(st.lists(st.sampled_from(schema.sorted_arrows), max_size=max_arrows))):
         srcs = [n for n in nodes if types[n] == label.src]
         tgts = [n for n in nodes if types[n] == label.tgt]
         if srcs and tgts:
             arrows.append((f"x{k}", draw(st.sampled_from(srcs)), draw(st.sampled_from(tgts))))
             arrow_types[f"x{k}"] = label.id
-    return TypedInstance.build(SCHEMA, Graph.build(nodes, arrows), types, arrow_types)
+    return TypedInstance.build(schema, Graph.build(nodes, arrows), types, arrow_types)
 
 
 def sub_instance(t: TypedInstance, nodes, arrows) -> TypedInstance:
     """The part of t on `nodes`, `arrows` and the arrows' endpoints."""
     nodes = set(nodes) | {a.src for a in arrows} | {a.tgt for a in arrows}
     return TypedInstance.build(
-        SCHEMA,
+        t.schema,
         Graph.build(nodes, arrows),
         {n: t.typing.node_map[n] for n in nodes},
         {a.id: t.typing.arrow_map[a.id] for a in arrows},
@@ -166,7 +169,7 @@ def with_twins(t: TypedInstance) -> TypedInstance:
     typing = dict(t.typing.arrow_map)
     typing.update((f"{a.id}'", typing[a.id]) for a in t.carrier.arrows)
     carrier = Graph.build(t.carrier.nodes, [*t.carrier.arrows, *twins])
-    return TypedInstance.build(SCHEMA, carrier, t.typing.node_map, typing)
+    return TypedInstance.build(t.schema, carrier, t.typing.node_map, typing)
 
 
 @st.composite
@@ -226,6 +229,20 @@ def assert_valid(m: GraphMorphism) -> None:
     assert list(m.arrow_map) == sorted(m.arrow_map)
 
 
+# patterns refused before any candidate: an arrow into a graph with nodes and
+# no arrows, and a link type (`s`) that the target does not have, though its
+# carrier has an arrow for the link
+ARROW_INTO_BARE_NODES = (Graph.build(["a", "b"], [("x", "a", "b")]), Graph.build(["p", "q"]))
+TYPE_THE_TARGET_LACKS = (
+    TypedInstance.build(
+        SCHEMA, Graph.build(["a", "b"], [("x", "a", "b")]), {"a": "A", "b": "A"}, {"x": "s"}
+    ),
+    TypedInstance.build(
+        SCHEMA, Graph.build(["p", "q"], [("y", "p", "q")]), {"p": "A", "q": "B"}, {"y": "r"}
+    ),
+)
+
+
 class TestHomSearch:
     def test_small_graphs_match_reference(self):
         pool = small_graphs()
@@ -233,6 +250,7 @@ class TestHomSearch:
             assert maps(search_morphisms(g, h)) == list(reference_homomorphisms(g, h))
 
     @given(graphs(), graphs(max_arrows=7))
+    @example(*ARROW_INTO_BARE_NODES)
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, g, h):
         found = list(search_morphisms(g, h))
@@ -251,6 +269,7 @@ class TestHomSearch:
         )
 
     @given(graphs(), graphs(max_arrows=7))
+    @example(*ARROW_INTO_BARE_NODES)
     @settings(max_examples=300, deadline=None)
     def test_injective_is_filtered(self, g, h):
         everything = list(search_morphisms(g, h))
@@ -258,6 +277,12 @@ class TestHomSearch:
         assert maps(injective) == maps(m for m in everything if is_monic(m))
         if len(g.nodes) == len(h.nodes) and len(g.arrows) == len(h.arrows):
             assert maps(injective) == maps(m for m in everything if m.is_bijective)
+
+    def test_arrow_into_bare_nodes_yields_nothing(self):
+        g, h = ARROW_INTO_BARE_NODES
+        for pins in (None, ({"a": "p"}, {}), ({"a": "p", "b": "q"}, {})):
+            for injective in (False, True):
+                assert list(search_morphisms(g, h, pins=pins, injective=injective)) == []
 
     def test_small_graphs_injective_is_bijective_filter(self):
         pool = small_graphs()
@@ -309,6 +334,7 @@ class TestIsomorphismSearchIsPruned:
 
 class TestSliceSearch:
     @given(typed_instances(), typed_instances(max_arrows=7))
+    @example(*TYPE_THE_TARGET_LACKS)
     @settings(max_examples=300, deadline=None)
     def test_is_hom_search_filtered_by_typing(self, s, t):
         found = list(iter_slice_morphisms(s, t))
@@ -332,6 +358,13 @@ class TestSliceSearch:
             m for m in everything if respects(m, pins) and is_monic(m)
         )
 
+    def test_type_the_target_lacks_yields_nothing(self):
+        s, t = TYPE_THE_TARGET_LACKS
+        assert list(search_morphisms(s.carrier, t.carrier))  # untyped, x has an image
+        for pins in (None, ({"a": "p"}, {}), ({"a": "p"}, {"x": "y"})):
+            for injective in (False, True):
+                assert list(iter_slice_morphisms(s, t, pins, injective)) == []
+
     @given(factorization_problems())
     @settings(max_examples=300, deadline=None)
     def test_factorizations_are_filtered(self, problem):
@@ -352,7 +385,8 @@ class TestSliceSearch:
         index = _target_index(t.carrier, typings and typings[1])
         pin_sets = data.draw(st.lists(pins_for(s.carrier, t.carrier), max_size=4))
         for pins, injective in itertools.product([None, *pin_sets], (False, True)):
-            assert maps(_run_search(plan, index, pins, injective)) == maps(
+            found = _run_search(plan, index, pins, injective)
+            assert maps(_morphism(plan, t.carrier, images) for images in found) == maps(
                 search_morphisms(s.carrier, t.carrier, typings, pins, injective)
             )
 
@@ -635,3 +669,94 @@ class TestRegularLiftingAgreement:
                 assert verdict.is_valid == (expected is not None)
                 if expected is not None:
                     assert verdict.evidence.witness == {"factorizations": expected}
+
+
+def reference_injectivity(t: TypedInstance, spec: Regular) -> Verdict:
+    """`check_injectivity` rebuilt from the public searches: the testing maps
+    of `iter_slice_morphisms`, each with the first y of `iter_factorizations`,
+    charging 1 per x and 1 per y against the spec's `search_limit`."""
+    formula, limit, spent, table = spec.formula, spec.search_limit, 0, []
+    spent_all = f"spent {limit + 1} of {limit} units"
+    unknown = Verdict(detail=f"injectivity-search bound exceeded: {spent_all}")
+    for x in iter_slice_morphisms(formula.from_, t):
+        spent += 1
+        if spent > limit:
+            return unknown
+        y = next(iter_factorizations(formula, x.map, t), None)
+        if y is None:
+            return Verdict(counterexample=Counterexample(t, (x.map.to_json(inline=False),)))
+        spent += 1
+        if spent > limit:
+            return unknown
+        table.append({"x": x.map.to_json(inline=False), "y": y.map.to_json(inline=False)})
+    return Verdict(Evidence(t, {"factorizations": table}))
+
+
+LOOP_ARITY = Graph.build(["A"], [("l", "A", "A")])
+ARITIES = (SCHEMA, single_arrow_arity(), parallel_pair_arity(), LOOP_ARITY)
+
+
+def without_types(t: TypedInstance, types) -> TypedInstance:
+    """t without its links of the given types."""
+    kept = [a for a in t.carrier.arrows if t.typing.arrow_map[a.id] not in types]
+    return sub_instance(t, t.carrier.nodes, kept)
+
+
+@st.composite
+def injectivity_problems(draw):
+    """(t, spec): a formula s -> q over a small arity, s part of q (whose links
+    are twinned at times), and t over the same arity, drawn or part of q, less
+    the links of some types, so that at times it lacks a type the formula uses."""
+    arity = draw(st.sampled_from(ARITIES))
+    q = draw(typed_instances(max_nodes=3, max_arrows=4, schema=arity))
+    s = draw(sub_instances(q))
+    q = with_twins(q) if draw(st.booleans()) else q
+    formula = draw(st.sampled_from(first_maps(s, q)))
+    t = draw(st.one_of(typed_instances(max_nodes=3, max_arrows=4, schema=arity), sub_instances(q)))
+    t = without_types(t, draw(st.sets(st.sampled_from([a.id for a in arity.sorted_arrows]))))
+    return t, Regular(formula, draw(st.integers(0, 6)))
+
+
+def single_arrow_problem(t_links: bool, s_links: bool, limit: int = 4):
+    """Over A -r-> B: the formula (a, with its r link when s_links) -> (a -r-> b),
+    and t = (p -r-> q) with or without its link."""
+    arity = single_arrow_arity()
+    q = TypedInstance.build(
+        arity, Graph.build(["a", "b"], [("x", "a", "b")]), {"a": "A", "b": "B"}, {"x": "r"}
+    )
+    s = q if s_links else sub_instance(q, ["a"], [])
+    nodes = {"a": "a", "b": "b"} if s_links else {"a": "a"}
+    formula = SliceMorphism(
+        s, q, GraphMorphism(s.carrier, q.carrier, nodes, {"x": "x"} if s_links else {})
+    )
+    arrows = [("y", "p", "q")] if t_links else []
+    t = TypedInstance.build(
+        arity, Graph.build(["p", "q"], arrows), {"p": "A", "q": "B"}, {"y": "r"} if t_links else {}
+    )
+    return t, Regular(formula, limit)
+
+
+class TestInjectivityMatchesPublicPath:
+    """`check_injectivity`, which reads its searches' images, against the
+    verdict rebuilt from the public slice and factorization searches."""
+
+    @given(injectivity_problems())
+    @example(single_arrow_problem(t_links=False, s_links=False))  # no y: counterexample
+    @example(single_arrow_problem(t_links=False, s_links=True))  # no x: empty table
+    @example(single_arrow_problem(t_links=True, s_links=False, limit=1))  # Unknown at the y
+    @settings(max_examples=300, deadline=None)
+    def test_verdicts_equal(self, problem):
+        t, spec = problem
+        verdict, expected = check_injectivity(t, spec), reference_injectivity(t, spec)
+        assert verdict.status is expected.status
+        assert verdict.evidence == expected.evidence
+        assert verdict.counterexample == expected.counterexample
+        assert verdict.detail == expected.detail
+        assert json.dumps(verdict.to_json()) == json.dumps(expected.to_json())
+
+    def test_examples_reach_each_outcome(self):
+        outcomes = [
+            check_injectivity(*single_arrow_problem(*flags, limit)).status
+            for *flags, limit in ((False, False, 4), (False, True, 4), (True, False, 1))
+        ]
+        assert outcomes == [Status.INVALID, Status.VALID, Status.UNKNOWN]
