@@ -387,10 +387,14 @@ def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Itera
             yield from complete(image)
 
 
+def _image_maps(plan: tuple, images: tuple) -> tuple[dict, dict]:
+    """The node and arrow maps that `_run_search` of the plan yields as `images`."""
+    return dict(zip(plan[2], images[0])), dict(zip(plan[5], images[1]))
+
+
 def _morphism(plan: tuple, h: Graph, images: tuple) -> GraphMorphism:
     """The morphism to h that `_run_search` of the plan yields as `images`."""
-    node_map, arrow_map = dict(zip(plan[2], images[0])), dict(zip(plan[5], images[1]))
-    return _trusted(GraphMorphism, plan[0], h, node_map, arrow_map)
+    return _trusted(GraphMorphism, plan[0], h, *_image_maps(plan, images))
 
 
 def _distinct_product(options: list[list[str]]) -> Iterator[tuple[str, ...]]:

@@ -31,6 +31,7 @@ from dcl.signature import (
 from dcl.sketch import ConstraintDeclaration
 
 HOM_LIMIT = 200  # a random binding is drawn from the first HOM_LIMIT homomorphisms
+DRAW_LIMIT = 1000  # a Sat-axiom triple is drawn from at most DRAW_LIMIT schema maps
 
 
 def random_graph(
@@ -103,8 +104,6 @@ def random_declaration(
     nothing embeds."""
     names = list(signature.symbols)
     rng.shuffle(names)
-    if not carrier.nodes:  # only an arity without nodes maps into the empty carrier
-        names = [name for name in names if not signature.symbols[name].arity.nodes]
     target = _target_index(carrier)
     for name in names:
         symbol = signature.symbols[name]
@@ -124,15 +123,15 @@ def random_satax_triple(
     """(schema morphism f, declaration over dom f, instance over cod f).
 
     max_nodes must be at least 1: every symbol's arity has a node, so no
-    declaration binds into the empty domain that max_nodes=0 draws.
+    declaration binds into the empty domain that max_nodes=0 draws.  A signature
+    none of whose symbols binds into DRAW_LIMIT drawn domains raises ValueError.
     """
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
-    while True:
+    for _ in range(DRAW_LIMIT):
         big = random_graph(rng, max_nodes, max_arrows)
         f = random_morphism_into(rng, big, max_nodes, max_arrows)
         d = random_declaration(rng, f.dom, signature)
-        if d is None:
-            continue
-        t = random_typed_instance(rng, big)
-        return f, d, t
+        if d is not None:
+            return f, d, random_typed_instance(rng, big)
+    raise ValueError(f"no declaration binds into any of {DRAW_LIMIT} drawn schema maps")

@@ -27,6 +27,7 @@ from dcl.sketch import (
     SketchError,
     SketchMorphism,
     close_sketch,
+    consequence,
     translate_declaration,
 )
 from dcl.verdicts import Status, ValidationReport, Verdict
@@ -107,26 +108,26 @@ def verify_sat_axiom(
 # Evidence propagation and report transfer
 
 
-def propagate_evidence(
-    v: Verdict, dep: Dependency, signature: Signature
-) -> Verdict:
-    """Lift a Valid verdict for (c, b) to the contributed (c', arity_map;b).
+def propagate_evidence(v: Verdict, dep: Dependency, sketch: Sketch) -> Verdict:
+    """Lift a Valid verdict for (c, b) in the closed `sketch` to the contributed
+    (c', arity_map;b), named after the declaration `consequence` finds holding it.
 
     The evidence instance is restricted along the dependency's arity map and
-    the witness re-extracted; the underlying instance is untouched.  The
-    verdict's id is "<declaration>/<dependency>", the id `close_sketch`
-    gives the declaration it adds unless another holds it (then primed).
+    the witness re-extracted; the underlying instance is untouched.
     """
     if not v.is_valid:
         raise GraphError("propagate_evidence: nothing to lift from a non-Valid verdict")
-    if dep.id not in {x.id for x in signature.dependencies}:
-        raise GraphError(f"propagate_evidence: unregistered dependency {dep.id!r}")
-    target = signature.symbols[dep.target]
-    out = evaluate(target, v.evidence.restricted, dep.arity_map)
-    if v.declaration is not None:
-        suffix = "" if dep.is_identity else f"/{dep.id}"
-        out = out.with_declaration(f"{v.declaration}{suffix}")
-    return out
+    try:
+        d = sketch.declaration(v.declaration)
+    except KeyError:
+        raise GraphError(f"propagate_evidence: no declaration {v.declaration!r} in the sketch")
+    if dep not in sketch.signature.dependencies_of(d.label):
+        raise GraphError(f"propagate_evidence: {dep.id!r} is no dependency of {d.label!r}")
+    holder = consequence(sketch.declarations, d, dep)
+    if holder is None:
+        raise GraphError(f"propagate_evidence: sketch {sketch.name!r} is not closed")
+    target = sketch.signature.symbols[dep.target]
+    return evaluate(target, v.evidence.restricted, dep.arity_map).with_declaration(holder.id)
 
 
 def reduct_sketch_instance(

@@ -20,6 +20,7 @@ from dcl.graphs import (
     Graph,
     GraphError,
     GraphMorphism,
+    _image_maps,
     _pattern_plan,
     _run_search,
     _target_index,
@@ -372,7 +373,7 @@ def check_injectivity(t: TypedInstance, spec: Regular) -> Verdict:
     table = []
 
     def maps(plan: tuple, images: tuple) -> dict:
-        return {"nodes": dict(zip(plan[2], images[0])), "arrows": dict(zip(plan[5], images[1]))}
+        return dict(zip(("nodes", "arrows"), _image_maps(plan, images)))
 
     try:
         for x in _run_search(tests, target):

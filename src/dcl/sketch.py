@@ -9,14 +9,10 @@ sketch morphisms (graph map + explicit declaration map).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from dcl.graphs import Graph, GraphError, GraphMorphism, _trusted, compose, identity
-from dcl.signature import (
-    Multiplicity,
-    Signature,
-    multiplicity_symbol,
-)
+from dcl.signature import Dependency, Multiplicity, Signature, multiplicity_symbol
 
 
 class SketchError(GraphError):
@@ -64,10 +60,14 @@ class Sketch:
         raise KeyError(declaration_id)
 
 
-def _has_declaration(
-    declarations: Iterable[ConstraintDeclaration], label: str, binding: GraphMorphism
-) -> bool:
-    return any(d.label == label and d.binding == binding for d in declarations)
+def consequence(
+    declarations: Iterable[ConstraintDeclaration], d: ConstraintDeclaration, dep: Dependency
+) -> Optional[ConstraintDeclaration]:
+    """The first declaration holding d's consequence along dep (d for an identity), or None."""
+    if dep.is_identity:
+        return d
+    binding = compose(dep.arity_map, d.binding)
+    return next((x for x in declarations if x.label == dep.target and x.binding == binding), None)
 
 
 def is_closed(sketch: Sketch) -> bool:
@@ -87,15 +87,12 @@ def close_sketch(sketch: Sketch) -> Sketch:
     while frontier:
         d = frontier.pop(0)
         for dep in sketch.signature.dependencies_of(d.label):
-            if dep.is_identity:
-                continue
-            binding = compose(dep.arity_map, d.binding)
-            if _has_declaration(declarations, dep.target, binding):
+            if consequence(declarations, d, dep) is not None:
                 continue
             new_id = f"{d.id}/{dep.id}"
             while any(x.id == new_id for x in declarations):
                 new_id += "'"
-            new = ConstraintDeclaration(new_id, dep.target, binding)
+            new = ConstraintDeclaration(new_id, dep.target, compose(dep.arity_map, d.binding))
             declarations.append(new)
             frontier.append(new)
     return Sketch(sketch.name, sketch.carrier, sketch.signature, tuple(declarations))
@@ -229,9 +226,7 @@ def elaborate_defaults(
         symbols[symbol.name] = symbol
     signature = Signature(symbols, sketch.signature.dependencies)
 
-    declarations = [
-        ConstraintDeclaration(d.id, d.label, d.binding) for d in sketch.declarations
-    ]
+    declarations = list(sketch.declarations)
     for arrow in sketch.carrier.sorted_arrows:
         if arrow.id in constrained:
             continue

@@ -345,7 +345,7 @@ def test_criterion_07_dependency_closure():
         report = validate_instance(closed, functional)
         jm_verdict = report.verdict_for("jm")
         for dep_id in ("d1", "d2"):
-            lifted = propagate_evidence(jm_verdict, sig.dependency(dep_id), sig)
+            lifted = propagate_evidence(jm_verdict, sig.dependency(dep_id), closed)
             direct = report.verdict_for(f"jm/{dep_id}")
             assert lifted.status is direct.status is Status.VALID
             assert serialize_instance(lifted.evidence.restricted) == serialize_instance(

@@ -10,6 +10,7 @@ import hashlib
 import json
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from dcl.randgen import (
     random_typed_instance,
 )
 from dcl.signature import ConstraintSymbol, Signature, Table
+from test_search import within_seconds
 
 TRIPLES_PER_SEED = 200
 TRIPLE_DIGESTS = {
@@ -197,3 +199,8 @@ class TestDeclarationSetUp:
         both = Signature({**sig.symbols, "nothing": empty})
         d = random_declaration(random.Random(5), Graph.empty(), both)
         assert d.label == "nothing" and d.binding.dom == d.binding.cod == Graph.empty()
+
+    def test_nothing_binds_stops_at_the_draw_limit(self):
+        # no symbol binds into any domain: the triple raises instead of redrawing forever
+        with pytest.raises(ValueError, match=f"any of {dcl.randgen.DRAW_LIMIT} drawn"):
+            within_seconds(1, lambda: random_satax_triple(random.Random(1), Signature({})))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -39,13 +40,14 @@ from dcl.satisfaction import (
     validate_instance,
     verify_sat_axiom,
 )
-from dcl.signature import multiplicity_symbol, Signature
+from dcl.signature import Dependency, multiplicity_symbol, Signature
 from dcl.sketch import (
     ConstraintDeclaration,
     Sketch,
     SketchError,
     SketchMorphism,
     close_sketch,
+    consequence,
     translate_declaration,
 )
 from dcl.verdicts import Counterexample, Status, Verdict
@@ -237,7 +239,7 @@ class TestPropagation:
         report = validate_instance(s, t)
         jm_verdict = report.verdict_for("jm")
         for dep_id in ("d1", "d2"):
-            lifted = propagate_evidence(jm_verdict, sig.dependency(dep_id), sig)
+            lifted = propagate_evidence(jm_verdict, sig.dependency(dep_id), s)
             direct = report.verdict_for(f"jm/{dep_id}")
             assert lifted.status == direct.status == Status.VALID
             assert serialize_instance(lifted.evidence.restricted) == serialize_instance(
@@ -258,7 +260,7 @@ class TestPropagation:
             {"l": "r"},
         )
         v = satisfies(t, d, sig)
-        lifted = propagate_evidence(v, sig.dependency("i"), sig)
+        lifted = propagate_evidence(v, sig.dependency("i"), Sketch("s", carrier, sig, (d,)))
         assert lifted.declaration == "d"
         assert serialize_instance(lifted.evidence.restricted) == serialize_instance(
             v.evidence.restricted
@@ -278,7 +280,125 @@ class TestPropagation:
         v = satisfies(bad, s.declaration("jm"), sig)
         assert v.status is Status.INVALID
         with pytest.raises(GraphError):
-            propagate_evidence(v, sig.dependency("d1"), sig)
+            propagate_evidence(v, sig.dependency("d1"), s)
+
+
+def _span_binding(sig, carrier, nodes, legs):
+    """The [jm] arity onto a span of the carrier: apex and feet, then the two legs."""
+    arity = sig.symbols["[jm]"].arity
+    return GraphMorphism(arity, carrier, dict(zip("012", nodes)), dict(zip(("01", "02"), legs)))
+
+
+def _span_sketches():
+    """The closure sketches of tests/test_sketch.py, and the carrier f: A->B, g: A->C
+    where a user-declared `x/d1` puts [1] on g, so [jm] x's first leg goes to `x/d1'`."""
+    sig = span_signature()
+    span = Graph.build(["L", "V", "T"], [("lcdBy", "L", "V"), ("covers", "L", "T")])
+    jm1 = ConstraintDeclaration("jm1", "[jm]", _span_binding(sig, span, "LVT", ("lcdBy", "covers")))
+    legone = ConstraintDeclaration(
+        "legone", "[1]", compose(sig.dependency("d1").arity_map, jm1.binding)
+    )
+    jm2 = ConstraintDeclaration("jm2", "[jm]", jm1.binding)
+    fg = Graph.build(["A", "B", "C"], [("f", "A", "B"), ("g", "A", "C")])
+    x = ConstraintDeclaration("x", "[jm]", _span_binding(sig, fg, "ABC", ("f", "g")))
+    on_g = ConstraintDeclaration("x/d1", "[1]", compose(sig.dependency("d2").arity_map, x.binding))
+    return {
+        "span": Sketch("span", span, sig, (jm1,)),
+        "found": Sketch("found", fg, sig, (x, on_g)),
+        "legone": Sketch("legone", span, sig, (jm1, legone)),
+        "duplicate": Sketch("duplicate", span, sig, (jm1, jm2)),
+    }
+
+
+def _chain_sketch():
+    a = multiplicity_symbol([(1, 1)], name="a")
+    b = multiplicity_symbol([(0, 1)], name="b")
+    c = multiplicity_symbol([(0, None)], name="c")
+    i = identity(a.arity)
+    sig = Signature(
+        {"a": a, "b": b, "c": c},
+        (Dependency("ab", "a", "b", i), Dependency("bc", "b", "c", i)),
+    )
+    carrier = Graph.build(["X", "Y"], [("r", "X", "Y")])
+    binding = GraphMorphism(a.arity, carrier, {"A": "X", "B": "Y"}, {"r": "r"})
+    return Sketch("chain", carrier, sig, (ConstraintDeclaration("d", "a", binding),))
+
+
+class TestPropagationNamesTheHolder:
+    """A lifted verdict is, byte for byte, the closed report's verdict for the
+    declaration that holds the consequence: its id, evidence and counterexample."""
+
+    @pytest.mark.parametrize("name", ["span", "found", "legone", "duplicate", "chain"])
+    def test_lifted_verdict_is_the_holders(self, name):
+        sketch = _chain_sketch() if name == "chain" else _span_sketches()[name]
+        closed = close_sketch(sketch)
+        rng = random.Random(f"propagation-{name}")
+        lifted = set()
+        for _ in range(40):
+            report = validate_instance(closed, random_typed_instance(rng, closed.carrier))
+            for d in closed.declarations:
+                v = report.verdict_for(d.id)
+                if not v.is_valid:
+                    continue
+                for dep in closed.signature.dependencies_of(d.label):
+                    holder = consequence(closed.declarations, d, dep)
+                    out = propagate_evidence(v, dep, closed)
+                    expected = report.verdict_for(holder.id).to_json()
+                    assert json.dumps(out.to_json()) == json.dumps(expected), (d.id, dep.id)
+                    lifted.add((d.id, dep.id))
+        # every dependency of every declaration was lifted from some Valid verdict
+        deps = closed.signature.dependencies_of
+        assert lifted == {(d.id, dep.id) for d in closed.declarations for dep in deps(d.label)}
+
+    def _found_case(self):
+        closed = close_sketch(_span_sketches()["found"])
+        assert [d.id for d in closed.declarations] == ["x", "x/d1", "x/d1'"]
+        # one A element with one f link and two g links
+        t = TypedInstance.build(
+            closed.carrier,
+            Graph.build(
+                ["a", "b", "c1", "c2"], [("p", "a", "b"), ("q1", "a", "c1"), ("q2", "a", "c2")]
+            ),
+            {"a": "A", "b": "B", "c1": "C", "c2": "C"},
+            {"p": "f", "q1": "g", "q2": "g"},
+        )
+        return closed, validate_instance(closed, t)
+
+    @pytest.mark.parametrize("dep_id,holder,status", [
+        ("d1", "x/d1'", Status.VALID),  # closure primed the id x/d1 holds
+        ("d2", "x/d1", Status.INVALID),  # the user declared it as x/d1
+    ])
+    def test_found_sketch(self, dep_id, holder, status):
+        closed, report = self._found_case()
+        x = report.verdict_for("x")
+        assert x.is_valid
+        out = propagate_evidence(x, closed.signature.dependency(dep_id), closed)
+        assert out.declaration == holder and out.status is status
+        assert json.dumps(out.to_json()) == json.dumps(report.verdict_for(holder).to_json())
+
+    def test_duplicate_lifts_to_the_first_holder(self):
+        closed = close_sketch(_span_sketches()["duplicate"])
+        assert [d.id for d in closed.declarations] == ["jm1", "jm2", "jm1/d1", "jm1/d2"]
+        t = random_typed_instance(random.Random(0), closed.carrier)
+        v = satisfies(t, closed.declaration("jm2"), closed.signature)
+        assert v.is_valid
+        out = propagate_evidence(v, closed.signature.dependency("d1"), closed)
+        assert out.declaration == "jm1/d1"
+
+    def test_refusals_are_graph_errors(self):
+        closed, report = self._found_case()
+        x = report.verdict_for("x")
+        d1 = closed.signature.dependency("d1")
+        unregistered = Dependency("d9", "[jm]", "[1]", d1.arity_map)
+        cases = [
+            (Verdict(x.evidence), d1, closed),  # a verdict with no declaration
+            (x.with_declaration("nope"), d1, closed),  # one the sketch lacks
+            (x, unregistered, closed),
+            (x, d1, _span_sketches()["found"]),  # not closed: x/d1' is missing
+        ]
+        for v, dep, sketch in cases:
+            with pytest.raises(GraphError):
+                propagate_evidence(v, dep, sketch)
 
 
 class TestReductTransfer:
