@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 from typing import Optional
@@ -23,11 +22,12 @@ from dcl.instances import (
     TypedInstance,
     as_slice,
     canonical_restriction,
+    pullback_delta,
     restrict,
 )
 from dcl.io import FormatError, _expect, _indented, dumps, load
 from dcl.randgen import harness_signature, random_satax_triple
-from dcl.satisfaction import pullback_delta, validate_instance, verify_sat_axiom
+from dcl.satisfaction import validate_instance, verify_sat_axiom
 from dcl.signature import (
     ConstraintSymbol,
     Lifting,
@@ -168,11 +168,8 @@ def cmd_infer(args) -> int:
     result = bounded_entailment(
         theory, goal, max_depth=args.depth, size_bound=args.size
     )
-    if result.derivable:
-        _print({"status": "derivable", "proof": result.derivation.to_json()})
-        return EXIT_VALID
-    _print({"status": "unknown", "detail": result.detail})
-    return EXIT_UNKNOWN
+    _print(result.to_json())
+    return EXIT_VALID if result.derivable else EXIT_UNKNOWN
 
 
 def cmd_canon(args) -> int:
@@ -290,7 +287,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BoundExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNKNOWN
-    except (FormatError, GraphError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except GraphError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

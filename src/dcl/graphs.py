@@ -506,6 +506,14 @@ def _projection(q: GraphMorphism, cod: Graph, p_maps: tuple) -> GraphMorphism:
     return _trusted(GraphMorphism, q.dom, cod, node_map, arrow_map)
 
 
+def _pair_map(p: GraphMorphism, q: GraphMorphism, k: GraphMorphism, cod: Graph) -> GraphMorphism:
+    """The map (x|h) -> (k(x)|h) that k: A -> A' induces from a `_pullback` P, with
+    legs p: P -> A and q: P -> H, to `cod`, A' pulled back along H; keyed as p."""
+    node_map = {x: pair_id(k.node_map[a], q.node_map[x]) for x, a in p.node_map.items()}
+    arrow_map = {x: pair_id(k.arrow_map[a], q.arrow_map[x]) for x, a in p.arrow_map.items()}
+    return _trusted(GraphMorphism, p.dom, cod, node_map, arrow_map)
+
+
 def _find(parent, x):
     """Root of x in a union-find `parent` (a list or dict), halving the path."""
     while parent[x] != x:

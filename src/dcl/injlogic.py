@@ -57,10 +57,17 @@ class InjTheory:
 
 @dataclass(frozen=True)
 class SemanticResult:
-    status: str  # "entailed" | "refuted" | "unknown"
+    """Refuted with a countermodel, else Unknown with a detail, else entailed."""
+
     models_checked: int
     counterexample: Optional[TypedInstance] = None
-    detail: Optional[str] = None  # Unknown: the first Unknown verdict's detail
+    detail: Optional[str] = None  # Unknown: the bound hit, or the first Unknown verdict's detail
+
+    @property
+    def status(self) -> str:
+        if self.counterexample is not None:
+            return "refuted"
+        return "entailed" if self.detail is None else "unknown"
 
     @property
     def entailed(self) -> bool:
@@ -104,14 +111,14 @@ def semantic_entails(
                     checked += 1
                     verdict = wanted.decide(model)
                     if verdict.status is Status.INVALID:
-                        return SemanticResult("refuted", checked, model)
+                        return SemanticResult(checked, model)
             if unknown is None and verdict.status is Status.UNKNOWN:
                 unknown = verdict
     except BoundExceeded as exc:  # only the sweep's own bound escapes a decision
-        return SemanticResult("unknown", checked, detail=str(exc))
+        return SemanticResult(checked, detail=str(exc))
     if unknown is not None:
-        return SemanticResult("unknown", checked, detail=unknown.detail)
-    return SemanticResult("entailed", checked)
+        return SemanticResult(checked, detail=unknown.detail)
+    return SemanticResult(checked)
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +270,22 @@ def verify_derivation(d: Derivation, theory: InjTheory) -> None:
 
 @dataclass(frozen=True)
 class EntailmentResult:
-    status: str  # "derivable" | "unknown"
+    """Derivable with a verified derivation, else Unknown with a detail."""
+
     derivation: Optional[Derivation] = None
     detail: Optional[str] = None  # Unknown: the bound that ended the search
 
     @property
     def derivable(self) -> bool:
-        return self.status == "derivable"
+        return self.derivation is not None
+
+    @property
+    def status(self) -> str:
+        return "derivable" if self.derivable else "unknown"
+
+    def to_json(self) -> dict:
+        held = {"proof": self.derivation.to_json()} if self.derivable else {"detail": self.detail}
+        return {"status": self.status, **held}
 
 
 def _formula_key(f: SliceMorphism) -> tuple:
@@ -395,9 +411,9 @@ def bounded_entailment(
             admit_objects(d.conclusion.to for d in frontier)
     except BoundExceeded as exc:
         # the canonical form of a formula's endpoint or of an object spent its bound
-        return EntailmentResult("unknown", detail=str(exc))
+        return EntailmentResult(detail=str(exc))
     if proof is not None:
-        return EntailmentResult("derivable", proof)
+        return EntailmentResult(proof)
     if work.spent > work.limit:
-        return EntailmentResult("unknown", detail=str(work.exceeded()))
-    return EntailmentResult("unknown", detail=f"depth bound {max_depth} reached: {work.usage}")
+        return EntailmentResult(detail=str(work.exceeded()))
+    return EntailmentResult(detail=f"depth bound {max_depth} reached: {work.usage}")

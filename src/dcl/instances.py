@@ -22,6 +22,7 @@ from dcl.graphs import (
     GraphError,
     GraphMorphism,
     _canonical_order,
+    _pair_map,
     _projection,
     _pullback,
     _trusted,
@@ -54,6 +55,12 @@ class TypedInstance:
         if self._fibres is None:
             return self.typing.node_fibres(), self.typing.arrow_fibres()
         return self._fibres
+
+    def with_fibres(self) -> "TypedInstance":
+        """self if it holds its fibres, else a copy that holds them, grouped once."""
+        if self._fibres is not None:
+            return self
+        return _trusted(TypedInstance, self.typing, self.fibres)
 
     @classmethod
     def build(
@@ -222,29 +229,18 @@ def find_instance_isomorphism(
 # Restriction (pullback of instances along schema maps)
 
 
-def restrict_with_projection(
-    t: TypedInstance, m: GraphMorphism
-) -> tuple[TypedInstance, GraphMorphism]:
-    """Pull t back along m: H -> schema(t).
-
-    Returns the restricted instance over H, holding the fibres the pullback
-    grouped, together with the projection from its carrier to the original
-    carrier.
-    """
-    q, fibres, p_maps = _restriction(t, m)
-    return _trusted(TypedInstance, q, fibres), _projection(q, t.carrier, p_maps)
-
-
 def restrict(t: TypedInstance, m: GraphMorphism) -> TypedInstance:
-    q, fibres, _ = _restriction(t, m)
-    return _trusted(TypedInstance, q, fibres)
+    """The reduct of t along m: H -> schema(t), a pullback holding its fibres."""
+    return _restriction(t, m)[0]
 
 
-def _restriction(t: TypedInstance, m: GraphMorphism) -> tuple:
-    """`_pullback(t.typing, m)`, read from t's fibres."""
+def _restriction(t: TypedInstance, m: GraphMorphism) -> tuple[TypedInstance, tuple]:
+    """(`restrict(t, m)`, the maps of its projection) from `_pullback(t.typing, m)`,
+    read from t's fibres."""
     if t.schema != m.cod:
         raise GraphError("restriction: morphism codomain differs from the schema")
-    return _pullback(t.typing, m, t.fibres)
+    q, fibres, p_maps = _pullback(t.typing, m, t.fibres)
+    return _trusted(TypedInstance, q, fibres), p_maps
 
 
 def canonical_restriction(t: TypedInstance, m: Optional[GraphMorphism] = None) -> TypedInstance:
@@ -517,6 +513,21 @@ def compose_delta(d1: Delta, d2: Delta) -> Delta:
     return _canonical_delta(_trusted(Delta, left, right))
 
 
+def pullback_delta(f: GraphMorphism, d: Delta) -> Delta:
+    """Pull a whole update span back along a schema morphism: the apex is its
+    `cod_lift` along f, each end its restriction, and each leg the map
+    (x|h) -> (leg(x)|h) it induces on pullback pairs."""
+    if d.source.schema != f.cod:
+        raise GraphError("pullback_delta: delta lives over a different schema")
+    lift = cod_lift(d.apex, f)
+    legs = []
+    for leg in (d.left, d.right):
+        end = restrict(leg.to, f)
+        m = _pair_map(lift.carrier_map, lift.lifted.typing, leg.map, end.carrier)
+        legs.append(_trusted(SliceMorphism, lift.lifted, end, m))
+    return _canonical_delta(_trusted(Delta, *legs))
+
+
 def deltas_equivalent(d1: Delta, d2: Delta) -> bool:
     """Equality up to apex isomorphism commuting with both legs, by diagram
     key with the endpoints held fixed; past CANONICAL_WORK_LIMIT it raises
@@ -545,8 +556,9 @@ class CodLift:
 
 
 def cod_lift(t: TypedInstance, q: GraphMorphism) -> CodLift:
-    lifted, proj = restrict_with_projection(t, q)
-    return CodLift(lifted, proj, q)
+    """`restrict(t, q)` with its projection to the carrier of t."""
+    lifted, p_maps = _restriction(t, q)
+    return CodLift(lifted, _projection(lifted.typing, t.carrier, p_maps), q)
 
 
 def dom_lift(t: TypedInstance, p: GraphMorphism) -> SliceMorphism:

@@ -1,4 +1,4 @@
-"""Pullback-based satisfaction with evidence, migration, and the Sat-axiom harness.
+"""Pullback-based satisfaction with evidence, report transfer, and the Sat-axiom harness.
 
 Instances migrate contravariantly (pullback along the schema morphism),
 declarations covariantly (binding composition); the Sat-axiom harness
@@ -11,21 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from dcl.graphs import GraphError, GraphMorphism, _trusted, pair_id
-from dcl.instances import (
-    Delta,
-    SliceMorphism,
-    TypedInstance,
-    _canonical_delta,
-    restrict,
-    restrict_with_projection,
-)
+from dcl.graphs import GraphError, GraphMorphism
+from dcl.instances import TypedInstance, restrict
 from dcl.signature import Dependency, Signature, evaluate
 from dcl.sketch import (
     ConstraintDeclaration,
     Sketch,
     SketchError,
     SketchMorphism,
+    check_sketch_morphism,
     close_sketch,
     consequence,
     translate_declaration,
@@ -54,8 +48,7 @@ def validate_instance(
     if added:
         missing = sorted(d.id for d in added)
         raise SketchError(f"sketch {sketch.name!r} is not dependency-closed; missing: {missing}")
-    # every declaration restricts one grouping of t, held by a copy: t holds none
-    grouped = _trusted(TypedInstance, t.typing, t.fibres)
+    grouped = t.with_fibres()  # every declaration restricts this one grouping of t
     verdicts = tuple(satisfies(grouped, d, sketch.signature) for d in sketch.declarations)
     return ValidationReport(sketch.name, instance_name, verdicts)
 
@@ -66,10 +59,13 @@ def validate_instance(
 
 @dataclass(frozen=True)
 class SatAxiomResult:
-    passed: bool
     reduct_side: Verdict  # f*(t) against d
     translated_side: Verdict  # t against f-pushed d
-    detail: Optional[str] = None
+    detail: Optional[str] = None  # failed: how the sides differ
+
+    @property
+    def passed(self) -> bool:
+        return self.detail is None
 
 
 def verify_sat_axiom(
@@ -88,20 +84,17 @@ def verify_sat_axiom(
     """
     if d.binding.cod != f.dom or t.schema != f.cod:
         raise GraphError("verify_sat_axiom: triple endpoints do not match")
-    # both sides restrict one grouping of t, held by a copy: t holds none
-    grouped = _trusted(TypedInstance, t.typing, t.fibres)
+    grouped = t.with_fibres()  # both sides restrict this one grouping of t
     reduct_side = satisfies(restrict(grouped, f), d, signature)
     translated_side = satisfies(grouped, translate(f, d), signature)
     if reduct_side.status != translated_side.status:
-        return SatAxiomResult(
-            False, reduct_side, translated_side, "verdict statuses differ"
-        )
+        return SatAxiomResult(reduct_side, translated_side, "verdict statuses differ")
     # canonical instances: equal as values exactly when their bytes are equal
     if reduct_side.is_valid and (
         reduct_side.evidence.restricted != translated_side.evidence.restricted
     ):
-        return SatAxiomResult(False, reduct_side, translated_side, "evidence bytes differ")
-    return SatAxiomResult(True, reduct_side, translated_side)
+        return SatAxiomResult(reduct_side, translated_side, "evidence bytes differ")
+    return SatAxiomResult(reduct_side, translated_side)
 
 
 # ---------------------------------------------------------------------------
@@ -135,47 +128,17 @@ def reduct_sketch_instance(
 ) -> tuple[TypedInstance, ValidationReport]:
     """Transfer a valid target report along a sketch morphism without re-evaluation.
 
-    By the Sat-axiom and binding coherence, the verdict of decl_map(d) on t
-    is exactly the verdict of d on the reduct, evidence bytes included.
+    By the Sat-axiom and binding coherence, which `check_sketch_morphism` must
+    accept first, the verdict of decl_map(d) on t is exactly the verdict of d
+    on the reduct, evidence bytes included.
     """
+    violations = check_sketch_morphism(f).violations
+    if violations:
+        raise GraphError(f"reduct_sketch_instance: not a sketch morphism: {violations[0]}")
     if report.overall is not Status.VALID:
         raise GraphError("reduct_sketch_instance: target report is not all-Valid")
-    reduct = restrict(t, f.graph_map)
-    verdicts = []
-    for d in f.from_.declarations:
-        image_id = f.decl_map.get(d.id)
-        if image_id is None:
-            raise GraphError(f"reduct_sketch_instance: no image for {d.id!r}")
-        verdicts.append(Verdict(report.verdict_for(image_id).evidence, declaration=d.id))
-    return reduct, ValidationReport(f.from_.name, report.instance, tuple(verdicts))
-
-
-# ---------------------------------------------------------------------------
-# Delta migration
-
-
-def pullback_delta(f: GraphMorphism, d: Delta) -> Delta:
-    """Pull a whole update span back along a schema morphism.
-
-    Endpoints and apex restrict by pullback; the legs are the induced maps
-    (x, g) -> (leg(x), g) on pullback pairs.
-    """
-    if d.source.schema != f.cod:
-        raise GraphError("pullback_delta: delta lives over a different schema")
-    apex, projection = restrict_with_projection(d.apex, f)
-
-    def induced(leg: SliceMorphism) -> SliceMorphism:
-        end = restrict(leg.to, f)
-        # a pair (x|g) of the apex projects to x and is typed by g
-        node_map = {
-            pair: pair_id(leg.map.node_map[x], apex.typing.node_map[pair])
-            for pair, x in projection.node_map.items()
-        }
-        arrow_map = {
-            pair: pair_id(leg.map.arrow_map[x], apex.typing.arrow_map[pair])
-            for pair, x in projection.arrow_map.items()
-        }
-        m = _trusted(GraphMorphism, apex.carrier, end.carrier, node_map, arrow_map)
-        return _trusted(SliceMorphism, apex, end, m)
-
-    return _canonical_delta(_trusted(Delta, induced(d.left), induced(d.right)))
+    verdicts = tuple(
+        Verdict(report.verdict_for(f.decl_map[d.id]).evidence, declaration=d.id)
+        for d in f.from_.declarations
+    )
+    return restrict(t, f.graph_map), ValidationReport(f.from_.name, report.instance, verdicts)

@@ -141,12 +141,12 @@ class SketchMorphism:
     def then(self, other: "SketchMorphism") -> "SketchMorphism":
         if self.to is not other.from_ and self.to != other.from_:
             raise SketchError("cannot compose sketch morphisms: endpoints differ")
-        return SketchMorphism(
-            self.from_,
-            other.to,
-            compose(self.graph_map, other.graph_map),
-            {d: other.decl_map[i] for d, i in self.decl_map.items()},
-        )
+        try:
+            decl_map = {d: other.decl_map[i] for d, i in self.decl_map.items()}
+        except KeyError as exc:
+            raise SketchError(f"cannot compose sketch morphisms: no image for {exc.args[0]!r}")
+        graph_map = compose(self.graph_map, other.graph_map)
+        return SketchMorphism(self.from_, other.to, graph_map, decl_map)
 
     @classmethod
     def identity(cls, sketch: Sketch) -> "SketchMorphism":
@@ -164,7 +164,8 @@ class SketchMorphismReport:
 
 
 def check_sketch_morphism(f: SketchMorphism) -> SketchMorphismReport:
-    """Verify totality, label preservation, and binding coherence per declaration."""
+    """Verify totality, label preservation, and binding coherence per declaration,
+    and that every decl_map key names a source declaration."""
     violations = []
     for d in f.from_.declarations:
         image_id = f.decl_map.get(d.id)
@@ -183,6 +184,8 @@ def check_sketch_morphism(f: SketchMorphism) -> SketchMorphismReport:
             continue
         if image.binding != compose(d.binding, f.graph_map):
             violations.append(f"declaration {d.id!r}: binding does not commute")
+    stray = sorted(f.decl_map.keys() - {d.id for d in f.from_.declarations})
+    violations += [f"decl_map key {k!r} names no source declaration" for k in stray]
     return SketchMorphismReport(tuple(violations))
 
 

@@ -47,12 +47,12 @@ from dcl.instances import (
     identity_delta,
     iter_instance_classes,
     iter_typed_instances,
+    pullback_delta,
     restrict,
     serialize_instance,
     terminal_graph,
 )
 from dcl.io import load
-from dcl.satisfaction import pullback_delta
 from dcl.signature import (
     Dependency,
     Lifting,
@@ -147,8 +147,8 @@ def reference_semantic_entails(theory, goal, size_bound, max_parallel=2, limit=2
             unknown = True
             continue
         if not v.is_valid:
-            return SemanticResult("refuted", checked, canonical)
-    return SemanticResult("unknown" if unknown else "entailed", checked)
+            return SemanticResult(checked, canonical)
+    return SemanticResult(checked, detail="a check was Unknown" if unknown else None)
 
 
 def reference_dependency_soundness(sig, size_bound, max_parallel=2):

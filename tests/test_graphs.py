@@ -35,12 +35,12 @@ from dcl.instances import (
     as_slice,
     canonical_bytes,
     canonical_restriction,
+    cod_lift,
     find_instance_isomorphism,
     identity_delta,
     iter_instance_classes,
     iter_typed_instances,
     restrict,
-    restrict_with_projection,
     serialize_instance,
 )
 from dcl.randgen import random_graph, random_morphism_into
@@ -892,7 +892,7 @@ class TestRestrictionFibres:
     def test_held_fibres_are_the_typings(self, case):
         t, b = case
         for held_by in (t, TypedInstance(t.typing)):  # t's own fibres, or none held
-            for restricted in (restrict(held_by, b), restrict_with_projection(held_by, b)[0]):
+            for restricted in (restrict(held_by, b), cod_lift(held_by, b).lifted):
                 typing = restricted.typing
                 grouped = (typing.node_fibres(), typing.arrow_fibres())
                 # dict and list order included
@@ -907,7 +907,8 @@ class TestRestrictionFibres:
 
     def test_projection_is_keyed_as_the_restriction(self):
         t, b = prefixed_case()
-        restricted, p = restrict_with_projection(t, b)
+        lift = cod_lift(t, b)
+        restricted, p = lift.lifted, lift.carrier_map
         _, p_plain, q_plain = pullback(t.typing, b)
         assert restricted.typing == q_plain and p == p_plain
         assert list(p.node_map) == list(restricted.typing.node_map)

@@ -21,7 +21,6 @@ from dcl.instances import (
     iter_slice_morphisms,
     iter_typed_instances,
     restrict,
-    restrict_with_projection,
     serialize_instance,
     to_indexed,
 )
@@ -131,7 +130,8 @@ class TestRestriction:
     def test_projection_commutes(self):
         t = small_instance()
         m = GraphMorphism(Graph.build(["X"]), schema(), {"X": "A"}, {})
-        restricted, p = restrict_with_projection(t, m)
+        lift = cod_lift(t, m)
+        restricted, p = lift.lifted, lift.carrier_map
         assert compose(p, t.typing) == compose(restricted.typing, m)
 
     def test_node_inclusion_keeps_fiber(self):

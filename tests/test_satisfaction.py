@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -22,6 +23,7 @@ from dcl.instances import (
     deltas_equivalent,
     identity_delta,
     iter_slice_morphisms,
+    pullback_delta,
     restrict,
     serialize_instance,
 )
@@ -34,7 +36,6 @@ from dcl.randgen import (
 )
 from dcl.satisfaction import (
     propagate_evidence,
-    pullback_delta,
     reduct_sketch_instance,
     satisfies,
     validate_instance,
@@ -464,6 +465,27 @@ class TestReductTransfer:
         report = validate_instance(sketch, t)
         with pytest.raises(GraphError):
             reduct_sketch_instance(SketchMorphism.identity(sketch), t, report)
+
+    def test_label_violating_morphism_rejected(self):
+        # d = [1] mapped to e = [0..*]: e holds, but d fails on the reduct
+        one, many = multiplicity_symbol([(1, 1)]), multiplicity_symbol([(0, None)])
+        sig = Signature({one.name: one, many.name: many})
+        carrier = one.arity
+        d = ConstraintDeclaration("d", "[1]", identity(carrier))
+        e = ConstraintDeclaration("e", "[0..*]", identity(carrier))
+        source, target = Sketch("source", carrier, sig, (d,)), Sketch("target", carrier, sig, (e,))
+        f = SketchMorphism(source, target, identity(carrier), {"d": "e"})
+        t = TypedInstance.build(
+            carrier,
+            Graph.build(["a", "b"], [("l1", "a", "b"), ("l2", "a", "b")]),
+            {"a": "A", "b": "B"},
+            {"l1": "r", "l2": "r"},
+        )
+        report = validate_instance(target, t)
+        assert report.overall is Status.VALID
+        assert satisfies(restrict(t, f.graph_map), d, sig).status is Status.INVALID
+        with pytest.raises(GraphError, match=re.escape("'d': label '[1]' mapped to '[0..*]'")):
+            reduct_sketch_instance(f, t, report)
 
 
 class TestPullbackDelta:

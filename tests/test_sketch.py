@@ -201,6 +201,19 @@ class TestSketchMorphisms:
         with pytest.raises(FormatError):
             from_json(data)
 
+    def test_decl_map_key_without_declaration_reported(self):
+        s = close_sketch(span_sketch())
+        decl_map = {**{d.id: d.id for d in s.declarations}, "ghost": "jm1"}
+        report = check_sketch_morphism(SketchMorphism(s, s, identity(s.carrier), decl_map))
+        assert report.violations == ("decl_map key 'ghost' names no source declaration",)
+
+    def test_composite_without_image_is_a_sketch_error(self):
+        s = close_sketch(span_sketch())
+        i = SketchMorphism.identity(s)
+        partial = SketchMorphism(s, s, identity(s.carrier), {"jm1": "jm1"})
+        with pytest.raises(SketchError, match="no image for 'jm1/d1'"):
+            i.then(partial)
+
     def test_composite_of_accepted_is_accepted(self):
         s = close_sketch(span_sketch())
         i = SketchMorphism.identity(s)

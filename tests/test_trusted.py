@@ -27,9 +27,9 @@ from dcl.instances import (
     delta_of,
     identity_delta,
     iter_slice_morphisms,
+    pullback_delta,
 )
 from dcl.randgen import random_graph, random_morphism_into, random_typed_instance
-from dcl.satisfaction import pullback_delta
 
 
 @pytest.fixture
