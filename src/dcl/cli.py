@@ -37,7 +37,13 @@ from dcl.signature import (
     regular_to_lifting,
     verify_dependency_soundness,
 )
-from dcl.sketch import Sketch, close_sketch, translate_declaration, translate_sketch
+from dcl.sketch import (
+    ConstraintDeclaration,
+    Sketch,
+    close_sketch,
+    translate_declaration,
+    translate_sketch,
+)
 from dcl.verdicts import Status
 
 EXIT_VALID = 0
@@ -110,8 +116,6 @@ _FAULT_SWAP = {"[1]": "[0..1]", "[0..1]": "[1]", "[1..*]": "[1..4,6]", "[1..4,6]
 
 def _broken_translate(f, d):
     """Deliberately wrong covariant translation: swaps multiplicity labels."""
-    from dcl.sketch import ConstraintDeclaration
-
     out = translate_declaration(f, d)
     swapped = _FAULT_SWAP.get(out.label)
     if swapped is None:

@@ -286,14 +286,15 @@ def search_morphisms(
     """
     g_typing, h_typing = typings or (None, None)
     plan = _pattern_plan(g, g_typing)
-    found = _run_search(plan, _target_index(h, h_typing), pins, injective)
+    fibres = h_typing and (h_typing.node_fibres(), h_typing.arrow_fibres())
+    found = _run_search(plan, _target_index(h, fibres), pins, injective)
     return (_morphism(plan, h, images) for images in found)
 
 
 def _pattern_plan(g: Graph, typing: Optional[GraphMorphism] = None) -> tuple:
-    """What the search needs of a pattern, whatever the target: (g, arrow labels,
-    sorted nodes, their colours, each node's forward checks, arrow ids, arrow ends
-    as (label, source position, target position, pin None), and the labels used)."""
+    """What the search needs of a pattern, whatever the target: (g, sorted nodes,
+    their colours, each node's forward checks, arrow ids, arrow ends as (label,
+    source position, target position, pin None), and the labels used)."""
     label = typing.arrow_map if typing else dict.fromkeys(g.arrow_by_id)
     nodes = g.sorted_nodes
     colours = [typing.node_map[n] for n in nodes] if typing else [None] * len(nodes)
@@ -305,47 +306,42 @@ def _pattern_plan(g: Graph, typing: Optional[GraphMorphism] = None) -> tuple:
         checks[max(s, t)].append((label[a.id], s, t))
         ends.append((label[a.id], s, t, None))
     used = {end[0] for end in ends}
-    return g, label, nodes, colours, checks, [a.id for a in g.sorted_arrows], ends, used
+    return g, nodes, colours, checks, [a.id for a in g.sorted_arrows], ends, used
 
 
-def _target_index(
-    h: Graph, typing: Optional[GraphMorphism] = None, fibres: Optional[tuple] = None
-) -> tuple:
-    """What the search needs of a target, whatever the pattern: (h, its arrow
-    labels, its nodes by colour, its arrow ids by (label, src, tgt), sorted, labels used).
-    `fibres`, typing's (node_fibres(), arrow_fibres()) if the caller has them,
-    are read instead of grouping and sorting h again."""
-    label = typing.arrow_map if typing else dict.fromkeys(h.arrow_by_id)
-    if fibres:
-        by_colour, arrows = fibres[0], itertools.chain.from_iterable(fibres[1].values())
-    else:
-        by_colour = typing.node_fibres() if typing else {None: h.sorted_nodes}
-        arrows = h.sorted_arrows
+def _target_index(h: Graph, fibres: Optional[tuple] = None) -> tuple:
+    """What the search needs of a target, whatever the pattern: (h, its nodes by
+    colour, its arrow ids by (label, src, tgt), sorted, labels used), read from
+    `fibres`, a typing's (node_fibres(), arrow_fibres()) keyed by colour and label;
+    without them, h's nodes and arrows have the colour and label None."""
+    by_colour, by_label = fibres or ({None: h.sorted_nodes}, {None: h.sorted_arrows})
     index: dict[tuple, list[str]] = {}
-    for a in arrows:
-        index.setdefault((label[a.id], a.src, a.tgt), []).append(a.id)
-    return h, label, by_colour, index, {key[0] for key in index}
+    for label, arrows in by_label.items():
+        for a in arrows:
+            index.setdefault((label, a.src, a.tgt), []).append(a.id)
+    return h, by_colour, index, {key[0] for key in index}
 
 
 def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Iterator[tuple]:
     """`search_morphisms` of a planned pattern into an indexed target, as (node images,
     arrow images) in plan order; none, at once, if the pattern uses a label h lacks."""
-    g, arrow_label, nodes, colours, checks, arrow_ids, ends, used = plan
-    h, cod_label, by_colour, index, cod_used = target
+    g, nodes, colours, checks, arrow_ids, ends, used = plan
+    h, by_colour, index, cod_used = target
     if not used <= cod_used:
         return
     node_pins, arrow_pins = pins if pins is not None else ({}, {})
     # an isomorphism keeps each node's arrow ends, by label and direction
     iso = injective and len(g.nodes) == len(h.nodes) and len(g.arrows) == len(h.arrows)
     if iso:
-        degree, cod_degree = _degrees(g, arrow_label), _degrees(h, cod_label)
+        degree = _degrees(range(len(nodes)), (end[:3] for end in ends))
+        cod_degree = _degrees(h.nodes, (key for key, ids in index.items() for _ in ids))
         if sorted(degree.values()) != sorted(cod_degree.values()):
             return
     candidates = []
-    for n, colour in zip(nodes, colours):
+    for i, (n, colour) in enumerate(zip(nodes, colours)):
         options = by_colour.get(colour, [])
         if iso:
-            options = [c for c in options if cod_degree[c] == degree[n]]
+            options = [c for c in options if cod_degree[c] == degree[i]]
         pinned = node_pins.get(n)
         candidates.append(options if pinned is None else [c for c in options if c == pinned])
     if not all(candidates):
@@ -389,7 +385,7 @@ def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Itera
 
 def _image_maps(plan: tuple, images: tuple) -> tuple[dict, dict]:
     """The node and arrow maps that `_run_search` of the plan yields as `images`."""
-    return dict(zip(plan[2], images[0])), dict(zip(plan[5], images[1]))
+    return dict(zip(plan[1], images[0])), dict(zip(plan[4], images[1]))
 
 
 def _morphism(plan: tuple, h: Graph, images: tuple) -> GraphMorphism:
@@ -423,12 +419,13 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[GraphMorphism]:
     return next(search_morphisms(g, h, injective=True), None)
 
 
-def _degrees(g: Graph, label: Mapping) -> dict[str, tuple]:
-    """Each node's arrow ends, as sorted (arrow label, is source) pairs."""
-    ends: dict[str, list] = {n: [] for n in g.nodes}
-    for a in g.arrows:
-        ends[a.src].append((label[a.id], True))
-        ends[a.tgt].append((label[a.id], False))
+def _degrees(nodes: Iterable, arrows: Iterable[tuple]) -> dict:
+    """Each node's arrow ends, as sorted (arrow label, is source) pairs, from
+    the arrows as (label, source, target) triples."""
+    ends: dict = {n: [] for n in nodes}
+    for label, s, t in arrows:
+        ends[s].append((label, True))
+        ends[t].append((label, False))
     return {n: tuple(sorted(e)) for n, e in ends.items()}
 
 
@@ -463,17 +460,17 @@ def pullback(
     """
     if f.cod != g.cod:
         raise GraphError("pullback requires a cospan: codomains differ")
-    q, _, p_maps = _pullback(f, g)
+    q, _, p_maps = _pullback((f.node_fibres(), f.arrow_fibres()), g)
     return q.dom, _projection(q, f.dom, p_maps), q
 
 
-def _pullback(f: GraphMorphism, g: GraphMorphism, fibres: Optional[tuple] = None) -> tuple:
-    """(q, q's fibres, p's maps) of `pullback(f, g)`, made fibre by fibre over B.
-    The fibres are (q.node_fibres(), q.arrow_fibres()) as those give them: sorted
-    by pair id, which need not be the order of the A sides.  p is left to
-    `_projection`, as not every caller needs it.  `fibres`, f's (node_fibres(),
-    arrow_fibres()) if the caller holds them, are read instead of grouping f."""
-    f_nodes, f_arrows = fibres or (f.node_fibres(), f.arrow_fibres())
+def _pullback(f_fibres: tuple, g: GraphMorphism) -> tuple:
+    """(q, q's fibres, p's maps) of `pullback(f, g)`, made fibre by fibre over B
+    from f's (node_fibres(), arrow_fibres()), all it reads of f.  The fibres of q
+    are as q.node_fibres() and q.arrow_fibres() give them: sorted by pair id,
+    which need not be the order of the A sides.  p is left to `_projection`, as
+    not every caller needs it."""
+    f_nodes, f_arrows = f_fibres
     node_fibres, node_p, node_q, pids = {}, {}, {}, {}  # pids: b -> a -> pair id
     for b in g.dom.sorted_nodes:
         fibre = node_fibres[b] = []

@@ -235,11 +235,10 @@ def restrict(t: TypedInstance, m: GraphMorphism) -> TypedInstance:
 
 
 def _restriction(t: TypedInstance, m: GraphMorphism) -> tuple[TypedInstance, tuple]:
-    """(`restrict(t, m)`, the maps of its projection) from `_pullback(t.typing, m)`,
-    read from t's fibres."""
+    """(`restrict(t, m)`, the maps of its projection): the `_pullback` of t's fibres along m."""
     if t.schema != m.cod:
         raise GraphError("restriction: morphism codomain differs from the schema")
-    q, fibres, p_maps = _pullback(t.typing, m, t.fibres)
+    q, fibres, p_maps = _pullback(t.fibres, m)
     return _trusted(TypedInstance, q, fibres), p_maps
 
 
@@ -552,13 +551,12 @@ class CodLift:
 
     lifted: TypedInstance  # instance over the new schema
     carrier_map: GraphMorphism  # lifted carrier -> original carrier
-    schema_map: GraphMorphism  # the lifted-along morphism
 
 
 def cod_lift(t: TypedInstance, q: GraphMorphism) -> CodLift:
     """`restrict(t, q)` with its projection to the carrier of t."""
     lifted, p_maps = _restriction(t, q)
-    return CodLift(lifted, _projection(lifted.typing, t.carrier, p_maps), q)
+    return CodLift(lifted, _projection(lifted.typing, t.carrier, p_maps))
 
 
 def dom_lift(t: TypedInstance, p: GraphMorphism) -> SliceMorphism:

@@ -132,13 +132,15 @@ def reduct_sketch_instance(
     accept first, the verdict of decl_map(d) on t is exactly the verdict of d
     on the reduct, evidence bytes included.
     """
-    violations = check_sketch_morphism(f).violations
+    violations = check_sketch_morphism(f)
     if violations:
         raise GraphError(f"reduct_sketch_instance: not a sketch morphism: {violations[0]}")
     if report.overall is not Status.VALID:
         raise GraphError("reduct_sketch_instance: target report is not all-Valid")
-    verdicts = tuple(
-        Verdict(report.verdict_for(f.decl_map[d.id]).evidence, declaration=d.id)
-        for d in f.from_.declarations
-    )
+    held = {v.declaration: v.evidence for v in reversed(report.verdicts)}  # the first per id
+    images = {d.id: f.decl_map[d.id] for d in f.from_.declarations}
+    missing = [image for image in images.values() if image not in held]
+    if missing:
+        raise GraphError(f"reduct_sketch_instance: the report has no verdict for {missing[0]!r}")
+    verdicts = tuple(Verdict(held[image], declaration=d) for d, image in images.items())
     return restrict(t, f.graph_map), ValidationReport(f.from_.name, report.instance, verdicts)

@@ -368,7 +368,7 @@ def check_injectivity(t: TypedInstance, spec: Regular) -> Verdict:
     if formula.from_.schema != t.schema:
         raise SignatureError("formula does not live over the schema of the instance")
     budget = Budget("injectivity-search", spec.search_limit)
-    target = _target_index(t.carrier, t.typing, t.fibres)
+    target = _target_index(t.carrier, t.fibres)
     tests, factors = spec._plans
     table = []
 
@@ -432,6 +432,12 @@ class ConstraintSymbol:
         legs = {"key": list(arrows), "jointly_monic": names}.get(kind)
         if legs is not None and len({arrows[a].src for a in legs}) != 1:
             raise SignatureError(f"symbol {self.name!r}: a {kind} needs arrows, all from one node")
+        # the paths (an arrow is one) that subsets, composite subsets and commutativities compare
+        if kind in ("subset", "composite_subset4", "commutativity"):
+            ends = {(arrows[p[0]].src, arrows[p[-1]].tgt) for p in paths + [(n,) for n in names]}
+            if len(ends) > 1 or any(arrows[a].tgt != arrows[b].src for a, b in paths):
+                message = "needs paths that compose, all between the same two nodes"
+                raise SignatureError(f"symbol {self.name!r}: a {kind} {message}")
         # a table entry, a formula and a lifting pair must live over the arity
         overs = [t.schema for _, t in fields.get("entries", ())]
         if "formula" in fields:

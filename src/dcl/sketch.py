@@ -154,18 +154,10 @@ class SketchMorphism:
         return cls(sketch, sketch, identity(sketch.carrier), ids)
 
 
-@dataclass(frozen=True)
-class SketchMorphismReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_sketch_morphism(f: SketchMorphism) -> SketchMorphismReport:
-    """Verify totality, label preservation, and binding coherence per declaration,
-    and that every decl_map key names a source declaration."""
+def check_sketch_morphism(f: SketchMorphism) -> tuple[str, ...]:
+    """The violations of totality, label preservation and binding coherence per
+    declaration, and each decl_map key naming no source declaration: none for a
+    sketch morphism."""
     violations = []
     for d in f.from_.declarations:
         image_id = f.decl_map.get(d.id)
@@ -186,7 +178,7 @@ def check_sketch_morphism(f: SketchMorphism) -> SketchMorphismReport:
             violations.append(f"declaration {d.id!r}: binding does not commute")
     stray = sorted(f.decl_map.keys() - {d.id for d in f.from_.declarations})
     violations += [f"decl_map key {k!r} names no source declaration" for k in stray]
-    return SketchMorphismReport(tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------

@@ -923,6 +923,24 @@ class TestArityShapeAtLoad:
             {"nodes": ["0", "1", "2"], "arrows": [["01", "0", "1"], ["02", "1", "2"]]},
             {"kind": "jointly_monic", "first": "01", "second": "02"},
         ),
+        "subset": (
+            {"nodes": ["A", "B", "C"], "arrows": [["r1", "A", "B"], ["r2", "A", "C"]]},
+            {"kind": "subset", "first": "r1", "second": "r2"},
+        ),
+        "composite_subset4": (
+            {
+                "nodes": ["A", "B", "C", "D", "E"],
+                "arrows": [["r1", "A", "B"], ["r2", "B", "D"], ["s1", "A", "C"], ["s2", "C", "E"]],
+            },
+            {"kind": "composite_subset4", "path1": ["r1", "r2"], "path2": ["s1", "s2"]},
+        ),
+        "commutativity": (
+            {
+                "nodes": ["A", "B", "C", "D"],
+                "arrows": [["f", "A", "B"], ["g", "C", "D"], ["h", "A", "D"]],
+            },
+            {"kind": "commutativity", "path": ["f", "g"], "direct": "h"},
+        ),
     }
 
     @pytest.mark.parametrize("kind", SHAPES)

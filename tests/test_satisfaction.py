@@ -51,7 +51,7 @@ from dcl.sketch import (
     consequence,
     translate_declaration,
 )
-from dcl.verdicts import Counterexample, Status, Verdict
+from dcl.verdicts import Counterexample, Status, ValidationReport, Verdict
 
 
 class TestSatisfies:
@@ -447,7 +447,7 @@ class TestReductTransfer:
         )
         from dcl.sketch import check_sketch_morphism
 
-        assert check_sketch_morphism(f).ok
+        assert check_sketch_morphism(f) == ()
         report = validate_instance(sketch, t)
         reduct, transferred = reduct_sketch_instance(f, t, report)
         recomputed = validate_instance(fragment, reduct)
@@ -465,6 +465,15 @@ class TestReductTransfer:
         report = validate_instance(sketch, t)
         with pytest.raises(GraphError):
             reduct_sketch_instance(SketchMorphism.identity(sketch), t, report)
+
+    def test_report_without_an_image_verdict_rejected(self):
+        # a report that lacks an image's verdict is malformed input, not a KeyError
+        sketch, t = vehicle_registry_sketch(), vehicle_registry_instance()
+        report = validate_instance(sketch, t)
+        short = ValidationReport(report.sketch, report.instance, report.verdicts[:2])
+        missing = sketch.declarations[2].id
+        with pytest.raises(GraphError, match=re.escape(f"has no verdict for {missing!r}")):
+            reduct_sketch_instance(SketchMorphism.identity(sketch), t, short)
 
     def test_label_violating_morphism_rejected(self):
         # d = [1] mapped to e = [0..*]: e holds, but d fails on the reduct

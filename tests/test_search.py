@@ -382,7 +382,7 @@ class TestSliceSearch:
         s, t = data.draw(typed_instances()), data.draw(typed_instances(max_arrows=7))
         typings = (s.typing, t.typing) if data.draw(st.booleans()) else None
         plan = _pattern_plan(s.carrier, typings and typings[0])
-        index = _target_index(t.carrier, typings and typings[1])
+        index = _target_index(t.carrier, typings and t.fibres)
         pin_sets = data.draw(st.lists(pins_for(s.carrier, t.carrier), max_size=4))
         for pins, injective in itertools.product([None, *pin_sets], (False, True)):
             found = _run_search(plan, index, pins, injective)

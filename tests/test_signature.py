@@ -17,6 +17,8 @@ from dcl.io import load
 from dcl.randgen import random_typed_instance
 from dcl.satisfaction import validate_instance
 from dcl.signature import (
+    Commutativity,
+    CompositeSubset4,
     ConstraintSymbol,
     Dependency,
     JointlyMonic,
@@ -26,6 +28,7 @@ from dcl.signature import (
     Regular,
     Signature,
     SignatureError,
+    Subset,
     Table,
     check_injectivity,
     commutativity_symbol,
@@ -390,8 +393,9 @@ class TestSemanticsOverArity:
 
 
 class TestArityShape:
-    """Multiplicities, keys and [jm] decide without checking the shape of
-    their arity, so a symbol of another shape is refused when it is built."""
+    """Multiplicities, keys, [jm] and the three semantics that compare paths
+    decide without checking the shape of their arity, so a symbol of another
+    shape is refused when it is built."""
 
     @pytest.mark.parametrize(
         "arity,semantics,message",
@@ -404,8 +408,36 @@ class TestArityShape:
                 JointlyMonic(),
                 "a jointly_monic needs arrows, all from one node",
             ),
+            (
+                Graph.build(["A", "B", "C"], [("r1", "A", "B"), ("r2", "A", "C")]),
+                Subset(),
+                "a subset needs paths that compose, all between the same two nodes",
+            ),
+            (
+                Graph.build(
+                    ["A", "B", "C", "D", "E"],
+                    [("r1", "A", "B"), ("r2", "B", "D"), ("s1", "A", "C"), ("s2", "C", "E")],
+                ),
+                CompositeSubset4(),
+                "a composite_subset4 needs paths that compose, all between the same two nodes",
+            ),
+            (
+                Graph.build(
+                    ["A", "B", "C", "D"], [("f", "A", "B"), ("g", "C", "D"), ("h", "A", "D")]
+                ),
+                Commutativity(("f", "g"), "h"),
+                "a commutativity needs paths that compose, all between the same two nodes",
+            ),
         ],
-        ids=["multiplicity-two-arrows", "key-no-arrow", "key-two-sources", "jm-two-sources"],
+        ids=[
+            "multiplicity-two-arrows",
+            "key-no-arrow",
+            "key-two-sources",
+            "jm-two-sources",
+            "subset-two-targets",
+            "sub4-two-ends",
+            "comm-path-not-composing",
+        ],
     )
     def test_refused_when_built(self, arity, semantics, message):
         with pytest.raises(SignatureError, match=rf"^symbol '\[s\]': {message}"):
