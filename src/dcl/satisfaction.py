@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from dcl.graphs import GraphError, GraphMorphism
-from dcl.instances import TypedInstance, restrict
-from dcl.signature import Dependency, Signature, evaluate
+from dcl.instances import TypedInstance, canonical_restriction, restrict
+from dcl.signature import Dependency, Signature, decide_numbered, evaluate, numbering
 from dcl.sketch import (
     ConstraintDeclaration,
     Sketch,
@@ -29,10 +29,15 @@ from dcl.verdicts import Status, ValidationReport, Verdict
 
 def satisfies(t: TypedInstance, d: ConstraintDeclaration, signature: Signature) -> Verdict:
     """Decide the symbol on t restricted along the binding, as `evaluate` does."""
+    return decide_numbered(*_numbered(t, d, signature)).with_declaration(d.id)
+
+
+def _numbered(t: TypedInstance, d: ConstraintDeclaration, signature: Signature) -> tuple:
+    """(symbol, names, links): d's symbol and t numbered along d's binding."""
     symbol = signature.symbols.get(d.label)
     if symbol is None:
         raise GraphError(f"satisfies: unknown symbol {d.label!r}")
-    return evaluate(symbol, t, d.binding).with_declaration(d.id)
+    return symbol, *numbering(symbol, t, d.binding)
 
 
 def validate_instance(
@@ -79,14 +84,18 @@ def verify_sat_axiom(
 ) -> SatAxiomResult:
     """f*(t) satisfies d iff t satisfies the f-translated d, with equal evidence.
 
+    When both sides number alike (pullback pasting), one decision serves both.
     The translate hook exists for fault injection in tests; the default is
     the real covariant translation.
     """
     if d.binding.cod != f.dom or t.schema != f.cod:
         raise GraphError("verify_sat_axiom: triple endpoints do not match")
     grouped = t.with_fibres()  # both sides restrict this one grouping of t
-    reduct_side = satisfies(restrict(grouped, f), d, signature)
-    translated_side = satisfies(grouped, translate(f, d), signature)
+    reduct, pushed = _numbered(restrict(grouped, f), d, signature), translate(f, d)
+    translated = _numbered(grouped, pushed, signature)
+    reduct_side = decide_numbered(*reduct).with_declaration(d.id)
+    shared = reduct_side if translated == reduct else decide_numbered(*translated)
+    translated_side = shared.with_declaration(pushed.id)
     if reduct_side.status != translated_side.status:
         return SatAxiomResult(reduct_side, translated_side, "verdict statuses differ")
     # canonical instances: equal as values exactly when their bytes are equal
@@ -130,7 +139,7 @@ def reduct_sketch_instance(
 
     By the Sat-axiom and binding coherence, which `check_sketch_morphism` must
     accept first, the verdict of decl_map(d) on t is exactly the verdict of d
-    on the reduct, evidence bytes included.
+    on the reduct, evidence bytes included, once each image's evidence is t's.
     """
     violations = check_sketch_morphism(f)
     if violations:
@@ -139,8 +148,10 @@ def reduct_sketch_instance(
         raise GraphError("reduct_sketch_instance: target report is not all-Valid")
     held = {v.declaration: v.evidence for v in reversed(report.verdicts)}  # the first per id
     images = {d.id: f.decl_map[d.id] for d in f.from_.declarations}
-    missing = [image for image in images.values() if image not in held]
-    if missing:
-        raise GraphError(f"reduct_sketch_instance: the report has no verdict for {missing[0]!r}")
+    for image in dict.fromkeys(images.values()):  # no decision runs: evidence is canonical
+        if image not in held:
+            raise GraphError(f"reduct_sketch_instance: the report has no verdict for {image!r}")
+        if held[image].restricted != canonical_restriction(t, f.to.declaration(image).binding):
+            raise GraphError(f"reduct_sketch_instance: the evidence for {image!r} is not of t")
     verdicts = tuple(Verdict(held[image], declaration=d) for d, image in images.items())
     return restrict(t, f.graph_map), ValidationReport(f.from_.name, report.instance, verdicts)

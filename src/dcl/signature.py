@@ -32,6 +32,7 @@ from dcl.instances import (
     SliceMorphism,
     TypedInstance,
     _canonical_classes,
+    _canonical_numbered,
     _factorization_pins,
     _numbered_restriction,
     canonical_restriction,
@@ -458,20 +459,23 @@ class ConstraintSymbol:
 def evaluate(
     symbol: ConstraintSymbol, t: TypedInstance, binding: Optional[GraphMorphism] = None
 ) -> Verdict:
-    """Run the symbol's decision procedure on t restricted along `binding`:
-    arity -> schema(t), or on t, an instance over the arity, without one.
+    """Decide the symbol on t restricted along `binding`, or on t over its arity without one."""
+    return decide_numbered(symbol, *numbering(symbol, t, binding))
 
-    The procedure sees `canonical_restriction(t, binding)`, which makes it
-    iso-invariant by construction and holds the fibres of its naming pass.
-    A canonical form that spends its work bound gives an Unknown verdict
-    whose detail names the bound, its limit and the work spent.
-    """
-    if (t.schema if binding is None else binding.dom) != symbol.arity:
-        raise SignatureError(
-            f"instance schema differs from the arity of {symbol.name!r}"
-        )
+
+def numbering(symbol: ConstraintSymbol, t: TypedInstance, m: Optional[GraphMorphism]) -> tuple:
+    """(names, links) of t restricted along m, whose domain must be the symbol's arity."""
+    if (t.schema if m is None else m.dom) != symbol.arity:
+        raise SignatureError(f"instance schema differs from the arity of {symbol.name!r}")
+    return _numbered_restriction(t, m)
+
+
+def decide_numbered(symbol: ConstraintSymbol, names: tuple, links: tuple) -> Verdict:
+    """The decision on a numbered restriction, made on its canonical form: so equal numberings,
+    and isomorphic ones, are decided alike.  A canonical form that spends its work bound
+    gives an Unknown verdict whose detail names the bound, its limit and the work spent."""
     try:
-        canonical = canonical_restriction(t, binding)
+        canonical = _canonical_numbered(names, links, symbol.arity)[0]
     except BoundExceeded as exc:
         return Verdict(detail=str(exc))
     return symbol.semantics.decide(canonical)
@@ -670,7 +674,7 @@ def verify_dependency_soundness(
                         checked += 1
                         key = (dep.target, *_numbered_restriction(t, dep.arity_map))
                         if key not in decided:
-                            decided[key] = evaluate(sig.symbols[dep.target], t, dep.arity_map)
+                            decided[key] = decide_numbered(sig.symbols[dep.target], *key[1:])
                         verdict = decided[key]
                         on = "restriction" if verdict.status is Status.UNKNOWN else None
                     if verdict.is_valid:

@@ -1201,6 +1201,8 @@ GOLDEN = [
      "7b6dd676993a23375cec4fb9c62347b31ee3f26b012e63d47b82a56ab2c0dee0"),
     (["satax", "--trials", "1000", "--seed", "7"], 0,
      "f1bb4b9a8525fd9f5488e46bac27e410a36236175c144a7255567c4bc07db284"),
+    (["satax", "--trials", "1000", "--seed", "7", "--fault-inject"], 1,
+     "61e286ffb91ef37aa12480cdbe314a0401494be5d721cbc86c6dc46607a81f51"),
 ]
 
 

@@ -1,10 +1,14 @@
 import dataclasses
+import functools
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
+import dcl.signature
+from dcl.cli import _broken_translate
 from dcl.fixtures import (
     mutation_duplicate_identity,
     mutation_five_wheels,
@@ -14,7 +18,7 @@ from dcl.fixtures import (
     vehicle_registry_instance,
     vehicle_registry_sketch,
 )
-from dcl.graphs import Graph, GraphError, GraphMorphism, compose, identity
+from dcl.graphs import BoundExceeded, Graph, GraphError, GraphMorphism, compose, identity
 from dcl.instances import (
     Delta,
     SliceMorphism,
@@ -35,6 +39,7 @@ from dcl.randgen import (
     random_typed_instance,
 )
 from dcl.satisfaction import (
+    SatAxiomResult,
     propagate_evidence,
     reduct_sketch_instance,
     satisfies,
@@ -146,6 +151,88 @@ class TestMigration:
             once = restrict(t, compose(f1, f2))
             twice = restrict(restrict(t, f2), f1)
             assert canonical_restriction(once) == canonical_restriction(twice)
+
+
+def two_decision_sat_axiom(f, d, t, signature, translate=translate_declaration):
+    """The Sat-axiom harness with one decision per side, each through the
+    canonical restriction along its own binding: the reference that the
+    shared decision of `verify_sat_axiom` must equal byte for byte."""
+
+    def side(s, decl):
+        symbol = signature.symbols[decl.label]
+        try:
+            canonical = canonical_restriction(s, decl.binding)
+        except BoundExceeded as exc:
+            return Verdict(detail=str(exc), declaration=decl.id)
+        return symbol.semantics.decide(canonical).with_declaration(decl.id)
+
+    grouped = t.with_fibres()
+    reduct_side = side(restrict(grouped, f), d)
+    translated_side = side(grouped, translate(f, d))
+    if reduct_side.status != translated_side.status:
+        return SatAxiomResult(reduct_side, translated_side, "verdict statuses differ")
+    if reduct_side.is_valid and (
+        reduct_side.evidence.restricted != translated_side.evidence.restricted
+    ):
+        return SatAxiomResult(reduct_side, translated_side, "evidence bytes differ")
+    return SatAxiomResult(reduct_side, translated_side)
+
+
+@functools.lru_cache(maxsize=None)
+def satax_triples(seed: int, count: int = 2000) -> tuple:
+    """`count` triples as `perfbench`'s `satax` workload draws them at `seed`."""
+    rng, sig = random.Random(seed), harness_signature()
+    return sig, tuple(random_satax_triple(rng, sig) for _ in range(count))
+
+
+def sat_axiom_fields(result: SatAxiomResult) -> tuple:
+    def side(v: Verdict) -> tuple:
+        evidence, counterexample = v.evidence, v.counterexample
+        return (
+            v.status,
+            v.declaration,
+            v.detail,
+            evidence and (serialize_instance(evidence.restricted), evidence.witness),
+            counterexample
+            and (serialize_instance(counterexample.restricted), counterexample.offenders),
+        )
+
+    return side(result.reduct_side), side(result.translated_side), result.passed, result.detail
+
+
+class TestSharedDecision:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize(
+        "translate", [translate_declaration, _broken_translate], ids=["real", "broken"]
+    )
+    def test_equals_two_decision_reference(self, seed, translate):
+        sig, triples = satax_triples(seed)
+        failed = 0
+        for f, d, t in triples:
+            got = verify_sat_axiom(f, d, t, sig, translate=translate)
+            want = two_decision_sat_axiom(f, d, t, sig, translate=translate)
+            assert sat_axiom_fields(got) == sat_axiom_fields(want)
+            assert got == want
+            failed += not got.passed
+        # the broken translation is caught on both paths, the real one never
+        assert (failed > 0) is (translate is _broken_translate)
+
+    def test_one_decision_when_the_sides_number_alike(self, monkeypatch):
+        calls = []
+        canonical = dcl.signature._canonical_numbered
+
+        def counted(*args):
+            calls.append(args)
+            return canonical(*args)
+
+        monkeypatch.setattr(dcl.signature, "_canonical_numbered", counted)
+        sig, triples = satax_triples(1)
+        per_triple = Counter()
+        for f, d, t in triples:
+            before = len(calls)
+            verify_sat_axiom(f, d, t, sig)
+            per_triple[len(calls) - before] += 1
+        assert per_triple == {1: 1993, 2: 7}
 
 
 class TestSatAxiom:
@@ -474,6 +561,16 @@ class TestReductTransfer:
         missing = sketch.declarations[2].id
         with pytest.raises(GraphError, match=re.escape(f"has no verdict for {missing!r}")):
             reduct_sketch_instance(SketchMorphism.identity(sketch), t, short)
+
+    def test_report_of_another_instance_rejected(self):
+        # the valid registry's report, transferred onto the five-wheels
+        # instance, read Valid while that instance's reduct is Invalid
+        sketch = vehicle_registry_sketch()
+        report = validate_instance(sketch, vehicle_registry_instance())
+        f, bad = SketchMorphism.identity(sketch), mutation_five_wheels()
+        assert validate_instance(sketch, restrict(bad, f.graph_map)).overall is Status.INVALID
+        with pytest.raises(GraphError, match=re.escape("evidence for 'has:[1..4,6]' is not of t")):
+            reduct_sketch_instance(f, bad, report)
 
     def test_label_violating_morphism_rejected(self):
         # d = [1] mapped to e = [0..*]: e holds, but d fails on the reduct
