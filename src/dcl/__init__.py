@@ -30,7 +30,7 @@ from dcl.instances import (
     to_indexed,
 )
 from dcl.signature import ConstraintSymbol, Dependency, Signature
-from dcl.sketch import ConstraintDeclaration, Sketch, SketchMorphism, close_sketch
+from dcl.sketch import ConstraintDeclaration, Sketch, close_sketch
 from dcl.satisfaction import satisfies, validate_instance
 from dcl.verdicts import Evidence, Status, ValidationReport, Verdict
 
@@ -47,7 +47,6 @@ __all__ = [
     "IndexedSemantics",
     "Signature",
     "Sketch",
-    "SketchMorphism",
     "SliceMorphism",
     "Status",
     "TypedInstance",

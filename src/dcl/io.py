@@ -32,7 +32,7 @@ from dcl.signature import (
     Subset,
     Table,
 )
-from dcl.sketch import ConstraintDeclaration, Sketch, SketchMorphism, is_closed
+from dcl.sketch import ConstraintDeclaration, Sketch, is_closed
 
 
 class FormatError(GraphError):
@@ -155,6 +155,8 @@ def signature_from_json(data: Mapping) -> Signature:
     symbols = {}
     for s in _expect(data["symbols"], list, "symbols"):
         name = _expect(s["name"], str, "symbol name")
+        if name in symbols:
+            raise FormatError(f"duplicate symbol name {name!r}")
         arity = Graph.from_json(s["arity"])
         symbols[name] = ConstraintSymbol(name, arity, semantics_from_json(s["semantics"]))
     dependencies = []
@@ -207,28 +209,6 @@ def sketch_from_json(data: Mapping) -> Sketch:
         )
     name = _expect(data.get("name", "sketch"), str, "sketch name")
     return Sketch(name, carrier, sig, tuple(declarations))
-
-
-def sketch_morphism_to_json(f: SketchMorphism) -> dict:
-    return {
-        "kind": "sketch_morphism",
-        "from": sketch_to_json(f.from_),
-        "to": sketch_to_json(f.to),
-        "graph_map": f.graph_map.to_json(inline=False),
-        "decls": dict(f.decl_map),
-    }
-
-
-def sketch_morphism_from_json(data: Mapping) -> SketchMorphism:
-    from_ = sketch_from_json(data["from"])
-    to = sketch_from_json(data["to"])
-    graph_map = GraphMorphism.from_json(
-        data["graph_map"], dom=from_.carrier, cod=to.carrier
-    )
-    decls = _expect(data["decls"], dict, "decls")
-    for image in decls.values():
-        _expect(image, str, "decls value")
-    return SketchMorphism(from_, to, graph_map, decls)
 
 
 def _ambient_to_json(base: Graph) -> tuple[dict, Callable[[SliceMorphism], dict]]:
@@ -294,7 +274,6 @@ _KINDS = {
     "delta": _tagged("delta", Delta),
     "signature": (Signature, signature_to_json, signature_from_json),
     "sketch": (Sketch, sketch_to_json, sketch_from_json),
-    "sketch_morphism": (SketchMorphism, sketch_morphism_to_json, sketch_morphism_from_json),
     "theory": (InjTheory, theory_to_json, theory_from_json),
     "formula": (SliceMorphism, formula_to_json, formula_from_json),
 }

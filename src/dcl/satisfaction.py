@@ -1,9 +1,9 @@
-"""Pullback-based satisfaction with evidence, report transfer, and the Sat-axiom harness.
+"""Pullback-based satisfaction with evidence, its propagation, and the Sat-axiom harness.
 
 Instances migrate contravariantly (pullback along the schema morphism),
 declarations covariantly (binding composition); the Sat-axiom harness
 checks that the two directions agree verdict-for-verdict with canonically
-equal evidence.
+equal evidence, so a reduct's report is `validate_instance` of the reduct.
 """
 
 from __future__ import annotations
@@ -12,19 +12,17 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from dcl.graphs import GraphError, GraphMorphism
-from dcl.instances import TypedInstance, canonical_restriction, restrict
+from dcl.instances import TypedInstance, restrict
 from dcl.signature import Dependency, Signature, decide_numbered, evaluate, numbering
 from dcl.sketch import (
     ConstraintDeclaration,
     Sketch,
     SketchError,
-    SketchMorphism,
-    check_sketch_morphism,
     close_sketch,
     consequence,
     translate_declaration,
 )
-from dcl.verdicts import Status, ValidationReport, Verdict
+from dcl.verdicts import ValidationReport, Verdict
 
 
 def satisfies(t: TypedInstance, d: ConstraintDeclaration, signature: Signature) -> Verdict:
@@ -107,7 +105,7 @@ def verify_sat_axiom(
 
 
 # ---------------------------------------------------------------------------
-# Evidence propagation and report transfer
+# Evidence propagation
 
 
 def propagate_evidence(v: Verdict, dep: Dependency, sketch: Sketch) -> Verdict:
@@ -130,28 +128,3 @@ def propagate_evidence(v: Verdict, dep: Dependency, sketch: Sketch) -> Verdict:
         raise GraphError(f"propagate_evidence: sketch {sketch.name!r} is not closed")
     target = sketch.signature.symbols[dep.target]
     return evaluate(target, v.evidence.restricted, dep.arity_map).with_declaration(holder.id)
-
-
-def reduct_sketch_instance(
-    f: SketchMorphism, t: TypedInstance, report: ValidationReport
-) -> tuple[TypedInstance, ValidationReport]:
-    """Transfer a valid target report along a sketch morphism without re-evaluation.
-
-    By the Sat-axiom and binding coherence, which `check_sketch_morphism` must
-    accept first, the verdict of decl_map(d) on t is exactly the verdict of d
-    on the reduct, evidence bytes included, once each image's evidence is t's.
-    """
-    violations = check_sketch_morphism(f)
-    if violations:
-        raise GraphError(f"reduct_sketch_instance: not a sketch morphism: {violations[0]}")
-    if report.overall is not Status.VALID:
-        raise GraphError("reduct_sketch_instance: target report is not all-Valid")
-    held = {v.declaration: v.evidence for v in reversed(report.verdicts)}  # the first per id
-    images = {d.id: f.decl_map[d.id] for d in f.from_.declarations}
-    for image in dict.fromkeys(images.values()):  # no decision runs: evidence is canonical
-        if image not in held:
-            raise GraphError(f"reduct_sketch_instance: the report has no verdict for {image!r}")
-        if held[image].restricted != canonical_restriction(t, f.to.declaration(image).binding):
-            raise GraphError(f"reduct_sketch_instance: the evidence for {image!r} is not of t")
-    verdicts = tuple(Verdict(held[image], declaration=d) for d, image in images.items())
-    return restrict(t, f.graph_map), ValidationReport(f.from_.name, report.instance, verdicts)

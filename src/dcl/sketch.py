@@ -1,17 +1,17 @@
 """Sketches: carrier graphs with labelled constraint declarations.
 
 A declaration attaches a constraint symbol to the carrier through a
-binding (arity -> carrier).  Sketches close under signature dependencies,
-translate covariantly along carrier morphisms, and map to each other by
-sketch morphisms (graph map + explicit declaration map).
+binding (arity -> carrier).  Sketches close under signature dependencies
+and translate covariantly along carrier morphisms; instances move the other
+way, by `dcl.instances.restrict`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
-from dcl.graphs import Graph, GraphError, GraphMorphism, _trusted, compose, identity
+from dcl.graphs import Graph, GraphError, GraphMorphism, _trusted, compose, find_isomorphism
 from dcl.signature import Dependency, Multiplicity, Signature, multiplicity_symbol
 
 
@@ -121,67 +121,6 @@ def translate_sketch(f: GraphMorphism, sketch: Sketch) -> Sketch:
 
 
 # ---------------------------------------------------------------------------
-# Sketch morphisms
-
-
-@dataclass(frozen=True)
-class SketchMorphism:
-    from_: Sketch
-    to: Sketch
-    graph_map: GraphMorphism
-    decl_map: Mapping[str, str]
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "decl_map", dict(sorted(self.decl_map.items())))
-        if self.graph_map.dom != self.from_.carrier or self.graph_map.cod != self.to.carrier:
-            raise SketchError("sketch morphism graph map has wrong endpoints")
-
-    def then(self, other: "SketchMorphism") -> "SketchMorphism":
-        if self.to is not other.from_ and self.to != other.from_:
-            raise SketchError("cannot compose sketch morphisms: endpoints differ")
-        try:
-            decl_map = {d: other.decl_map[i] for d, i in self.decl_map.items()}
-        except KeyError as exc:
-            raise SketchError(f"cannot compose sketch morphisms: no image for {exc.args[0]!r}")
-        graph_map = compose(self.graph_map, other.graph_map)
-        return SketchMorphism(self.from_, other.to, graph_map, decl_map)
-
-    @classmethod
-    def identity(cls, sketch: Sketch) -> "SketchMorphism":
-        ids = {d.id: d.id for d in sketch.declarations}
-        return cls(sketch, sketch, identity(sketch.carrier), ids)
-
-
-def check_sketch_morphism(f: SketchMorphism) -> tuple[str, ...]:
-    """The violations of totality, label preservation and binding coherence per
-    declaration, and each decl_map key naming no source declaration: none for a
-    sketch morphism."""
-    violations = []
-    for d in f.from_.declarations:
-        image_id = f.decl_map.get(d.id)
-        if image_id is None:
-            violations.append(f"declaration {d.id!r} has no image (decl_map not total)")
-            continue
-        try:
-            image = f.to.declaration(image_id)
-        except KeyError:
-            violations.append(f"declaration {d.id!r} maps to unknown id {image_id!r}")
-            continue
-        if image.label != d.label:
-            violations.append(
-                f"declaration {d.id!r}: label {d.label!r} mapped to {image.label!r}"
-            )
-            continue
-        if image.binding != compose(d.binding, f.graph_map):
-            violations.append(f"declaration {d.id!r}: binding does not commute")
-    stray = sorted(f.decl_map.keys() - {d.id for d in f.from_.declarations})
-    violations += [f"decl_map key {k!r} names no source declaration" for k in stray]
-    return tuple(violations)
-
-
-# ---------------------------------------------------------------------------
 # Default multiplicities
 
 
@@ -214,11 +153,12 @@ def elaborate_defaults(
             constrained.update(d.binding.arrow_map.values())
 
     symbols = dict(sketch.signature.symbols)
-    for symbol in (DEFAULT_ASSOCIATION, DEFAULT_ATTRIBUTE):
-        existing = symbols.get(symbol.name)
-        if existing is not None and existing.semantics != symbol.semantics:
-            raise SketchError(f"signature already uses the name {symbol.name!r}")
-        symbols[symbol.name] = symbol
+    onto = {}  # each default's name -> the iso from the kept symbol's arity onto the default's
+    for default in (DEFAULT_ASSOCIATION, DEFAULT_ATTRIBUTE):
+        symbol = symbols.setdefault(default.name, default)  # the signature's own is kept
+        onto[default.name] = find_isomorphism(symbol.arity, default.arity)
+        if symbol.semantics != default.semantics or onto[default.name] is None:
+            raise SketchError(f"signature already uses the name {default.name!r}")
     signature = Signature(symbols, sketch.signature.dependencies)
 
     declarations = list(sketch.declarations)
@@ -229,6 +169,8 @@ def elaborate_defaults(
         ends, link = {"A": arrow.src, "B": arrow.tgt}, {"r": arrow.id}
         binding = _trusted(GraphMorphism, symbol.arity, sketch.carrier, ends, link)
         declarations.append(
-            ConstraintDeclaration(f"default/{arrow.id}", symbol.name, binding)
+            ConstraintDeclaration(
+                f"default/{arrow.id}", symbol.name, compose(onto[symbol.name], binding)
+            )
         )
     return Sketch(sketch.name, sketch.carrier, signature, tuple(declarations))

@@ -853,15 +853,28 @@ class TestMalformedInput:
         assert main(["deps-check", str(path)]) == 3
         assert f"unknown semantics kind {kind!r}" in capsys.readouterr().err
 
-    def test_sketch_morphism_decls_value_not_a_string(self, tmp_path):
-        from dcl.sketch import SketchMorphism
-
-        data = json.loads(dumps(SketchMorphism.identity(load(SKETCH))))
-        data["decls"][sorted(data["decls"])[0]] = 1
-        path = tmp_path / "sketch-morphism.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(FormatError, match="decls value: expected a str, got int"):
-            load(path)
+    @pytest.mark.parametrize(
+        "name,symbols,symbol,command",
+        [
+            # read as one [1..4,6] of [0..*], the five-wheels instance checked valid
+            ("registry-sketch.json", ("signature", "symbols"), "[1..4,6]", ["check", PAYLOAD, FIVE]),
+            # read as one [1] of [0..*], the sweep was ok over 3,212 restrictions
+            ("span-signature.json", ("symbols",), "[1]", ["deps-check", PAYLOAD]),
+        ],
+    )
+    def test_duplicate_symbol_name_exit_three(
+        self, capsys, tmp_path, name, symbols, symbol, command
+    ):
+        document = shipped(name)
+        holder = document
+        for key in symbols:
+            holder = holder[key]
+        first = next(s for s in holder if s["name"] == symbol)
+        holder.append({**first, "semantics": {"kind": "multiplicity", "intervals": [[0, None]]}})
+        path = tmp_path / name
+        path.write_text(json.dumps(document))
+        assert main([str(path) if arg == PAYLOAD else arg for arg in command]) == 3
+        assert capsys.readouterr().err == f"error: {path}: duplicate symbol name {symbol!r}\n"
 
     def test_deeply_nested_json_exit_three(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -1128,7 +1141,6 @@ def kind_samples() -> list:
     """(kind, object) pairs covering every file kind, from the shipped files
     where one holds that kind; formulas both plain and over a schema."""
     from dcl.fixtures import existence_formula
-    from dcl.sketch import SketchMorphism
 
     sketch, t = load(SKETCH), load(VALID)
     return [
@@ -1138,7 +1150,6 @@ def kind_samples() -> list:
         ("delta", identity_delta(t)),
         ("signature", load(SPAN_SIG)),
         ("sketch", sketch),
-        ("sketch_morphism", SketchMorphism.identity(sketch)),
         ("theory", load(OUT_THEORY)),
         ("formula", load(GOAL)),
         ("formula", existence_formula()),
@@ -1171,6 +1182,13 @@ class TestKindsTable:
         assert main(["canon", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown kind" in err and "Traceback" not in err
+
+    def test_sketch_morphism_is_no_kind(self, capsys, tmp_path):
+        # a reduct's report is `migrate --direction pull` then `check`, not a transfer
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"kind": "sketch_morphism"}))
+        assert main(["canon", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {path}: unknown kind 'sketch_morphism'\n"
 
 
 # Hashes of stdout for commands on the shipped data, run from `dcl/data`.

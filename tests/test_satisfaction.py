@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import json
 import random
-import re
 from collections import Counter
 
 import pytest
@@ -10,6 +9,7 @@ import pytest
 import dcl.signature
 from dcl.cli import _broken_translate
 from dcl.fixtures import (
+    DATA,
     mutation_duplicate_identity,
     mutation_five_wheels,
     mutation_unlicensed_drive,
@@ -31,6 +31,7 @@ from dcl.instances import (
     restrict,
     serialize_instance,
 )
+from dcl.io import load
 from dcl.randgen import (
     harness_signature,
     random_graph,
@@ -41,7 +42,6 @@ from dcl.randgen import (
 from dcl.satisfaction import (
     SatAxiomResult,
     propagate_evidence,
-    reduct_sketch_instance,
     satisfies,
     validate_instance,
     verify_sat_axiom,
@@ -51,12 +51,11 @@ from dcl.sketch import (
     ConstraintDeclaration,
     Sketch,
     SketchError,
-    SketchMorphism,
     close_sketch,
     consequence,
     translate_declaration,
 )
-from dcl.verdicts import Counterexample, Status, ValidationReport, Verdict
+from dcl.verdicts import Counterexample, Status, Verdict
 
 
 class TestSatisfies:
@@ -242,6 +241,33 @@ class TestSatAxiom:
         for d in sketch.declarations:
             res = verify_sat_axiom(identity(t.schema), d, t, sketch.signature)
             assert res.passed
+
+    @pytest.mark.parametrize(
+        "instance,has_status",
+        [
+            (vehicle_registry_instance, Status.VALID),
+            (mutation_five_wheels, Status.INVALID),
+            (mutation_duplicate_identity, Status.VALID),
+            (mutation_unlicensed_drive, Status.VALID),
+        ],
+    )
+    def test_vehicle_fragment_map(self, instance, has_status):
+        # a reduct's report is `migrate --direction pull` then `check`: by the
+        # Sat-axiom it equals what the translated declarations give on t
+        f, t = load(DATA / "vehicle-fragment-map.json"), instance()
+        sig = vehicle_registry_sketch().signature
+        ends = {"A": "Vehicle", "B": "Wheel"}
+        has = GraphMorphism(sig.symbols["[1..4,6]"].arity, f.dom, ends, {"r": "has"})
+        sub = GraphMorphism(sig.symbols["[sub]"].arity, f.dom, ends, {"r1": "hasdr", "r2": "has"})
+        declarations = (
+            ConstraintDeclaration("has-m", "[1..4,6]", has),
+            ConstraintDeclaration("sub", "[sub]", sub),
+        )
+        results = [verify_sat_axiom(f, d, t, sig) for d in declarations]
+        assert all(r.passed for r in results)
+        assert [r.reduct_side.status for r in results] == [has_status, Status.VALID]
+        report = validate_instance(Sketch("fragment", f.dom, sig, declarations), restrict(t, f))
+        assert [v.to_json() for v in report.verdicts] == [r.reduct_side.to_json() for r in results]
 
     def test_random_triples(self):
         rng = random.Random(32)
@@ -487,111 +513,6 @@ class TestPropagationNamesTheHolder:
         for v, dep, sketch in cases:
             with pytest.raises(GraphError):
                 propagate_evidence(v, dep, sketch)
-
-
-class TestReductTransfer:
-    def test_identity_morphism(self):
-        sketch = vehicle_registry_sketch()
-        t = vehicle_registry_instance()
-        report = validate_instance(sketch, t)
-        f = SketchMorphism.identity(sketch)
-        reduct, transferred = reduct_sketch_instance(f, t, report)
-        assert transferred.to_json()["declarations"] == report.to_json()["declarations"]
-
-    def test_fragment_transfer_matches_recomputation(self):
-        sketch = vehicle_registry_sketch()
-        t = vehicle_registry_instance()
-        carrier = sketch.carrier
-        frag = Graph.build(["Vehicle", "Wheel"], [("has", "Vehicle", "Wheel"), ("hasdr", "Vehicle", "Wheel")])
-        inc = GraphMorphism(
-            frag, carrier, {"Vehicle": "Vehicle", "Wheel": "Wheel"}, {"has": "has", "hasdr": "hasdr"}
-        )
-        sub_decls = (
-            ConstraintDeclaration(
-                "has-m",
-                "[1..4,6]",
-                GraphMorphism(
-                    sketch.signature.symbols["[1..4,6]"].arity,
-                    frag,
-                    {"A": "Vehicle", "B": "Wheel"},
-                    {"r": "has"},
-                ),
-            ),
-            ConstraintDeclaration(
-                "sub",
-                "[sub]",
-                GraphMorphism(
-                    sketch.signature.symbols["[sub]"].arity,
-                    frag,
-                    {"A": "Vehicle", "B": "Wheel"},
-                    {"r1": "hasdr", "r2": "has"},
-                ),
-            ),
-        )
-        fragment = Sketch("fragment", frag, sketch.signature, sub_decls)
-        f = SketchMorphism(
-            fragment, sketch, inc, {"has-m": "has:[1..4,6]", "sub": "hasdr-in-has:[sub]"}
-        )
-        from dcl.sketch import check_sketch_morphism
-
-        assert check_sketch_morphism(f) == ()
-        report = validate_instance(sketch, t)
-        reduct, transferred = reduct_sketch_instance(f, t, report)
-        recomputed = validate_instance(fragment, reduct)
-        for d in fragment.declarations:
-            a = transferred.verdict_for(d.id)
-            b = recomputed.verdict_for(d.id)
-            assert a.status == b.status
-            assert serialize_instance(a.evidence.restricted) == serialize_instance(
-                b.evidence.restricted
-            )
-
-    def test_invalid_report_rejected(self):
-        sketch = vehicle_registry_sketch()
-        t = mutation_five_wheels()
-        report = validate_instance(sketch, t)
-        with pytest.raises(GraphError):
-            reduct_sketch_instance(SketchMorphism.identity(sketch), t, report)
-
-    def test_report_without_an_image_verdict_rejected(self):
-        # a report that lacks an image's verdict is malformed input, not a KeyError
-        sketch, t = vehicle_registry_sketch(), vehicle_registry_instance()
-        report = validate_instance(sketch, t)
-        short = ValidationReport(report.sketch, report.instance, report.verdicts[:2])
-        missing = sketch.declarations[2].id
-        with pytest.raises(GraphError, match=re.escape(f"has no verdict for {missing!r}")):
-            reduct_sketch_instance(SketchMorphism.identity(sketch), t, short)
-
-    def test_report_of_another_instance_rejected(self):
-        # the valid registry's report, transferred onto the five-wheels
-        # instance, read Valid while that instance's reduct is Invalid
-        sketch = vehicle_registry_sketch()
-        report = validate_instance(sketch, vehicle_registry_instance())
-        f, bad = SketchMorphism.identity(sketch), mutation_five_wheels()
-        assert validate_instance(sketch, restrict(bad, f.graph_map)).overall is Status.INVALID
-        with pytest.raises(GraphError, match=re.escape("evidence for 'has:[1..4,6]' is not of t")):
-            reduct_sketch_instance(f, bad, report)
-
-    def test_label_violating_morphism_rejected(self):
-        # d = [1] mapped to e = [0..*]: e holds, but d fails on the reduct
-        one, many = multiplicity_symbol([(1, 1)]), multiplicity_symbol([(0, None)])
-        sig = Signature({one.name: one, many.name: many})
-        carrier = one.arity
-        d = ConstraintDeclaration("d", "[1]", identity(carrier))
-        e = ConstraintDeclaration("e", "[0..*]", identity(carrier))
-        source, target = Sketch("source", carrier, sig, (d,)), Sketch("target", carrier, sig, (e,))
-        f = SketchMorphism(source, target, identity(carrier), {"d": "e"})
-        t = TypedInstance.build(
-            carrier,
-            Graph.build(["a", "b"], [("l1", "a", "b"), ("l2", "a", "b")]),
-            {"a": "A", "b": "B"},
-            {"l1": "r", "l2": "r"},
-        )
-        report = validate_instance(target, t)
-        assert report.overall is Status.VALID
-        assert satisfies(restrict(t, f.graph_map), d, sig).status is Status.INVALID
-        with pytest.raises(GraphError, match=re.escape("'d': label '[1]' mapped to '[0..*]'")):
-            reduct_sketch_instance(f, t, report)
 
 
 class TestPullbackDelta:

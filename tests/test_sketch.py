@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from dcl.graphs import Graph, GraphMorphism, compose, identity
 from dcl.fixtures import span_signature, vehicle_registry_sketch
 from dcl.signature import (
+    ConstraintSymbol,
     Dependency,
     Multiplicity,
     Signature,
@@ -12,8 +15,6 @@ from dcl.sketch import (
     ConstraintDeclaration,
     Sketch,
     SketchError,
-    SketchMorphism,
-    check_sketch_morphism,
     close_sketch,
     elaborate_defaults,
     is_closed,
@@ -174,64 +175,6 @@ class TestTranslation:
             translate_declaration(f, s.declarations[0])
 
 
-class TestSketchMorphisms:
-    def test_identity_accepted(self):
-        s = close_sketch(span_sketch())
-        report = check_sketch_morphism(SketchMorphism.identity(s))
-        assert report == ()
-
-    def test_missing_decl_mapping_reported(self):
-        s = close_sketch(span_sketch())
-        f = SketchMorphism(s, s, identity(s.carrier), {})
-        report = check_sketch_morphism(f)
-        assert len(report) == 3
-
-    def test_label_violation_reported(self):
-        s = close_sketch(span_sketch())
-        decl_map = {"jm1": "jm1/d1", "jm1/d1": "jm1/d1", "jm1/d2": "jm1/d2"}
-        report = check_sketch_morphism(SketchMorphism(s, s, identity(s.carrier), decl_map))
-        assert any("label" in v for v in report)
-
-    def test_decls_must_be_a_json_object(self):
-        # dict() would read a list of pairs as the map it lists
-        from dcl.io import FormatError, from_json, to_json
-
-        data = to_json(SketchMorphism.identity(close_sketch(span_sketch())))
-        data["decls"] = [[k, v] for k, v in data["decls"].items()]
-        with pytest.raises(FormatError):
-            from_json(data)
-
-    def test_decl_map_key_without_declaration_reported(self):
-        s = close_sketch(span_sketch())
-        decl_map = {**{d.id: d.id for d in s.declarations}, "ghost": "jm1"}
-        report = check_sketch_morphism(SketchMorphism(s, s, identity(s.carrier), decl_map))
-        assert report == ("decl_map key 'ghost' names no source declaration",)
-
-    def test_composite_without_image_is_a_sketch_error(self):
-        s = close_sketch(span_sketch())
-        i = SketchMorphism.identity(s)
-        partial = SketchMorphism(s, s, identity(s.carrier), {"jm1": "jm1"})
-        with pytest.raises(SketchError, match="no image for 'jm1/d1'"):
-            i.then(partial)
-
-    def test_composite_of_accepted_is_accepted(self):
-        s = close_sketch(span_sketch())
-        i = SketchMorphism.identity(s)
-        assert check_sketch_morphism(i.then(i)) == ()
-
-    def test_translation_of_closed_lands_in_closed_target(self):
-        # binding coherence: translating every declaration of the source of
-        # an accepted morphism lands on declarations of the target
-        s = close_sketch(span_sketch())
-        f = SketchMorphism.identity(s)
-        assert check_sketch_morphism(f) == ()
-        for d in s.declarations:
-            out = translate_declaration(f.graph_map, d)
-            assert any(
-                e.label == out.label and e.binding == out.binding for e in s.declarations
-            )
-
-
 class TestDefaults:
     def test_unclassified_arrow_rejected(self):
         s = span_sketch()
@@ -263,6 +206,24 @@ class TestDefaults:
         out = elaborate_defaults(s2, ["lcdBy"], ["covers"])
         assert "default/lcdBy" not in {d.id for d in out.declarations}
         assert "default/covers" in {d.id for d in out.declarations}
+
+    def test_signature_keeps_its_own_default_symbol(self):
+        # the signature's [1] is over X -s-> Y, not the default's A -r-> B:
+        # it stays, and the default on f binds through its arity
+        arity = Graph.build(["X", "Y"], [("s", "X", "Y")])
+        own = ConstraintSymbol("[1]", arity, Multiplicity(((1, 1),)))
+        carrier = Graph.build(["P", "Q"], [("e", "P", "Q"), ("f", "P", "Q")])
+        ends = {"X": "P", "Y": "Q"}
+        d = ConstraintDeclaration("d", "[1]", GraphMorphism(arity, carrier, ends, {"s": "e"}))
+        s = Sketch("own", carrier, Signature({"[1]": own}), (d,))
+        out = elaborate_defaults(s, [], ["e", "f"])
+        assert out.signature.symbols["[1]"] is own
+        assert [x.id for x in out.declarations] == ["d", "default/f"]
+        on_f = GraphMorphism(arity, carrier, ends, {"s": "f"})
+        assert out.declaration("default/f").binding == on_f
+        other = ConstraintSymbol("[1]", arity, Multiplicity(((0, None),)))
+        with pytest.raises(SketchError, match=re.escape("already uses the name '[1]'")):
+            elaborate_defaults(Sketch("other", carrier, Signature({"[1]": other})), [], ["e", "f"])
 
     def test_empty_sketch_unchanged(self):
         sig = span_signature()
