@@ -32,10 +32,6 @@ def vehicle_registry_sketch() -> Sketch:
     return load(DATA / "registry-sketch.json")
 
 
-def vehicle_registry_carrier() -> Graph:
-    return vehicle_registry_sketch().carrier
-
-
 def vehicle_registry_instance() -> TypedInstance:
     """One licensed driver of a three-wheeled vehicle; every constraint holds.
 

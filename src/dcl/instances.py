@@ -84,9 +84,9 @@ class TypedInstance:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping, schema: Optional[Graph] = None) -> "TypedInstance":
+    def from_json(cls, data: Mapping) -> "TypedInstance":
         try:
-            schema = schema if schema is not None else Graph.from_json(data["schema"])
+            schema = Graph.from_json(data["schema"])
             carrier = Graph.from_json(data["carrier"])
             return cls(GraphMorphism.from_json(data["typing"], carrier, schema))
         except (KeyError, TypeError) as exc:
@@ -136,7 +136,7 @@ class SliceMorphism:
     @classmethod
     def from_json(cls, data: Mapping) -> "SliceMorphism":
         dom = TypedInstance.from_json(data["dom"])
-        cod = TypedInstance.from_json(data["cod"], schema=dom.schema)
+        cod = TypedInstance.from_json(data["cod"])
         m = GraphMorphism.from_json(data["map"], dom=dom.carrier, cod=cod.carrier)
         return cls(dom, cod, m)
 
@@ -459,8 +459,8 @@ class Delta:
     @classmethod
     def from_json(cls, data: Mapping) -> "Delta":
         source = TypedInstance.from_json(data["source"])
-        target = TypedInstance.from_json(data["target"], schema=source.schema)
-        apex = TypedInstance.from_json(data["apex"], schema=source.schema)
+        target = TypedInstance.from_json(data["target"])
+        apex = TypedInstance.from_json(data["apex"])
         left = GraphMorphism.from_json(data["left"], dom=apex.carrier, cod=source.carrier)
         right = GraphMorphism.from_json(data["right"], dom=apex.carrier, cod=target.carrier)
         return cls(SliceMorphism(apex, source, left), SliceMorphism(apex, target, right))

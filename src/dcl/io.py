@@ -76,7 +76,7 @@ def _fields_reader(cls: type):
 
 def _lifting_from_json(data: Mapping) -> Lifting:
     m = GraphMorphism.from_json(data["m"])
-    n = GraphMorphism.from_json(data["n"], dom=m.cod)
+    n = GraphMorphism.from_json(data["n"])
     return Lifting(m, n, data.get("search_limit", DEFAULT_SEARCH_LIMIT))
 
 
@@ -335,8 +335,16 @@ def save(obj: Any, path: Union[str, pathlib.Path]) -> None:
 def load(path: Union[str, pathlib.Path]) -> Any:
     """Read and build the object in a JSON file; FormatError if it is malformed."""
     p = pathlib.Path(path)
+
+    def unique_keys(pairs: list) -> dict:
+        out = dict(pairs)
+        if len(out) < len(pairs):  # `json` alone would keep the last value of a repeated key
+            key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+            raise FormatError(f"{p}: repeated key {key!r}")
+        return out
+
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(), object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise FormatError(f"{p}: file not found")
     except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes that are no text

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from dcl.graphs import Graph, GraphError, GraphMorphism, _trusted, compose, find_isomorphism
-from dcl.signature import Dependency, Multiplicity, Signature, multiplicity_symbol
+from dcl.graphs import Graph, GraphError, GraphMorphism, compose
+from dcl.signature import Dependency, Signature
 
 
 class SketchError(GraphError):
@@ -119,58 +119,3 @@ def translate_sketch(f: GraphMorphism, sketch: Sketch) -> Sketch:
         tuple(translate_declaration(f, d) for d in sketch.declarations),
     )
 
-
-# ---------------------------------------------------------------------------
-# Default multiplicities
-
-
-DEFAULT_ASSOCIATION = multiplicity_symbol([(1, None)])  # [1..*]
-DEFAULT_ATTRIBUTE = multiplicity_symbol([(1, 1)])  # [1]
-
-
-def elaborate_defaults(
-    sketch: Sketch, associations: Iterable[str], attributes: Iterable[str]
-) -> Sketch:
-    """Fill in default multiplicities for carrier arrows without any.
-
-    Association arrows default to [1..*], attribute arrows to [1].  Any
-    existing multiplicity declaration on the arrow, including an explicit
-    [0..*], suppresses the default.  Every carrier arrow must be classified.
-    """
-    associations = set(associations)
-    attributes = set(attributes)
-    overlap = associations & attributes
-    if overlap:
-        raise SketchError(f"arrows in both partitions: {sorted(overlap)}")
-    unclassified = {a.id for a in sketch.carrier.arrows} - associations - attributes
-    if unclassified:
-        raise SketchError(f"unclassified arrows: {sorted(unclassified)}")
-
-    constrained = set()
-    for d in sketch.declarations:
-        symbol = sketch.signature.symbols[d.label]
-        if isinstance(symbol.semantics, Multiplicity):
-            constrained.update(d.binding.arrow_map.values())
-
-    symbols = dict(sketch.signature.symbols)
-    onto = {}  # each default's name -> the iso from the kept symbol's arity onto the default's
-    for default in (DEFAULT_ASSOCIATION, DEFAULT_ATTRIBUTE):
-        symbol = symbols.setdefault(default.name, default)  # the signature's own is kept
-        onto[default.name] = find_isomorphism(symbol.arity, default.arity)
-        if symbol.semantics != default.semantics or onto[default.name] is None:
-            raise SketchError(f"signature already uses the name {default.name!r}")
-    signature = Signature(symbols, sketch.signature.dependencies)
-
-    declarations = list(sketch.declarations)
-    for arrow in sketch.carrier.sorted_arrows:
-        if arrow.id in constrained:
-            continue
-        symbol = DEFAULT_ASSOCIATION if arrow.id in associations else DEFAULT_ATTRIBUTE
-        ends, link = {"A": arrow.src, "B": arrow.tgt}, {"r": arrow.id}
-        binding = _trusted(GraphMorphism, symbol.arity, sketch.carrier, ends, link)
-        declarations.append(
-            ConstraintDeclaration(
-                f"default/{arrow.id}", symbol.name, compose(onto[symbol.name], binding)
-            )
-        )
-    return Sketch(sketch.name, sketch.carrier, signature, tuple(declarations))

@@ -22,6 +22,7 @@ import dcl.graphs
 import dcl.io
 import dcl.signature
 from dcl.cli import main
+from dcl.fixtures import existence_formula
 from dcl.io import FormatError, _indented, dumps, from_json, load, save, to_json
 from dcl.graphs import Graph, GraphMorphism, identity
 from dcl.injlogic import InjTheory
@@ -719,6 +720,16 @@ def regular_signature() -> dict:
     return one_symbol_signature(existence_symbol())
 
 
+def lifting_signature() -> dict:
+    from dcl.fixtures import existence_symbol
+    from dcl.signature import ConstraintSymbol, regular_to_lifting
+
+    s = existence_symbol()
+    return one_symbol_signature(
+        ConstraintSymbol(s.name, s.arity, regular_to_lifting(s.arity, s.semantics))
+    )
+
+
 def commutativity_signature() -> dict:
     from dcl.signature import commutativity_symbol
 
@@ -743,6 +754,14 @@ def set_at(document, path: tuple, value):
         holder = holder[key]
     holder[path[-1]] = value
     return document
+
+
+def with_node_z(document, path: tuple):
+    """A copy of `document` whose graph at the key and index `path` has one more node, Z."""
+    holder = document
+    for key in path:
+        holder = holder[key]
+    return set_at(document, path + ("nodes",), holder["nodes"] + ["Z"])
 
 
 # the payload file takes this place in the command, or comes last
@@ -833,8 +852,47 @@ class TestMalformedInput:
                 set_at(shipped("out-edge-theory.json"), ("ambient",), "graph"),
                 "ambient: expected a dict, got str",
             ),
+            # a graph that the file declares is read and compared, never dropped
+            (
+                ["infer", OUT_THEORY, PAYLOAD],
+                with_node_z(json.loads(dumps(existence_formula())), ("cod", "schema")),
+                "slice morphism endpoints live over different schemas",
+            ),
+            (
+                ["migrate", FRAGMENT, PAYLOAD, "--direction", "pull"],
+                with_node_z(json.loads(dumps(identity_delta(load(VALID)))), ("target", "schema")),
+                "slice morphism endpoints live over different schemas",
+            ),
+            (
+                ["migrate", FRAGMENT, PAYLOAD, "--direction", "pull"],
+                with_node_z(json.loads(dumps(identity_delta(load(VALID)))), ("apex", "schema")),
+                "slice morphism endpoints live over different schemas",
+            ),
+            (
+                ["translate", "--to", "regular"],
+                with_node_z(lifting_signature(), ("symbols", 0, "semantics", "n", "dom")),
+                "node map is not total on the domain nodes",
+            ),
+            (
+                ["translate", "--to", "regular"],
+                set_at(
+                    with_node_z(lifting_signature(), ("symbols", 0, "semantics", "n", "dom")),
+                    ("symbols", 0, "semantics", "n", "nodes", "Z"),
+                    "A",
+                ),
+                "lifting pair does not compose",
+            ),
         ],
-        ids=["unknown-symbol", "formulas-list", "ambient-string"],
+        ids=[
+            "unknown-symbol",
+            "formulas-list",
+            "ambient-string",
+            "formula-cod-schema",
+            "delta-target-schema",
+            "delta-apex-schema",
+            "lifting-n-dom",
+            "lifting-n-dom-mapped",
+        ],
     )
     def test_exit_three_names_what_is_wrong(self, capsys, tmp_path, command, payload, message):
         path = tmp_path / "input.json"
@@ -875,6 +933,34 @@ class TestMalformedInput:
         path.write_text(json.dumps(document))
         assert main([str(path) if arg == PAYLOAD else arg for arg in command]) == 3
         assert capsys.readouterr().err == f"error: {path}: duplicate symbol name {symbol!r}\n"
+
+    @pytest.mark.parametrize(
+        "name,text,command,key",
+        [
+            # read as {"has": "has"}, the pull exited 0
+            (
+                "vehicle-fragment-map.json",
+                lambda text: text.replace('"has": "has",', '"has": "hasdr",\n    "has": "has",', 1),
+                ["migrate", PAYLOAD, VALID, "--direction", "pull"],
+                "has",
+            ),
+            # read as one formula
+            (
+                "out-edge-theory.json",
+                lambda text: text.replace(
+                    '"formulas": {', '"formulas": {"out-edge": {"kind": "graph"}, ', 1
+                ),
+                ["infer", PAYLOAD, GOAL, "--depth", "1"],
+                "out-edge",
+            ),
+        ],
+        ids=["fragment-arrow", "theory-formula"],
+    )
+    def test_repeated_key_exit_three(self, capsys, tmp_path, name, text, command, key):
+        path = tmp_path / name
+        path.write_text(text(DATA.joinpath(name).read_text()))
+        assert main([str(path) if arg == PAYLOAD else arg for arg in command]) == 3
+        assert capsys.readouterr().err == f"error: {path}: repeated key {key!r}\n"
 
     def test_deeply_nested_json_exit_three(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -1140,8 +1226,6 @@ class TestRoundtrips:
 def kind_samples() -> list:
     """(kind, object) pairs covering every file kind, from the shipped files
     where one holds that kind; formulas both plain and over a schema."""
-    from dcl.fixtures import existence_formula
-
     sketch, t = load(SKETCH), load(VALID)
     return [
         ("graph", t.carrier),

@@ -1,6 +1,5 @@
 import gc
 import itertools
-import os
 import random
 import re
 from unittest import mock

@@ -1,6 +1,7 @@
-"""No module of `dcl` imports a name it never uses.
+"""No module of `dcl`, and no test module, imports a name it never uses.
 
-Code deleted from a module can leave its imports behind; this finds them.
+Code deleted from a module can leave its imports behind; this finds them,
+and an import a test never reads can hide a helper that nothing calls.
 `__init__.py` is skipped, since its imports are the package's re-exports.
 A name read only in an annotation counts as used: annotations are parsed
 as code even under `from __future__ import annotations`.
@@ -15,6 +16,7 @@ import dcl
 
 PACKAGE = pathlib.Path(dcl.__file__).parent
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def imported(tree: ast.Module) -> dict[str, int]:
@@ -28,7 +30,7 @@ def imported(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

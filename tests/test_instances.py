@@ -21,7 +21,6 @@ from dcl.instances import (
     iter_slice_morphisms,
     iter_typed_instances,
     restrict,
-    serialize_instance,
     to_indexed,
 )
 from dcl.randgen import random_graph, random_morphism_into, random_typed_instance

@@ -14,7 +14,6 @@ from dcl.fixtures import (
     mutation_five_wheels,
     mutation_unlicensed_drive,
     span_signature,
-    vehicle_registry_carrier,
     vehicle_registry_instance,
     vehicle_registry_sketch,
 )

@@ -42,7 +42,6 @@ from dcl.signature import (
     parallel_pair_arity,
     regular_to_lifting,
     single_arrow_arity,
-    span_arity,
     subset_symbol,
     triangle_arity,
     verify_dependency_soundness,
@@ -51,7 +50,6 @@ from dcl.fixtures import (
     existence_formula,
     existence_symbol,
     span_signature,
-    uniqueness_formula,
     uniqueness_symbol,
 )
 from dcl.verdicts import Status, Verdict

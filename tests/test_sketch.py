@@ -1,13 +1,9 @@
-import re
-
 import pytest
 
 from dcl.graphs import Graph, GraphMorphism, compose, identity
 from dcl.fixtures import span_signature, vehicle_registry_sketch
 from dcl.signature import (
-    ConstraintSymbol,
     Dependency,
-    Multiplicity,
     Signature,
     multiplicity_symbol,
 )
@@ -16,10 +12,8 @@ from dcl.sketch import (
     Sketch,
     SketchError,
     close_sketch,
-    elaborate_defaults,
     is_closed,
     translate_declaration,
-    translate_sketch,
 )
 
 
@@ -174,59 +168,3 @@ class TestTranslation:
         with pytest.raises(SketchError):
             translate_declaration(f, s.declarations[0])
 
-
-class TestDefaults:
-    def test_unclassified_arrow_rejected(self):
-        s = span_sketch()
-        with pytest.raises(SketchError):
-            elaborate_defaults(s, ["lcdBy"], [])
-
-    def test_defaults_added(self):
-        s = span_sketch()
-        out = elaborate_defaults(s, ["lcdBy"], ["covers"])
-        by_id = {d.id: d for d in out.declarations}
-        assert by_id["default/lcdBy"].label == "[1..*]"
-        assert by_id["default/covers"].label == "[1]"
-
-    def test_explicit_multiplicity_suppresses(self):
-        s = span_sketch()
-        zero_star = multiplicity_symbol([(0, None)])
-        symbols = dict(s.signature.symbols)
-        symbols[zero_star.name] = zero_star
-        sig = Signature(symbols, s.signature.dependencies)
-        binding = GraphMorphism(
-            zero_star.arity, s.carrier, {"A": "L", "B": "V"}, {"r": "lcdBy"}
-        )
-        s2 = Sketch(
-            "span",
-            s.carrier,
-            sig,
-            tuple(s.declarations) + (ConstraintDeclaration("any", "[0..*]", binding),),
-        )
-        out = elaborate_defaults(s2, ["lcdBy"], ["covers"])
-        assert "default/lcdBy" not in {d.id for d in out.declarations}
-        assert "default/covers" in {d.id for d in out.declarations}
-
-    def test_signature_keeps_its_own_default_symbol(self):
-        # the signature's [1] is over X -s-> Y, not the default's A -r-> B:
-        # it stays, and the default on f binds through its arity
-        arity = Graph.build(["X", "Y"], [("s", "X", "Y")])
-        own = ConstraintSymbol("[1]", arity, Multiplicity(((1, 1),)))
-        carrier = Graph.build(["P", "Q"], [("e", "P", "Q"), ("f", "P", "Q")])
-        ends = {"X": "P", "Y": "Q"}
-        d = ConstraintDeclaration("d", "[1]", GraphMorphism(arity, carrier, ends, {"s": "e"}))
-        s = Sketch("own", carrier, Signature({"[1]": own}), (d,))
-        out = elaborate_defaults(s, [], ["e", "f"])
-        assert out.signature.symbols["[1]"] is own
-        assert [x.id for x in out.declarations] == ["d", "default/f"]
-        on_f = GraphMorphism(arity, carrier, ends, {"s": "f"})
-        assert out.declaration("default/f").binding == on_f
-        other = ConstraintSymbol("[1]", arity, Multiplicity(((0, None),)))
-        with pytest.raises(SketchError, match=re.escape("already uses the name '[1]'")):
-            elaborate_defaults(Sketch("other", carrier, Signature({"[1]": other})), [], ["e", "f"])
-
-    def test_empty_sketch_unchanged(self):
-        sig = span_signature()
-        s = Sketch("empty", Graph.build(["X"]), sig, ())
-        out = elaborate_defaults(s, [], [])
-        assert out.declarations == ()
