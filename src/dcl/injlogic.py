@@ -26,13 +26,14 @@ from dcl.graphs import (
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
-    _canonical_classes,
     _diagram_key,
+    _iter_classes,
+    _named,
     _trusted_instance,
     iter_factorizations,
     iter_slice_morphisms,
 )
-from dcl.signature import DEFAULT_SEARCH_LIMIT, MODEL_SWEEP_LIMIT, Regular
+from dcl.signature import DEFAULT_SEARCH_LIMIT, MODEL_SWEEP_LIMIT, Regular, _printed_class
 from dcl.verdicts import Status, Verdict
 
 # units one `bounded_entailment` call may spend: formulas considered, maps and factorizations
@@ -83,14 +84,14 @@ def semantic_entails(
 ) -> SemanticResult:
     """Every small model of the theory must be injective w.r.t. the goal.
 
-    Exhaustive over instances with at most size_bound elements per base
-    node and max_parallel parallel links, one per isomorphism class, each
-    checked in the canonical form `_canonical_classes` streams.  Each formula and
-    the goal are checked as `Regular` specs, planned once per sweep.  A class
-    whose canonical form spends its bound is Unknown, as an Unknown verdict is.  The
-    sweep spends a `model-sweep` budget of MODEL_SWEEP_LIMIT units, a unit per count
-    vector visited and per class decided; past it the result is Unknown, naming the
-    bound.  A goal over another base is refused, as `bounded_entailment` refuses it.
+    Exhaustive over instances with at most size_bound elements per base node and
+    max_parallel parallel links, one per isomorphism class, each checked on its own
+    numbering (`_named`).  Each formula and the goal are checked as `Regular` specs,
+    planned once per sweep.  A countermodel is returned in canonical form, or as
+    enumerated when that form spends its bound.  The sweep spends a `model-sweep`
+    budget of MODEL_SWEEP_LIMIT units, a unit per count vector visited and per class
+    decided; past it the result is Unknown, naming the bound.  A goal over another
+    base is refused, as `bounded_entailment` refuses it.
     """
     if goal.from_.schema != theory.base:
         raise GraphError("goal lives over a different base")
@@ -101,17 +102,17 @@ def semantic_entails(
     unknown: Optional[Verdict] = None
     budget = Budget("model-sweep", MODEL_SWEEP_LIMIT)
     try:
-        for model, verdict in _canonical_classes(base, size_bound, max_parallel, budget):
-            if verdict is None:  # else the class's canonical form spent its bound
-                for f in formulas:
-                    verdict = f.decide(model)
-                    if verdict.status is not Status.VALID:
-                        break
-                else:
-                    checked += 1
-                    verdict = wanted.decide(model)
-                    if verdict.status is Status.INVALID:
-                        return SemanticResult(checked, model)
+        for names, links, labelled in _iter_classes(base, size_bound, max_parallel, budget):
+            model = _named(names, links, base)
+            for f in formulas:
+                verdict = f.decide(model)
+                if verdict.status is not Status.VALID:
+                    break
+            else:
+                checked += 1
+                verdict = wanted.decide(model)
+                if verdict.status is Status.INVALID:
+                    return SemanticResult(checked, _printed_class(names, links, base, labelled))
             if unknown is None and verdict.status is Status.UNKNOWN:
                 unknown = verdict
     except BoundExceeded as exc:  # only the sweep's own bound escapes a decision

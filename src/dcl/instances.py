@@ -12,11 +12,10 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from dcl.graphs import (
     Arrow,
-    BoundExceeded,
     Budget,
     Graph,
     GraphError,
@@ -31,7 +30,6 @@ from dcl.graphs import (
     pullback,
     search_morphisms,
 )
-from dcl.verdicts import Verdict
 
 
 @dataclass(frozen=True)
@@ -277,39 +275,41 @@ def _place_names(prefix: str, count: int) -> tuple[tuple[str, ...], Iterable[int
 
 
 def _canonical_numbered(names: tuple, links: tuple, arity: Graph) -> tuple[TypedInstance, dict]:
-    """(canonical instance, named) over `arity` of the numbered instance (names,
-    links), as `_numbered_restriction` gives it, named in one pass over the
-    canonical parts: the element at place i is `n{i}`, link j `e{j}`, and ids
-    are visited in sorted order (`_place_names`).  `named` maps each element
-    name, in place order, to its number in the input.  The instance holds the
-    fibres of that pass."""
+    """(canonical instance, named) over `arity` of the numbered instance (names, links),
+    as `_numbered_restriction` gives it: `_named` over the canonical parts.  `named` maps
+    each element name, in place order, to its number in the input."""
     if links:
         colours, ranked, order = [], [], []
         for (_, part_colours, triples), members in _canonical_order(names, links):
             if triples:
                 base = len(colours)
-                ranked += [(base + x, base + y, k) for x, y, k in triples]
+                ranked += [(base + x, k, base + y) for x, y, k in triples]
             colours += part_colours
             order += members
     else:  # every element is a part alone, as `_canonical_order` sorts them
         order = sorted(range(len(names)), key=names.__getitem__)
         colours, ranked = list(map(names.__getitem__, order)), ()
-    element_names, element_order = _place_names("n", len(colours))
-    link_names, link_order = _place_names("e", len(ranked))
+    return _named(colours, ranked, arity), dict(zip(_place_names("n", len(order))[0], order))
+
+
+def _named(names: Sequence, links: Sequence, arity: Graph) -> TypedInstance:
+    """The numbered instance (names, links) over `arity`, named in its own order
+    in one pass (element i `n{i}`, link j `e{j}`), holding that pass's fibres."""
+    element_names, element_order = _place_names("n", len(names))
+    link_names, link_order = _place_names("e", len(links))
     node_map, node_fibres = {}, {h: [] for h in arity.sorted_nodes}
     for i in element_order:
-        node_map[element_names[i]] = colours[i]
-        node_fibres[colours[i]].append(element_names[i])
+        node_map[element_names[i]] = names[i]
+        node_fibres[names[i]].append(element_names[i])
     arrow_map, arrow_fibres, arrows = {}, {k.id: [] for k in arity.sorted_arrows}, []
     for j in link_order:
-        x, y, k = ranked[j]
+        x, k, y = links[j]
         arrow_map[link_names[j]] = k
         arrows.append(Arrow(link_names[j], element_names[x], element_names[y]))
         arrow_fibres[k].append(arrows[-1])
     carrier = _trusted(Graph, frozenset(node_map), frozenset(arrows))
     typing = _trusted(GraphMorphism, carrier, arity, node_map, arrow_map)
-    out = _trusted(TypedInstance, typing, (node_fibres, arrow_fibres))
-    return out, dict(zip(element_names, order))
+    return _trusted(TypedInstance, typing, (node_fibres, arrow_fibres))
 
 
 def _diagram_key(objects: list, maps: list) -> tuple:
@@ -405,15 +405,9 @@ def to_indexed(t: TypedInstance) -> IndexedSemantics:
 
 
 def from_indexed(ix: IndexedSemantics) -> TypedInstance:
-    node_typing = {
-        e: schema_node for schema_node, fiber in ix.node_sets.items() for e in fiber
-    }
-    arrows = []
-    arrow_typing = {}
-    for schema_arrow, span in ix.arrow_spans.items():
-        for link, src, tgt in span:
-            arrows.append((link, src, tgt))
-            arrow_typing[link] = schema_arrow
+    node_typing = {e: node for node, fiber in ix.node_sets.items() for e in fiber}
+    arrows = [link for span in ix.arrow_spans.values() for link in span]
+    arrow_typing = {link: arrow for arrow, span in ix.arrow_spans.items() for link, _, _ in span}
     return _trusted_instance(ix.schema, node_typing, arrows, arrow_typing)
 
 
@@ -639,24 +633,6 @@ def iter_instance_classes(
         yield labelled()
 
 
-def _canonical_classes(
-    schema: Graph, max_per_node: int, max_parallel: int, budget: Budget
-) -> Iterator[tuple[TypedInstance, Optional[Verdict]]]:
-    """(canonical instance, None) per class of `iter_instance_classes`, in its
-    order, made from the class's numbering; for a class whose canonical form
-    spends its bound, (labelled instance, an Unknown verdict naming the bound):
-    only then is the labelled instance built.  `budget` is charged as by
-    `_iter_classes`, and a unit per class before its canonical form is made."""
-    for names, links, labelled in _iter_classes(schema, max_per_node, max_parallel, budget):
-        budget.charge()
-        try:
-            canonical = _canonical_numbered(names, links, schema)[0]
-        except BoundExceeded as exc:
-            yield labelled(), Verdict(detail=str(exc))
-        else:
-            yield canonical, None
-
-
 def _iter_classes(
     schema: Graph, max_per_node: int, max_parallel: int = 2, budget: Optional[Budget] = None
 ) -> Iterator[tuple[tuple, tuple, Callable[[], TypedInstance]]]:
@@ -664,14 +640,16 @@ def _iter_classes(
     order: `labelled()` builds that class's instance, and (names, links) is
     `_numbered_restriction(labelled(), None)`, made from the count vector alone.
 
-    Orderly generation (Read, "Every one a winner", 1978): two instances of
-    one size vector are isomorphic exactly when a permutation of elements
-    within fibres carries one link-count vector to the other, and instances
-    of different size vectors never are.  `itertools.product` yields count
-    vectors in lexicographic order, so a vector is the first of its class
-    exactly when no such permutation makes it lexicographically smaller.
-    `budget`, if given, is charged a unit per count vector visited, kept or not.
+    Orderly generation (Read, "Every one a winner", 1978): two instances of one size
+    vector are isomorphic exactly when a permutation of elements within fibres carries
+    one link-count vector to the other, and instances of different size vectors never
+    are.  `itertools.product` yields count vectors in lexicographic order, so a vector
+    is the first of its class exactly when no such permutation makes it smaller.  The
+    numbering is thus a canonical labelling by construction (McKay, 1998): class sweeps
+    decide each class on `_named(names, links, schema)`.  `budget`, if given, is charged
+    a unit per count vector visited, kept or not, and one more per class yielded.
     """
+    charge = (lambda: None) if budget is None else budget.charge
     for fibers, slots in _families(schema, max_per_node):
         perms = _slot_permutations(fibers, slots)
         # ids sort as they are enumerated, so element "h#i" is numbered in that order
@@ -679,9 +657,10 @@ def _iter_classes(
         names = tuple(h for h, fiber in fibers.items() for _ in fiber)
         singles = [((number[s], a, number[t]),) for a, s, t in slots]
         for counts in itertools.product(range(max_parallel + 1), repeat=len(slots)):
-            if budget is not None:
-                budget.charge()
+            charge()
             if any(p(counts) < counts for p in perms):
                 continue
+            charge()
             links = tuple(itertools.chain.from_iterable(map(operator.mul, singles, counts)))
             yield names, links, functools.partial(_instance, schema, fibers, slots, counts)
+

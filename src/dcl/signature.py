@@ -31,9 +31,10 @@ from dcl.graphs import (
 from dcl.instances import (
     SliceMorphism,
     TypedInstance,
-    _canonical_classes,
     _canonical_numbered,
     _factorization_pins,
+    _iter_classes,
+    _named,
     _numbered_restriction,
     canonical_restriction,
     serialize_instance,
@@ -280,7 +281,8 @@ class Lifting:
 
 @dataclass(frozen=True)
 class Table:
-    """Extensional semantics: an explicit finite set of valid instances."""
+    """Extensional semantics: an explicit finite set of valid instances, held in
+    canonical form, and an instance is valid when its canonical form is one."""
 
     kind = "table"
     entries: tuple[tuple[str, TypedInstance], ...] = ()
@@ -302,8 +304,12 @@ class Table:
         object.__setattr__(self, "entries", tuple(canonical))
 
     def decide(self, t: TypedInstance) -> Verdict:
+        try:
+            canonical = canonical_restriction(t)
+        except BoundExceeded as exc:
+            return Verdict(detail=str(exc))
         for entry_id, instance in self.entries:
-            if instance == t:
+            if instance == canonical:
                 return Verdict(Evidence(t, {"entry": entry_id}))
         return Verdict(counterexample=Counterexample(t, ()))
 
@@ -543,14 +549,14 @@ class SoundnessViolation:
     dependency: str
     witness: TypedInstance
     verdict: Verdict
-    on: Optional[str] = None  # what was Unknown, if undecided: "class" or "restriction"
+    on: Optional[str] = None  # if undecided: "class", the source decision, or "restriction"
 
 
 @dataclass(frozen=True)
 class SoundnessReport:
     checked: int
     violations: tuple[SoundnessViolation, ...]  # Invalid restrictions
-    undecided: tuple[SoundnessViolation, ...] = ()  # Unknown, on a class or its restriction
+    undecided: tuple[SoundnessViolation, ...] = ()  # Unknown, at the source or the restriction
     # dependency -> {"violations": n, "undecided": m} past SWEEP_WITNESS_LIMIT, if any
     dropped: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
     stopped: tuple[str, ...] = ()  # source symbols whose sweep ended once settled Invalid
@@ -643,11 +649,12 @@ def verify_dependency_soundness(
 ) -> SoundnessReport:
     """Restriction of every small valid instance along every dependency must be valid.
 
-    The classes of each source symbol are walked once, as `_canonical_classes` streams
-    them, and each class runs all of that symbol's dependencies.  A target decides each
-    numbered restriction once per call.  An Unknown verdict, on a class or on its
-    restriction, is undecided, not a violation; a class whose canonical form spends its
-    bound is Unknown, witnessed as enumerated.  Results are listed dependency by dependency,
+    The classes of each source symbol are walked once, as `_iter_classes` yields them, and
+    each class runs all of that symbol's dependencies.  The source decides a class on its
+    own numbering (`_named`), and a target each numbered restriction once per call.  An
+    Unknown verdict, from the source or on a restriction, is undecided, not a violation.  A
+    listed witness is the class's canonical form, made once per class, or the class as
+    enumerated when that form spends its bound.  Results are listed dependency by dependency,
     at most SWEEP_WITNESS_LIMIT violations and as many undecided per dependency; the rest
     are counted.  Once every dependency of a source symbol has dropped a violation, the
     symbol's result is settled Invalid and its sweep stops.  The whole call spends one
@@ -663,11 +670,13 @@ def verify_dependency_soundness(
     try:
         for name in dict.fromkeys(d.source for d in sig.dependencies):
             source, deps = sig.symbols[name], sig.dependencies_of(name)
-            for t, unknown in _canonical_classes(source.arity, size_bound, max_parallel, budget):
-                # already canonical, so decided directly, not through `evaluate`
-                source_verdict = unknown or source.semantics.decide(t)
+            classes = _iter_classes(source.arity, size_bound, max_parallel, budget)
+            for names, links, labelled in classes:
+                t = _named(names, links, source.arity)
+                source_verdict = source.semantics.decide(t)
                 if source_verdict.status is Status.INVALID:
                     continue
+                witness = None
                 for dep in deps:
                     verdict, on = source_verdict, "class"
                     if source_verdict.is_valid:
@@ -682,7 +691,8 @@ def verify_dependency_soundness(
                     kind = "undecided" if on else "violations"
                     listed = found[dep.id][kind]
                     if len(listed) < SWEEP_WITNESS_LIMIT:
-                        listed.append(SoundnessViolation(dep.id, t, verdict, on))
+                        witness = witness or _printed_class(names, links, source.arity, labelled)
+                        listed.append(SoundnessViolation(dep.id, witness, verdict, on))
                     else:
                         dropped[dep.id][kind] += 1
                 if all(dropped[dep.id]["violations"] for dep in deps):
@@ -694,3 +704,12 @@ def verify_dependency_soundness(
     undecided = tuple(v for listed in found.values() for v in listed["undecided"])
     dropped = {d: counts for d, counts in dropped.items() if any(counts.values())}
     return SoundnessReport(checked, violations, undecided, dropped, tuple(stopped), bound)
+
+
+def _printed_class(names: tuple, links: tuple, schema: Graph, labelled) -> TypedInstance:
+    """What a class sweep prints for a class of `_iter_classes`: its canonical form, or
+    `labelled()`, the class as enumerated, when that form spends its bound."""
+    try:
+        return _canonical_numbered(names, links, schema)[0]
+    except BoundExceeded:
+        return labelled()

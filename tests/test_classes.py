@@ -18,7 +18,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dcl.fixtures import edge_pair_theory, outgoing_edge_theory
+from dcl.fixtures import (
+    edge_pair_theory,
+    existence_symbol,
+    outgoing_edge_theory,
+    uniqueness_symbol,
+)
 import dcl.graphs
 from dcl.graphs import Graph, GraphMorphism, identity
 from dcl.injlogic import (
@@ -39,6 +44,7 @@ from dcl.instances import (
     _families,
     _instance,
     _iter_classes,
+    _named,
     _numbered_restriction,
     canonical_restriction,
     compose_delta,
@@ -54,6 +60,7 @@ from dcl.instances import (
 )
 from dcl.io import load
 from dcl.signature import (
+    ConstraintSymbol,
     Dependency,
     Lifting,
     Multiplicity,
@@ -61,20 +68,26 @@ from dcl.signature import (
     Signature,
     SoundnessReport,
     SoundnessViolation,
+    Table,
     check_injectivity,
+    commutativity_symbol,
+    composite_subset_symbol,
     evaluate,
     jointly_monic_symbol,
     key_symbol,
     lifting_to_regular,
     multiplicity_symbol,
+    numbering,
     parallel_pair_arity,
+    regular_to_lifting,
     single_arrow_arity,
     span_arity,
     square_arity,
+    subset_symbol,
     triangle_arity,
     verify_dependency_soundness,
 )
-from dcl.verdicts import Status
+from dcl.verdicts import Counterexample, Evidence, Status, Verdict
 
 
 def partitions(k: int, largest: int):
@@ -259,6 +272,52 @@ def span_key_signature() -> Signature:
     )
 
 
+
+def span_signature():
+    return load(str(resources.files("dcl") / "data" / "span-signature.json"))
+
+
+def table_symbol() -> ConstraintSymbol:
+    """A table over one arrow whose entries are every other class of at most
+    two elements per node, as enumerated, not in canonical form."""
+    classes = iter_instance_classes(single_arrow_arity(), 2, 1)
+    rows = tuple((f"row{i}", t) for i, t in enumerate(classes) if i % 2 == 0)
+    return ConstraintSymbol("[table]", single_arrow_arity(), Table(rows))
+
+
+def table_signature() -> Signature:
+    """The span signature with a table as its source: every third class of [jm]'s
+    arity with at most one element per node, as enumerated, and its legs onto [1]."""
+    shipped = span_signature()
+    arity = shipped.symbols["[jm]"].arity
+    classes = iter_instance_classes(arity, 1, 2)
+    table = ConstraintSymbol(
+        "[rows]", arity, Table(tuple((f"row{i}", t) for i, t in enumerate(classes) if i % 3 == 0))
+    )
+    deps = tuple(dataclasses.replace(d, source=table.name) for d in shipped.dependencies)
+    return Signature({"[1]": shipped.symbols["[1]"], table.name: table}, deps)
+
+
+def every_builtin_symbol() -> list:
+    """(symbol, max_parallel): one symbol per builtin semantics over its arity, the
+    regular one twice, each at the most parallel links that keep its classes of at
+    most two elements per node below 2,000."""
+    unique = uniqueness_symbol()
+    lifting = regular_to_lifting(unique.arity, unique.semantics)
+    return [
+        (multiplicity_symbol([(1, 1)]), 2),
+        (key_symbol(["a", "b"]), 2),
+        (subset_symbol(), 2),
+        (composite_subset_symbol(), 1),
+        (jointly_monic_symbol(), 2),
+        (commutativity_symbol(), 1),
+        (existence_symbol(), 2),
+        (unique, 2),
+        (ConstraintSymbol("[unique-lifting]", unique.arity, lifting), 2),
+        (table_symbol(), 2),
+    ]
+
+
 class TestInstanceClasses:
     @settings(deadline=None)
     @given(small_schemas(), st.integers(0, 2), st.integers(0, 2))
@@ -380,7 +439,7 @@ class TestInstanceClasses:
 class TestSweepsMatchReference:
     def test_dependency_soundness(self):
         # d1 and d2 both leave [jm], so they share one list of valid classes
-        sig = load(str(resources.files("dcl") / "data" / "span-signature.json"))
+        sig = span_signature()
         for size, parallel in itertools.product((1, 2), (1, 2)):
             got = verify_dependency_soundness(sig, size, parallel)
             want = reference_dependency_soundness(sig, size, parallel)
@@ -427,7 +486,7 @@ class TestSweepsMatchReference:
             "decide",
             lambda self, t: decided.append(t) or decide(self, t),
         )
-        sig = load(str(resources.files("dcl") / "data" / "span-signature.json"))
+        sig = span_signature()
         report = verify_dependency_soundness(sig, 2, 1)
         assert report.checked == 292
         assert 0 < len(decided) < report.checked
@@ -436,26 +495,76 @@ class TestSweepsMatchReference:
         built = []
         real = dcl.instances._instance
         monkeypatch.setattr(dcl.instances, "_instance", lambda *a: built.append(a) or real(*a))
-        sig = load(str(resources.files("dcl") / "data" / "span-signature.json"))
+        sig = span_signature()
         assert not verify_dependency_soundness(sig, 2, 1).ok
         for theory, goal in criterion_06_goals()[:3]:
             semantic_entails(theory, goal, 3, 1)
         assert built == []
 
-    def test_unknown_class_witnessed_as_enumerated(self, monkeypatch):
-        # at 2 units a class with a link spends its canonical form's bound:
-        # its witness is its labelled instance, built for it alone
+    def test_witness_past_the_bound_printed_as_enumerated(self, monkeypatch):
+        # at 2 units the canonical form of an instance with a link spends its
+        # bound: such a restriction is undecided, and such a witness is its
+        # class as enumerated, built once even where d1 and d2 both list it;
+        # the violations are those of the default bound
+        sig = span_signature()
+        want = verify_dependency_soundness(sig, 1, 1)
+        classes = list(iter_instance_classes(sig.symbols["[jm]"].arity, 1, 1))
         built = []
         real = dcl.instances._instance
         monkeypatch.setattr(dcl.instances, "_instance", lambda *a: built.append(a) or real(*a))
         monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
-        sig = load(str(resources.files("dcl") / "data" / "span-signature.json"))
-        on_class = [v for v in verify_dependency_soundness(sig, 1, 1).undecided if v.on == "class"]
-        witnesses = {serialize_instance(v.witness) for v in on_class}
-        assert on_class and len(built) == len(witnesses)
-        classes = list(iter_instance_classes(sig.symbols["[jm]"].arity, 1, 1))
-        assert all(v.witness in classes for v in on_class)
-        assert all(v.verdict.detail.startswith("canonical-form bound exceeded") for v in on_class)
+        got = verify_dependency_soundness(sig, 1, 1)
+        assert got.undecided and {v.on for v in got.undecided} == {"restriction"}
+        details = {v.verdict.detail.split(":")[0] for v in got.undecided}
+        assert details == {"canonical-form bound exceeded"}
+        listed = [v.witness for v in got.violations + got.undecided]
+        enumerated = [t for t in listed if t.carrier.arrows]
+        assert len(built) == len({serialize_instance(t) for t in enumerated}) == 5
+        assert all(t in classes for t in enumerated)
+        assert all(t == canonical_restriction(t) for t in listed if not t.carrier.arrows)
+        monkeypatch.undo()
+        assert [
+            (v.dependency, serialize_instance(canonical_restriction(v.witness)))
+            for v in got.violations
+        ] == [(v.dependency, serialize_instance(v.witness)) for v in want.violations]
+
+    def test_canonical_forms_only_for_what_is_printed(self, monkeypatch):
+        # an entailed model sweep prints nothing; the dependency sweep makes one
+        # canonical form per listed witness and one per restriction numbering
+        sig = span_signature()
+        jm = sig.symbols["[jm]"]
+        numberings = {  # of the restrictions of each [jm]-valid class as it is decided
+            numbering(sig.symbols[d.target], _named(names, links, jm.arity), d.arity_map)
+            for names, links, labelled in _iter_classes(jm.arity, 2, 2)
+            if evaluate(jm, labelled()).is_valid
+            for d in sig.dependencies
+        }
+        made = []
+        real = dcl.instances._canonical_numbered
+        for module in (dcl.instances, dcl.signature):
+            monkeypatch.setattr(
+                module, "_canonical_numbered", lambda *a: made.append(a) or real(*a)
+            )
+        theory, goal = criterion_06_goals()[0]
+        assert semantic_entails(theory, goal, 3, 1).entailed and made == []
+        report = verify_dependency_soundness(sig, 2, 2)
+        witnesses = {serialize_instance(v.witness) for v in report.violations + report.undecided}
+        assert not report.dropped and len(witnesses) > 1000
+        printed = [(names, links) for names, links, arity in made if arity == jm.arity]
+        decided = [(names, links) for names, links, arity in made if arity != jm.arity]
+        assert len(printed) == len(set(printed)) == len(witnesses)
+        assert len(decided) == len(set(decided)) and set(decided) == numberings
+        assert len(made) == len(witnesses) + len(numberings)
+
+    def test_table_source(self):
+        # a table decides the numbering of a class as it decides its canonical form
+        sig = table_signature()
+        for size, parallel in ((1, 1), (1, 2), (2, 1)):
+            got = verify_dependency_soundness(sig, size, parallel)
+            assert got.checked > 0 and got.violations
+            assert report_bytes(got) == report_bytes(
+                reference_dependency_soundness(sig, size, parallel)
+            )
 
     def test_semantic_entails(self):
         statuses = set()
@@ -470,3 +579,38 @@ class TestSweepsMatchReference:
                     )
                 statuses.add(got.status)
         assert statuses == {"entailed", "refuted"}
+
+
+class TestNumberedRepresentative:
+    """The class sweeps decide each class on its own numbering, `_named(names,
+    links)`: every builtin semantics must give it the status `evaluate` gives
+    the class's labelled instance."""
+
+    @staticmethod
+    def disagreements(symbol, max_parallel) -> list:
+        return [
+            (names, links)
+            for names, links, labelled in _iter_classes(symbol.arity, 2, max_parallel)
+            if symbol.semantics.decide(_named(names, links, symbol.arity)).status
+            is not evaluate(symbol, labelled()).status
+        ]
+
+    @pytest.mark.parametrize(
+        "symbol,max_parallel",
+        every_builtin_symbol(),
+        ids=lambda v: v.name if isinstance(v, ConstraintSymbol) else str(v),
+    )
+    def test_decided_as_evaluate_decides(self, symbol, max_parallel):
+        assert self.disagreements(symbol, max_parallel) == []
+
+    def test_a_table_compared_by_value_disagrees(self, monkeypatch):
+        # the planted fault: a table that compares its argument, not the
+        # argument's canonical form, with its entries
+        def by_value(self, t):
+            for entry_id, instance in self.entries:
+                if instance == t:
+                    return Verdict(Evidence(t, {"entry": entry_id}))
+            return Verdict(counterexample=Counterexample(t, ()))
+
+        monkeypatch.setattr(Table, "decide", by_value)
+        assert self.disagreements(table_symbol(), 2)

@@ -633,14 +633,18 @@ class TestDepsCheck:
         assert out["stopped"] == ["[jm]"] and out["checked"] == full["checked"]
 
     def test_witness_cap_counts_undecided(self, capsys, monkeypatch):
-        # at size 1 with a canonical-form bound of 2, each leg has 4 violations
-        # and 12 undecided classes, and its 4th violation comes last
+        # at size 2 with a canonical-form bound of 2, a restriction with a link
+        # is undecided: each leg reaches 20 of each kind before d2 drops its
+        # first violation, so both kinds are counted past the cap
         monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
-        monkeypatch.setattr(dcl.signature, "SWEEP_WITNESS_LIMIT", 3)
-        assert main(["deps-check", SPAN_SIG, "--size", "1"]) == 1
+        monkeypatch.setattr(dcl.signature, "SWEEP_WITNESS_LIMIT", 20)
+        assert main(["deps-check", SPAN_SIG, "--size", "2"]) == 1
         out = json.loads(capsys.readouterr().out)
-        assert len(out["violations"]) == len(out["undecided"]) == 6
-        assert out["dropped"] == {d: {"violations": 1, "undecided": 1} for d in ("d1", "d2")}
+        assert len(out["violations"]) == len(out["undecided"]) == 40
+        assert out["dropped"] == {
+            "d1": {"violations": 4, "undecided": 9},
+            "d2": {"violations": 1, "undecided": 12},
+        }
         assert out["stopped"] == ["[jm]"]
 
     def test_model_sweep_bound_ends_size_three(self, capsys, tmp_path):
@@ -675,18 +679,21 @@ class TestDepsCheck:
         assert out["violations"] and out["checked"] > 0
         assert out["bound"] == "model-sweep bound exceeded: spent 101 of 100 units"
 
-    def test_canonical_form_bound_on_a_class_is_undecided(self, capsys, monkeypatch):
-        # a class whose canonical form spends the bound is reported, witnessed
-        # as enumerated, not an abort of the whole sweep
+    def test_canonical_form_bound_leaves_the_restriction_undecided(self, capsys, monkeypatch):
+        # the sweep decides classes on their numbering: the bound leaves a
+        # restriction with a link undecided, not a class, and a witness with a
+        # link is printed as enumerated
         monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
         code = main(["deps-check", SPAN_SIG, "--size", "1"])
         out = json.loads(capsys.readouterr().out)
         assert code == 1 and out["violations"]
         assert {u["dependency"] for u in out["undecided"]} == {"d1", "d2"}
         for u in out["undecided"]:
-            assert u["on"] == "class" and u["status"] == "unknown"
+            assert u["on"] == "restriction" and u["status"] == "unknown"
             assert u["detail"].startswith("canonical-form bound exceeded: spent ")
-            assert all("#" in n for n in u["witness"]["carrier"]["nodes"])
+        for v in out["violations"] + out["undecided"]:
+            enumerated = all("#" in n for n in v["witness"]["carrier"]["nodes"])
+            assert enumerated == bool(v["witness"]["carrier"]["arrows"])
 
 
 def shipped(name: str):

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import re
 
 import pytest
 
@@ -30,6 +29,7 @@ from dcl.instances import (
     TypedInstance,
     as_slice,
     as_slice_morphism,
+    find_instance_isomorphism,
     iter_slice_morphisms,
     terminal_graph,
 )
@@ -106,14 +106,21 @@ class TestSemanticEntailment:
         assert res.status == "unknown" and res.counterexample is None
         assert res.detail == "injectivity-search bound exceeded: spent 1 of 0 units"
 
-    def test_canonical_form_bound_is_unknown(self, monkeypatch):
-        # entailed at the default bound; at 2 units every model with a link
-        # spends its canonical form's bound, so nothing is claimed
-        th = outgoing_edge_theory()
+    def test_canonical_form_bound_spares_the_sweep(self, monkeypatch):
+        # at 2 units every instance with a link spends its canonical form's
+        # bound, yet models are decided on their numbering: an entailed sweep
+        # stays entailed, and a countermodel with a link is returned as
+        # enumerated, isomorphic to the one of the default bound
+        th, cycle = outgoing_edge_theory(), edge_pair_theory().formulas["close-cycle"]
+        entailed = semantic_entails(th, th.formulas["out-edge"], 2)
+        refuted = semantic_entails(th, cycle, 2, 1)
         monkeypatch.setattr(dcl.graphs, "CANONICAL_WORK_LIMIT", 2)
-        res = semantic_entails(th, th.formulas["out-edge"], 2)
-        assert res.status == "unknown" and res.counterexample is None
-        assert re.fullmatch(r"canonical-form bound exceeded: spent \d+ of 2 units", res.detail)
+        assert entailed.entailed and semantic_entails(th, th.formulas["out-edge"], 2) == entailed
+        res = semantic_entails(th, cycle, 2, 1)
+        assert res.status == "refuted" and res.models_checked == refuted.models_checked
+        countermodel = res.counterexample
+        assert countermodel.carrier.arrows and all("#" in n for n in countermodel.carrier.nodes)
+        assert find_instance_isomorphism(countermodel, refuted.counterexample) is not None
 
     def test_model_sweep_bound_is_unknown(self, monkeypatch):
         # a point is injective w.r.t. its identity in every model, so only the
