@@ -11,7 +11,6 @@ from dcl.graphs import (
     GraphError,
     GraphMorphism,
     compose,
-    find_isomorphism,
     identity,
     pullback,
     pushout,
@@ -57,7 +56,6 @@ __all__ = [
     "compose",
     "compose_delta",
     "delta_of",
-    "find_isomorphism",
     "from_indexed",
     "identity",
     "identity_delta",

@@ -185,18 +185,6 @@ class GraphMorphism:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def then(self, other: "GraphMorphism") -> "GraphMorphism":
-        return compose(self, other)
-
-    @cached_property
-    def is_bijective(self) -> bool:
-        return (
-            len(self.node_map) == len(self.cod.nodes)
-            and len(set(self.node_map.values())) == len(self.cod.nodes)
-            and len(self.arrow_map) == len(self.cod.arrows)
-            and len(set(self.arrow_map.values())) == len(self.cod.arrows)
-        )
-
     def node_fibres(self) -> dict[str, list[str]]:
         """Each codomain node to its preimage, in sorted order; rebuilt per call."""
         out: dict[str, list[str]] = {n: [] for n in self.cod.sorted_nodes}
@@ -264,7 +252,6 @@ def search_morphisms(
     h: Graph,
     typings: Optional[tuple[GraphMorphism, GraphMorphism]] = None,
     pins: Optional[tuple[Mapping[str, str], Mapping[str, str]]] = None,
-    injective: bool = False,
 ) -> Iterator[GraphMorphism]:
     """Incidence-preserving morphisms g -> h, by backtracking over indices.
 
@@ -279,15 +266,13 @@ def search_morphisms(
     to morphisms that commute with them: node colours and arrow labels are
     the typings' images.  `pins` (node map, arrow map), each partial on g,
     fixes those images; the result is the unpinned search filtered by the
-    pins, in the same order.  `injective` keeps only injective morphisms,
-    which between graphs of equal size are the isomorphisms; an arrow image
-    already taken is not tried, nor, for an isomorphism, a node whose arrow
-    ends differ.  A pattern with an arrow label that h lacks is refused at once.
+    pins, in the same order.  A pattern with an arrow label that h lacks is
+    refused at once.
     """
     g_typing, h_typing = typings or (None, None)
     plan = _pattern_plan(g, g_typing)
     fibres = h_typing and (h_typing.node_fibres(), h_typing.arrow_fibres())
-    found = _run_search(plan, _target_index(h, fibres), pins, injective)
+    found = _run_search(plan, _target_index(h, fibres), pins)
     return (_morphism(plan, h, images) for images in found)
 
 
@@ -310,7 +295,7 @@ def _pattern_plan(g: Graph, typing: Optional[GraphMorphism] = None) -> tuple:
 
 
 def _target_index(h: Graph, fibres: Optional[tuple] = None) -> tuple:
-    """What the search needs of a target, whatever the pattern: (h, its nodes by
+    """What the search needs of a target, whatever the pattern: (its nodes by
     colour, its arrow ids by (label, src, tgt), sorted, labels used), read from
     `fibres`, a typing's (node_fibres(), arrow_fibres()) keyed by colour and label;
     without them, h's nodes and arrows have the colour and label None."""
@@ -319,29 +304,20 @@ def _target_index(h: Graph, fibres: Optional[tuple] = None) -> tuple:
     for label, arrows in by_label.items():
         for a in arrows:
             index.setdefault((label, a.src, a.tgt), []).append(a.id)
-    return h, by_colour, index, {key[0] for key in index}
+    return by_colour, index, {key[0] for key in index}
 
 
-def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Iterator[tuple]:
+def _run_search(plan: tuple, target: tuple, pins=None) -> Iterator[tuple]:
     """`search_morphisms` of a planned pattern into an indexed target, as (node images,
     arrow images) in plan order; none, at once, if the pattern uses a label h lacks."""
-    g, nodes, colours, checks, arrow_ids, ends, used = plan
-    h, by_colour, index, cod_used = target
+    _, nodes, colours, checks, arrow_ids, ends, used = plan
+    by_colour, index, cod_used = target
     if not used <= cod_used:
         return
     node_pins, arrow_pins = pins if pins is not None else ({}, {})
-    # an isomorphism keeps each node's arrow ends, by label and direction
-    iso = injective and len(g.nodes) == len(h.nodes) and len(g.arrows) == len(h.arrows)
-    if iso:
-        degree = _degrees(range(len(nodes)), (end[:3] for end in ends))
-        cod_degree = _degrees(h.nodes, (key for key, ids in index.items() for _ in ids))
-        if sorted(degree.values()) != sorted(cod_degree.values()):
-            return
     candidates = []
-    for i, (n, colour) in enumerate(zip(nodes, colours)):
+    for n, colour in zip(nodes, colours):
         options = by_colour.get(colour, [])
-        if iso:
-            options = [c for c in options if cod_degree[c] == degree[i]]
         pinned = node_pins.get(n)
         candidates.append(options if pinned is None else [c for c in options if c == pinned])
     if not all(candidates):
@@ -355,7 +331,7 @@ def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Itera
             found = index[(label, image[s], image[t])]
             options.append(found if pinned is None else [x for x in found if x == pinned])
         node_images = tuple(image)  # a copy: the backtracking reuses `image`
-        for images in _distinct_product(options) if injective else itertools.product(*options):
+        for images in itertools.product(*options):
             yield node_images, images
 
     if not nodes:
@@ -366,8 +342,6 @@ def _run_search(plan: tuple, target: tuple, pins=None, injective=False) -> Itera
     while pending:
         depth = len(pending) - 1
         for c in pending[depth]:
-            if injective and c in image[:depth]:
-                continue
             image[depth] = c
             for label, s, t in checks[depth]:
                 if (label, image[s], image[t]) not in index:
@@ -391,42 +365,6 @@ def _image_maps(plan: tuple, images: tuple) -> tuple[dict, dict]:
 def _morphism(plan: tuple, h: Graph, images: tuple) -> GraphMorphism:
     """The morphism to h that `_run_search` of the plan yields as `images`."""
     return _trusted(GraphMorphism, plan[0], h, *_image_maps(plan, images))
-
-
-def _distinct_product(options: list[list[str]]) -> Iterator[tuple[str, ...]]:
-    """The tuples of `itertools.product(*options)` that repeat no element, in
-    its order; an element already taken is skipped where it is met."""
-    chosen: list[str] = []
-    stack = [iter(options[0])] if options else []
-    while stack:
-        x = next((x for x in stack[-1] if x not in chosen), None)
-        if x is None:
-            stack.pop()
-            del chosen[len(stack) - 1 :]
-        elif len(stack) < len(options):
-            chosen.append(x)
-            stack.append(iter(options[len(stack)]))
-        else:
-            yield (*chosen, x)
-    if not options:
-        yield ()
-
-
-def find_isomorphism(g: Graph, h: Graph) -> Optional[GraphMorphism]:
-    """The lexicographically least isomorphism g -> h, or None."""
-    if len(g.nodes) != len(h.nodes) or len(g.arrows) != len(h.arrows):
-        return None
-    return next(search_morphisms(g, h, injective=True), None)
-
-
-def _degrees(nodes: Iterable, arrows: Iterable[tuple]) -> dict:
-    """Each node's arrow ends, as sorted (arrow label, is source) pairs, from
-    the arrows as (label, source, target) triples."""
-    ends: dict = {n: [] for n in nodes}
-    for label, s, t in arrows:
-        ends[s].append((label, True))
-        ends[t].append((label, False))
-    return {n: tuple(sorted(e)) for n, e in ends.items()}
 
 
 # ---------------------------------------------------------------------------

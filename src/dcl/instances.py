@@ -172,17 +172,16 @@ def iter_slice_morphisms(
     s: TypedInstance,
     t: TypedInstance,
     pins: Optional[tuple[Mapping[str, str], Mapping[str, str]]] = None,
-    injective: bool = False,
 ) -> Iterator[SliceMorphism]:
     """All typing-commuting carrier morphisms s -> t, in `search_morphisms` order.
 
     A slice search is a hom search whose candidates are limited to elements
-    of the same type.  `pins` and `injective` are passed to the search.
+    of the same type.  `pins` are passed to the search.
     """
     if s.schema != t.schema:
         return
     typings = (s.typing, t.typing)
-    for m in search_morphisms(s.carrier, t.carrier, typings, pins, injective):
+    for m in search_morphisms(s.carrier, t.carrier, typings, pins):
         yield _trusted(SliceMorphism, s, t, m)
 
 
@@ -210,17 +209,6 @@ def _factorization_pins(f: GraphMorphism, x: tuple) -> Optional[tuple[dict, dict
             if pinned.setdefault(image, x_image) != x_image:
                 return None
     return pins
-
-
-def find_instance_isomorphism(
-    s: TypedInstance, t: TypedInstance
-) -> Optional[SliceMorphism]:
-    """A typing-preserving isomorphism s -> t by search, or None."""
-    if len(s.carrier.nodes) != len(t.carrier.nodes) or len(s.carrier.arrows) != len(
-        t.carrier.arrows
-    ):
-        return None
-    return next(iter_slice_morphisms(s, t, injective=True), None)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +548,7 @@ def dom_lift(t: TypedInstance, p: GraphMorphism) -> SliceMorphism:
 
 
 # ---------------------------------------------------------------------------
-# Instance enumeration (used by oracles and soundness reports)
+# Instance enumeration (used by the model and dependency sweeps)
 
 
 def _families(schema: Graph, max_per_node: int) -> Iterator[tuple[dict, list]]:
@@ -580,7 +568,8 @@ def _numbered(prefix: str, count: int) -> list[str]:
 
 
 def _instance(schema: Graph, fibers: dict, slots: list, counts: tuple) -> TypedInstance:
-    """`counts[i]` parallel links on slot i; the typing is valid by construction.
+    """The labelled instance of one count vector of a `_families` family:
+    `counts[i]` parallel links on slot i; the typing is valid by construction.
 
     Elements are named "node#i" and links "arrow#k", k counting the links
     of one schema arrow, as `_numbered` pads them.  Splitting at the last "#"
@@ -597,16 +586,6 @@ def _instance(schema: Graph, fibers: dict, slots: list, counts: tuple) -> TypedI
             arrows.append((link, s, t))
             arrow_typing[link] = a
     return _trusted_instance(schema, node_typing, arrows, arrow_typing)
-
-
-def iter_typed_instances(
-    schema: Graph, max_per_node: int, max_parallel: int = 2
-) -> Iterator[TypedInstance]:
-    """All typed instances with at most max_per_node elements per schema node
-    and at most max_parallel parallel links per (schema arrow, element pair)."""
-    for fibers, slots in _families(schema, max_per_node):
-        for counts in itertools.product(range(max_parallel + 1), repeat=len(slots)):
-            yield _instance(schema, fibers, slots, counts)
 
 
 def _slot_permutations(fibers: dict, slots: list) -> list[Callable]:
@@ -627,8 +606,11 @@ def _slot_permutations(fibers: dict, slots: list) -> list[Callable]:
 def iter_instance_classes(
     schema: Graph, max_per_node: int, max_parallel: int = 2
 ) -> Iterator[TypedInstance]:
-    """One instance per isomorphism class that `iter_typed_instances` covers:
-    the first member of the class in that enumeration, in the same order."""
+    """One instance per isomorphism class of the instances with at most
+    max_per_node elements per schema node and at most max_parallel parallel
+    links per (schema arrow, element pair): the first member of the class in
+    the labelled order (size vectors, then link-count vectors, each in
+    `itertools.product` order), in that order."""
     for _, _, labelled in _iter_classes(schema, max_per_node, max_parallel):
         yield labelled()
 

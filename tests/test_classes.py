@@ -52,7 +52,6 @@ from dcl.instances import (
     dom_lift,
     identity_delta,
     iter_instance_classes,
-    iter_typed_instances,
     pullback_delta,
     restrict,
     serialize_instance,
@@ -88,6 +87,7 @@ from dcl.signature import (
     verify_dependency_soundness,
 )
 from dcl.verdicts import Counterexample, Evidence, Status, Verdict
+from oracles import iter_typed_instances
 
 
 def partitions(k: int, largest: int):

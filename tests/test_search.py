@@ -2,10 +2,13 @@
 
 `reference_homomorphisms` is a copy of the hom search as it was before the
 indexed search: it fixes the order of the results, on which seeded
-generation (`randgen` picks homomorphisms by index) depends.
+generation (`randgen` picks homomorphisms by index) depends.  The
+isomorphism oracle `oracles.isomorphisms`, written from the definition, is
+checked to be the hom search filtered by bijectivity, in its order.
 `reference_formulas_isomorphic` and `reference_deltas_equivalent` are the
-isomorphism searches that the diagram keys replaced; the proof search keys
-its objects by diagram key, where it once took their canonical bytes.
+isomorphism searches that the diagram keys replaced, rebuilt on that
+oracle; the proof search keys its objects by diagram key, where it once took
+their canonical bytes.
 """
 
 import itertools
@@ -25,7 +28,6 @@ from dcl.graphs import (
     _run_search,
     _target_index,
     compose,
-    find_isomorphism,
     search_morphisms,
 )
 from dcl.instances import (
@@ -33,11 +35,11 @@ from dcl.instances import (
     SliceMorphism,
     TypedInstance,
     _diagram_key,
+    as_slice,
     canonical_restriction,
     deltas_equivalent,
     iter_factorizations,
     iter_slice_morphisms,
-    iter_typed_instances,
     serialize_instance,
 )
 from dcl.injlogic import formulas_isomorphic, semantic_entails
@@ -51,6 +53,7 @@ from dcl.signature import (
     single_arrow_arity,
 )
 from dcl.verdicts import Counterexample, Evidence, Status, Verdict
+from oracles import is_bijective, isomorphisms, iter_typed_instances
 
 
 def reference_homomorphisms(g: Graph, h: Graph):
@@ -95,6 +98,11 @@ def maps(morphisms):
     return [(m.node_map, m.arrow_map) for m in morphisms]
 
 
+def graph_isomorphisms(g: Graph, h: Graph) -> list:
+    """(node map, arrow map) of every isomorphism g -> h, by the oracle."""
+    return maps(x.map for x in isomorphisms(as_slice(g), as_slice(h)))
+
+
 def small_graphs():
     """Every graph on at most two nodes with at most one arrow per ordered
     pair, and the one-node graphs with up to two parallel loops."""
@@ -128,6 +136,9 @@ def graphs(draw, max_nodes=4, max_arrows=5):
 
 
 SCHEMA = Graph.build(["A", "B"], [("r", "A", "B"), ("s", "A", "A"), ("t", "B", "A")])
+LOOP_ARITY = Graph.build(["A"], [("l", "A", "A")])
+# the parallel pair has two link types between one pair of element types
+ARITIES = (SCHEMA, single_arrow_arity(), parallel_pair_arity(), LOOP_ARITY)
 
 
 @st.composite
@@ -216,12 +227,6 @@ def respects(m: GraphMorphism, pins) -> bool:
     )
 
 
-def is_monic(m: GraphMorphism) -> bool:
-    return len(set(m.node_map.values())) == len(m.node_map) and len(
-        set(m.arrow_map.values())
-    ) == len(m.arrow_map)
-
-
 def assert_valid(m: GraphMorphism) -> None:
     """m is what the validating constructor makes of its maps, keys sorted."""
     assert GraphMorphism(m.dom, m.cod, m.node_map, m.arrow_map) == m
@@ -240,6 +245,17 @@ TYPE_THE_TARGET_LACKS = (
     TypedInstance.build(
         SCHEMA, Graph.build(["p", "q"], [("y", "p", "q")]), {"p": "A", "q": "B"}, {"y": "r"}
     ),
+)
+# links of the two parallel types between one pair, and a relabelled copy: a
+# search that reads arrow ends and not labels sends either link to either
+PARALLEL_LINKS = tuple(
+    TypedInstance.build(
+        parallel_pair_arity(),
+        Graph.build([a, b], [(x, a, b), (y, a, b)]),
+        {a: "A", b: "B"},
+        {x: "r1", y: "r2"},
+    )
+    for a, b, x, y in (("a", "b", "x0", "x1"), ("m0", "m1", "k1", "k0"))
 )
 
 
@@ -271,28 +287,20 @@ class TestHomSearch:
     @given(graphs(), graphs(max_arrows=7))
     @example(*ARROW_INTO_BARE_NODES)
     @settings(max_examples=300, deadline=None)
-    def test_injective_is_filtered(self, g, h):
+    def test_isomorphisms_are_the_bijective_homs(self, g, h):
         everything = list(search_morphisms(g, h))
-        injective = list(search_morphisms(g, h, injective=True))
-        assert maps(injective) == maps(m for m in everything if is_monic(m))
-        if len(g.nodes) == len(h.nodes) and len(g.arrows) == len(h.arrows):
-            assert maps(injective) == maps(m for m in everything if m.is_bijective)
+        assert graph_isomorphisms(g, h) == maps(m for m in everything if is_bijective(m))
 
     def test_arrow_into_bare_nodes_yields_nothing(self):
         g, h = ARROW_INTO_BARE_NODES
         for pins in (None, ({"a": "p"}, {}), ({"a": "p", "b": "q"}, {})):
-            for injective in (False, True):
-                assert list(search_morphisms(g, h, pins=pins, injective=injective)) == []
+            assert list(search_morphisms(g, h, pins=pins)) == []
 
-    def test_small_graphs_injective_is_bijective_filter(self):
+    def test_small_graphs_isomorphisms_are_the_bijective_homs(self):
         pool = small_graphs()
         for g, h in itertools.product(pool, pool):
-            if len(g.nodes) != len(h.nodes) or len(g.arrows) != len(h.arrows):
-                continue
             everything = list(search_morphisms(g, h))
-            assert maps(search_morphisms(g, h, injective=True)) == maps(
-                m for m in everything if m.is_bijective
-            )
+            assert graph_isomorphisms(g, h) == maps(m for m in everything if is_bijective(m))
 
 
 def within_seconds(seconds: int, search):
@@ -311,15 +319,15 @@ def within_seconds(seconds: int, search):
 
 
 class TestIsomorphismSearchIsPruned:
-    """Isomorphisms are found without enumerating what cannot extend to one."""
+    """The oracle finds isomorphisms without enumerating what cannot extend to one."""
 
     def test_parallel_arrows(self):
-        # 12 parallel loops: the first injective arrow choice in product
+        # 12 parallel loops: the first one-to-one arrow choice in product
         # order comes after about 12**11 repeating ones
         g = Graph.build(["p"], [(f"l{i}", "p", "p") for i in range(12)])
         h = Graph.build(["q"], [(f"m{i}", "q", "q") for i in range(12)])
-        iso = within_seconds(10, lambda: find_isomorphism(g, h))
-        assert iso.arrow_map == {f"l{i}": f"m{i}" for i in range(12)}
+        iso = within_seconds(10, lambda: next(isomorphisms(as_slice(g), as_slice(h))))
+        assert iso.map.arrow_map == {f"l{i}": f"m{i}" for i in range(12)}
 
     def test_isolated_nodes_before_an_arrow_end(self):
         # the arrow's target sorts first and its source last; a target tried
@@ -328,13 +336,14 @@ class TestIsomorphismSearchIsPruned:
         nodes = [f"a{i:02}" for i in range(12)]
         g = Graph.build([*nodes, "z"], [("r", "z", "a00")])
         h = Graph.build([*nodes, "z"], [("r", "z", "a11")])
-        iso = within_seconds(10, lambda: find_isomorphism(g, h))
-        assert iso.node_map["a00"] == "a11" and iso.node_map["z"] == "z"
+        iso = within_seconds(10, lambda: next(isomorphisms(as_slice(g), as_slice(h))))
+        assert iso.map.node_map["a00"] == "a11" and iso.map.node_map["z"] == "z"
 
 
 class TestSliceSearch:
     @given(typed_instances(), typed_instances(max_arrows=7))
     @example(*TYPE_THE_TARGET_LACKS)
+    @example(*PARALLEL_LINKS)
     @settings(max_examples=300, deadline=None)
     def test_is_hom_search_filtered_by_typing(self, s, t):
         found = list(iter_slice_morphisms(s, t))
@@ -347,23 +356,22 @@ class TestSliceSearch:
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
-    def test_pinned_and_injective_are_filtered(self, data):
+    def test_pinned_is_filtered(self, data):
         s, t = data.draw(typed_instances()), data.draw(typed_instances(max_arrows=7))
         pins = data.draw(pins_for(s.carrier, t.carrier))
         everything = [x.map for x in iter_slice_morphisms(s, t)]
         assert maps(x.map for x in iter_slice_morphisms(s, t, pins)) == maps(
             m for m in everything if respects(m, pins)
         )
-        assert maps(x.map for x in iter_slice_morphisms(s, t, pins, injective=True)) == maps(
-            m for m in everything if respects(m, pins) and is_monic(m)
+        assert maps(x.map for x in isomorphisms(s, t)) == maps(
+            m for m in everything if is_bijective(m)
         )
 
     def test_type_the_target_lacks_yields_nothing(self):
         s, t = TYPE_THE_TARGET_LACKS
         assert list(search_morphisms(s.carrier, t.carrier))  # untyped, x has an image
         for pins in (None, ({"a": "p"}, {}), ({"a": "p"}, {"x": "y"})):
-            for injective in (False, True):
-                assert list(iter_slice_morphisms(s, t, pins, injective)) == []
+            assert list(iter_slice_morphisms(s, t, pins)) == []
 
     @given(factorization_problems())
     @settings(max_examples=300, deadline=None)
@@ -384,32 +392,18 @@ class TestSliceSearch:
         plan = _pattern_plan(s.carrier, typings and typings[0])
         index = _target_index(t.carrier, typings and t.fibres)
         pin_sets = data.draw(st.lists(pins_for(s.carrier, t.carrier), max_size=4))
-        for pins, injective in itertools.product([None, *pin_sets], (False, True)):
-            found = _run_search(plan, index, pins, injective)
+        for pins in [None, *pin_sets]:
+            found = _run_search(plan, index, pins)
             assert maps(_morphism(plan, t.carrier, images) for images in found) == maps(
-                search_morphisms(s.carrier, t.carrier, typings, pins, injective)
+                search_morphisms(s.carrier, t.carrier, typings, pins)
             )
-
-
-def same_size(s: TypedInstance, t: TypedInstance) -> bool:
-    return len(s.carrier.nodes) == len(t.carrier.nodes) and len(s.carrier.arrows) == len(
-        t.carrier.arrows
-    )
-
-
-def instance_isomorphisms(s: TypedInstance, t: TypedInstance):
-    """The typing-preserving isomorphisms s -> t, by search."""
-    return iter_slice_morphisms(s, t, injective=True) if same_size(s, t) else iter(())
 
 
 def reference_formulas_isomorphic(f: SliceMorphism, g: SliceMorphism) -> bool:
     """The search that decided formula isomorphism before the diagram key:
-    for each isomorphism a of the domains, an isomorphism of the codomains
-    with f;b == a;g is an injective map between codomains of one size,
-    pinned on the image of f to what a;g forces."""
-    if f.from_.schema != g.from_.schema or not same_size(f.to, g.to):
-        return False
-    for a in instance_isomorphisms(f.from_, g.from_):
+    for each isomorphism a of the domains, an isomorphism b of the codomains
+    with f;b == a;g, one that takes the image of f where a;g forces it."""
+    for a in isomorphisms(f.from_, g.from_):
         x = compose(a.map, g.map)
         pins: tuple[dict, dict] = ({}, {})
         forced = all(
@@ -419,7 +413,7 @@ def reference_formulas_isomorphic(f: SliceMorphism, g: SliceMorphism) -> bool:
             )
             for e, image in f_map.items()
         )
-        if forced and next(iter_slice_morphisms(f.to, g.to, pins, injective=True), None):
+        if forced and any(respects(b.map, pins) for b in isomorphisms(f.to, g.to)):
             return True
     return False
 
@@ -432,7 +426,7 @@ def reference_deltas_equivalent(d1: Delta, d2: Delta) -> bool:
     return any(
         compose(iso.map, d2.left.map) == d1.left.map
         and compose(iso.map, d2.right.map) == d1.right.map
-        for iso in instance_isomorphisms(d1.apex, d2.apex)
+        for iso in isomorphisms(d1.apex, d2.apex)
     )
 
 
@@ -448,7 +442,7 @@ def relabelled(draw, t: TypedInstance):
         node_map.values(), [(arrow_map[a.id], node_map[a.src], node_map[a.tgt]) for a in arrows]
     )
     copy = TypedInstance.build(
-        SCHEMA,
+        t.schema,
         carrier,
         {node_map[n]: h for n, h in t.typing.node_map.items()},
         {arrow_map[a]: k for a, k in t.typing.arrow_map.items()},
@@ -587,6 +581,30 @@ class TestObjectKeyMatchesCanonicalBytes:
         assert same_key == same_bytes
 
 
+@st.composite
+def isomorphic_pairs(draw):
+    """(s, t) over one of ARITIES: t is a relabelled copy of s, of s with
+    twinned links, or of an instance drawn afresh over the same arity."""
+    arity = draw(st.sampled_from(ARITIES))
+    s = draw(typed_instances(max_arrows=4, schema=arity))
+    u = draw(
+        st.one_of(st.just(s), st.just(with_twins(s)), typed_instances(max_arrows=4, schema=arity))
+    )
+    return s, draw(relabelled(u))[0]
+
+
+class TestIsomorphismOracle:
+    @given(isomorphic_pairs())
+    @example(PARALLEL_LINKS)
+    @settings(max_examples=300, deadline=None)
+    def test_isomorphisms_are_the_bijective_slice_morphisms(self, pair):
+        s, t = pair
+        everything = [x.map for x in iter_slice_morphisms(s, t)]
+        assert maps(x.map for x in isomorphisms(s, t)) == maps(
+            m for m in everything if is_bijective(m)
+        )
+
+
 def factorization_table(formula, t):
     """The evidence table of the filtering search the pinned one replaced:
     for each testing map x, the least y with f;y == x (None if one has none)."""
@@ -690,10 +708,6 @@ def reference_injectivity(t: TypedInstance, spec: Regular) -> Verdict:
             return unknown
         table.append({"x": x.map.to_json(inline=False), "y": y.map.to_json(inline=False)})
     return Verdict(Evidence(t, {"factorizations": table}))
-
-
-LOOP_ARITY = Graph.build(["A"], [("l", "A", "A")])
-ARITIES = (SCHEMA, single_arrow_arity(), parallel_pair_arity(), LOOP_ARITY)
 
 
 def without_types(t: TypedInstance, types) -> TypedInstance:

@@ -10,7 +10,6 @@ from dcl.instances import (
     SliceMorphism,
     TypedInstance,
     canonical_restriction,
-    iter_typed_instances,
     to_indexed,
 )
 from dcl.io import load
@@ -53,6 +52,7 @@ from dcl.fixtures import (
     uniqueness_symbol,
 )
 from dcl.verdicts import Status, Verdict
+from oracles import iter_typed_instances
 
 
 def check_lifting(t, m, n):
